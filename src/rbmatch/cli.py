@@ -30,10 +30,13 @@ from .types import EdgeParams
 USAGE_ERROR = 2
 
 
-def _workers(args) -> int:
+def _workers(args, parser) -> int:
     env = os.environ.get("RBMP_WORKERS")
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            parser.error(f"RBMP_WORKERS must be an integer, got {env!r}")
     return max(1, args.workers)
 
 
@@ -147,22 +150,14 @@ def cmd_estimate(args, parser) -> int:
     return 0
 
 
-def _segment_grid(ms, ns, parser) -> list[SegmentPoint]:
-    grid = []
-    for m in ms:
-        for n in ns:
-            if not 1 <= m <= n:
-                parser.error(f"segment grid point m={m}, n={n} violates 1 <= m <= n")
-            grid.append(SegmentPoint(m=m, n=n))
-    return grid
-
-
-def cmd_simulate(args, parser) -> int:
+def _simulate_config(args, parser) -> ExperimentConfig:
+    """The sweep named by the simulate flags; grid points and the config
+    raise ValueError on invalid values."""
     if args.kind == "segment":
         if not args.m or not args.n:
             parser.error("segment grids need --m and --n")
         kind = ExperimentKind.SEGMENT
-        grid = _segment_grid(args.m, args.n, parser)
+        grid = [SegmentPoint(m=m, n=n) for m in args.m for n in args.n]
     elif args.kind == "edge":
         if not args.mu or not args.lam:
             parser.error("edge grids need --mu and --lam")
@@ -172,7 +167,6 @@ def cmd_simulate(args, parser) -> int:
             for mu in args.mu
             for lam in args.lam
             for ln in args.length
-            if lam >= mu or parser.error(f"edge grid point mu={mu}, lam={lam} needs lam >= mu")
         ]
     else:
         if not args.degree or not args.mu or not args.lam:
@@ -186,15 +180,21 @@ def cmd_simulate(args, parser) -> int:
             for mu in args.mu
             for lam in args.lam
             for ln in args.length
-            if lam >= mu or parser.error(f"network grid point mu={mu}, lam={lam} needs lam >= mu")
         ]
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         kind=kind,
         grid=tuple(grid),
         replications=args.reps,
         master_seed=args.seed,
-        workers=_workers(args),
+        workers=_workers(args, parser),
     )
+
+
+def cmd_simulate(args, parser) -> int:
+    try:
+        cfg = _simulate_config(args, parser)
+    except ValueError as exc:
+        parser.error(str(exc))
     return _run_and_emit(cfg, args)
 
 
@@ -225,7 +225,10 @@ def _preset_config(preset: str, reps: int, seed: int, workers: int) -> Experimen
 
 
 def cmd_compare(args, parser) -> int:
-    cfg = _preset_config(args.preset, args.reps, args.seed, _workers(args))
+    try:
+        cfg = _preset_config(args.preset, args.reps, args.seed, _workers(args, parser))
+    except ValueError as exc:
+        parser.error(str(exc))
     return _run_and_emit(cfg, args)
 
 

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import gammaln
 
 from .combinatorics import (
-    _log_binom_arr,
     expected_zero_returns,
     harel_area,
     stars_bars_distribution,
@@ -29,7 +29,6 @@ __all__ = [
     "dispatch_estimate",
 ]
 
-_COUNT_ROUNDING_TOL = 1e-6
 _DISPATCH_RATIO_CUTOFF = 3.0
 
 
@@ -39,7 +38,6 @@ class EstimatorMethod(Enum):
     RECURSIVE = "recursive"
     BASELINE = "baseline"
     EDGE_SCALED = "edge"
-    NETWORK = "network"
 
 
 @dataclass(frozen=True)
@@ -124,22 +122,6 @@ class RecursionTable:
         return float(self.values[k, a])
 
 
-def _ballot_matrix(m: int, e: int) -> np.ndarray:
-    """Row a, column m_hat: probability of m_hat demand points in the current
-    segment given a remain, with e removals still to make (e >= 1)."""
-    a = np.arange(m + 1)[:, None].astype(np.float64)
-    mh = np.arange(m + 1)[None, :].astype(np.float64)
-    valid = mh <= a
-    mh_c = np.minimum(mh, a)  # clamp invalid cells so every log term is finite
-    log_p = (
-        _log_binom_arr(a, mh_c)
-        + _log_binom_arr(a + e, mh_c)
-        - _log_binom_arr(2 * a + e, 2 * mh_c)
-    )
-    probs = np.exp(log_p) * e / (2 * a + e - 2 * mh_c)
-    return np.where(valid, probs, 0.0)
-
-
 def recursion_table(m: int, n: int, length: float = 1.0) -> RecursionTable:
     """Solve the segment-area recursion bottom-up.
 
@@ -147,6 +129,15 @@ def recursion_table(m: int, n: int, length: float = 1.0) -> RecursionTable:
     down to k = 0. Interior rows k = 1..n-m-1 subtract the one-swap area
     reduction l * (2m' - 2 E[zero returns | m']) inside the expectation; row
     k = 0 applies no swap reduction.
+
+    Row k is E[Z_{k,a}] = sum_{m'<=a} P(m' | a, e) * (S(m') + E[Z_{k+1,a-m'}])
+    with e = n-m-k removals left, P the ballot probability of
+    ``ballot_segment_prob`` and S the segment area. The kernel packs the
+    cells (a, m') with m' <= a row by row into flat arrays, so each row is one
+    gather of the next row at a - m', one elementwise product and one
+    segmented sum. Every log C(x, y) is lf[x] - lf[y] - lf[x-y] on one
+    log-factorial table lf, which gives the same values as the log-gamma
+    evaluation; the log C(a, m') term does not depend on e and is built once.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -158,16 +149,31 @@ def recursion_table(m: int, n: int, length: float = 1.0) -> RecursionTable:
     zero_returns = np.array([expected_zero_returns(i) for i in range(m + 1)])
     swap_reduction = gap * (2.0 * np.arange(m + 1) - 2.0 * zero_returns)
 
+    counts = np.arange(m + 1)
+    a = np.repeat(counts, counts + 1)  # cell -> remaining demand a
+    starts = counts * (counts + 1) // 2  # first cell of each row a
+    m_hat = np.arange(a.size) - starts[a]  # cell -> demand in this segment
+    rest = a - m_hat  # cell -> demand left for the next segment
+    a2, rest2 = 2 * a, 2 * rest
+    lf = gammaln(np.arange(2 * m + excess + 1) + 1)
+    log_c_a = (lf[a] - lf[m_hat]) - lf[rest]
+    lf_m_hat, lf_2m_hat = lf[m_hat], lf[2 * m_hat]
+    full_segment = (gap * areas)[m_hat]
+    swapped_segment = (gap * areas - swap_reduction)[m_hat]
+
     values = np.zeros((excess + 1, m + 1))
     values[excess] = gap * areas
     for k in range(excess - 1, -1, -1):
-        probs = _ballot_matrix(m, excess - k)
-        segment = gap * areas if k == 0 else gap * areas - swap_reduction
-        nxt = values[k + 1]
-        row = np.empty(m + 1)
-        for a in range(m + 1):
-            row[a] = probs[a, : a + 1] @ (segment[: a + 1] + nxt[a::-1])
-        values[k] = row
+        e = excess - k
+        lf_e = lf[e:]
+        # log C(a+e, m') - log C(2a+e, 2m') added to log C(a, m')
+        log_p = log_c_a + ((lf_e[a] - lf_m_hat) - lf_e[rest])
+        log_p -= (lf_e[a2] - lf_2m_hat) - lf_e[rest2]
+        probs = np.exp(log_p, out=log_p)
+        probs *= e
+        probs /= (2.0 * counts + e)[rest]
+        probs *= (full_segment if k == 0 else swapped_segment) + values[k + 1][rest]
+        values[k] = np.add.reduceat(probs, starts)
     values.flags.writeable = False
     return RecursionTable(m=m, n=n, length=length, values=values)
 
@@ -217,14 +223,7 @@ def dispatch_estimate(params: EdgeParams) -> Estimate:
     below 3 use the corrected recursion; heavier surpluses use the
     1/(2*lam) asymptote, which no longer depends on length.
     """
-    m_f = params.mu * params.length
-    n_f = params.lam * params.length
-    m = round(m_f)
-    n = round(n_f)
-    if abs(m_f - m) > _COUNT_ROUNDING_TOL or abs(n_f - n) > _COUNT_ROUNDING_TOL:
-        raise ValueError("mu*length and lam*length must be integral point counts")
-    if m < 1 or n < 1:
-        raise ValueError("rounded point counts must be at least 1")
+    m, n = params.counts()
     if n == m:
         base = balanced_estimate(n, params.length)
     elif params.lam / params.mu < _DISPATCH_RATIO_CUTOFF:

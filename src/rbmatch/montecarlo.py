@@ -18,9 +18,16 @@ from .estimators import (
     closed_unbalanced_estimate,
     dispatch_estimate,
     recursive_estimate,
+    step_length_correction,
 )
 from .exact1d import optimal_match_1d
-from .network import build_regular_network, exact_network_match, network_estimate, sample_instance
+from .network import (
+    SUPPORTED_DEGREES,
+    build_regular_network,
+    exact_network_match,
+    network_estimate,
+    sample_instance,
+)
 from .types import EdgeParams, Instance1D
 
 __all__ = [
@@ -50,6 +57,10 @@ class SegmentPoint:
     m: int
     n: int
 
+    def __post_init__(self):
+        if not 1 <= self.m <= self.n:
+            raise _point_error(self, "requires 1 <= m <= n")
+
 
 @dataclass(frozen=True)
 class EdgePoint:
@@ -59,10 +70,18 @@ class EdgePoint:
     lam: float
     length: float
 
+    def __post_init__(self):
+        _check_counts(self)
+
 
 @dataclass(frozen=True)
 class NetworkPoint:
-    """A D-regular network sweep point with per-edge Poisson densities."""
+    """A D-regular network sweep point with per-edge Poisson densities.
+
+    The network estimate's local part needs whole per-edge counts mu*length
+    and lam*length. With lam < mu almost every realization has more demand
+    than supply, and the harness would redraw it forever.
+    """
 
     degree: int
     mu: float
@@ -70,6 +89,23 @@ class NetworkPoint:
     length: float
     edge_count: int
     kappa: int = 10
+
+    def __post_init__(self):
+        if self.degree not in SUPPORTED_DEGREES:
+            raise _point_error(self, f"degree must be one of {SUPPORTED_DEGREES}")
+        _check_counts(self)
+
+
+def _point_error(point, reason) -> ValueError:
+    return ValueError(f"invalid grid point {point!r}: {reason}")
+
+
+def _check_counts(point) -> None:
+    """Densities and length must be valid and give whole point counts >= 1."""
+    try:
+        EdgeParams(point.mu, point.lam, point.length).counts()
+    except ValueError as exc:
+        raise _point_error(point, exc) from None
 
 
 _POINT_TYPES = {
@@ -160,10 +196,11 @@ def _estimates_for_point(kind: ExperimentKind, point) -> tuple[dict, dict]:
             out["closed_uncorrected"] = closed_unbalanced_estimate(
                 m, n, apply_correction=False
             ).value
-            out["recursive"] = recursive_estimate(m, n).value
-            out["recursive_uncorrected"] = recursive_estimate(
-                m, n, apply_correction=False
-            ).value
+            # one table serves both columns; this is the subtraction
+            # recursive_estimate applies when correcting
+            rec = recursive_estimate(m, n, apply_correction=False).value
+            out["recursive"] = rec - step_length_correction(m, n)
+            out["recursive_uncorrected"] = rec
         return out, {}
     if kind is ExperimentKind.EDGE:
         return _edge_estimates(point.mu, point.lam, point.length), {}
@@ -174,13 +211,13 @@ def _estimates_for_point(kind: ExperimentKind, point) -> tuple[dict, dict]:
 
 
 def _edge_estimates(mu: float, lam: float, length: float) -> dict:
-    m = round(mu * length)
-    n = round(lam * length)
+    params = EdgeParams(mu=mu, lam=lam, length=length)
+    m, n = params.counts()
     if n == m:
         scaled = balanced_estimate(n, length).value
     else:
         scaled = recursive_estimate(m, n, length).value
-    dispatch = dispatch_estimate(EdgeParams(mu=mu, lam=lam, length=length)).value
+    dispatch = dispatch_estimate(params).value
     return {"edge": scaled, "dispatch": dispatch}
 
 

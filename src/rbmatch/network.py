@@ -13,9 +13,9 @@ import numpy as np
 
 from .assignment import CostMatrix, solve_assignment
 from .combinatorics import normal_cdf, normal_pdf
-from .estimators import Estimate, EstimatorMethod, balanced_estimate, recursive_estimate
+from .estimators import balanced_estimate, recursive_estimate
 from .exact1d import optimal_match_1d
-from .types import Instance1D, MatchResult
+from .types import EdgeParams, Instance1D, MatchResult
 
 __all__ = [
     "NetworkModel",
@@ -382,10 +382,7 @@ def _local_edge_estimate(mu: float, lam: float, length: float) -> float:
     """Within-edge expected distance: the balanced closed form at equal
     densities, otherwise the corrected recursion. Counts mu*length and
     lam*length must be integral."""
-    m_f, n_f = mu * length, lam * length
-    m, n = round(m_f), round(n_f)
-    if abs(m_f - m) > 1e-6 or abs(n_f - n) > 1e-6 or m < 1 or n < 1:
-        raise ValueError("mu*length and lam*length must be integral point counts >= 1")
+    m, n = EdgeParams(mu, lam, length).counts()
     if n == m:
         return balanced_estimate(n, length).value
     return recursive_estimate(m, n, length, apply_correction=True).value
@@ -431,10 +428,3 @@ def network_estimate(
         alpha=alpha, local=local, d1=d1, d2=d2, d3=d3, total=total, clamped=clamped
     )
 
-
-def network_estimate_value(
-    degree: int, mu: float, lam: float, length: float, kappa: int = DEFAULT_SEARCH_LAYERS
-) -> Estimate:
-    """The network estimate as a tagged Estimate."""
-    parts = network_estimate(degree, mu, lam, length, kappa)
-    return Estimate(value=parts.total, method=EstimatorMethod.NETWORK, corrected=False)

@@ -16,6 +16,10 @@ __all__ = [
 ]
 
 
+# counts mu*length and lam*length within this of a whole number are taken as it
+_COUNT_ROUNDING_TOL = 1e-6
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, copy=True)
     arr.flags.writeable = False
@@ -42,8 +46,10 @@ class Instance1D:
         if not length > 0.0:
             raise ValueError("length must be positive")
         for name, arr in (("demand", demand), ("supply", supply)):
-            if arr.size and (arr[0] < 0.0 or arr[-1] > length):
-                raise ValueError(f"{name} coordinates must lie in [0, length]")
+            # sorting puts NaN last, and every comparison with NaN is False,
+            # so this one test also rejects NaN and infinite coordinates
+            if arr.size and not (arr[0] >= 0.0 and arr[-1] <= length):
+                raise ValueError(f"{name} coordinates must be finite and lie in [0, length]")
         if supply.size < demand.size:
             raise ValueError("need at least as many supply points as demand points")
         object.__setattr__(self, "demand", demand)
@@ -166,3 +172,15 @@ class EdgeParams:
             raise ValueError("lam must be at least mu")
         if not self.length > 0.0:
             raise ValueError("length must be positive")
+
+    def counts(self) -> tuple[int, int]:
+        """Point counts (m, n) = (mu*length, lam*length); both must be whole
+        numbers of at least 1."""
+        m_f = self.mu * self.length
+        n_f = self.lam * self.length
+        m, n = round(m_f), round(n_f)
+        if abs(m_f - m) > _COUNT_ROUNDING_TOL or abs(n_f - n) > _COUNT_ROUNDING_TOL:
+            raise ValueError("mu*length and lam*length must be integral point counts")
+        if m < 1:
+            raise ValueError("rounded point counts must be at least 1")
+        return m, n

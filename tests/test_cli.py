@@ -59,6 +59,24 @@ def test_invalid_flags_exit_two(capsys):
     assert err.value.code == 2
 
 
+def test_invalid_run_settings_exit_two(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as err:
+        main(["compare", "--preset", "fig5", "--reps", "0"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "edge", "--mu", "1.5", "--lam", "2.5", "--length", "1.1"])
+    assert err.value.code == 2
+    assert "EdgePoint(mu=1.5, lam=2.5, length=1.1)" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "network", "--degree", "4", "--mu", "10", "--lam", "5", "--reps", "1"])
+    assert err.value.code == 2
+    monkeypatch.setenv("RBMP_WORKERS", "abc")
+    with pytest.raises(SystemExit) as err:
+        main(["compare", "--preset", "fig5", "--reps", "1"])
+    assert err.value.code == 2
+    assert "RBMP_WORKERS" in capsys.readouterr().err
+
+
 def test_simulate_deterministic_output(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

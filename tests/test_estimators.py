@@ -2,8 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rbmatch.combinatorics import harel_area
+from rbmatch.combinatorics import (
+    _log_binom_arr,
+    ballot_segment_prob,
+    expected_zero_returns,
+    harel_area,
+)
 from rbmatch.estimators import (
     EstimatorMethod,
     balanced_estimate,
@@ -116,6 +123,62 @@ def test_recursion_table_base_row():
             assert table.values[n - m, a] == gap * harel_area(a)
         assert (table.values >= 0.0).all()
         assert table.expected_area(n - m, m) == pytest.approx(gap * harel_area(m))
+
+
+def _ballot_matrix(m, e):
+    """Row a, column m_hat: probability of m_hat demand points in the current
+    segment given a remain, with e removals still to make (e >= 1)."""
+    a = np.arange(m + 1)[:, None].astype(np.float64)
+    mh = np.arange(m + 1)[None, :].astype(np.float64)
+    valid = mh <= a
+    mh_c = np.minimum(mh, a)  # clamp invalid cells so every log term is finite
+    log_p = (
+        _log_binom_arr(a, mh_c)
+        + _log_binom_arr(a + e, mh_c)
+        - _log_binom_arr(2 * a + e, 2 * mh_c)
+    )
+    probs = np.exp(log_p) * e / (2 * a + e - 2 * mh_c)
+    return np.where(valid, probs, 0.0)
+
+
+def _loop_recursion_table(m, n, length=1.0):
+    """Reference: the recursion with one ballot matrix and one dot product
+    per (row, a) cell."""
+    excess = n - m
+    gap = length / (m + n)
+    areas = np.array([harel_area(i) for i in range(m + 1)])
+    zero_returns = np.array([expected_zero_returns(i) for i in range(m + 1)])
+    swap_reduction = gap * (2.0 * np.arange(m + 1) - 2.0 * zero_returns)
+    values = np.zeros((excess + 1, m + 1))
+    values[excess] = gap * areas
+    for k in range(excess - 1, -1, -1):
+        probs = _ballot_matrix(m, excess - k)
+        segment = gap * areas if k == 0 else gap * areas - swap_reduction
+        nxt = values[k + 1]
+        for a in range(m + 1):
+            values[k, a] = probs[a, : a + 1] @ (segment[: a + 1] + nxt[a::-1])
+    return values
+
+
+def test_ballot_matrix_reference_matches_scalar_probability():
+    m, excess, k = 6, 5, 2
+    probs = _ballot_matrix(m, excess - k)
+    for a in range(m + 1):
+        for mh in range(m + 1):
+            expected = ballot_segment_prob(mh, k, a, excess)
+            assert probs[a, mh] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    excess=st.integers(1, 40),
+    length=st.floats(0.5, 4.0),
+)
+def test_recursion_table_matches_loop_reference(m, excess, length):
+    table = recursion_table(m, m + excess, length)
+    expected = _loop_recursion_table(m, m + excess, length)
+    np.testing.assert_allclose(table.values, expected, rtol=1e-12, atol=0.0)
 
 
 def test_recursive_upper_bound_before_correction():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from rbmatch.estimators import recursive_estimate, step_length_correction
 from rbmatch.montecarlo import (
     EdgePoint,
     ExperimentConfig,
@@ -35,6 +36,35 @@ def test_config_validation():
         ExperimentConfig(ExperimentKind.SEGMENT, (EdgePoint(1.0, 2.0, 1.0),))
     with pytest.raises(ValueError):
         ExperimentConfig(ExperimentKind.SEGMENT, (SegmentPoint(1, 1),), replications=0)
+
+
+def test_grid_points_validate_and_name_the_point():
+    with pytest.raises(ValueError, match=r"SegmentPoint\(m=3, n=2\)"):
+        SegmentPoint(3, 2)
+    with pytest.raises(ValueError, match=r"EdgePoint\(mu=1.5, lam=2.5, length=1.1\).*integral"):
+        EdgePoint(mu=1.5, lam=2.5, length=1.1)
+    with pytest.raises(ValueError, match=r"EdgePoint\(.*lam must be at least mu"):
+        EdgePoint(mu=3.0, lam=2.0, length=1.0)
+    # demand above supply would leave the network redraw loop without an exit
+    with pytest.raises(ValueError, match=r"NetworkPoint\(degree=4, mu=10.*lam must be at least mu"):
+        NetworkPoint(degree=4, mu=10.0, lam=5.0, length=1.0, edge_count=36)
+    with pytest.raises(ValueError, match=r"NetworkPoint\(.*mu must be positive"):
+        NetworkPoint(degree=4, mu=0.0, lam=5.0, length=1.0, edge_count=36)
+    with pytest.raises(ValueError, match=r"NetworkPoint\(degree=5.*degree must be one of"):
+        NetworkPoint(degree=5, mu=1.0, lam=2.0, length=1.0, edge_count=36)
+    with pytest.raises(ValueError, match=r"NetworkPoint\(.*integral"):
+        NetworkPoint(degree=4, mu=1.5, lam=2.0, length=1.0, edge_count=36)
+
+
+def test_recursive_columns_share_one_table():
+    grid = (SegmentPoint(3, 7), SegmentPoint(10, 13), SegmentPoint(50, 121))
+    cfg = ExperimentConfig(ExperimentKind.SEGMENT, grid, replications=2, master_seed=1)
+    for point, rec in zip(grid, run_experiment(cfg)):
+        m, n = point.m, point.n
+        est = rec.estimates
+        assert est["recursive"] == est["recursive_uncorrected"] - step_length_correction(m, n)
+        assert est["recursive"] == recursive_estimate(m, n).value
+        assert est["recursive_uncorrected"] == recursive_estimate(m, n, apply_correction=False).value
 
 
 def test_deterministic_reruns_and_worker_invariance():

@@ -54,6 +54,14 @@ def test_construction_validation():
         Instance1D(demand=[-0.1], supply=[0.2])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_construction_rejects_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Instance1D(demand=[0.2, bad], supply=[0.1, 0.5, 0.9])
+    with pytest.raises(ValueError, match="finite"):
+        Instance1D(demand=[0.2], supply=[bad, 0.5, 0.9])
+
+
 def test_balanced_prefix_ends_at_zero():
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -108,3 +116,12 @@ def test_edge_params_validation():
         EdgeParams(mu=2.0, lam=1.0, length=1.0)
     with pytest.raises(ValueError):
         EdgeParams(mu=1.0, lam=2.0, length=0.0)
+
+
+def test_edge_params_counts():
+    assert EdgeParams(mu=10.0, lam=11.0, length=3.0).counts() == (30, 33)
+    assert EdgeParams(mu=0.1, lam=0.3, length=30.0).counts() == (3, 9)  # float rounding
+    with pytest.raises(ValueError, match="integral"):
+        EdgeParams(mu=1.5, lam=2.5, length=1.1).counts()
+    with pytest.raises(ValueError, match="at least 1"):
+        EdgeParams(mu=1e-9, lam=1.0, length=1.0).counts()
