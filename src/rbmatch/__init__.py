@@ -3,7 +3,6 @@ bipartite matching on segments and regular discrete networks."""
 
 from .assignment import AssignmentSolution, CostMatrix, solve_assignment, solve_dense
 from .combinatorics import (
-    LogNumber,
     ballot_segment_prob,
     expected_zero_returns,
     harel_area,
@@ -22,6 +21,7 @@ from .estimators import (
     baseline_estimate,
     closed_unbalanced_estimate,
     dispatch_estimate,
+    edge_estimate,
     recursion_table,
     recursive_estimate,
     step_length_correction,

@@ -6,14 +6,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
-    "LogNumber",
     "log_binomial",
+    "log_factorials",
     "harel_area",
     "walk_area_oracle",
     "enumerate_balanced_walks",
@@ -25,10 +23,6 @@ __all__ = [
     "normal_pdf",
 ]
 
-# math.comb stays integer-exact well past this; the cutoff keeps the fast
-# log-gamma path for everything large.
-_EXACT_BINOM_MAX_N = 60
-
 # Above this walk size the closed form and the Stirling asymptote agree to
 # better than 0.1%, so the cheaper asymptote is used.
 HAREL_STIRLING_SWITCH = 150
@@ -36,45 +30,18 @@ HAREL_STIRLING_SWITCH = 150
 _MAX_ORACLE_N = 10
 
 
-@dataclass(frozen=True)
-class LogNumber:
-    """A nonnegative quantity stored as the natural log of its magnitude.
-
-    ``zero_flag`` marks an exact zero, for which no finite log exists.
-    """
-
-    log_magnitude: float
-    zero_flag: bool = False
-
-    @property
-    def value(self) -> float:
-        return 0.0 if self.zero_flag else math.exp(self.log_magnitude)
-
-
-def log_binomial(n: int, k: int) -> LogNumber:
-    """Binomial coefficient C(n, k) in log space.
-
-    Returns a flagged zero when k < 0 or k > n. Uses exact integer arithmetic
-    for n <= 60 and log-gamma beyond that.
-    """
+def log_binomial(n: int, k: int) -> float:
+    """Natural log of the binomial coefficient C(n, k); -inf when k < 0 or k > n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
-        return LogNumber(-math.inf, zero_flag=True)
-    if n <= _EXACT_BINOM_MAX_N:
-        return LogNumber(math.log(math.comb(n, k)))
-    return LogNumber(float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)))
+        return -math.inf
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def _log_binom_arr(n, k):
-    """Vectorized log C(n, k); -inf where k is out of range."""
-    n = np.asarray(n, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    valid = (k >= 0) & (k <= n)
-    nn = np.where(valid, n, 0.0)
-    kk = np.where(valid, k, 0.0)
-    out = gammaln(nn + 1) - gammaln(kk + 1) - gammaln(nn - kk + 1)
-    return np.where(valid, out, -np.inf)
+def log_factorials(top: int) -> np.ndarray:
+    """Table of log k! for k = 0..top, so log C(x, y) = lf[x] - lf[y] - lf[x-y]."""
+    return np.array([math.lgamma(k + 1) for k in range(top + 1)])
 
 
 def harel_area(n: int) -> float:
@@ -89,7 +56,7 @@ def harel_area(n: int) -> float:
         return 0.0
     if n >= HAREL_STIRLING_SWITCH:
         return n * math.sqrt(math.pi * n) / 2.0
-    log_b = math.log(n) + (2 * n - 1) * math.log(2.0) - log_binomial(2 * n, n).log_magnitude
+    log_b = math.log(n) + (2 * n - 1) * math.log(2.0) - log_binomial(2 * n, n)
     return math.exp(log_b)
 
 
@@ -130,11 +97,7 @@ def stars_bars_prob(m_prime: int, m: int, n: int) -> float:
         raise ValueError("requires n > m")
     if m < 0 or m_prime < 0:
         raise ValueError("counts must be nonnegative")
-    num = log_binomial(n - m_prime - 1, n - m - 1)
-    if num.zero_flag:
-        return 0.0
-    den = log_binomial(n, n - m)
-    return math.exp(num.log_magnitude - den.log_magnitude)
+    return math.exp(log_binomial(n - m_prime - 1, n - m - 1) - log_binomial(n, n - m))
 
 
 def stars_bars_distribution(m: int, n: int) -> np.ndarray:
@@ -143,8 +106,10 @@ def stars_bars_distribution(m: int, n: int) -> np.ndarray:
         raise ValueError("requires n > m")
     if m < 0:
         raise ValueError("m must be nonnegative")
+    lf = log_factorials(n)
     mp = np.arange(m + 1)
-    log_w = _log_binom_arr(n - mp - 1, n - m - 1) - log_binomial(n, n - m).log_magnitude
+    rest = n - mp - 1
+    log_w = (lf[rest] - lf[n - m - 1] - lf[m - mp]) - (lf[n] - lf[n - m] - lf[m])
     return np.exp(log_w)
 
 
@@ -161,28 +126,25 @@ def ballot_segment_prob(m_hat: int, k: int, a: int, excess: int) -> float:
         raise ValueError("requires excess - k >= 1")
     if a < 0 or m_hat < 0:
         raise ValueError("counts must be nonnegative")
-    num = log_binomial(a, m_hat)
-    if num.zero_flag:
-        return 0.0
-    num2 = log_binomial(a + e, m_hat)
-    den = log_binomial(2 * a + e, 2 * m_hat)
-    ratio = math.exp(num.log_magnitude + num2.log_magnitude - den.log_magnitude)
+    if m_hat > a:
+        return 0.0  # the log ratio below would be -inf - (-inf)
+    ratio = math.exp(
+        log_binomial(a, m_hat) + log_binomial(a + e, m_hat) - log_binomial(2 * a + e, 2 * m_hat)
+    )
     return ratio * e / (2 * a + e - 2 * m_hat)
 
 
 def expected_zero_returns(m_hat: int) -> float:
-    """Expected number of returns to zero of a balanced 2*m_hat-step walk."""
+    """Expected number of returns to zero of a balanced 2*m_hat-step walk.
+
+    The sum over j of Pr{height 0 after 2j steps} = C(2j, j) C(2m_hat-2j,
+    m_hat-j) / C(2m_hat, m_hat) has the closed form 4^m_hat / C(2m_hat, m_hat)
+    - 1, since the products summed over j = 0..m_hat give 4^m_hat. Integer
+    true division is correctly rounded, so m_hat = 1 gives exactly 1.
+    """
     if m_hat < 0:
         raise ValueError("m_hat must be nonnegative")
-    if m_hat == 0:
-        return 0.0
-    j = np.arange(1, m_hat + 1)
-    log_terms = (
-        _log_binom_arr(2 * j - 1, j)
-        + _log_binom_arr(2 * (m_hat - j), m_hat - j)
-        - log_binomial(2 * m_hat - 1, m_hat).log_magnitude
-    )
-    return float(np.exp(log_terms).sum())
+    return 4**m_hat / math.comb(2 * m_hat, m_hat) - 1.0
 
 
 _SQRT2 = math.sqrt(2.0)

@@ -7,11 +7,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
 
 from .combinatorics import (
     expected_zero_returns,
     harel_area,
+    log_factorials,
     stars_bars_distribution,
 )
 from .types import EdgeParams
@@ -26,6 +26,7 @@ __all__ = [
     "recursion_table",
     "recursive_estimate",
     "baseline_estimate",
+    "edge_estimate",
     "dispatch_estimate",
 ]
 
@@ -136,8 +137,8 @@ def recursion_table(m: int, n: int, length: float = 1.0) -> RecursionTable:
     cells (a, m') with m' <= a row by row into flat arrays, so each row is one
     gather of the next row at a - m', one elementwise product and one
     segmented sum. Every log C(x, y) is lf[x] - lf[y] - lf[x-y] on one
-    log-factorial table lf, which gives the same values as the log-gamma
-    evaluation; the log C(a, m') term does not depend on e and is built once.
+    log-factorial table lf; the log C(a, m') term does not depend on e and is
+    built once.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -155,7 +156,7 @@ def recursion_table(m: int, n: int, length: float = 1.0) -> RecursionTable:
     m_hat = np.arange(a.size) - starts[a]  # cell -> demand in this segment
     rest = a - m_hat  # cell -> demand left for the next segment
     a2, rest2 = 2 * a, 2 * rest
-    lf = gammaln(np.arange(2 * m + excess + 1) + 1)
+    lf = log_factorials(2 * m + excess)
     log_c_a = (lf[a] - lf[m_hat]) - lf[rest]
     lf_m_hat, lf_2m_hat = lf[m_hat], lf[2 * m_hat]
     full_segment = (gap * areas)[m_hat]
@@ -215,19 +216,26 @@ def baseline_estimate(m: int, n: int, length: float = 1.0) -> Estimate:
     return Estimate(value=value, method=EstimatorMethod.BASELINE)
 
 
+def edge_estimate(params: EdgeParams) -> Estimate:
+    """Within-edge expected distance: the balanced closed form when the
+    counts m = mu*length and n = lam*length are equal, otherwise the
+    corrected recursion. Both counts must round to integers >= 1."""
+    m, n = params.counts()
+    if n == m:
+        return balanced_estimate(n, params.length)
+    return recursive_estimate(m, n, params.length, apply_correction=True)
+
+
 def dispatch_estimate(params: EdgeParams) -> Estimate:
     """Route edge parameters to the appropriate segment estimator.
 
     Counts m = mu*length and n = lam*length must round to integers >= 1.
-    Balanced densities use the balanced closed form; supply/demand ratios
-    below 3 use the corrected recursion; heavier surpluses use the
-    1/(2*lam) asymptote, which no longer depends on length.
+    Supply/demand ratios below 3 use ``edge_estimate``; heavier surpluses use
+    the 1/(2*lam) asymptote, which no longer depends on length.
     """
-    m, n = params.counts()
-    if n == m:
-        base = balanced_estimate(n, params.length)
-    elif params.lam / params.mu < _DISPATCH_RATIO_CUTOFF:
-        base = recursive_estimate(m, n, params.length, apply_correction=True)
+    params.counts()  # whole counts are required on every route
+    if params.lam / params.mu < _DISPATCH_RATIO_CUTOFF:
+        base = edge_estimate(params)
     else:
         base = Estimate(value=1.0 / (2.0 * params.lam), method=EstimatorMethod.BASELINE)
     return Estimate(

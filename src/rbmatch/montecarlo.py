@@ -17,15 +17,16 @@ from .estimators import (
     baseline_estimate,
     closed_unbalanced_estimate,
     dispatch_estimate,
+    edge_estimate,
     recursive_estimate,
     step_length_correction,
 )
 from .exact1d import optimal_match_1d
 from .network import (
-    SUPPORTED_DEGREES,
     build_regular_network,
     exact_network_match,
     network_estimate,
+    regular_edges,
     sample_instance,
 )
 from .types import EdgeParams, Instance1D
@@ -80,7 +81,8 @@ class NetworkPoint:
 
     The network estimate's local part needs whole per-edge counts mu*length
     and lam*length. With lam < mu almost every realization has more demand
-    than supply, and the harness would redraw it forever.
+    than supply, and the harness would redraw it forever. The layout
+    (degree, edge_count) must be one ``regular_edges`` can build.
     """
 
     degree: int
@@ -91,8 +93,10 @@ class NetworkPoint:
     kappa: int = 10
 
     def __post_init__(self):
-        if self.degree not in SUPPORTED_DEGREES:
-            raise _point_error(self, f"degree must be one of {SUPPORTED_DEGREES}")
+        try:
+            regular_edges(self.degree, self.edge_count)
+        except ValueError as exc:
+            raise _point_error(self, exc) from None
         _check_counts(self)
 
 
@@ -168,13 +172,13 @@ def _simulate_rep(kind: ExperimentKind, point, net, rng) -> tuple[float, int]:
         inst = Instance1D(rng.uniform(0, 1, point.m), rng.uniform(0, 1, point.n), 1.0)
         return optimal_match_1d(inst).mean_distance, 0
     if kind is ExperimentKind.EDGE:
-        m = round(point.mu * point.length)
-        n = round(point.lam * point.length)
+        m, n = EdgeParams(point.mu, point.lam, point.length).counts()
         inst = Instance1D(
             rng.uniform(0, point.length, m), rng.uniform(0, point.length, n), point.length
         )
         return optimal_match_1d(inst).mean_distance, 0
-    # network: redraw realizations that have no demand or more demand than supply
+    # network: redraw realizations that have no demand or more demand than
+    # supply; a valid point (lam >= mu > 0) accepts a draw with positive odds
     resamples = 0
     while True:
         inst = sample_instance(net, point.mu, point.lam, rng)
@@ -202,23 +206,14 @@ def _estimates_for_point(kind: ExperimentKind, point) -> tuple[dict, dict]:
             out["recursive"] = rec - step_length_correction(m, n)
             out["recursive_uncorrected"] = rec
         return out, {}
-    if kind is ExperimentKind.EDGE:
-        return _edge_estimates(point.mu, point.lam, point.length), {}
-    out = _edge_estimates(point.mu, point.lam, point.length)
-    parts = network_estimate(point.degree, point.mu, point.lam, point.length, point.kappa)
-    out["network"] = parts.total
-    return out, {"alpha": parts.alpha}
-
-
-def _edge_estimates(mu: float, lam: float, length: float) -> dict:
-    params = EdgeParams(mu=mu, lam=lam, length=length)
-    m, n = params.counts()
-    if n == m:
-        scaled = balanced_estimate(n, length).value
-    else:
-        scaled = recursive_estimate(m, n, length).value
+    params = EdgeParams(point.mu, point.lam, point.length)
     dispatch = dispatch_estimate(params).value
-    return {"edge": scaled, "dispatch": dispatch}
+    if kind is ExperimentKind.EDGE:
+        return {"edge": edge_estimate(params).value, "dispatch": dispatch}, {}
+    # the network estimate's local part is the edge estimate
+    parts = network_estimate(point.degree, point.mu, point.lam, point.length, point.kappa)
+    out = {"edge": parts.local, "dispatch": dispatch, "network": parts.total}
+    return out, {"alpha": parts.alpha}
 
 
 def _point_params(kind: ExperimentKind, point) -> dict:

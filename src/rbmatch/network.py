@@ -13,7 +13,7 @@ import numpy as np
 
 from .assignment import CostMatrix, solve_assignment
 from .combinatorics import normal_cdf, normal_pdf
-from .estimators import balanced_estimate, recursive_estimate
+from .estimators import edge_estimate
 from .exact1d import optimal_match_1d
 from .types import EdgeParams, Instance1D, MatchResult
 
@@ -21,6 +21,7 @@ __all__ = [
     "NetworkModel",
     "NetworkInstance",
     "NetworkEstimateParts",
+    "regular_edges",
     "build_regular_network",
     "sample_instance",
     "point_distance",
@@ -97,18 +98,16 @@ def _all_pairs_hops(node_count: int, edges) -> np.ndarray:
     return dist
 
 
-def build_regular_network(degree: int, edge_count: int, length: float) -> NetworkModel:
-    """Construct a vertex-transitive D-regular network with equal-length edges.
+def regular_edges(degree: int, edge_count: int) -> tuple[tuple[int, int], ...]:
+    """Edge list of the D-regular layout with ``edge_count`` edges.
 
     Degree 4 uses a square torus, degree 6 a triangular torus (square torus
     plus one diagonal per cell), and degree 3 a circulant cycle with antipodal
     chords. Raises for (degree, edge_count) pairs these topologies cannot
-    realize.
+    realize. Cheap: no distances are computed.
     """
     if degree not in SUPPORTED_DEGREES:
         raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}")
-    if not length > 0.0:
-        raise ValueError("length must be positive")
     if (2 * edge_count) % degree != 0:
         raise ValueError("2*edge_count must be divisible by degree")
     node_count = 2 * edge_count // degree
@@ -137,6 +136,19 @@ def build_regular_network(degree: int, edge_count: int, length: float) -> Networ
         deg[b] += 1
     if not (deg == degree).all():
         raise ValueError("topology is not regular with the requested degree")
+    return edges
+
+
+def build_regular_network(degree: int, edge_count: int, length: float) -> NetworkModel:
+    """Construct a vertex-transitive D-regular network with equal-length edges.
+
+    The layout is ``regular_edges(degree, edge_count)``; raises for pairs it
+    cannot realize and for a nonpositive length.
+    """
+    if not length > 0.0:
+        raise ValueError("length must be positive")
+    edges = regular_edges(degree, edge_count)
+    node_count = 2 * edge_count // degree
     hops = _all_pairs_hops(node_count, edges)
     if not np.isfinite(hops).all():
         raise ValueError("topology is not connected")
@@ -378,16 +390,6 @@ def d2_probabilities(degree: int, supply_excess_prob: float, kappa: int) -> np.n
     return probs
 
 
-def _local_edge_estimate(mu: float, lam: float, length: float) -> float:
-    """Within-edge expected distance: the balanced closed form at equal
-    densities, otherwise the corrected recursion. Counts mu*length and
-    lam*length must be integral."""
-    m, n = EdgeParams(mu, lam, length).counts()
-    if n == m:
-        return balanced_estimate(n, length).value
-    return recursive_estimate(m, n, length, apply_correction=True).value
-
-
 def network_estimate(
     degree: int, mu: float, lam: float, length: float, kappa: int = DEFAULT_SEARCH_LAYERS
 ) -> NetworkEstimateParts:
@@ -398,12 +400,9 @@ def network_estimate(
     probability alpha derived from the normal approximation of the per-edge
     count difference.
     """
+    params = EdgeParams(mu, lam, length)
     if degree not in SUPPORTED_DEGREES:
         raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}")
-    if mu > lam:
-        raise ValueError("requires lam >= mu")
-    if mu <= 0:
-        raise ValueError("densities must be positive")
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
     sigma = math.sqrt((lam + mu) * length)
@@ -418,7 +417,7 @@ def network_estimate(
         logger.debug("global-match probability %g clamped to [0, 1]", alpha)
     alpha = min(max(alpha, 0.0), 1.0)
 
-    local = _local_edge_estimate(mu, lam, length)
+    local = edge_estimate(params).value
     d1 = mean_demand_surplus / (4.0 * mu)
     probs = d2_probabilities(degree, supply_excess_prob, kappa)
     d2 = float(np.arange(kappa + 1) @ probs) * length

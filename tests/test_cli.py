@@ -70,6 +70,11 @@ def test_invalid_run_settings_exit_two(capsys, monkeypatch):
     with pytest.raises(SystemExit) as err:
         main(["simulate", "network", "--degree", "4", "--mu", "10", "--lam", "5", "--reps", "1"])
     assert err.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "network", "--degree", "4", "--mu", "5", "--lam", "5", "--edges", "7"])
+    assert err.value.code == 2
+    assert "edge_count=7" in capsys.readouterr().err
     monkeypatch.setenv("RBMP_WORKERS", "abc")
     with pytest.raises(SystemExit) as err:
         main(["compare", "--preset", "fig5", "--reps", "1"])

@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln
 
+import rbmatch
 from rbmatch.combinatorics import (
     HAREL_STIRLING_SWITCH,
     ballot_segment_prob,
@@ -11,6 +18,7 @@ from rbmatch.combinatorics import (
     expected_zero_returns,
     harel_area,
     log_binomial,
+    log_factorials,
     normal_cdf,
     normal_pdf,
     stars_bars_prob,
@@ -19,17 +27,35 @@ from rbmatch.combinatorics import (
 
 
 def test_log_binomial_small_values():
-    assert log_binomial(4, 2).value == pytest.approx(6.0)
-    assert log_binomial(0, 0).value == pytest.approx(1.0)
-    assert log_binomial(5, -1).zero_flag
-    assert log_binomial(5, 6).zero_flag
-    assert log_binomial(5, 6).value == 0.0
+    assert isinstance(log_binomial(4, 2), float)
+    assert math.exp(log_binomial(4, 2)) == pytest.approx(6.0)
+    assert log_binomial(0, 0) == 0.0
+    assert log_binomial(5, -1) == -math.inf
+    assert log_binomial(5, 6) == -math.inf
+    assert math.exp(log_binomial(5, 6)) == 0.0
+    with pytest.raises(ValueError):
+        log_binomial(-1, 0)
+
+
+def test_log_binomial_matches_exact_integers():
+    for n in range(0, 121):
+        for k in range(0, n + 1):
+            assert log_binomial(n, k) == pytest.approx(math.log(math.comb(n, k)), abs=1e-12)
+
+
+def test_log_factorials_table():
+    lf = log_factorials(300)
+    assert lf.shape == (301,)
+    assert lf[0] == lf[1] == 0.0
+    np.testing.assert_allclose(lf, gammaln(np.arange(301) + 1.0), rtol=1e-14, atol=1e-13)
+    for n, k in ((10, 3), (300, 150), (211, 7)):
+        assert lf[n] - lf[k] - lf[n - k] == pytest.approx(log_binomial(n, k), abs=1e-11)
 
 
 def test_log_binomial_large_against_ratio_accumulation():
     # C(400, 200) = prod_{i=1..200} (200 + i) / i
     expected = sum(math.log((200 + i) / i) for i in range(1, 201))
-    got = log_binomial(400, 200).log_magnitude
+    got = log_binomial(400, 200)
     assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -59,7 +85,7 @@ def test_walk_oracle_rejects_large_n():
 def test_harel_branches_agree_at_switch():
     n = HAREL_STIRLING_SWITCH
     exact = math.exp(
-        math.log(n) + (2 * n - 1) * math.log(2.0) - log_binomial(2 * n, n).log_magnitude
+        math.log(n) + (2 * n - 1) * math.log(2.0) - log_binomial(2 * n, n)
     )
     stirling = harel_area(n)
     assert abs(stirling - exact) / exact < 1e-3
@@ -125,6 +151,56 @@ def test_expected_zero_returns_matches_enumeration():
         assert expected_zero_returns(m_hat) == pytest.approx(
             _zero_return_enumeration(m_hat), abs=1e-10
         )
+
+
+def _first_return_sum(m_hat: int) -> Fraction:
+    """Exact expected zero-return count: sum over j of Pr{height 0 after 2j
+    steps} = C(2j-1, j) C(2(m_hat-j), m_hat-j) / C(2m_hat-1, m_hat)."""
+    den = math.comb(2 * m_hat - 1, m_hat)
+    return sum(
+        Fraction(math.comb(2 * j - 1, j) * math.comb(2 * (m_hat - j), m_hat - j), den)
+        for j in range(1, m_hat + 1)
+    )
+
+
+def _zero_returns_log_sum(m_hat: int) -> float:
+    """The term-by-term O(m_hat) sum in log space, as a reference for the
+    closed form."""
+    def log_binom(n, k):
+        return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+
+    j = np.arange(1, m_hat + 1)
+    log_terms = (
+        log_binom(2 * j - 1, j)
+        + log_binom(2 * (m_hat - j), m_hat - j)
+        - log_binom(2 * m_hat - 1, m_hat)
+    )
+    return float(np.exp(log_terms).sum())
+
+
+def test_zero_returns_closed_form_identity_exact():
+    for m_hat in range(1, 61):
+        closed = Fraction(4**m_hat, math.comb(2 * m_hat, m_hat)) - 1
+        assert closed == _first_return_sum(m_hat)
+        assert expected_zero_returns(m_hat) == pytest.approx(float(closed), rel=1e-15)
+    assert expected_zero_returns(1) == 1.0
+
+
+def test_zero_returns_closed_form_matches_term_sum():
+    for m_hat in range(1, 401):
+        assert expected_zero_returns(m_hat) == pytest.approx(
+            _zero_returns_log_sum(m_hat), rel=1e-11
+        )
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(rbmatch.__file__).resolve().parent.parent)
+    code = "import sys, rbmatch; print([m for m in sys.modules if m.startswith('scipy')])"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_expected_zero_returns_monotone_and_bounded():

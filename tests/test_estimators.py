@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from rbmatch.combinatorics import (
-    _log_binom_arr,
     ballot_segment_prob,
     expected_zero_returns,
     harel_area,
@@ -17,6 +17,7 @@ from rbmatch.estimators import (
     baseline_estimate,
     closed_unbalanced_estimate,
     dispatch_estimate,
+    edge_estimate,
     recursion_table,
     recursive_estimate,
     step_length_correction,
@@ -125,6 +126,11 @@ def test_recursion_table_base_row():
         assert table.expected_area(n - m, m) == pytest.approx(gap * harel_area(m))
 
 
+def _log_binom(n, k):
+    """log C(n, k) through scipy's log-gamma, independent of the code under test."""
+    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+
+
 def _ballot_matrix(m, e):
     """Row a, column m_hat: probability of m_hat demand points in the current
     segment given a remain, with e removals still to make (e >= 1)."""
@@ -133,9 +139,9 @@ def _ballot_matrix(m, e):
     valid = mh <= a
     mh_c = np.minimum(mh, a)  # clamp invalid cells so every log term is finite
     log_p = (
-        _log_binom_arr(a, mh_c)
-        + _log_binom_arr(a + e, mh_c)
-        - _log_binom_arr(2 * a + e, 2 * mh_c)
+        _log_binom(a, mh_c)
+        + _log_binom(a + e, mh_c)
+        - _log_binom(2 * a + e, 2 * mh_c)
     )
     probs = np.exp(log_p) * e / (2 * a + e - 2 * mh_c)
     return np.where(valid, probs, 0.0)
@@ -227,11 +233,22 @@ def test_dispatch_recursive_route():
     assert est.corrected
 
 
+def test_edge_estimate_routes():
+    balanced = edge_estimate(EdgeParams(mu=10.0, lam=10.0, length=4.0))
+    assert balanced == balanced_estimate(40, 4.0)
+    unbalanced = edge_estimate(EdgeParams(mu=10.0, lam=30.0, length=1.0))
+    assert unbalanced == recursive_estimate(10, 30, 1.0, apply_correction=True)
+    with pytest.raises(ValueError, match="integral"):
+        edge_estimate(EdgeParams(mu=1.5, lam=2.5, length=1.1))
+
+
 def test_dispatch_rejects_fractional_or_zero_counts():
     with pytest.raises(ValueError):
         dispatch_estimate(EdgeParams(mu=1.5, lam=2.5, length=1.1))
     with pytest.raises(ValueError):
         dispatch_estimate(EdgeParams(mu=0.2, lam=1.0, length=1.0))
+    with pytest.raises(ValueError, match="integral"):
+        dispatch_estimate(EdgeParams(mu=1.5, lam=5.5, length=1.1))  # asymptotic route
 
 
 def test_estimates_are_nonnegative_and_bounded_by_length():

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from rbmatch.estimators import recursive_estimate, step_length_correction
+from rbmatch.network import network_estimate
 from rbmatch.montecarlo import (
     EdgePoint,
     ExperimentConfig,
@@ -54,6 +55,13 @@ def test_grid_points_validate_and_name_the_point():
         NetworkPoint(degree=5, mu=1.0, lam=2.0, length=1.0, edge_count=36)
     with pytest.raises(ValueError, match=r"NetworkPoint\(.*integral"):
         NetworkPoint(degree=4, mu=1.5, lam=2.0, length=1.0, edge_count=36)
+    # layouts no degree-d topology has are rejected before any sweep runs
+    with pytest.raises(ValueError, match=r"NetworkPoint\(degree=4, .*edge_count=7.*divisible"):
+        NetworkPoint(degree=4, mu=5.0, lam=5.0, length=1.0, edge_count=7)
+    with pytest.raises(ValueError, match=r"NetworkPoint\(degree=4, .*edge_count=10.*torus"):
+        NetworkPoint(degree=4, mu=5.0, lam=5.0, length=1.0, edge_count=10)
+    with pytest.raises(ValueError, match=r"NetworkPoint\(degree=3, .*edge_count=3.*even node count"):
+        NetworkPoint(degree=3, mu=5.0, lam=5.0, length=1.0, edge_count=3)
 
 
 def test_recursive_columns_share_one_table():
@@ -105,6 +113,9 @@ def test_estimator_attachment_by_kind():
     )
     (net_rec,) = run_experiment(net_cfg)
     assert set(net_rec.estimates) == {"edge", "dispatch", "network"}
+    parts = network_estimate(4, 1.0, 2.0, 1.0)
+    assert net_rec.estimates["edge"] == parts.local
+    assert net_rec.estimates["network"] == parts.total
     assert "resampled" in net_rec.meta and "alpha" in net_rec.meta
 
 
