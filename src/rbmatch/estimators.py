@@ -200,18 +200,17 @@ def baseline_estimate(m: int, n: int, length: float = 1.0) -> Estimate:
     """Prior double-sum estimate, tending to length/(2n) when n >> m.
 
     1/(2m(n+1)) * sum_{i=1..m} [ sum_{k=1..i} k r^(k-1) (1-r) + i r^i ] with
-    r = (i-1)/n, scaled by length.
+    r = (i-1)/n, scaled by length. The inner sum telescopes to
+    sum_{k<i} r^k = (1 - r^i) / (1 - r), with 1 - r = (n-i+1)/n taken
+    exactly.
     """
     if m < 1 or n < m:
         raise ValueError("requires n >= m >= 1")
     if not length > 0.0:
         raise ValueError("length must be positive")
-    total = 0.0
-    for i in range(1, m + 1):
-        r = (i - 1) / n
-        ks = np.arange(1, i + 1, dtype=np.float64)
-        inner = float(np.sum(ks * r ** (ks - 1) * (1.0 - r))) + i * r**i
-        total += inner
+    i = np.arange(1, m + 1, dtype=np.float64)
+    r = (i - 1.0) / n
+    total = float(np.sum((1.0 - r**i) / ((n - i + 1.0) / n)))
     value = length * total / (2.0 * m * (n + 1))
     return Estimate(value=value, method=EstimatorMethod.BASELINE)
 
@@ -226,18 +225,19 @@ def edge_estimate(params: EdgeParams) -> Estimate:
     return recursive_estimate(m, n, params.length, apply_correction=True)
 
 
-def dispatch_estimate(params: EdgeParams) -> Estimate:
+def dispatch_estimate(params: EdgeParams, edge_value: float | None = None) -> Estimate:
     """Route edge parameters to the appropriate segment estimator.
 
     Counts m = mu*length and n = lam*length must round to integers >= 1.
     Supply/demand ratios below 3 use ``edge_estimate``; heavier surpluses use
-    the 1/(2*lam) asymptote, which no longer depends on length.
+    the 1/(2*lam) asymptote, which no longer depends on length. A caller that
+    has ``edge_estimate(params).value`` already passes it as ``edge_value``,
+    so that the recursion table behind it is not built a second time.
     """
-    params.counts()  # whole counts are required on every route
-    if params.lam / params.mu < _DISPATCH_RATIO_CUTOFF:
-        base = edge_estimate(params)
-    else:
-        base = Estimate(value=1.0 / (2.0 * params.lam), method=EstimatorMethod.BASELINE)
-    return Estimate(
-        value=base.value, method=EstimatorMethod.EDGE_SCALED, corrected=base.corrected
-    )
+    m, n = params.counts()  # whole counts are required on every route
+    if params.lam / params.mu >= _DISPATCH_RATIO_CUTOFF:
+        return Estimate(value=1.0 / (2.0 * params.lam), method=EstimatorMethod.EDGE_SCALED)
+    if edge_value is None:
+        edge_value = edge_estimate(params).value
+    # edge_estimate applies the step-length correction whenever n > m
+    return Estimate(value=edge_value, method=EstimatorMethod.EDGE_SCALED, corrected=n != m)

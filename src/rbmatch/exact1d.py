@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .types import Instance1D, MatchResult, build_supply_curve
 
@@ -14,6 +15,7 @@ __all__ = [
     "RemovalSet",
     "balanced_area",
     "optimal_match_1d",
+    "match_costs_1d",
     "optimal_removal",
     "feasible_removal",
 ]
@@ -44,12 +46,15 @@ def optimal_match_1d(inst: Instance1D) -> MatchResult:
     Dynamic program over the sorted coordinates with match-or-skip-supply
     transitions; optimal 1D matchings can always be taken non-crossing, so the
     band of admissible supplies for demand i is i..i+(n-m). Supply-index ties
-    resolve to the lowest index. O(m * (n-m+1)).
+    resolve to the lowest index. O(m * (n-m+1)). When n = m the band has
+    width 1 and the matching is the identity on sorted order.
     """
     xu, xv = inst.demand, inst.supply
     m, n = inst.m, inst.n
     if m == 0:
         return MatchResult(pairs=(), total_distance=0.0, mean_distance=0.0)
+    if n == m:
+        return MatchResult.from_pairs(zip(range(m), range(m)), np.abs(xu - xv))
     width = n - m + 1
 
     # cost_rows[i][d]: |xu[i] - xv[i+d]| plus best continuation; suffix minima
@@ -76,6 +81,32 @@ def optimal_match_1d(inst: Instance1D) -> MatchResult:
         pairs.append((i, i + offset))
     cols = np.array([j for _, j in pairs], dtype=np.int64)
     return MatchResult.from_pairs(pairs, np.abs(xu - xv[cols]))
+
+
+def match_costs_1d(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:
+    """Optimal total matching distance of each of R instances, costs only.
+
+    ``demand`` is (R, m) and ``supply`` (R, n) with 1 <= m <= n, each row sorted
+    ascending; row r of both is one instance. When n = m the total is the
+    sorted-pair sum, the same float ``optimal_match_1d`` returns. Otherwise
+    this is the band DP of ``optimal_match_1d`` run on all rows at once,
+    keeping only the current (R, n-m+1) row and no backtrack; it adds the
+    costs right to left, so a total can differ from ``optimal_match_1d``'s
+    pairwise sum in the last few bits.
+    """
+    reps, m = demand.shape
+    n = supply.shape[1]
+    if supply.shape[0] != reps or not 1 <= m <= n:
+        raise ValueError("need (R, m) demand and (R, n) supply rows with 1 <= m <= n")
+    if n == m:
+        return np.abs(demand - supply).sum(axis=1)
+    width = n - m + 1
+    windows = sliding_window_view(supply, width, axis=1)  # [r, i] = supply[r, i:i+width]
+    best_next = np.zeros((reps, width))
+    for i in range(m - 1, -1, -1):
+        row = np.abs(demand[:, i, None] - windows[:, i]) + best_next
+        best_next = np.minimum.accumulate(row[:, ::-1], axis=1)[:, ::-1]
+    return best_next[:, 0]
 
 
 def optimal_removal(inst: Instance1D) -> RemovalSet:

@@ -21,7 +21,7 @@ from .estimators import (
     recursive_estimate,
     step_length_correction,
 )
-from .exact1d import optimal_match_1d
+from .exact1d import match_costs_1d, optimal_match_1d
 from .network import (
     build_regular_network,
     exact_network_match,
@@ -29,7 +29,7 @@ from .network import (
     regular_edges,
     sample_instance,
 )
-from .types import EdgeParams, Instance1D
+from .types import EdgeParams, Instance1D, check_sorted_coordinates
 
 __all__ = [
     "ExperimentKind",
@@ -43,6 +43,10 @@ __all__ = [
     "records_to_csv",
     "records_to_json",
 ]
+
+
+# relative tolerance between the batched and the reference mean of replication 0
+_REFERENCE_RTOL = 1e-12
 
 
 class ExperimentKind(Enum):
@@ -167,18 +171,45 @@ def _rep_rng(master_seed: int, grid_index: int, rep: int) -> np.random.Generator
     return np.random.default_rng(seq)
 
 
-def _simulate_rep(kind: ExperimentKind, point, net, rng) -> tuple[float, int]:
+def _segment_means(kind: ExperimentKind, point, replications, master_seed, grid_index):
+    """Mean matching distance of every replication of a segment or edge point.
+
+    Each replication draws demand, then supply, from its own stream; the
+    sorted draws are stacked and solved in one ``match_costs_1d`` call.
+    Replication 0 is solved again by ``optimal_match_1d`` as a check on the
+    batched kernel.
+    """
     if kind is ExperimentKind.SEGMENT:
-        inst = Instance1D(rng.uniform(0, 1, point.m), rng.uniform(0, 1, point.n), 1.0)
-        return optimal_match_1d(inst).mean_distance, 0
-    if kind is ExperimentKind.EDGE:
+        m, n, length = point.m, point.n, 1.0
+    else:
         m, n = EdgeParams(point.mu, point.lam, point.length).counts()
-        inst = Instance1D(
-            rng.uniform(0, point.length, m), rng.uniform(0, point.length, n), point.length
+        length = point.length
+    demand = np.empty((replications, m))
+    supply = np.empty((replications, n))
+    for rep in range(replications):
+        rng = _rep_rng(master_seed, grid_index, rep)
+        demand[rep] = rng.uniform(0, length, m)
+        supply[rep] = rng.uniform(0, length, n)
+    demand.sort(axis=1)
+    supply.sort(axis=1)
+    check_sorted_coordinates("demand", demand, length)
+    check_sorted_coordinates("supply", supply, length)
+    means = match_costs_1d(demand, supply) / m
+    reference = optimal_match_1d(Instance1D(demand[0], supply[0], length)).mean_distance
+    if not abs(means[0] - reference) <= _REFERENCE_RTOL * abs(reference):
+        raise RuntimeError(
+            f"grid point {point!r}: batched mean {means[0]!r} of replication 0 "
+            f"differs from optimal_match_1d's {reference!r}"
         )
-        return optimal_match_1d(inst).mean_distance, 0
-    # network: redraw realizations that have no demand or more demand than
-    # supply; a valid point (lam >= mu > 0) accepts a draw with positive odds
+    return means
+
+
+def _simulate_rep(point, net, rng) -> tuple[float, int]:
+    """One network replication: its mean distance and the redraws it took.
+
+    Realizations with no demand or more demand than supply are redrawn; a
+    valid point (lam >= mu > 0) accepts a draw with positive odds.
+    """
     resamples = 0
     while True:
         inst = sample_instance(net, point.mu, point.lam, rng)
@@ -207,11 +238,12 @@ def _estimates_for_point(kind: ExperimentKind, point) -> tuple[dict, dict]:
             out["recursive_uncorrected"] = rec
         return out, {}
     params = EdgeParams(point.mu, point.lam, point.length)
-    dispatch = dispatch_estimate(params).value
     if kind is ExperimentKind.EDGE:
-        return {"edge": edge_estimate(params).value, "dispatch": dispatch}, {}
+        edge = edge_estimate(params).value
+        return {"edge": edge, "dispatch": dispatch_estimate(params, edge).value}, {}
     # the network estimate's local part is the edge estimate
     parts = network_estimate(point.degree, point.mu, point.lam, point.length, point.kappa)
+    dispatch = dispatch_estimate(params, parts.local).value
     out = {"edge": parts.local, "dispatch": dispatch, "network": parts.total}
     return out, {"alpha": parts.alpha}
 
@@ -232,15 +264,16 @@ def _point_params(kind: ExperimentKind, point) -> dict:
 
 def _run_grid_point(args) -> SummaryRecord:
     kind, point, replications, master_seed, grid_index = args
-    net = None
     if kind is ExperimentKind.NETWORK:
         net = build_regular_network(point.degree, point.edge_count, point.length)
-    means = np.empty(replications)
-    resampled = 0
-    for rep in range(replications):
-        rng = _rep_rng(master_seed, grid_index, rep)
-        means[rep], extra = _simulate_rep(kind, point, net, rng)
-        resampled += extra
+        means = np.empty(replications)
+        resampled = 0
+        for rep in range(replications):
+            rng = _rep_rng(master_seed, grid_index, rep)
+            means[rep], extra = _simulate_rep(point, net, rng)
+            resampled += extra
+    else:
+        means = _segment_means(kind, point, replications, master_seed, grid_index)
     sim_mean = float(means.mean())
     sim_std = float(means.std(ddof=1)) if replications > 1 else 0.0
     estimates, extra_meta = _estimates_for_point(kind, point)

@@ -13,6 +13,7 @@ __all__ = [
     "MatchResult",
     "EdgeParams",
     "build_supply_curve",
+    "check_sorted_coordinates",
 ]
 
 
@@ -24,6 +25,20 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, copy=True)
     arr.flags.writeable = False
     return arr
+
+
+def check_sorted_coordinates(name: str, coords: np.ndarray, length: float) -> None:
+    """Reject coordinates outside [0, length], given rows sorted ascending.
+
+    ``coords`` is one sorted array or a stack of sorted rows; only the first
+    and last column are read. Sorting puts NaN last, and every comparison
+    with NaN is False, so this one test also rejects NaN and infinite
+    coordinates.
+    """
+    if coords.size and not (
+        np.all(coords[..., 0] >= 0.0) and np.all(coords[..., -1] <= length)
+    ):
+        raise ValueError(f"{name} coordinates must be finite and lie in [0, length]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,11 +60,8 @@ class Instance1D:
         length = float(self.length)
         if not length > 0.0:
             raise ValueError("length must be positive")
-        for name, arr in (("demand", demand), ("supply", supply)):
-            # sorting puts NaN last, and every comparison with NaN is False,
-            # so this one test also rejects NaN and infinite coordinates
-            if arr.size and not (arr[0] >= 0.0 and arr[-1] <= length):
-                raise ValueError(f"{name} coordinates must be finite and lie in [0, length]")
+        check_sorted_coordinates("demand", demand, length)
+        check_sorted_coordinates("supply", supply, length)
         if supply.size < demand.size:
             raise ValueError("need at least as many supply points as demand points")
         object.__setattr__(self, "demand", demand)

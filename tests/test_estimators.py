@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -205,6 +206,40 @@ def test_baseline_values():
     assert baseline_estimate(1, 99).value == pytest.approx(1.0 / 200.0, rel=0.01)
 
 
+def _double_sum_baseline(m, n, length=1.0):
+    """Reference: the prior-work double sum, term by term."""
+    total = 0.0
+    for i in range(1, m + 1):
+        r = (i - 1) / n
+        ks = np.arange(1, i + 1, dtype=np.float64)
+        total += float(np.sum(ks * r ** (ks - 1) * (1.0 - r))) + i * r**i
+    return length * total / (2.0 * m * (n + 1))
+
+
+def _exact_baseline(m, n):
+    total = Fraction(0)
+    for i in range(1, m + 1):
+        r = Fraction(i - 1, n)
+        total += sum(k * r ** (k - 1) * (1 - r) for k in range(1, i + 1)) + i * r**i
+    return total / (2 * m * (n + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 300), surplus=st.integers(0, 299), length=st.floats(0.5, 4.0))
+def test_baseline_closed_form_matches_double_sum(m, surplus, length):
+    n = min(m + surplus, 300)
+    assert baseline_estimate(m, n, length).value == pytest.approx(
+        _double_sum_baseline(m, n, length), rel=1e-13, abs=0.0
+    )
+
+
+def test_baseline_against_exact_fractions():
+    for m in range(1, 13):
+        for n in range(m, 16):
+            exact = _exact_baseline(m, n)
+            assert baseline_estimate(m, n).value == pytest.approx(float(exact), rel=2e-15, abs=0.0)
+
+
 def test_baseline_rejects_bad_counts():
     with pytest.raises(ValueError):
         baseline_estimate(0, 5)
@@ -216,20 +251,30 @@ def test_dispatch_balanced_route():
     est = dispatch_estimate(EdgeParams(mu=10.0, lam=10.0, length=4.0))
     assert est.method is EstimatorMethod.EDGE_SCALED
     assert est.value == pytest.approx(balanced_estimate(40, 4.0).value, abs=1e-12)
+    assert not est.corrected
 
 
 def test_dispatch_asymptotic_route():
-    est = dispatch_estimate(EdgeParams(mu=10.0, lam=30.0, length=1.0))
+    params = EdgeParams(mu=10.0, lam=30.0, length=1.0)
+    est = dispatch_estimate(params)
     assert est.value == pytest.approx(1.0 / 60.0)
+    assert not est.corrected
+    # a known edge value does not apply above the cutoff
+    assert dispatch_estimate(params, edge_value=0.5) == est
     # independent of length in this regime
     est9 = dispatch_estimate(EdgeParams(mu=10.0, lam=30.0, length=9.0))
     assert est9.value == est.value
 
 
 def test_dispatch_recursive_route():
-    est = dispatch_estimate(EdgeParams(mu=10.0, lam=11.0, length=1.0))
+    params = EdgeParams(mu=10.0, lam=11.0, length=1.0)
+    est = dispatch_estimate(params)
     expected = recursive_estimate(10, 11, 1.0, apply_correction=True).value
     assert est.value == pytest.approx(expected, abs=1e-12)
+    # below the cutoff a known edge value is taken as it is
+    edge = edge_estimate(params).value
+    assert est.value == edge
+    assert dispatch_estimate(params, edge_value=edge) == est
     assert est.corrected
 
 

@@ -3,8 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rbmatch.exact1d import balanced_area, feasible_removal, optimal_match_1d, optimal_removal
+from rbmatch.exact1d import (
+    balanced_area,
+    feasible_removal,
+    match_costs_1d,
+    optimal_match_1d,
+    optimal_removal,
+)
 from rbmatch.types import Instance1D, build_supply_curve
 
 
@@ -54,6 +62,50 @@ def test_area_identity_on_balanced_instances():
         inst = _random_instance(rng, n, n)
         res = optimal_match_1d(inst)
         assert abs(res.total_distance - balanced_area(inst)) <= 1e-9
+
+
+def test_balanced_match_is_identity_on_sorted_order():
+    rng = np.random.default_rng(21)
+    for _ in range(100):
+        n = int(rng.integers(1, 80))
+        length = float(rng.uniform(0.5, 4.0))
+        inst = _random_instance(rng, n, n, length)
+        res = optimal_match_1d(inst)
+        assert res.pairs == tuple((i, i) for i in range(n))
+        assert res.total_distance == pytest.approx(balanced_area(inst), rel=1e-12, abs=0.0)
+        assert res.mean_distance == res.total_distance / n
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    reps=st.integers(1, 8),
+    m=st.integers(1, 40),
+    excess=st.integers(0, 40),
+    length=st.floats(0.5, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_match_costs_match_per_instance_dp(reps, m, excess, length, seed):
+    rng = np.random.default_rng(seed)
+    demand = np.sort(rng.uniform(0, length, (reps, m)), axis=1)
+    supply = np.sort(rng.uniform(0, length, (reps, m + excess)), axis=1)
+    totals = match_costs_1d(demand, supply)
+    assert totals.shape == (reps,)
+    for r in range(reps):
+        expected = optimal_match_1d(Instance1D(demand[r], supply[r], length)).total_distance
+        if excess == 0:
+            assert totals[r] == expected  # the same pairwise sum, bit for bit
+        else:
+            # the DP adds right to left, the reference sums pairwise
+            assert totals[r] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_match_costs_shapes():
+    with pytest.raises(ValueError):
+        match_costs_1d(np.empty((3, 0)), np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        match_costs_1d(np.zeros((2, 3)), np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        match_costs_1d(np.zeros((2, 3)), np.zeros((3, 3)))
 
 
 def _brute_force_total(inst):

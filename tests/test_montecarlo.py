@@ -1,9 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 
-from rbmatch.estimators import recursive_estimate, step_length_correction
+from rbmatch import estimators, montecarlo
+from rbmatch.estimators import (
+    dispatch_estimate,
+    edge_estimate,
+    recursive_estimate,
+    step_length_correction,
+)
+from rbmatch.exact1d import optimal_match_1d
 from rbmatch.network import network_estimate
+from rbmatch.types import EdgeParams, Instance1D
 from rbmatch.montecarlo import (
     EdgePoint,
     ExperimentConfig,
@@ -83,6 +92,88 @@ def test_deterministic_reruns_and_worker_invariance():
     parallel = records_to_csv(run_experiment(ExperimentConfig(**kwargs, workers=2)))
     assert first == second
     assert first == parallel
+
+
+def test_edge_grid_worker_invariance():
+    grid = (
+        EdgePoint(mu=10.0, lam=10.0, length=1.0),
+        EdgePoint(mu=10.0, lam=15.0, length=3.0),
+        EdgePoint(mu=5.0, lam=20.0, length=1.0),
+    )
+    kwargs = dict(kind=ExperimentKind.EDGE, grid=grid, replications=20, master_seed=5)
+    serial = records_to_csv(run_experiment(ExperimentConfig(**kwargs)))
+    parallel = records_to_csv(run_experiment(ExperimentConfig(**kwargs, workers=2)))
+    assert serial == parallel
+
+
+def _per_replication_means(m, n, length, reps, master_seed, grid_index):
+    """Reference: one Instance1D and one optimal_match_1d per replication,
+    demand then supply drawn from the replication's own stream."""
+    means = []
+    for rep in range(reps):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(master_seed, spawn_key=(grid_index, rep))
+        )
+        inst = Instance1D(rng.uniform(0, length, m), rng.uniform(0, length, n), length)
+        means.append(optimal_match_1d(inst).mean_distance)
+    return np.array(means)
+
+
+def test_batched_means_match_per_replication_reference():
+    reps, seed = 12, 8
+    segment_grid = (SegmentPoint(6, 6), SegmentPoint(30, 30), SegmentPoint(4, 9), SegmentPoint(25, 40))
+    records = run_experiment(ExperimentConfig(ExperimentKind.SEGMENT, segment_grid, reps, seed))
+    for gi, (point, rec) in enumerate(zip(segment_grid, records)):
+        means = _per_replication_means(point.m, point.n, 1.0, reps, seed, gi)
+        if point.m == point.n:
+            assert rec.sim_mean == float(means.mean())
+            assert rec.sim_std == float(means.std(ddof=1))
+        else:
+            assert rec.sim_mean == pytest.approx(float(means.mean()), rel=1e-12, abs=0.0)
+            assert rec.sim_std == pytest.approx(float(means.std(ddof=1)), rel=1e-9, abs=0.0)
+    edge_grid = (EdgePoint(mu=4.0, lam=4.0, length=2.5), EdgePoint(mu=3.0, lam=7.0, length=3.0))
+    records = run_experiment(ExperimentConfig(ExperimentKind.EDGE, edge_grid, reps, seed))
+    for gi, (point, rec) in enumerate(zip(edge_grid, records)):
+        m, n = EdgeParams(point.mu, point.lam, point.length).counts()
+        means = _per_replication_means(m, n, point.length, reps, seed, gi)
+        assert rec.sim_mean == pytest.approx(float(means.mean()), rel=1e-12, abs=0.0)
+
+
+def test_replication_zero_check_names_the_point(monkeypatch):
+    kernel = montecarlo.match_costs_1d
+    monkeypatch.setattr(montecarlo, "match_costs_1d", lambda d, s: kernel(d, s) * 1.01)
+    cfg = ExperimentConfig(ExperimentKind.SEGMENT, (SegmentPoint(3, 5),), replications=4)
+    with pytest.raises(RuntimeError, match=r"SegmentPoint\(m=3, n=5\).*optimal_match_1d"):
+        run_experiment(cfg)
+    cfg = ExperimentConfig(
+        ExperimentKind.EDGE, (EdgePoint(mu=2.0, lam=2.0, length=2.0),), replications=4
+    )
+    with pytest.raises(RuntimeError, match=r"EdgePoint\(mu=2.0, lam=2.0, length=2.0\)"):
+        run_experiment(cfg)
+
+
+def test_one_recursion_table_per_edge_point(monkeypatch):
+    calls = []
+    table = estimators.recursion_table
+
+    def counting_table(m, n, length=1.0):
+        calls.append((m, n, length))
+        return table(m, n, length)
+
+    monkeypatch.setattr(estimators, "recursion_table", counting_table)
+    # ratios 1, 1.1, 1.5 and 3: only the two unbalanced points below the
+    # dispatch cutoff and the one at it need a table
+    grid = tuple(EdgePoint(mu=10.0, lam=lam, length=1.0) for lam in (10.0, 11.0, 15.0, 30.0))
+    records = run_experiment(ExperimentConfig(ExperimentKind.EDGE, grid, replications=1))
+    assert sorted(calls) == [(10, 11, 1.0), (10, 15, 1.0), (10, 30, 1.0)]
+    for point, rec in zip(grid, records):
+        params = EdgeParams(point.mu, point.lam, point.length)
+        assert rec.estimates["dispatch"] == dispatch_estimate(params).value
+        assert rec.estimates["edge"] == edge_estimate(params).value
+    calls.clear()
+    net_grid = (NetworkPoint(degree=4, mu=1.0, lam=2.0, length=1.0, edge_count=36),)
+    run_experiment(ExperimentConfig(ExperimentKind.NETWORK, net_grid, replications=1))
+    assert calls == [(1, 2, 1.0)]
 
 
 def test_estimator_attachment_by_kind():

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from rbmatch.types import EdgeParams, Instance1D, MatchResult, build_supply_curve
+from rbmatch.types import (
+    EdgeParams,
+    Instance1D,
+    MatchResult,
+    build_supply_curve,
+    check_sorted_coordinates,
+)
 
 
 def test_two_point_curve():
@@ -60,6 +66,20 @@ def test_construction_rejects_non_finite_coordinates(bad):
         Instance1D(demand=[0.2, bad], supply=[0.1, 0.5, 0.9])
     with pytest.raises(ValueError, match="finite"):
         Instance1D(demand=[0.2], supply=[bad, 0.5, 0.9])
+    # one bad row in a stack of sorted rows is found too
+    rows = np.sort(np.array([[0.1, 0.4], [0.3, bad], [0.2, 0.6]]), axis=1)
+    with pytest.raises(ValueError, match="supply coordinates must be finite"):
+        check_sorted_coordinates("supply", rows, 1.0)
+
+
+def test_stacked_rows_check_range():
+    rows = np.array([[0.0, 0.5], [0.25, 2.0]])
+    check_sorted_coordinates("demand", rows, 2.0)
+    with pytest.raises(ValueError, match="demand"):
+        check_sorted_coordinates("demand", rows, 1.0)
+    with pytest.raises(ValueError, match="demand"):
+        check_sorted_coordinates("demand", rows - 0.1, 2.0)
+    check_sorted_coordinates("demand", np.empty((3, 0)), 1.0)
 
 
 def test_balanced_prefix_ends_at_zero():
