@@ -1,5 +1,6 @@
-"""Dense rectangular min-cost bipartite assignment via shortest augmenting
-paths with dual potentials (Jonker-Volgenant style)."""
+"""Dense rectangular min-cost bipartite assignment: a row-reduction start,
+then shortest augmenting paths with dual potentials in Crouse's rectangular
+Jonker-Volgenant form."""
 
 from __future__ import annotations
 
@@ -17,6 +18,22 @@ __all__ = [
 ]
 
 
+def _check_costs(costs) -> np.ndarray:
+    """``costs`` as a float64 array, or a ValueError naming the failed rule:
+    2D, rows <= cols, finite, nonnegative."""
+    costs = np.asarray(costs, dtype=np.float64)
+    if costs.ndim != 2:
+        raise ValueError(f"costs must be a 2D array, got shape {costs.shape}")
+    if costs.shape[0] > costs.shape[1]:
+        raise ValueError(f"need rows <= cols, got {costs.shape[0]} x {costs.shape[1]}")
+    # min is NaN if any entry is: two reductions, no temporary
+    if costs.size and not (costs.min() >= 0.0 and costs.max() < np.inf):
+        if not np.isfinite(costs).all():
+            raise ValueError("costs must be finite")
+        raise ValueError("costs must be nonnegative")
+    return costs
+
+
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
     """Dense m x n matrix of nonnegative finite costs, m <= n."""
@@ -24,14 +41,7 @@ class CostMatrix:
     costs: np.ndarray
 
     def __post_init__(self):
-        costs = np.asarray(self.costs, dtype=np.float64)
-        if costs.ndim != 2:
-            raise ValueError("costs must be a 2D array")
-        if costs.shape[0] > costs.shape[1]:
-            raise ValueError("need rows <= cols")
-        if costs.size and (not np.isfinite(costs).all() or costs.min() < 0.0):
-            raise ValueError("costs must be finite and nonnegative")
-        costs = costs.copy()
+        costs = _check_costs(self.costs).copy()
         costs.flags.writeable = False
         object.__setattr__(self, "costs", costs)
 
@@ -59,56 +69,77 @@ class AssignmentSolution:
 
 
 def solve_dense(costs: np.ndarray) -> AssignmentSolution:
-    """Shortest-augmenting-path assignment over a dense cost matrix.
+    """Minimum-cost assignment of every row of a dense cost matrix to a
+    distinct column, with certifying dual potentials.
 
-    One Dijkstra-with-potentials pass per row; column ties during path scans
-    resolve to the lowest index, making the solution deterministic.
+    Start: ``u`` is each row's minimum and ``v`` is zero; each row claims
+    the lowest-index column of its minimum, and when several rows claim one
+    column the lowest-index row keeps it. Then each unmatched row, in index
+    order, runs one shortest augmenting path pass (Crouse's rectangular
+    form): each step scans one row's reduced costs, so that each column
+    keeps the first row that reached its lowest path cost, and takes the
+    cheapest unscanned column, the lowest index among ties. The potentials
+    change once per pass. The solution is therefore deterministic. Raises
+    ValueError unless ``costs`` is 2D with rows <= cols and finite,
+    nonnegative entries.
     """
-    costs = np.asarray(costs, dtype=np.float64)
+    costs = _check_costs(costs)
     m, n = costs.shape
-    u = np.zeros(m)
-    v = np.zeros(n)
-    row_of_col = np.full(n, -1, dtype=np.int64)
-    for i in range(m):
-        min_reduced = np.full(n, np.inf)
-        predecessor = np.full(n, -2, dtype=np.int64)  # -1 marks the tree root
-        used = np.zeros(n, dtype=bool)
-        current_row = i
-        previous_col = -1
-        while True:
-            reduced = costs[current_row] - u[current_row] - v
-            better = ~used & (reduced < min_reduced)
-            min_reduced[better] = reduced[better]
-            predecessor[better] = previous_col
-            available = np.where(used, np.inf, min_reduced)
-            next_col = int(np.argmin(available))
-            delta = float(available[next_col])
-            # shift potentials so every tree edge becomes tight
-            u[i] += delta
-            used_cols = np.flatnonzero(used)
-            if used_cols.size:
-                u[row_of_col[used_cols]] += delta
-                v[used_cols] -= delta
-            min_reduced[~used] -= delta
-            used[next_col] = True
-            previous_col = next_col
-            if row_of_col[next_col] == -1:
-                break
-            current_row = row_of_col[next_col]
-        # augment: pull each column's row from its predecessor on the path
-        col = previous_col
-        while True:
-            prev = int(predecessor[col])
-            if prev == -1:
-                row_of_col[col] = i
-                break
-            row_of_col[col] = row_of_col[prev]
-            col = prev
-
     col_of_row = np.full(m, -1, dtype=np.int64)
-    matched = np.flatnonzero(row_of_col >= 0)
-    col_of_row[row_of_col[matched]] = matched
-    total = float(costs[np.arange(m), col_of_row].sum()) if m else 0.0
+    row_of_col = np.full(n, -1, dtype=np.int64)
+    v = np.zeros(n)
+    if m == 0:
+        return AssignmentSolution(col_of_row, np.zeros(0), v, 0.0)
+    u = costs.min(axis=1)
+    cols, rows = np.unique(costs.argmin(axis=1), return_index=True)
+    col_of_row[rows] = cols
+    row_of_col[cols] = rows
+
+    path_cost = np.empty(n)  # to each unscanned column; inf once scanned
+    scanned_cost = np.empty(n)  # to each scanned column
+    masked_v = np.empty(n)  # v, with -inf at scanned columns
+    reduced = np.empty(n)
+    better = np.empty(n, dtype=bool)
+    predecessor = np.empty(n, dtype=np.int64)
+    for root in np.flatnonzero(col_of_row < 0).tolist():
+        path_cost.fill(np.inf)
+        masked_v[:] = v
+        scanned = []
+        row = root
+        min_val = 0.0
+        while True:
+            # reduced costs from ``row``, +inf at scanned columns
+            np.subtract(costs[row], masked_v, out=reduced)
+            reduced += min_val - u[row]
+            np.less(reduced, path_cost, out=better)
+            np.copyto(path_cost, reduced, where=better)
+            np.copyto(predecessor, row, where=better)
+            col = int(path_cost.argmin())
+            min_val = float(path_cost[col])
+            if min_val == np.inf:  # only if the reduced costs overflowed
+                raise ValueError("costs too large: no finite augmenting path")
+            scanned_cost[col] = min_val
+            path_cost[col] = np.inf
+            masked_v[col] = -np.inf
+            scanned.append(col)
+            row = int(row_of_col[col])
+            if row < 0:
+                break
+        # one potential update per pass keeps every tree edge tight
+        scanned = np.array(scanned)
+        shift = min_val - scanned_cost[scanned]
+        v[scanned] -= shift
+        u[row_of_col[scanned[:-1]]] += shift[:-1]
+        u[root] += min_val
+        # augment: hand each column on the path to its predecessor row
+        while True:
+            row = int(predecessor[col])
+            row_of_col[col] = row
+            col, col_of_row[row] = int(col_of_row[row]), col
+            if row == root:
+                break
+
+    total = float(costs[np.arange(m), col_of_row].sum())
     return AssignmentSolution(
         col_of_row=col_of_row,
         row_potentials=u,

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbmatch.assignment import AssignmentSolution, CostMatrix, solve_assignment, solve_dense
 from rbmatch.exact1d import optimal_match_1d
@@ -14,6 +16,59 @@ def _brute_force(costs):
     for perm in itertools.permutations(range(n), m):
         best = min(best, float(costs[np.arange(m), list(perm)].sum()))
     return best
+
+
+def _solve_dense_reference(costs) -> AssignmentSolution:
+    """The previous solver, kept as the reference: from zero potentials, one
+    Dijkstra pass per row that shifts every used potential at every step."""
+    costs = np.asarray(costs, dtype=np.float64)
+    m, n = costs.shape
+    u = np.zeros(m)
+    v = np.zeros(n)
+    row_of_col = np.full(n, -1, dtype=np.int64)
+    for i in range(m):
+        min_reduced = np.full(n, np.inf)
+        predecessor = np.full(n, -2, dtype=np.int64)  # -1 marks the tree root
+        used = np.zeros(n, dtype=bool)
+        current_row = i
+        previous_col = -1
+        while True:
+            reduced = costs[current_row] - u[current_row] - v
+            better = ~used & (reduced < min_reduced)
+            min_reduced[better] = reduced[better]
+            predecessor[better] = previous_col
+            available = np.where(used, np.inf, min_reduced)
+            next_col = int(np.argmin(available))
+            delta = float(available[next_col])
+            # shift potentials so every tree edge becomes tight
+            u[i] += delta
+            used_cols = np.flatnonzero(used)
+            if used_cols.size:
+                u[row_of_col[used_cols]] += delta
+                v[used_cols] -= delta
+            min_reduced[~used] -= delta
+            used[next_col] = True
+            previous_col = next_col
+            if row_of_col[next_col] == -1:
+                break
+            current_row = row_of_col[next_col]
+        # augment: pull each column's row from its predecessor on the path
+        col = previous_col
+        while True:
+            prev = int(predecessor[col])
+            if prev == -1:
+                row_of_col[col] = i
+                break
+            row_of_col[col] = row_of_col[prev]
+            col = prev
+
+    col_of_row = np.full(m, -1, dtype=np.int64)
+    matched = np.flatnonzero(row_of_col >= 0)
+    col_of_row[row_of_col[matched]] = matched
+    total = float(costs[np.arange(m), col_of_row].sum()) if m else 0.0
+    return AssignmentSolution(
+        col_of_row=col_of_row, row_potentials=u, col_potentials=v, total_cost=total
+    )
 
 
 def _assert_certificate(costs, sol: AssignmentSolution):
@@ -38,6 +93,17 @@ def test_cost_matrix_validation():
         CostMatrix([[np.inf, 0.2]])
     with pytest.raises(ValueError):
         CostMatrix(np.ones(4))
+    # the public solver runs the same check, so none of these can hang it
+    with pytest.raises(ValueError, match="rows <= cols"):
+        solve_dense(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        solve_dense([[np.inf, np.inf]])
+    with pytest.raises(ValueError, match="finite"):
+        solve_dense([[0.1, np.nan], [0.3, 0.2]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_dense([[0.1, -0.2]])
+    with pytest.raises(ValueError, match="2D"):
+        solve_dense(np.ones(4))
 
 
 def test_matches_brute_force_on_random_matrices():
@@ -101,3 +167,27 @@ def test_empty_matrix():
     res = solve_assignment(CostMatrix(np.empty((0, 4))))
     assert res.pairs == ()
     assert res.total_distance == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.integers(1, 30).flatmap(lambda m: st.tuples(st.just(m), st.integers(m, 60))),
+    kind=st.sampled_from(["uniform", "ties", "rank_one"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matches_reference_solver(shape, kind, seed):
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        costs = rng.uniform(0, 1, (m, n))
+    elif kind == "ties":
+        costs = rng.integers(0, 3, (m, n)).astype(float)
+    else:  # every assignment of a rank-one matrix is optimal
+        costs = rng.uniform(0, 1, m)[:, None] + rng.uniform(0, 1, n)[None, :]
+    sol = solve_dense(costs)
+    ref = _solve_dense_reference(costs)
+    assert sol.total_cost == pytest.approx(ref.total_cost, rel=1e-12, abs=1e-12)
+    assert len(set(sol.col_of_row.tolist())) == m
+    assert ((sol.col_of_row >= 0) & (sol.col_of_row < n)).all()
+    _assert_certificate(costs, sol)
+

@@ -195,7 +195,14 @@ def test_zero_returns_closed_form_matches_term_sum():
 
 def test_import_loads_no_scipy():
     src = str(Path(rbmatch.__file__).resolve().parent.parent)
-    code = "import sys, rbmatch; print([m for m in sys.modules if m.startswith('scipy')])"
+    # the network path too: a scipy.optimize import adds ~47 MB of peak RSS
+    code = (
+        "import sys, rbmatch\n"
+        "net = rbmatch.build_regular_network(4, 36, 1.0)\n"
+        "inst = rbmatch.sample_instance(net, 5.0, 10.0, 0)\n"
+        "assert rbmatch.exact_network_match(net, inst).total_distance > 0\n"
+        "print([m for m in sys.modules if m.startswith('scipy')])"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
         text=True, check=True,

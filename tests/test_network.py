@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from test_assignment import _solve_dense_reference
+
 from rbmatch.combinatorics import normal_cdf
 from rbmatch.exact1d import optimal_match_1d
 from rbmatch.network import (
     NetworkInstance,
+    _cost_matrix,
     build_regular_network,
     d2_probabilities,
     exact_network_match,
@@ -170,6 +173,33 @@ def test_exact_match_brute_force(square_torus):
             for perm in itertools.permutations(range(len(so)), len(do))
         )
         assert res.total_distance == pytest.approx(float(best), abs=1e-9)
+
+
+@pytest.mark.parametrize("degree", [3, 4, 6])
+@pytest.mark.parametrize("ratio", [1.0, 3.0])
+def test_cost_matrix_and_match_against_references(degree, ratio):
+    net = build_regular_network(degree, 36, 1.0)
+    rng = np.random.default_rng(45 + degree)
+    mu = 2.0
+    checked = 0
+    while checked < 3:
+        inst = sample_instance(net, mu, ratio * mu, rng)
+        if not 0 < inst.total_demand <= inst.total_supply:
+            continue
+        checked += 1
+        de, do = inst.demand_points()
+        se, so = inst.supply_points()
+        expected = np.array(
+            [
+                [point_distance(net, (int(de[i]), do[i]), (int(se[j]), so[j])) for j in range(len(so))]
+                for i in range(len(do))
+            ]
+        )
+        costs = _cost_matrix(net, inst)
+        assert np.array_equal(costs, expected)
+        res = exact_network_match(net, inst)
+        ref = _solve_dense_reference(costs)
+        assert res.total_distance == pytest.approx(ref.total_cost, rel=1e-12, abs=0.0)
 
 
 def test_exact_match_rejects_excess_demand(square_torus):
