@@ -24,6 +24,7 @@ from .estimators import (
     edge_estimate,
     recursion_table,
     recursive_estimate,
+    recursive_estimates,
     step_length_correction,
 )
 from .exact1d import (

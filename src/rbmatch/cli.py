@@ -31,13 +31,19 @@ USAGE_ERROR = 2
 
 
 def _workers(args, parser) -> int:
+    """The worker count: RBMP_WORKERS if set, else --workers; at least 1."""
     env = os.environ.get("RBMP_WORKERS")
-    if env is not None:
+    if env is None:
+        source, workers = "--workers", args.workers
+    else:
+        source = "RBMP_WORKERS"
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             parser.error(f"RBMP_WORKERS must be an integer, got {env!r}")
-    return max(1, args.workers)
+    if workers < 1:
+        parser.error(f"{source} must be at least 1, got {workers}")
+    return workers
 
 
 def _int_list(text: str) -> list[int]:
@@ -111,21 +117,22 @@ def cmd_estimate(args, parser) -> int:
         if not 1 <= m <= n:
             parser.error("--segment requires 1 <= M <= N")
         method = args.method or ("balanced" if m == n else "recursive")
-        if method in ("balanced", "all") and m == n:
-            _print_estimate("balanced", balanced_estimate(n).value)
-        if m < n:
-            if method in ("closed", "all"):
-                est = closed_unbalanced_estimate(m, n, apply_correction=corrected)
-                _print_estimate("closed", est.value, est.corrected)
-            if method in ("recursive", "all"):
-                est = recursive_estimate(m, n, apply_correction=corrected)
-                _print_estimate("recursive", est.value, est.corrected)
-        elif method in ("closed", "recursive"):
-            parser.error(f"--method {method} requires M < N")
-        if method in ("baseline", "all"):
-            _print_estimate("baseline", baseline_estimate(m, n).value)
         if method == "dispatch":
             parser.error("--method dispatch applies to --edge")
+        if method == "balanced" and m < n:
+            parser.error("--method balanced requires M == N")
+        if method in ("closed", "recursive") and m == n:
+            parser.error(f"--method {method} requires M < N")
+        if method in ("balanced", "all") and m == n:
+            _print_estimate("balanced", balanced_estimate(n).value)
+        if method in ("closed", "all") and m < n:
+            est = closed_unbalanced_estimate(m, n, apply_correction=corrected)
+            _print_estimate("closed", est.value, est.corrected)
+        if method in ("recursive", "all") and m < n:
+            est = recursive_estimate(m, n, apply_correction=corrected)
+            _print_estimate("recursive", est.value, est.corrected)
+        if method in ("baseline", "all"):
+            _print_estimate("baseline", baseline_estimate(m, n).value)
         return 0
     if args.edge is not None:
         mu, lam, length = args.edge

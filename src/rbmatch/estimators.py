@@ -24,6 +24,7 @@ __all__ = [
     "balanced_estimate",
     "closed_unbalanced_estimate",
     "recursion_table",
+    "recursive_estimates",
     "recursive_estimate",
     "baseline_estimate",
     "edge_estimate",
@@ -123,6 +124,33 @@ class RecursionTable:
         return float(self.values[k, a])
 
 
+def _ballot_weights(a: np.ndarray, m_hat: np.ndarray, lf: np.ndarray):
+    """The ballot probabilities P(m' | a, e) of ``ballot_segment_prob`` at the
+    cells (a, m'), as a function of e.
+
+    Every log C(x, y) is lf[x] - lf[y] - lf[x-y] on the log-factorial table
+    lf; the terms that do not depend on e are built once. A cell's weight
+    takes the same float operations whatever other cells share the arrays.
+    """
+    rest = a - m_hat  # demand left for the next segment
+    a2, rest2 = 2 * a, 2 * rest
+    log_c_a = (lf[a] - lf[m_hat]) - lf[rest]
+    lf_m_hat, lf_2m_hat = lf[m_hat], lf[2 * m_hat]
+    two_rest = 2.0 * rest
+
+    def weights(e: int) -> np.ndarray:
+        lf_e = lf[e:]
+        # log C(a+e, m') - log C(2a+e, 2m') added to log C(a, m')
+        log_p = log_c_a + ((lf_e[a] - lf_m_hat) - lf_e[rest])
+        log_p -= (lf_e[a2] - lf_2m_hat) - lf_e[rest2]
+        probs = np.exp(log_p, out=log_p)
+        probs *= e
+        probs /= two_rest + e
+        return probs
+
+    return weights
+
+
 def recursion_table(m: int, n: int, length: float = 1.0) -> RecursionTable:
     """Solve the segment-area recursion bottom-up.
 
@@ -136,9 +164,13 @@ def recursion_table(m: int, n: int, length: float = 1.0) -> RecursionTable:
     ``ballot_segment_prob`` and S the segment area. The kernel packs the
     cells (a, m') with m' <= a row by row into flat arrays, so each row is one
     gather of the next row at a - m', one elementwise product and one
-    segmented sum. Every log C(x, y) is lf[x] - lf[y] - lf[x-y] on one
-    log-factorial table lf; the log C(a, m') term does not depend on e and is
-    built once.
+    segmented sum.
+
+    Estimates do not build this table per n: ``recursive_estimates`` builds
+    one unit-gap table (length = m + n) for all the ns of one (m, length),
+    and the experiment harness computes its estimates once per sweep, in the
+    parent process, with one such table per (m, length). The per-n table is
+    the test reference.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -155,28 +187,50 @@ def recursion_table(m: int, n: int, length: float = 1.0) -> RecursionTable:
     starts = counts * (counts + 1) // 2  # first cell of each row a
     m_hat = np.arange(a.size) - starts[a]  # cell -> demand in this segment
     rest = a - m_hat  # cell -> demand left for the next segment
-    a2, rest2 = 2 * a, 2 * rest
-    lf = log_factorials(2 * m + excess)
-    log_c_a = (lf[a] - lf[m_hat]) - lf[rest]
-    lf_m_hat, lf_2m_hat = lf[m_hat], lf[2 * m_hat]
+    ballot = _ballot_weights(a, m_hat, log_factorials(2 * m + excess))
     full_segment = (gap * areas)[m_hat]
     swapped_segment = (gap * areas - swap_reduction)[m_hat]
 
     values = np.zeros((excess + 1, m + 1))
     values[excess] = gap * areas
     for k in range(excess - 1, -1, -1):
-        e = excess - k
-        lf_e = lf[e:]
-        # log C(a+e, m') - log C(2a+e, 2m') added to log C(a, m')
-        log_p = log_c_a + ((lf_e[a] - lf_m_hat) - lf_e[rest])
-        log_p -= (lf_e[a2] - lf_2m_hat) - lf_e[rest2]
-        probs = np.exp(log_p, out=log_p)
-        probs *= e
-        probs /= (2.0 * counts + e)[rest]
+        probs = ballot(excess - k)
         probs *= (full_segment if k == 0 else swapped_segment) + values[k + 1][rest]
         values[k] = np.add.reduceat(probs, starts)
     values.flags.writeable = False
     return RecursionTable(m=m, n=n, length=length, values=values)
+
+
+def recursive_estimates(m: int, ns, length: float = 1.0) -> dict[int, float]:
+    """Uncorrected recursive estimates E[Z_{0,m}] / m for every n in ``ns``,
+    from one recursion pass.
+
+    The pass builds one unit-gap table ``recursion_table(m, top, m + top)``
+    at top = max(ns); its row k >= 1 is the unit-gap row for e = top - m - k
+    removals left, bit for bit the same whatever top is. With X = n - m,
+    row 0 of n's own table at a = m is P_X . (B(m') + row_{X-1}[m - m']),
+    with P_X the ballot weights P(m' | m, X) and B the walk areas, scaled by
+    the gap length/(m+n). Every n, top included, takes this one formula, so
+    its value never depends on which other ns share the pass. It agrees with
+    the per-n table's ``values[0, m] / m`` to within a few ulp.
+    """
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    ns = list(ns)
+    if not ns:
+        raise ValueError("ns must be nonempty")
+    for n in ns:
+        if n <= m:
+            raise ValueError(f"requires n > m, got n={n} for m={m}")
+    top = max(ns)
+    rows = recursion_table(m, top, length=float(m + top)).values
+    ballot = _ballot_weights(np.full(m + 1, m), np.arange(m + 1), log_factorials(m + top))
+    areas = _harel_values(m)
+    out = {}
+    for n in ns:
+        tail = rows[top - n + 1][::-1]  # the row for e = n - m - 1, at a = m - m'
+        out[n] = length / (m + n) * float(ballot(n - m) @ (areas + tail)) / m
+    return out
 
 
 def recursive_estimate(
@@ -185,10 +239,13 @@ def recursive_estimate(
     """Recursive upper-bound estimate for m demand and n > m supply points.
 
     Returns E[Z_{0,m}] / m from the removal-and-swap recursion, optionally
-    minus the step-length correction.
+    minus the step-length correction. This is the one-element pass of
+    ``recursive_estimates``. The experiment harness computes its estimates
+    once per sweep, in the parent process, with one pass and so one
+    unit-gap table per (m, length); each of its values equals this one bit
+    for bit.
     """
-    table = recursion_table(m, n, length)
-    value = float(table.values[0, m]) / m
+    value = recursive_estimates(m, [n], length)[n]
     if apply_correction:
         value -= step_length_correction(m, n, length)
     return Estimate(
@@ -215,14 +272,21 @@ def baseline_estimate(m: int, n: int, length: float = 1.0) -> Estimate:
     return Estimate(value=value, method=EstimatorMethod.BASELINE)
 
 
-def edge_estimate(params: EdgeParams) -> Estimate:
+def edge_estimate(params: EdgeParams, recursive: float | None = None) -> Estimate:
     """Within-edge expected distance: the balanced closed form when the
     counts m = mu*length and n = lam*length are equal, otherwise the
-    corrected recursion. Both counts must round to integers >= 1."""
+    corrected recursion. Both counts must round to integers >= 1. A caller
+    that has the uncorrected recursive value from a shared
+    ``recursive_estimates`` pass passes it as ``recursive``; it is ignored
+    when m = n."""
     m, n = params.counts()
     if n == m:
         return balanced_estimate(n, params.length)
-    return recursive_estimate(m, n, params.length, apply_correction=True)
+    if recursive is None:
+        return recursive_estimate(m, n, params.length, apply_correction=True)
+    # the subtraction recursive_estimate applies when correcting
+    value = recursive - step_length_correction(m, n, params.length)
+    return Estimate(value=value, method=EstimatorMethod.RECURSIVE, corrected=True)
 
 
 def dispatch_estimate(params: EdgeParams, edge_value: float | None = None) -> Estimate:

@@ -18,7 +18,7 @@ from .estimators import (
     closed_unbalanced_estimate,
     dispatch_estimate,
     edge_estimate,
-    recursive_estimate,
+    recursive_estimates,
     step_length_correction,
 )
 from .exact1d import match_costs_1d, optimal_match_1d
@@ -171,6 +171,14 @@ def _rep_rng(master_seed: int, grid_index: int, rep: int) -> np.random.Generator
     return np.random.default_rng(seq)
 
 
+def _shape(kind: ExperimentKind, point) -> tuple[int, int, float]:
+    """Counts m <= n and length of a segment or edge point."""
+    if kind is ExperimentKind.SEGMENT:
+        return point.m, point.n, 1.0
+    m, n = EdgeParams(point.mu, point.lam, point.length).counts()
+    return m, n, point.length
+
+
 def _segment_means(kind: ExperimentKind, point, replications, master_seed, grid_index):
     """Mean matching distance of every replication of a segment or edge point.
 
@@ -179,11 +187,7 @@ def _segment_means(kind: ExperimentKind, point, replications, master_seed, grid_
     Replication 0 is solved again by ``optimal_match_1d`` as a check on the
     batched kernel.
     """
-    if kind is ExperimentKind.SEGMENT:
-        m, n, length = point.m, point.n, 1.0
-    else:
-        m, n = EdgeParams(point.mu, point.lam, point.length).counts()
-        length = point.length
+    m, n, length = _shape(kind, point)
     demand = np.empty((replications, m))
     supply = np.empty((replications, n))
     for rep in range(replications):
@@ -219,27 +223,48 @@ def _simulate_rep(point, net, rng) -> tuple[float, int]:
     return exact_network_match(net, inst).mean_distance, resamples
 
 
-def _estimates_for_point(kind: ExperimentKind, point) -> tuple[dict, dict]:
-    """Estimator values for one grid point, plus extra metadata fields."""
+def _sweep_estimates(kind: ExperimentKind, grid) -> list[tuple[dict, dict]]:
+    """Every grid point's estimator values and extra metadata, in grid order.
+
+    Unbalanced segment and edge points share one ``recursive_estimates``
+    pass per (m, length), whose value for each n equals
+    ``recursive_estimate``'s bit for bit.
+    """
+    recursive = {}
+    if kind is not ExperimentKind.NETWORK:
+        groups: dict[tuple[int, float], list[int]] = {}
+        for point in grid:
+            m, n, length = _shape(kind, point)
+            if n > m:
+                groups.setdefault((m, length), []).append(n)
+        for (m, length), ns in groups.items():
+            for n, value in recursive_estimates(m, ns, length).items():
+                recursive[m, n, length] = value
+    return [_point_estimates(kind, point, recursive) for point in grid]
+
+
+def _point_estimates(kind: ExperimentKind, point, recursive: dict) -> tuple[dict, dict]:
+    """Estimator values for one grid point, plus extra metadata fields;
+    ``recursive`` maps (m, n, length) to the uncorrected recursive value."""
     if kind is ExperimentKind.SEGMENT:
         m, n = point.m, point.n
         out = {"baseline": baseline_estimate(m, n).value}
         if n == m:
             out["balanced"] = balanced_estimate(n).value
         else:
-            out["closed"] = closed_unbalanced_estimate(m, n).value
-            out["closed_uncorrected"] = closed_unbalanced_estimate(
-                m, n, apply_correction=False
-            ).value
-            # one table serves both columns; this is the subtraction
-            # recursive_estimate applies when correcting
-            rec = recursive_estimate(m, n, apply_correction=False).value
-            out["recursive"] = rec - step_length_correction(m, n)
+            # one closed-form sum and one recursion value serve two columns
+            # each; this is the subtraction both estimators apply when correcting
+            closed = closed_unbalanced_estimate(m, n, apply_correction=False).value
+            rec = recursive[m, n, 1.0]
+            correction = step_length_correction(m, n)
+            out["closed"] = closed - correction
+            out["closed_uncorrected"] = closed
+            out["recursive"] = rec - correction
             out["recursive_uncorrected"] = rec
         return out, {}
     params = EdgeParams(point.mu, point.lam, point.length)
     if kind is ExperimentKind.EDGE:
-        edge = edge_estimate(params).value
+        edge = edge_estimate(params, recursive.get(_shape(kind, point))).value
         return {"edge": edge, "dispatch": dispatch_estimate(params, edge).value}, {}
     # the network estimate's local part is the edge estimate
     parts = network_estimate(point.degree, point.mu, point.lam, point.length, point.kappa)
@@ -263,7 +288,7 @@ def _point_params(kind: ExperimentKind, point) -> dict:
 
 
 def _run_grid_point(args) -> SummaryRecord:
-    kind, point, replications, master_seed, grid_index = args
+    kind, point, replications, master_seed, grid_index, (estimates, extra_meta) = args
     if kind is ExperimentKind.NETWORK:
         net = build_regular_network(point.degree, point.edge_count, point.length)
         means = np.empty(replications)
@@ -276,7 +301,6 @@ def _run_grid_point(args) -> SummaryRecord:
         means = _segment_means(kind, point, replications, master_seed, grid_index)
     sim_mean = float(means.mean())
     sim_std = float(means.std(ddof=1)) if replications > 1 else 0.0
-    estimates, extra_meta = _estimates_for_point(kind, point)
     estimates = {name: float(value) for name, value in estimates.items()}
     rel_errors = {
         name: (value - sim_mean) / sim_mean
@@ -300,10 +324,13 @@ def _run_grid_point(args) -> SummaryRecord:
 def run_experiment(cfg: ExperimentConfig) -> list[SummaryRecord]:
     """Simulate every grid point and attach all applicable estimator values.
 
-    Output order follows the grid; values are identical for any worker count.
+    Estimates depend on the grid point alone: they are computed here, once
+    per sweep, and travel with each point's task. Output order follows the
+    grid; values are identical for any worker count.
     """
+    estimates = _sweep_estimates(cfg.kind, cfg.grid)
     tasks = [
-        (cfg.kind, point, cfg.replications, cfg.master_seed, gi)
+        (cfg.kind, point, cfg.replications, cfg.master_seed, gi, estimates[gi])
         for gi, point in enumerate(cfg.grid)
     ]
     if cfg.workers == 1 or len(tasks) == 1:

@@ -82,6 +82,43 @@ def test_invalid_run_settings_exit_two(capsys, monkeypatch):
     assert "RBMP_WORKERS" in capsys.readouterr().err
 
 
+def test_method_balanced_needs_equal_counts(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["estimate", "--segment", "3", "5", "--method", "balanced"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "--method balanced requires M == N" in captured.err
+    assert captured.out == ""
+    with pytest.raises(SystemExit) as err:
+        main(["estimate", "--segment", "4", "4", "--method", "recursive"])
+    assert err.value.code == 2
+    assert "--method recursive requires M < N" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("flags", "env", "named"),
+    [
+        (["--workers", "0"], None, "--workers"),
+        (["--workers", "-3"], None, "--workers"),
+        ([], "-4", "RBMP_WORKERS"),
+        ([], "0", "RBMP_WORKERS"),
+    ],
+)
+def test_worker_counts_below_one_exit_two(capsys, monkeypatch, flags, env, named):
+    if env is None:
+        monkeypatch.delenv("RBMP_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("RBMP_WORKERS", env)
+    argv = ["simulate", "segment", "--m", "2", "--n", "3", "--reps", "2"] + flags
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"{named} must be at least 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        main(["compare", "--preset", "fig5", "--reps", "1"] + flags)
+    assert err.value.code == 2
+
+
 def test_simulate_deterministic_output(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

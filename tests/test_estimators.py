@@ -21,6 +21,7 @@ from rbmatch.estimators import (
     edge_estimate,
     recursion_table,
     recursive_estimate,
+    recursive_estimates,
     step_length_correction,
 )
 from rbmatch.exact1d import optimal_match_1d
@@ -188,6 +189,49 @@ def test_recursion_table_matches_loop_reference(m, excess, length):
     np.testing.assert_allclose(table.values, expected, rtol=1e-12, atol=0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    excesses=st.lists(st.integers(1, 60), min_size=1, max_size=6),
+    length=st.floats(0.5, 4.0),
+)
+def test_recursive_estimates_match_per_n_tables(m, excesses, length):
+    ns = [m + x for x in excesses]
+    values = recursive_estimates(m, ns, length)
+    assert set(values) == set(ns)
+    for n in ns:
+        expected = recursion_table(m, n, length).values[0, m] / m
+        assert values[n] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 60),
+    excesses=st.lists(st.integers(1, 80), min_size=1, max_size=8),
+    length=st.floats(0.5, 4.0),
+)
+def test_recursive_estimates_do_not_depend_on_grouping(m, excesses, length):
+    ns = [m + x for x in excesses]
+    grouped = recursive_estimates(m, ns, length)
+    half = recursive_estimates(m, ns[: (len(ns) + 1) // 2], length)
+    for n in ns:
+        alone = recursive_estimates(m, [n], length)[n]
+        assert grouped[n] == alone
+        assert half.get(n, alone) == alone
+        assert recursive_estimate(m, n, length, apply_correction=False).value == alone
+
+
+def test_recursive_estimates_reject_bad_counts():
+    with pytest.raises(ValueError, match="nonempty"):
+        recursive_estimates(5, [])
+    with pytest.raises(ValueError, match="n=5"):
+        recursive_estimates(5, [9, 5, 12])
+    with pytest.raises(ValueError, match="n=3"):
+        recursive_estimates(5, [3])
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        recursive_estimates(0, [3])
+
+
 def test_recursive_upper_bound_before_correction():
     # the removal-and-swap recursion upper-bounds the simulated optimum
     for m, n in ((5, 8), (12, 16), (20, 25)):
@@ -283,6 +327,10 @@ def test_edge_estimate_routes():
     assert balanced == balanced_estimate(40, 4.0)
     unbalanced = edge_estimate(EdgeParams(mu=10.0, lam=30.0, length=1.0))
     assert unbalanced == recursive_estimate(10, 30, 1.0, apply_correction=True)
+    # a value from a shared pass gives the same estimate; m = n ignores it
+    shared = recursive_estimates(10, [11, 30, 45])[30]
+    assert edge_estimate(EdgeParams(mu=10.0, lam=30.0, length=1.0), shared) == unbalanced
+    assert edge_estimate(EdgeParams(mu=10.0, lam=10.0, length=4.0), 0.5) == balanced
     with pytest.raises(ValueError, match="integral"):
         edge_estimate(EdgeParams(mu=1.5, lam=2.5, length=1.1))
 

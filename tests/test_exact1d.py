@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbmatch.assignment import solve_dense
 from rbmatch.exact1d import (
     balanced_area,
     feasible_removal,
@@ -125,6 +126,24 @@ def test_optimal_match_against_exhaustive_subsets():
         inst = _random_instance(rng, m, n)
         res = optimal_match_1d(inst)
         assert res.total_distance == pytest.approx(_brute_force_total(inst), abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(1, 12),
+    length=st.floats(0.5, 4.0),
+)
+def test_optimal_match_agrees_with_assignment_solver(data, m, length):
+    # the sorted-order DP is a fast path; the general assignment solver on
+    # the full |x - y| cost matrix is its slow reference
+    n = data.draw(st.integers(m, 12), label="n")
+    coords = st.floats(0.0, length, allow_nan=False, allow_infinity=False)
+    x = np.array(data.draw(st.lists(coords, min_size=m, max_size=m), label="x"))
+    y = np.array(data.draw(st.lists(coords, min_size=n, max_size=n), label="y"))
+    fast = optimal_match_1d(Instance1D(x, y, length)).total_distance
+    slow = solve_dense(np.abs(x[:, None] - y[None, :])).total_cost
+    assert fast == pytest.approx(slow, rel=1e-12, abs=0.0)
 
 
 def test_optimal_match_non_crossing():

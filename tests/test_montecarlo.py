@@ -5,6 +5,7 @@ import pytest
 
 from rbmatch import estimators, montecarlo
 from rbmatch.estimators import (
+    closed_unbalanced_estimate,
     dispatch_estimate,
     edge_estimate,
     recursive_estimate,
@@ -74,7 +75,14 @@ def test_grid_points_validate_and_name_the_point():
 
 
 def test_recursive_columns_share_one_table():
-    grid = (SegmentPoint(3, 7), SegmentPoint(10, 13), SegmentPoint(50, 121))
+    # m = 10 appears at three n, so those points share one recursion pass
+    grid = (
+        SegmentPoint(3, 7),
+        SegmentPoint(10, 13),
+        SegmentPoint(50, 121),
+        SegmentPoint(10, 11),
+        SegmentPoint(10, 40),
+    )
     cfg = ExperimentConfig(ExperimentKind.SEGMENT, grid, replications=2, master_seed=1)
     for point, rec in zip(grid, run_experiment(cfg)):
         m, n = point.m, point.n
@@ -82,6 +90,18 @@ def test_recursive_columns_share_one_table():
         assert est["recursive"] == est["recursive_uncorrected"] - step_length_correction(m, n)
         assert est["recursive"] == recursive_estimate(m, n).value
         assert est["recursive_uncorrected"] == recursive_estimate(m, n, apply_correction=False).value
+
+
+def test_closed_columns_share_one_sum():
+    grid = (SegmentPoint(1, 2), SegmentPoint(3, 7), SegmentPoint(50, 121), SegmentPoint(200, 390))
+    cfg = ExperimentConfig(ExperimentKind.SEGMENT, grid, replications=2, master_seed=1)
+    for point, rec in zip(grid, run_experiment(cfg)):
+        m, n = point.m, point.n
+        est = rec.estimates
+        assert est["closed"] == closed_unbalanced_estimate(m, n).value
+        assert est["closed_uncorrected"] == closed_unbalanced_estimate(
+            m, n, apply_correction=False
+        ).value
 
 
 def test_deterministic_reruns_and_worker_invariance():
@@ -161,11 +181,11 @@ def test_one_recursion_table_per_edge_point(monkeypatch):
         return table(m, n, length)
 
     monkeypatch.setattr(estimators, "recursion_table", counting_table)
-    # ratios 1, 1.1, 1.5 and 3: only the two unbalanced points below the
-    # dispatch cutoff and the one at it need a table
+    # ratios 1, 1.1, 1.5 and 3: the three unbalanced points share m = 10 and
+    # length 1, so one unit-gap table (length m + max n) serves them all
     grid = tuple(EdgePoint(mu=10.0, lam=lam, length=1.0) for lam in (10.0, 11.0, 15.0, 30.0))
     records = run_experiment(ExperimentConfig(ExperimentKind.EDGE, grid, replications=1))
-    assert sorted(calls) == [(10, 11, 1.0), (10, 15, 1.0), (10, 30, 1.0)]
+    assert calls == [(10, 30, 40.0)]
     for point, rec in zip(grid, records):
         params = EdgeParams(point.mu, point.lam, point.length)
         assert rec.estimates["dispatch"] == dispatch_estimate(params).value
@@ -173,7 +193,34 @@ def test_one_recursion_table_per_edge_point(monkeypatch):
     calls.clear()
     net_grid = (NetworkPoint(degree=4, mu=1.0, lam=2.0, length=1.0, edge_count=36),)
     run_experiment(ExperimentConfig(ExperimentKind.NETWORK, net_grid, replications=1))
-    assert calls == [(1, 2, 1.0)]
+    assert calls == [(1, 2, 3.0)]
+
+
+def test_edge_sweep_estimates_equal_direct_calls(monkeypatch):
+    calls = []
+    table = estimators.recursion_table
+
+    def counting_table(m, n, length=1.0):
+        calls.append((m, n, length))
+        return table(m, n, length)
+
+    monkeypatch.setattr(estimators, "recursion_table", counting_table)
+    # the fig5 grid: one table per length, at m = 10 * length and n = 30 * length
+    grid = tuple(
+        EdgePoint(mu=10.0, lam=lam, length=float(ln))
+        for lam in (10.0, 11.0, 15.0, 30.0)
+        for ln in (1, 3, 5, 7, 9)
+    )
+    records = run_experiment(ExperimentConfig(ExperimentKind.EDGE, grid, replications=1))
+    assert sorted(calls) == [(10 * ln, 30 * ln, 40.0 * ln) for ln in (1, 3, 5, 7, 9)]
+    monkeypatch.undo()
+    for point, rec in zip(grid, records):
+        params = EdgeParams(point.mu, point.lam, point.length)
+        assert rec.estimates["edge"] == edge_estimate(params).value
+        assert rec.estimates["dispatch"] == dispatch_estimate(params).value
+        m, n = params.counts()
+        if n > m:
+            assert rec.estimates["edge"] == recursive_estimate(m, n, point.length).value
 
 
 def test_estimator_attachment_by_kind():
