@@ -100,13 +100,18 @@ def stars_bars_prob(m_prime: int, m: int, n: int) -> float:
     return math.exp(log_binomial(n - m_prime - 1, n - m - 1) - log_binomial(n, n - m))
 
 
-def stars_bars_distribution(m: int, n: int) -> np.ndarray:
-    """The whole first-segment distribution: entry m' is stars_bars_prob(m', m, n)."""
+def stars_bars_distribution(m: int, n: int, lf: np.ndarray | None = None) -> np.ndarray:
+    """The whole first-segment distribution: entry m' is stars_bars_prob(m', m, n).
+
+    ``lf`` is a ``log_factorials`` table of at least n + 1 entries, built
+    here when not given; its entries do not depend on its size.
+    """
     if n <= m:
         raise ValueError("requires n > m")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    lf = log_factorials(n)
+    if lf is None:
+        lf = log_factorials(n)
     mp = np.arange(m + 1)
     rest = n - mp - 1
     log_w = (lf[rest] - lf[n - m - 1] - lf[m - mp]) - (lf[n] - lf[n - m] - lf[m])

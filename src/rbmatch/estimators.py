@@ -22,6 +22,7 @@ __all__ = [
     "RecursionTable",
     "step_length_correction",
     "balanced_estimate",
+    "closed_unbalanced_estimates",
     "closed_unbalanced_estimate",
     "recursion_table",
     "recursive_estimates",
@@ -79,24 +80,49 @@ def balanced_estimate(n: int, length: float = 1.0) -> Estimate:
     return Estimate(value=gap * harel_area(n) / n, method=EstimatorMethod.BALANCED)
 
 
+def closed_unbalanced_estimates(m: int, ns) -> dict[int, float]:
+    """Uncorrected unit-length closed-form estimates for every n in ``ns``.
+
+    Each is (n-m+1) / (m(m+n)) * sum_{m'} Pr{m_0 = m'} * B(m'). All ns share
+    one walk-area table B(0..m) and one log-factorial table up to max(ns);
+    table entries do not depend on the table's size, so each value equals
+    the one-element call's bit for bit.
+    """
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    ns = list(ns)
+    if not ns:
+        raise ValueError("ns must be nonempty")
+    for n in ns:
+        if n <= m:
+            raise ValueError(f"requires n > m, got n={n} for m={m}; use balanced_estimate at n = m")
+    areas = _harel_values(m)
+    lf = log_factorials(max(ns))
+    return {
+        n: (n - m + 1) / (m * (m + n)) * float(stars_bars_distribution(m, n, lf) @ areas)
+        for n in ns
+    }
+
+
 def closed_unbalanced_estimate(
-    m: int, n: int, length: float = 1.0, apply_correction: bool = True
+    m: int,
+    n: int,
+    length: float = 1.0,
+    apply_correction: bool = True,
+    uncorrected: float | None = None,
 ) -> Estimate:
     """Closed-form estimate for m demand and n > m supply points.
 
     Averages the balanced-walk area over the stars-and-bars distribution of
     demand counts per segment:
     (n-m+1) / (m(m+n)) * sum_{m'} Pr{m_0 = m'} * B(m'), scaled by length,
-    optionally minus the step-length correction.
+    optionally minus the step-length correction. This is the one-element
+    case of ``closed_unbalanced_estimates``; a caller that has the unit-length
+    value from a shared pass passes it as ``uncorrected``.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if n <= m:
-        raise ValueError("requires n > m; use balanced_estimate for n = m")
     if not length > 0.0:
         raise ValueError("length must be positive")
-    weights = stars_bars_distribution(m, n)
-    value = (n - m + 1) / (m * (m + n)) * float(weights @ _harel_values(m))
+    value = closed_unbalanced_estimates(m, [n])[n] if uncorrected is None else uncorrected
     if apply_correction:
         value -= step_length_correction(m, n)
     return Estimate(
@@ -225,7 +251,7 @@ def recursive_estimates(m: int, ns, length: float = 1.0) -> dict[int, float]:
     top = max(ns)
     rows = recursion_table(m, top, length=float(m + top)).values
     ballot = _ballot_weights(np.full(m + 1, m), np.arange(m + 1), log_factorials(m + top))
-    areas = _harel_values(m)
+    areas = rows[top - m]  # the base row: the walk areas B(a) times a gap of exactly 1.0
     out = {}
     for n in ns:
         tail = rows[top - n + 1][::-1]  # the row for e = n - m - 1, at a = m - m'

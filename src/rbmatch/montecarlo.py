@@ -4,8 +4,10 @@ exact-solver ground truth, and estimator comparison records."""
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -16,6 +18,7 @@ from .estimators import (
     balanced_estimate,
     baseline_estimate,
     closed_unbalanced_estimate,
+    closed_unbalanced_estimates,
     dispatch_estimate,
     edge_estimate,
     recursive_estimates,
@@ -128,7 +131,8 @@ class ExperimentConfig:
     """A parameter grid with replication count, master seed, and worker count.
 
     Replication r of grid point g always draws from the RNG stream seeded by
-    (master_seed, g, r), so outputs are identical for any worker count.
+    (master_seed, g, r), so outputs are identical for any worker count. The
+    master seed is a nonnegative integer.
     """
 
     kind: ExperimentKind
@@ -147,6 +151,10 @@ class ExperimentConfig:
             raise ValueError("replications must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        seed = self.master_seed
+        if not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"master_seed must be a nonnegative integer, got {seed!r}")
+        object.__setattr__(self, "master_seed", int(seed))
         object.__setattr__(self, "grid", tuple(self.grid))
 
 
@@ -166,9 +174,99 @@ class SummaryRecord:
     meta: dict = field(default_factory=dict)
 
 
-def _rep_rng(master_seed: int, grid_index: int, rep: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(master_seed, spawn_key=(grid_index, rep))
-    return np.random.default_rng(seq)
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): pool size 4
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash(value, const: list, mult: int):
+    """One hash step of SeedSequence on a Python int or a uint32 array;
+    ``const[0]`` is the running hash constant, advanced by ``mult`` at each
+    step whatever the value, as numpy's one-element ``hash_const`` array is."""
+    value = value ^ const[0]
+    const[0] = const[0] * mult & _MASK32
+    value = value * const[0] & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return result ^ result >> 16
+
+
+def _stream_states(master_seed: int, grid_indices, rep_indices) -> np.ndarray:
+    """PCG64 seed words of every (grid point, replication) stream at once.
+
+    Entry [i, j] of the (G, R, 4) uint64 result equals
+    ``SeedSequence(master_seed, spawn_key=(g, r)).generate_state(4, np.uint64)``
+    with g = grid_indices[i] and r = rep_indices[j], word for word: this is
+    numpy's hash, with the entropy words master_seed (padded to the pool
+    size) then g then r. The master-seed part is the same for every stream
+    and is hashed once in Python ints; only the g and r words are hashed as
+    uint32 arrays, g over G entries and r over G*R. Each index must lie in
+    [0, 2**32), so that it is a single entropy word.
+    """
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be nonnegative, got {master_seed}")
+    spawn = []
+    for name, indices in (("grid index", grid_indices), ("replication", rep_indices)):
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.size and not (indices.min() >= 0 and indices.max() <= _MASK32):
+            raise ValueError(f"every {name} must lie in [0, 2**32)")
+        spawn.append(indices.astype(np.uint32))
+    words = []
+    while True:
+        words.append(master_seed & _MASK32)
+        master_seed >>= 32
+        if not master_seed:
+            break
+    words += [0] * (_POOL_SIZE - len(words))
+    const = [_INIT_A]
+    pool = [_hash(word, const, _MULT_A) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], const, _MULT_A))
+    grid_word, rep_word = spawn
+    for word in words[_POOL_SIZE:] + [grid_word[:, None], rep_word[None, :]]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hash(word, const, _MULT_A))
+    const = [_INIT_B]
+    out = np.stack([_hash(pool[i % _POOL_SIZE], const, _MULT_B) for i in range(8)], axis=-1)
+    # as in numpy: the eight 32-bit words read as four little-endian 64-bit ones
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _stored_words_type():
+    """An ISeedSequence that hands PCG64 seed words derived ahead of time.
+
+    Made on first use: subclassing numpy's ISeedSequence when rbmatch is
+    imported would load numpy.random with it.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StoredWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(
+                    f"stored seed words are 4 uint64, not {n_words} {np.dtype(dtype)}"
+                )
+            return self.words
+
+    return StoredWords
+
+
+def _rep_stream(words: np.ndarray) -> np.random.Generator:
+    """One replication's generator from its ``_stream_states`` row: the same
+    stream ``default_rng(SeedSequence(master_seed, spawn_key=(g, r)))`` gives."""
+    return np.random.Generator(np.random.PCG64(_stored_words_type()(words)))
 
 
 def _shape(kind: ExperimentKind, point) -> tuple[int, int, float]:
@@ -179,19 +277,19 @@ def _shape(kind: ExperimentKind, point) -> tuple[int, int, float]:
     return m, n, point.length
 
 
-def _segment_means(kind: ExperimentKind, point, replications, master_seed, grid_index):
+def _segment_means(kind: ExperimentKind, point, states: np.ndarray):
     """Mean matching distance of every replication of a segment or edge point.
 
-    Each replication draws demand, then supply, from its own stream; the
-    sorted draws are stacked and solved in one ``match_costs_1d`` call.
-    Replication 0 is solved again by ``optimal_match_1d`` as a check on the
-    batched kernel.
+    Each replication draws demand, then supply, from its own stream, built
+    from its row of ``states``; the sorted draws are stacked and solved in
+    one ``match_costs_1d`` call. Replication 0 is solved again by
+    ``optimal_match_1d`` as a check on the batched kernel.
     """
     m, n, length = _shape(kind, point)
-    demand = np.empty((replications, m))
-    supply = np.empty((replications, n))
-    for rep in range(replications):
-        rng = _rep_rng(master_seed, grid_index, rep)
+    demand = np.empty((len(states), m))
+    supply = np.empty((len(states), n))
+    for rep, words in enumerate(states):
+        rng = _rep_stream(words)
         demand[rep] = rng.uniform(0, length, m)
         supply[rep] = rng.uniform(0, length, n)
     demand.sort(axis=1)
@@ -227,10 +325,11 @@ def _sweep_estimates(kind: ExperimentKind, grid) -> list[tuple[dict, dict]]:
     """Every grid point's estimator values and extra metadata, in grid order.
 
     Unbalanced segment and edge points share one ``recursive_estimates``
-    pass per (m, length), whose value for each n equals
-    ``recursive_estimate``'s bit for bit.
+    pass per (m, length), and unbalanced segment points one
+    ``closed_unbalanced_estimates`` pass per m; each value equals the
+    single-point call's bit for bit.
     """
-    recursive = {}
+    recursive, closed = {}, {}
     if kind is not ExperimentKind.NETWORK:
         groups: dict[tuple[int, float], list[int]] = {}
         for point in grid:
@@ -240,26 +339,30 @@ def _sweep_estimates(kind: ExperimentKind, grid) -> list[tuple[dict, dict]]:
         for (m, length), ns in groups.items():
             for n, value in recursive_estimates(m, ns, length).items():
                 recursive[m, n, length] = value
-    return [_point_estimates(kind, point, recursive) for point in grid]
+            if kind is ExperimentKind.SEGMENT:
+                for n, value in closed_unbalanced_estimates(m, ns).items():
+                    closed[m, n] = value
+    return [_point_estimates(kind, point, recursive, closed) for point in grid]
 
 
-def _point_estimates(kind: ExperimentKind, point, recursive: dict) -> tuple[dict, dict]:
+def _point_estimates(
+    kind: ExperimentKind, point, recursive: dict, closed: dict
+) -> tuple[dict, dict]:
     """Estimator values for one grid point, plus extra metadata fields;
-    ``recursive`` maps (m, n, length) to the uncorrected recursive value."""
+    ``recursive`` maps (m, n, length) to the uncorrected recursive value and
+    ``closed`` maps (m, n) to the uncorrected closed-form value."""
     if kind is ExperimentKind.SEGMENT:
         m, n = point.m, point.n
         out = {"baseline": baseline_estimate(m, n).value}
         if n == m:
             out["balanced"] = balanced_estimate(n).value
         else:
-            # one closed-form sum and one recursion value serve two columns
-            # each; this is the subtraction both estimators apply when correcting
-            closed = closed_unbalanced_estimate(m, n, apply_correction=False).value
+            # one recursion value serves two columns; this is the subtraction
+            # recursive_estimate applies when correcting
             rec = recursive[m, n, 1.0]
-            correction = step_length_correction(m, n)
-            out["closed"] = closed - correction
-            out["closed_uncorrected"] = closed
-            out["recursive"] = rec - correction
+            out["closed"] = closed_unbalanced_estimate(m, n, uncorrected=closed[m, n]).value
+            out["closed_uncorrected"] = closed[m, n]
+            out["recursive"] = rec - step_length_correction(m, n)
             out["recursive_uncorrected"] = rec
         return out, {}
     params = EdgeParams(point.mu, point.lam, point.length)
@@ -288,17 +391,17 @@ def _point_params(kind: ExperimentKind, point) -> dict:
 
 
 def _run_grid_point(args) -> SummaryRecord:
-    kind, point, replications, master_seed, grid_index, (estimates, extra_meta) = args
+    kind, point, states, (estimates, extra_meta) = args
+    replications = len(states)
     if kind is ExperimentKind.NETWORK:
         net = build_regular_network(point.degree, point.edge_count, point.length)
         means = np.empty(replications)
         resampled = 0
-        for rep in range(replications):
-            rng = _rep_rng(master_seed, grid_index, rep)
-            means[rep], extra = _simulate_rep(point, net, rng)
+        for rep, words in enumerate(states):
+            means[rep], extra = _simulate_rep(point, net, _rep_stream(words))
             resampled += extra
     else:
-        means = _segment_means(kind, point, replications, master_seed, grid_index)
+        means = _segment_means(kind, point, states)
     sim_mean = float(means.mean())
     sim_std = float(means.std(ddof=1)) if replications > 1 else 0.0
     estimates = {name: float(value) for name, value in estimates.items()}
@@ -324,14 +427,16 @@ def _run_grid_point(args) -> SummaryRecord:
 def run_experiment(cfg: ExperimentConfig) -> list[SummaryRecord]:
     """Simulate every grid point and attach all applicable estimator values.
 
-    Estimates depend on the grid point alone: they are computed here, once
-    per sweep, and travel with each point's task. Output order follows the
-    grid; values are identical for any worker count.
+    Estimates depend on the grid point alone, and every replication's seed
+    words on (master_seed, g, r) alone: both are computed here, once per
+    sweep, and travel with each point's task. Output order follows the grid;
+    values are identical for any worker count.
     """
     estimates = _sweep_estimates(cfg.kind, cfg.grid)
+    grid_indices, rep_indices = np.arange(len(cfg.grid)), np.arange(cfg.replications)
+    states = _stream_states(cfg.master_seed, grid_indices, rep_indices)
     tasks = [
-        (cfg.kind, point, cfg.replications, cfg.master_seed, gi, estimates[gi])
-        for gi, point in enumerate(cfg.grid)
+        (cfg.kind, point, states[gi], estimates[gi]) for gi, point in enumerate(cfg.grid)
     ]
     if cfg.workers == 1 or len(tasks) == 1:
         return [_run_grid_point(t) for t in tasks]

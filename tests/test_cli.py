@@ -75,6 +75,14 @@ def test_invalid_run_settings_exit_two(capsys, monkeypatch):
         main(["simulate", "network", "--degree", "4", "--mu", "5", "--lam", "5", "--edges", "7"])
     assert err.value.code == 2
     assert "edge_count=7" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        main(["compare", "--preset", "fig4a", "--reps", "1", "--seed", "-1"])
+    assert err.value.code == 2
+    assert "master_seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "segment", "--m", "2", "--n", "3", "--reps", "1", "--seed", "-5"])
+    assert err.value.code == 2
+    assert "master_seed" in capsys.readouterr().err
     monkeypatch.setenv("RBMP_WORKERS", "abc")
     with pytest.raises(SystemExit) as err:
         main(["compare", "--preset", "fig5", "--reps", "1"])

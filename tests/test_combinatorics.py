@@ -210,6 +210,23 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_loads_no_numpy_random():
+    # numpy.random costs ~13 ms of import time; it loads when a sweep first
+    # builds its streams, not with rbmatch or a config
+    src = str(Path(rbmatch.__file__).resolve().parent.parent)
+    code = (
+        "import sys, rbmatch\n"
+        "cfg = rbmatch.ExperimentConfig(rbmatch.ExperimentKind.SEGMENT,"
+        " (rbmatch.SegmentPoint(2, 3),), replications=2, master_seed=1)\n"
+        "print('numpy.random' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_expected_zero_returns_monotone_and_bounded():
     values = [expected_zero_returns(m) for m in range(60)]
     for m, v in enumerate(values):

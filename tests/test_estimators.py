@@ -11,12 +11,14 @@ from rbmatch.combinatorics import (
     ballot_segment_prob,
     expected_zero_returns,
     harel_area,
+    stars_bars_distribution,
 )
 from rbmatch.estimators import (
     EstimatorMethod,
     balanced_estimate,
     baseline_estimate,
     closed_unbalanced_estimate,
+    closed_unbalanced_estimates,
     dispatch_estimate,
     edge_estimate,
     recursion_table,
@@ -95,6 +97,34 @@ def test_correction_vanishes_when_balanced():
 def test_closed_rejects_balanced():
     with pytest.raises(ValueError):
         closed_unbalanced_estimate(5, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 200),
+    excesses=st.lists(st.integers(1, 200), min_size=1, max_size=8),
+)
+def test_closed_estimates_equal_per_n_sums(m, excesses):
+    # reference: the per-n sum, with its own walk-area and log-factorial tables
+    ns = [m + x for x in excesses]
+    values = closed_unbalanced_estimates(m, ns)
+    assert set(values) == set(ns)
+    areas = np.array([harel_area(i) for i in range(m + 1)])
+    for n in ns:
+        expected = (n - m + 1) / (m * (m + n)) * float(stars_bars_distribution(m, n) @ areas)
+        assert values[n] == expected
+        assert closed_unbalanced_estimate(m, n, apply_correction=False).value == expected
+        corrected = closed_unbalanced_estimate(m, n).value
+        assert closed_unbalanced_estimate(m, n, uncorrected=expected).value == corrected
+
+
+def test_closed_estimates_reject_bad_counts():
+    with pytest.raises(ValueError, match="nonempty"):
+        closed_unbalanced_estimates(5, [])
+    with pytest.raises(ValueError, match="n=5"):
+        closed_unbalanced_estimates(5, [9, 5, 12])
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        closed_unbalanced_estimates(0, [3])
 
 
 def test_closed_matches_simulation_in_surplus_regime():

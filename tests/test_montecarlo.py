@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rbmatch import estimators, montecarlo
 from rbmatch.estimators import (
@@ -47,6 +49,62 @@ def test_config_validation():
         ExperimentConfig(ExperimentKind.SEGMENT, (EdgePoint(1.0, 2.0, 1.0),))
     with pytest.raises(ValueError):
         ExperimentConfig(ExperimentKind.SEGMENT, (SegmentPoint(1, 1),), replications=0)
+
+
+def test_master_seed_must_be_a_nonnegative_integer():
+    grid = (SegmentPoint(1, 1),)
+    for seed in (-1, 1.5, 2.0, "3", None):
+        with pytest.raises(ValueError, match=r"master_seed must be a nonnegative integer"):
+            ExperimentConfig(ExperimentKind.SEGMENT, grid, master_seed=seed)
+    cfg = ExperimentConfig(ExperimentKind.SEGMENT, grid, master_seed=np.int64(5))
+    assert type(cfg.master_seed) is int and cfg.master_seed == 5
+    assert ExperimentConfig(ExperimentKind.SEGMENT, grid, master_seed=2**100).master_seed == 2**100
+
+
+_INDEX = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    master_seed=st.integers(0, 2**160 - 1),
+    grid=st.lists(_INDEX, min_size=1, max_size=3),
+    reps=st.lists(_INDEX, min_size=1, max_size=3),
+)
+@example(master_seed=0, grid=[0], reps=[0])
+@example(master_seed=2**32 - 1, grid=[2**32 - 1], reps=[2**32 - 1])
+@example(master_seed=2**64, grid=[0, 2**32 - 1], reps=[2**32 - 1, 0])
+@example(master_seed=2**128, grid=[1], reps=[2])
+def test_stream_states_match_seed_sequence(master_seed, grid, reps):
+    states = montecarlo._stream_states(master_seed, grid, reps)
+    assert states.shape == (len(grid), len(reps), 4) and states.dtype == np.uint64
+    for i, g in enumerate(grid):
+        for j, r in enumerate(reps):
+            seq = np.random.SeedSequence(master_seed, spawn_key=(g, r))
+            np.testing.assert_array_equal(states[i, j], seq.generate_state(4, np.uint64))
+            ours, numpys = montecarlo._rep_stream(states[i, j]), np.random.default_rng(seq)
+            np.testing.assert_array_equal(ours.uniform(0, 2.5, 7), numpys.uniform(0, 2.5, 7))
+            np.testing.assert_array_equal(ours.poisson(6.0, 5), numpys.poisson(6.0, 5))
+            assert ours.uniform() == numpys.uniform()
+
+
+def test_stream_states_reject_multiword_indices():
+    with pytest.raises(ValueError, match="grid index"):
+        montecarlo._stream_states(0, [2**32], [0])
+    with pytest.raises(ValueError, match="replication"):
+        montecarlo._stream_states(0, [0], [0, 2**32])
+    with pytest.raises(ValueError, match="replication"):
+        montecarlo._stream_states(0, [0], [-1])
+    with pytest.raises(ValueError, match="master_seed"):
+        montecarlo._stream_states(-1, [0], [0])
+
+
+def test_stored_seed_words_serve_pcg64_only():
+    words = montecarlo._stream_states(3, [0], [0])[0, 0]
+    seq = montecarlo._stored_words_type()(words)
+    assert seq.generate_state(4, np.uint64) is words
+    for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
+        with pytest.raises(ValueError, match="4 uint64"):
+            seq.generate_state(n_words, dtype)
 
 
 def test_grid_points_validate_and_name_the_point():
