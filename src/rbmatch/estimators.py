@@ -146,9 +146,6 @@ class RecursionTable:
     length: float
     values: np.ndarray
 
-    def expected_area(self, k: int, a: int) -> float:
-        return float(self.values[k, a])
-
 
 def _ballot_weights(a: np.ndarray, m_hat: np.ndarray, lf: np.ndarray):
     """The ballot probabilities P(m' | a, e) of ``ballot_segment_prob`` at the

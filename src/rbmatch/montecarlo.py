@@ -89,7 +89,8 @@ class NetworkPoint:
     The network estimate's local part needs whole per-edge counts mu*length
     and lam*length. With lam < mu almost every realization has more demand
     than supply, and the harness would redraw it forever. The layout
-    (degree, edge_count) must be one ``regular_edges`` can build.
+    (degree, edge_count) must be one ``regular_edges`` can build, and the
+    search-layer truncation ``kappa`` an integer of at least 1.
     """
 
     degree: int
@@ -105,6 +106,8 @@ class NetworkPoint:
         except ValueError as exc:
             raise _point_error(self, exc) from None
         _check_counts(self)
+        if not (isinstance(self.kappa, numbers.Integral) and self.kappa >= 1):
+            raise _point_error(self, f"kappa must be an integer of at least 1, got {self.kappa!r}")
 
 
 def _point_error(point, reason) -> ValueError:

@@ -165,32 +165,21 @@ def build_regular_network(degree: int, edge_count: int, length: float) -> Networ
 
 @dataclass(frozen=True, eq=False)
 class NetworkInstance:
-    """Per-edge realized point offsets, sorted ascending within each edge."""
+    """Realized points as flat (edge, offset) arrays, ordered by edge index and
+    then by offset; a point's position in them is its index in a matching."""
 
-    per_edge_demand: tuple[np.ndarray, ...]
-    per_edge_supply: tuple[np.ndarray, ...]
+    demand_edge: np.ndarray
+    demand_offset: np.ndarray
+    supply_edge: np.ndarray
+    supply_offset: np.ndarray
 
     @property
     def total_demand(self) -> int:
-        return sum(len(a) for a in self.per_edge_demand)
+        return int(self.demand_edge.size)
 
     @property
     def total_supply(self) -> int:
-        return sum(len(a) for a in self.per_edge_supply)
-
-    def demand_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened (edge_index, offset) arrays in edge order."""
-        return _flatten(self.per_edge_demand)
-
-    def supply_points(self) -> tuple[np.ndarray, np.ndarray]:
-        return _flatten(self.per_edge_supply)
-
-
-def _flatten(per_edge) -> tuple[np.ndarray, np.ndarray]:
-    counts = [len(a) for a in per_edge]
-    edge_idx = np.repeat(np.arange(len(per_edge)), counts)
-    offsets = np.concatenate(per_edge) if edge_idx.size else np.empty(0)
-    return edge_idx, offsets
+        return int(self.supply_edge.size)
 
 
 def sample_instance(net: NetworkModel, mu: float, lam: float, seed) -> NetworkInstance:
@@ -207,13 +196,19 @@ def sample_instance(net: NetworkModel, mu: float, lam: float, seed) -> NetworkIn
     for _ in net.edges:
         m_e = rng.poisson(mu * net.length)
         n_e = rng.poisson(lam * net.length)
-        demand.append(np.sort(rng.uniform(0.0, net.length, m_e)))
-        supply.append(np.sort(rng.uniform(0.0, net.length, n_e)))
-    return NetworkInstance(per_edge_demand=tuple(demand), per_edge_supply=tuple(supply))
+        demand.append(rng.uniform(0.0, net.length, m_e))
+        supply.append(rng.uniform(0.0, net.length, n_e))
+    points = []
+    for per_edge in (demand, supply):
+        edge = np.repeat(np.arange(net.edge_count), [len(a) for a in per_edge])
+        offset = np.concatenate(per_edge)
+        points += [edge, offset[np.lexsort((offset, edge))]]
+    return NetworkInstance(*points)
 
 
 def point_distance(net: NetworkModel, a: tuple[int, float], b: tuple[int, float]) -> float:
-    """Shortest along-edge distance between two on-edge locations.
+    """Shortest along-edge distance between two on-edge locations: the
+    scalar reference that ``_cost_matrix`` equals entry for entry.
 
     Same edge: the direct segment against the detours through either pair of
     endpoints. Different edges: the best of the four endpoint combinations of
@@ -248,8 +243,8 @@ def _cost_matrix(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:
     min(x, y) + b equals min(x + b, y + b) and the entries match the
     four-way minimum of ``point_distance`` bit for bit.
     """
-    d_edge, d_off = inst.demand_points()
-    s_edge, s_off = inst.supply_points()
+    d_edge, d_off = inst.demand_edge, inst.demand_offset
+    s_edge, s_off = inst.supply_edge, inst.supply_offset
     length = net.length
     ends = np.array(net.edges, dtype=np.int64)
     nd = net.node_distance
@@ -276,8 +271,7 @@ def _cost_matrix(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:
 def exact_network_match(net: NetworkModel, inst: NetworkInstance) -> MatchResult:
     """Optimal matching of all demand to supply under the network metric.
 
-    Pairs index into the flattened point lists (edges in index order, offsets
-    ascending within an edge).
+    Pairs index into the instance's flat point arrays.
     """
     if inst.total_demand > inst.total_supply:
         raise ValueError("more demand than supply; instance is infeasible")
@@ -290,76 +284,53 @@ def heuristic_network_match(net: NetworkModel, inst: NetworkInstance) -> MatchRe
     """Local-first matching: per-edge optimal matching, then a layered search.
 
     Edges with surplus demand keep the points nearest the edge middle matched
-    locally; each leftover demand point then searches outward layer by layer
-    (layer k holds the edges whose nearer endpoint is k*L from its origin
-    node) and takes the nearest remaining leftover supply point. Diagnostic
-    companion to the exact solver, never below it in total distance.
+    locally; each leftover demand point, in index order, then searches
+    outward layer by layer (layer k holds the edges whose nearer endpoint is
+    k*L from its origin node) and takes the nearest free supply point of the
+    first layer that has one, the lowest index on ties. Distances are
+    ``_cost_matrix`` entries. Diagnostic companion to the exact solver, never
+    below it in total distance.
     """
     if inst.total_demand > inst.total_supply:
         raise ValueError("more demand than supply; instance is infeasible")
     length = net.length
-    d_counts = [len(a) for a in inst.per_edge_demand]
-    s_counts = [len(a) for a in inst.per_edge_supply]
-    d_base = np.cumsum([0] + d_counts)
-    s_base = np.cumsum([0] + s_counts)
+    cost = _cost_matrix(net, inst)
+    bounds = np.arange(net.edge_count + 1)
+    d_bounds = np.searchsorted(inst.demand_edge, bounds)
+    s_bounds = np.searchsorted(inst.supply_edge, bounds)
+    match = np.full(inst.total_demand, -1)
+    free = np.ones(inst.total_supply, dtype=bool)
 
-    pairs: list[tuple[int, int]] = []
-    dists: list[float] = []
-    leftover_demand: list[tuple[int, float, int]] = []  # (edge, offset, flat index)
-    leftover_supply: dict[int, list[tuple[float, int]]] = {}
+    for e in range(net.edge_count):
+        d0, s0 = d_bounds[e], s_bounds[e]
+        dem = inst.demand_offset[d0 : d_bounds[e + 1]]
+        sup = inst.supply_offset[s0 : s_bounds[e + 1]]
+        local = np.arange(dem.size)
+        if dem.size > sup.size:
+            # keep the sup.size demand points nearest the edge middle; ties by offset order
+            central = np.argsort(np.abs(dem - length / 2.0), kind="stable")[: sup.size]
+            local = np.sort(central)
+        res = optimal_match_1d(Instance1D(dem[local], sup, length))
+        pairs = np.array(res.pairs, dtype=np.int64).reshape(-1, 2)
+        match[d0 + local[pairs[:, 0]]] = s0 + pairs[:, 1]
+        free[s0 + pairs[:, 1]] = False
 
-    for e, (dem, sup) in enumerate(zip(inst.per_edge_demand, inst.per_edge_supply)):
-        m_e, n_e = len(dem), len(sup)
-        if m_e <= n_e:
-            local_dem = np.arange(m_e)
-        else:
-            # keep the n_e demand points nearest the edge middle; ties by offset order
-            central = np.argsort(np.abs(dem - length / 2.0), kind="stable")[:n_e]
-            local_dem = np.sort(central)
-        res = optimal_match_1d(Instance1D(dem[local_dem], sup, length))
-        matched_sup = set()
-        for di, sj in res.pairs:
-            gd = int(d_base[e] + local_dem[di])
-            gs = int(s_base[e] + sj)
-            pairs.append((gd, gs))
-            dists.append(abs(dem[local_dem[di]] - sup[sj]))
-            matched_sup.add(sj)
-        spare = [(float(sup[j]), int(s_base[e] + j)) for j in range(n_e) if j not in matched_sup]
-        if spare:
-            leftover_supply[e] = spare
-        if m_e > n_e:
-            skipped = sorted(set(range(m_e)) - set(int(x) for x in local_dem))
-            leftover_demand.extend((e, float(dem[i]), int(d_base[e] + i)) for i in skipped)
+    ends = np.array(net.edges, dtype=np.int64)
+    nd = net.node_distance
+    # search layer of every edge seen from every node: nearer-endpoint hops
+    layer = np.rint(np.minimum(nd[:, ends[:, 0]], nd[:, ends[:, 1]]) / length)
+    leftover = np.flatnonzero(match < 0)
+    d_edge, d_off = inst.demand_edge[leftover], inst.demand_offset[leftover]
+    origin = np.where(d_off <= length - d_off, ends[d_edge, 0], ends[d_edge, 1])
+    for i, node in zip(leftover, origin):
+        supply_layer = layer[node, inst.supply_edge]
+        first = free & (supply_layer == supply_layer[free].min())
+        j = np.argmin(np.where(first, cost[i], np.inf))
+        match[i] = j
+        free[j] = False
 
-    if leftover_demand:
-        ends = np.array(net.edges, dtype=np.int64)
-        nd = net.node_distance
-        # nearer-endpoint distance from every node to every edge
-        edge_near = np.minimum(nd[:, ends[:, 0]], nd[:, ends[:, 1]])
-        for e, off, gd in leftover_demand:
-            u_end, v_end = net.edges[e]
-            origin = u_end if off <= length - off else v_end
-            layers = np.rint(edge_near[origin] / length).astype(np.int64)
-            best = None
-            for k in range(int(layers.max()) + 1):
-                for e2 in np.flatnonzero(layers == k):
-                    for off2, gs in leftover_supply.get(int(e2), ()):
-                        d = point_distance(net, (e, off), (int(e2), off2))
-                        if best is None or d < best[0]:
-                            best = (d, int(e2), off2, gs)
-                if best is not None:
-                    break
-            d, e2, off2, gs = best
-            pairs.append((gd, gs))
-            dists.append(d)
-            leftover_supply[e2].remove((off2, gs))
-            if not leftover_supply[e2]:
-                del leftover_supply[e2]
-
-    order = np.argsort([p[0] for p in pairs], kind="stable")
-    pairs = [pairs[i] for i in order]
-    dists = [dists[i] for i in order]
-    return MatchResult.from_pairs(pairs, dists)
+    rows = np.arange(inst.total_demand)
+    return MatchResult.from_pairs(zip(rows, match), cost[rows, match])
 
 
 @dataclass(frozen=True)

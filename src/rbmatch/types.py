@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,10 +76,6 @@ class Instance1D:
     @property
     def n(self) -> int:
         return int(self.supply.size)
-
-    @property
-    def balanced(self) -> bool:
-        return self.m == self.n
 
     def to_json(self) -> str:
         return json.dumps(
@@ -178,6 +175,10 @@ class EdgeParams:
     length: float
 
     def __post_init__(self):
+        for name in ("mu", "lam", "length"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.mu > 0.0:
             raise ValueError("mu must be positive")
         if self.lam < self.mu:

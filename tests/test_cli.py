@@ -76,6 +76,10 @@ def test_invalid_run_settings_exit_two(capsys, monkeypatch):
     assert err.value.code == 2
     assert "edge_count=7" in capsys.readouterr().err
     with pytest.raises(SystemExit) as err:
+        main(["simulate", "network", "--degree", "4", "--mu", "5", "--lam", "10", "--kappa", "0", "--reps", "1"])
+    assert err.value.code == 2
+    assert "kappa=0" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
         main(["compare", "--preset", "fig4a", "--reps", "1", "--seed", "-1"])
     assert err.value.code == 2
     assert "master_seed must be a nonnegative integer, got -1" in capsys.readouterr().err
@@ -88,6 +92,23 @@ def test_invalid_run_settings_exit_two(capsys, monkeypatch):
         main(["compare", "--preset", "fig5", "--reps", "1"])
     assert err.value.code == 2
     assert "RBMP_WORKERS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["estimate", "--edge", "1", "inf", "1"], "lam"),
+        (["estimate", "--edge", "1", "2", "inf"], "length"),
+        (["estimate", "--edge", "1", "nan", "1"], "lam"),
+        (["estimate", "--network", "4", "5", "inf", "1"], "lam"),
+        (["simulate", "edge", "--mu", "1", "--lam", "inf", "--reps", "1"], "lam"),
+    ],
+)
+def test_non_finite_edge_values_exit_two(capsys, argv, field):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
 
 
 def test_method_balanced_needs_equal_counts(capsys):

@@ -155,7 +155,7 @@ def test_recursion_table_base_row():
         for a in range(m + 1):
             assert table.values[n - m, a] == gap * harel_area(a)
         assert (table.values >= 0.0).all()
-        assert table.expected_area(n - m, m) == pytest.approx(gap * harel_area(m))
+        assert table.values[n - m, m] == pytest.approx(gap * harel_area(m))
 
 
 def _log_binom(n, k):

@@ -130,6 +130,11 @@ def test_grid_points_validate_and_name_the_point():
         NetworkPoint(degree=4, mu=5.0, lam=5.0, length=1.0, edge_count=10)
     with pytest.raises(ValueError, match=r"NetworkPoint\(degree=3, .*edge_count=3.*even node count"):
         NetworkPoint(degree=3, mu=5.0, lam=5.0, length=1.0, edge_count=3)
+    for kappa in (0, -1, 2.5, 3.0):
+        with pytest.raises(ValueError, match=rf"NetworkPoint\(.*kappa={kappa}\).*kappa must be an integer"):
+            NetworkPoint(degree=4, mu=5.0, lam=5.0, length=1.0, edge_count=36, kappa=kappa)
+    with pytest.raises(ValueError, match=r"NetworkPoint\(.*lam=inf.*lam must be finite"):
+        NetworkPoint(degree=4, mu=5.0, lam=float("inf"), length=1.0, edge_count=36)
 
 
 def test_recursive_columns_share_one_table():

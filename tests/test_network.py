@@ -20,7 +20,7 @@ from rbmatch.network import (
     point_distance,
     sample_instance,
 )
-from rbmatch.types import Instance1D
+from rbmatch.types import Instance1D, MatchResult
 
 
 @pytest.fixture(scope="module")
@@ -99,11 +99,23 @@ def test_point_distance_metric_properties(square_torus):
 def test_sampling_determinism_and_counts(square_torus):
     a = sample_instance(square_torus, 5.0, 7.0, 123)
     b = sample_instance(square_torus, 5.0, 7.0, 123)
-    for x, y in zip(a.per_edge_demand, b.per_edge_demand):
-        assert (x == y).all()
-    for x, y in zip(a.per_edge_supply, b.per_edge_supply):
-        assert (x == y).all()
-    assert all((np.diff(x) >= 0).all() for x in a.per_edge_supply)
+    for field in ("demand_edge", "demand_offset", "supply_edge", "supply_offset"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    # ordered by edge, then by offset within an edge
+    for edge, offset in ((a.demand_edge, a.demand_offset), (a.supply_edge, a.supply_offset)):
+        assert (np.diff(edge) >= 0).all()
+        assert (np.diff(offset)[np.diff(edge) == 0] >= 0).all()
+
+
+def test_sampling_keeps_per_edge_draw_order(square_torus):
+    # poisson, poisson, uniform, uniform on each edge fixes every seeded draw
+    inst = sample_instance(square_torus, 5.0, 7.0, 123)
+    rng = np.random.default_rng(123)
+    for e in range(square_torus.edge_count):
+        m_e, n_e = rng.poisson(5.0), rng.poisson(7.0)
+        dem, sup = np.sort(rng.uniform(0.0, 1.0, m_e)), np.sort(rng.uniform(0.0, 1.0, n_e))
+        assert np.array_equal(inst.demand_offset[inst.demand_edge == e], dem)
+        assert np.array_equal(inst.supply_offset[inst.supply_edge == e], sup)
 
 
 def test_sampling_law_of_large_numbers(square_torus):
@@ -112,7 +124,7 @@ def test_sampling_law_of_large_numbers(square_torus):
     draws = []
     for _ in range(2000):
         inst = sample_instance(square_torus, mu, mu, rng)
-        draws.extend(len(x) for x in inst.per_edge_demand)
+        draws.extend(np.bincount(inst.demand_edge, minlength=square_torus.edge_count))
     draws = np.asarray(draws, dtype=float)  # 72_000 Poisson(5) draws
     tolerance = 3.0 * math.sqrt(mu) / math.sqrt(draws.size)
     assert abs(draws.mean() - mu) <= tolerance
@@ -130,9 +142,12 @@ def test_exact_match_single_pair(square_torus):
 
 
 def _manual_instance(net, demand_by_edge, supply_by_edge) -> NetworkInstance:
-    demand = [np.sort(np.asarray(demand_by_edge.get(e, []), float)) for e in range(net.edge_count)]
-    supply = [np.sort(np.asarray(supply_by_edge.get(e, []), float)) for e in range(net.edge_count)]
-    return NetworkInstance(per_edge_demand=tuple(demand), per_edge_supply=tuple(supply))
+    arrays = []
+    for by_edge in (demand_by_edge, supply_by_edge):
+        per_edge = [np.sort(np.asarray(by_edge.get(e, []), float)) for e in range(net.edge_count)]
+        arrays.append(np.repeat(np.arange(net.edge_count), [len(a) for a in per_edge]))
+        arrays.append(np.concatenate(per_edge))
+    return NetworkInstance(*arrays)
 
 
 def test_exact_match_single_edge_matches_segment_dp(square_torus):
@@ -157,8 +172,8 @@ def test_exact_match_brute_force(square_torus):
             if 0 < inst.total_demand <= 4 and inst.total_demand <= inst.total_supply <= 6:
                 break
         res = exact_network_match(square_torus, inst)
-        de, do = inst.demand_points()
-        se, so = inst.supply_points()
+        de, do = inst.demand_edge, inst.demand_offset
+        se, so = inst.supply_edge, inst.supply_offset
         costs = np.array(
             [
                 [
@@ -187,8 +202,8 @@ def test_cost_matrix_and_match_against_references(degree, ratio):
         if not 0 < inst.total_demand <= inst.total_supply:
             continue
         checked += 1
-        de, do = inst.demand_points()
-        se, so = inst.supply_points()
+        de, do = inst.demand_edge, inst.demand_offset
+        se, so = inst.supply_edge, inst.supply_offset
         expected = np.array(
             [
                 [point_distance(net, (int(de[i]), do[i]), (int(se[j]), so[j])) for j in range(len(so))]
@@ -255,6 +270,118 @@ def test_heuristic_never_beats_exact(square_torus):
         assert len(h.pairs) == inst.total_demand
 
 
+def _per_edge(edge, offset, edge_count):
+    bounds = np.searchsorted(edge, np.arange(edge_count + 1))
+    return [offset[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _heuristic_reference(net, inst):
+    """Scalar local-first heuristic: per-edge loops and ``point_distance``."""
+    length = net.length
+    per_edge_demand = _per_edge(inst.demand_edge, inst.demand_offset, net.edge_count)
+    per_edge_supply = _per_edge(inst.supply_edge, inst.supply_offset, net.edge_count)
+    d_base = np.cumsum([0] + [len(a) for a in per_edge_demand])
+    s_base = np.cumsum([0] + [len(a) for a in per_edge_supply])
+
+    pairs, dists = [], []
+    leftover_demand = []  # (edge, offset, flat index)
+    leftover_supply = {}
+    for e, (dem, sup) in enumerate(zip(per_edge_demand, per_edge_supply)):
+        m_e, n_e = len(dem), len(sup)
+        if m_e <= n_e:
+            local_dem = np.arange(m_e)
+        else:
+            central = np.argsort(np.abs(dem - length / 2.0), kind="stable")[:n_e]
+            local_dem = np.sort(central)
+        res = optimal_match_1d(Instance1D(dem[local_dem], sup, length))
+        matched_sup = set()
+        for di, sj in res.pairs:
+            pairs.append((int(d_base[e] + local_dem[di]), int(s_base[e] + sj)))
+            dists.append(abs(dem[local_dem[di]] - sup[sj]))
+            matched_sup.add(sj)
+        spare = [(float(sup[j]), int(s_base[e] + j)) for j in range(n_e) if j not in matched_sup]
+        if spare:
+            leftover_supply[e] = spare
+        if m_e > n_e:
+            skipped = sorted(set(range(m_e)) - set(int(x) for x in local_dem))
+            leftover_demand.extend((e, float(dem[i]), int(d_base[e] + i)) for i in skipped)
+
+    if leftover_demand:
+        ends = np.array(net.edges, dtype=np.int64)
+        nd = net.node_distance
+        edge_near = np.minimum(nd[:, ends[:, 0]], nd[:, ends[:, 1]])
+        for e, off, gd in leftover_demand:
+            u_end, v_end = net.edges[e]
+            origin = u_end if off <= length - off else v_end
+            layers = np.rint(edge_near[origin] / length).astype(np.int64)
+            best = None
+            for k in range(int(layers.max()) + 1):
+                for e2 in np.flatnonzero(layers == k):
+                    for off2, gs in leftover_supply.get(int(e2), ()):
+                        d = point_distance(net, (e, off), (int(e2), off2))
+                        if best is None or d < best[0]:
+                            best = (d, int(e2), off2, gs)
+                if best is not None:
+                    break
+            d, e2, off2, gs = best
+            pairs.append((gd, gs))
+            dists.append(d)
+            leftover_supply[e2].remove((off2, gs))
+            if not leftover_supply[e2]:
+                del leftover_supply[e2]
+
+    order = np.argsort([p[0] for p in pairs], kind="stable")
+    return MatchResult.from_pairs([pairs[i] for i in order], [dists[i] for i in order])
+
+
+@pytest.mark.parametrize("degree", [3, 4, 6])
+def test_heuristic_equals_scalar_reference(degree):
+    net = build_regular_network(degree, 36, 1.0)
+    rng = np.random.default_rng(47 + degree)
+    for mu, lam in ((0.5, 0.5), (1.0, 1.5), (3.0, 3.0), (5.0, 5.0), (5.0, 10.0)):
+        checked = 0
+        while checked < 4:
+            inst = sample_instance(net, mu, lam, rng)
+            if inst.total_demand > inst.total_supply:
+                continue
+            checked += 1
+            res = heuristic_network_match(net, inst)
+            ref = _heuristic_reference(net, inst)
+            assert res.pairs == ref.pairs
+            assert res.total_distance == ref.total_distance
+
+
+def test_heuristic_search_layer_outranks_distance(square_torus):
+    # the demand point at 0.4 on edge (0, 6) searches from node 0: edge (0, 1)
+    # touches node 0 (layer 0), edge (6, 12) lies one hop out (layer 1)
+    edge = {pair: e for e, pair in enumerate(square_torus.edges)}
+    inst = _manual_instance(
+        square_torus,
+        {edge[0, 6]: [0.4]},
+        {edge[0, 1]: [0.95], edge[6, 12]: [0.05]},
+    )
+    near_layer = int(np.flatnonzero(inst.supply_edge == edge[0, 1])[0])
+    res = heuristic_network_match(square_torus, inst)
+    assert res.pairs == ((0, near_layer),)
+    assert res.total_distance == pytest.approx(1.35, abs=1e-12)
+    assert exact_network_match(square_torus, inst).total_distance == pytest.approx(0.65, abs=1e-12)
+    assert res == _heuristic_reference(square_torus, inst)
+
+
+def test_heuristic_ties_take_lowest_index(square_torus):
+    # two layer-0 supply points 0.1 out of node 0 on edges (0, 1) and (0, 5)
+    edge = {pair: e for e, pair in enumerate(square_torus.edges)}
+    assert edge[0, 1] < edge[0, 5]
+    inst = _manual_instance(
+        square_torus,
+        {edge[0, 6]: [0.4]},
+        {edge[0, 5]: [0.1], edge[0, 1]: [0.1]},
+    )
+    res = heuristic_network_match(square_torus, inst)
+    assert res.pairs == ((0, 0),)
+    assert res == _heuristic_reference(square_torus, inst)
+
+
 def test_global_fraction_tracks_alpha(square_torus):
     # fraction of demand matched across edges stays within three per-instance
     # standard deviations of the alpha approximation
@@ -268,11 +395,9 @@ def test_global_fraction_tracks_alpha(square_torus):
             if 0 < inst.total_demand <= inst.total_supply:
                 break
         local_pairs = 0
-        d_edge, _ = inst.demand_points()
-        s_edge, _ = inst.supply_points()
         res = heuristic_network_match(square_torus, inst)
         for i, j in res.pairs:
-            if d_edge[i] == s_edge[j]:
+            if inst.demand_edge[i] == inst.supply_edge[j]:
                 local_pairs += 1
         fractions.append(1.0 - local_pairs / inst.total_demand)
     fractions = np.asarray(fractions)

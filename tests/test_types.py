@@ -138,6 +138,14 @@ def test_edge_params_validation():
         EdgeParams(mu=1.0, lam=2.0, length=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["mu", "lam", "length"])
+def test_edge_params_reject_non_finite(field, bad):
+    values = {"mu": 1.0, "lam": 2.0, "length": 3.0, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        EdgeParams(**values)
+
+
 def test_edge_params_counts():
     assert EdgeParams(mu=10.0, lam=11.0, length=3.0).counts() == (30, 33)
     assert EdgeParams(mu=0.1, lam=0.3, length=30.0).counts() == (3, 9)  # float rounding
