@@ -153,6 +153,6 @@ def solve_assignment(c: CostMatrix) -> MatchResult:
     if c.rows == 0:
         return MatchResult(pairs=(), total_distance=0.0, mean_distance=0.0)
     sol = solve_dense(c.costs)
-    pairs = [(i, int(j)) for i, j in enumerate(sol.col_of_row)]
-    dists = c.costs[np.arange(c.rows), sol.col_of_row]
-    return MatchResult.from_pairs(pairs, dists)
+    rows = np.arange(c.rows)
+    dists = c.costs[rows, sol.col_of_row]
+    return MatchResult.from_pairs(np.column_stack((rows, sol.col_of_row)), dists)

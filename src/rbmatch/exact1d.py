@@ -53,8 +53,9 @@ def optimal_match_1d(inst: Instance1D) -> MatchResult:
     m, n = inst.m, inst.n
     if m == 0:
         return MatchResult(pairs=(), total_distance=0.0, mean_distance=0.0)
+    rows = np.arange(m)
     if n == m:
-        return MatchResult.from_pairs(zip(range(m), range(m)), np.abs(xu - xv))
+        return MatchResult.from_pairs(np.column_stack((rows, rows)), np.abs(xu - xv))
     width = n - m + 1
 
     # cost_rows[i][d]: |xu[i] - xv[i+d]| plus best continuation; suffix minima
@@ -71,16 +72,15 @@ def optimal_match_1d(inst: Instance1D) -> MatchResult:
     cost_rows.reverse()
     suffix_rows.reverse()
 
-    pairs = []
+    cols = np.empty(m, dtype=np.int64)
     offset = 0
     for i in range(m):
         row = cost_rows[i]
         # first offset achieving the suffix minimum = lowest supply index
         target = suffix_rows[i][offset]
         offset += int(np.flatnonzero(row[offset:] == target)[0])
-        pairs.append((i, i + offset))
-    cols = np.array([j for _, j in pairs], dtype=np.int64)
-    return MatchResult.from_pairs(pairs, np.abs(xu - xv[cols]))
+        cols[i] = i + offset
+    return MatchResult.from_pairs(np.column_stack((rows, cols)), np.abs(xu - xv[cols]))
 
 
 def match_costs_1d(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:

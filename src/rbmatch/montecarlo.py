@@ -8,7 +8,6 @@ import functools
 import io
 import json
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -283,18 +282,21 @@ def _shape(kind: ExperimentKind, point) -> tuple[int, int, float]:
 def _segment_means(kind: ExperimentKind, point, states: np.ndarray):
     """Mean matching distance of every replication of a segment or edge point.
 
-    Each replication draws demand, then supply, from its own stream, built
-    from its row of ``states``; the sorted draws are stacked and solved in
-    one ``match_costs_1d`` call. Replication 0 is solved again by
+    Each replication fills its row of one (R, m + n) block with a single
+    ``random`` call on its own stream, built from its row of ``states``:
+    demand first, then supply. The block is scaled by the length once;
+    numpy's ``uniform(0, length, k)`` is ``0.0 + length * random()``, so
+    every coordinate has the bits of a ``uniform`` draw of demand, then
+    supply. The two sides are sorted in place and solved in one
+    ``match_costs_1d`` call. Replication 0 is solved again by
     ``optimal_match_1d`` as a check on the batched kernel.
     """
     m, n, length = _shape(kind, point)
-    demand = np.empty((len(states), m))
-    supply = np.empty((len(states), n))
+    draws = np.empty((len(states), m + n))
     for rep, words in enumerate(states):
-        rng = _rep_stream(words)
-        demand[rep] = rng.uniform(0, length, m)
-        supply[rep] = rng.uniform(0, length, n)
+        _rep_stream(words).random(out=draws[rep])
+    draws *= length
+    demand, supply = draws[:, :m], draws[:, m:]
     demand.sort(axis=1)
     supply.sort(axis=1)
     check_sorted_coordinates("demand", demand, length)
@@ -443,6 +445,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[SummaryRecord]:
     ]
     if cfg.workers == 1 or len(tasks) == 1:
         return [_run_grid_point(t) for t in tasks]
+    # imported here: loading multiprocessing costs import time on every run
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
         return list(pool.map(_run_grid_point, tasks))
 

@@ -166,12 +166,42 @@ def build_regular_network(degree: int, edge_count: int, length: float) -> Networ
 @dataclass(frozen=True, eq=False)
 class NetworkInstance:
     """Realized points as flat (edge, offset) arrays, ordered by edge index and
-    then by offset; a point's position in them is its index in a matching."""
+    then by offset; a point's position in them is its index in a matching.
+
+    Each side's two arrays are 1D and of equal length, edge indices are
+    nonnegative integers and offsets finite and nonnegative; the cost matrix
+    and the heuristic read each edge's points as one ordered block, so an
+    instance out of that order is rejected with an error naming the field.
+    """
 
     demand_edge: np.ndarray
     demand_offset: np.ndarray
     supply_edge: np.ndarray
     supply_offset: np.ndarray
+
+    def __post_init__(self):
+        for side in ("demand", "supply"):
+            edge = np.asarray(getattr(self, f"{side}_edge"))
+            offset = np.asarray(getattr(self, f"{side}_offset"), dtype=np.float64)
+            if edge.ndim != 1 or offset.ndim != 1 or edge.size != offset.size:
+                raise ValueError(
+                    f"{side}_edge and {side}_offset must be 1D arrays of equal length, "
+                    f"got shapes {edge.shape} and {offset.shape}"
+                )
+            if edge.size == 0:
+                edge = edge.astype(np.int64)
+            elif not (np.issubdtype(edge.dtype, np.integer) and edge.min() >= 0):
+                raise ValueError(f"{side}_edge must hold nonnegative integer edge indices")
+            # min and max are NaN if any offset is
+            if offset.size and not (offset.min() >= 0.0 and offset.max() < np.inf):
+                raise ValueError(f"{side}_offset must be finite and nonnegative")
+            edge_step = np.diff(edge)
+            if (edge_step < 0).any():
+                raise ValueError(f"{side}_edge must be in ascending order")
+            if (np.diff(offset)[edge_step == 0] < 0).any():
+                raise ValueError(f"{side}_offset must be ascending within each edge")
+            object.__setattr__(self, f"{side}_edge", edge)
+            object.__setattr__(self, f"{side}_offset", offset)
 
     @property
     def total_demand(self) -> int:
@@ -186,23 +216,31 @@ def sample_instance(net: NetworkModel, mu: float, lam: float, seed) -> NetworkIn
     """Draw Poisson(mu*L) demand and Poisson(lam*L) supply points per edge.
 
     ``seed`` may be an integer or a numpy Generator; identical streams give
-    identical instances.
+    identical instances. Each edge in turn draws its demand count, its supply
+    count, then one ``random`` block of demand offsets followed by supply
+    offsets; all blocks are scaled by the length once. numpy's
+    ``uniform(0, length, k)`` is ``0.0 + length * random()``, so the offsets
+    have the bits of per-edge ``uniform`` draws of demand, then supply.
     """
     if mu <= 0 or lam <= 0:
         raise ValueError("densities must be positive")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    demand = []
-    supply = []
+    length = net.length
+    counts = []  # demand count, then supply count, of each edge in turn
+    blocks = []
     for _ in net.edges:
-        m_e = rng.poisson(mu * net.length)
-        n_e = rng.poisson(lam * net.length)
-        demand.append(rng.uniform(0.0, net.length, m_e))
-        supply.append(rng.uniform(0.0, net.length, n_e))
+        m_e = rng.poisson(mu * length)
+        n_e = rng.poisson(lam * length)
+        counts += [m_e, n_e]
+        blocks.append(rng.random(m_e + n_e))
+    offset = np.concatenate(blocks)
+    offset *= length
+    edge = np.repeat(np.arange(net.edge_count).repeat(2), counts)
+    is_supply = np.repeat(np.tile([False, True], net.edge_count), counts)
     points = []
-    for per_edge in (demand, supply):
-        edge = np.repeat(np.arange(net.edge_count), [len(a) for a in per_edge])
-        offset = np.concatenate(per_edge)
-        points += [edge, offset[np.lexsort((offset, edge))]]
+    for side in (~is_supply, is_supply):
+        side_edge, side_offset = edge[side], offset[side]
+        points += [side_edge, side_offset[np.lexsort((side_offset, side_edge))]]
     return NetworkInstance(*points)
 
 
@@ -330,7 +368,7 @@ def heuristic_network_match(net: NetworkModel, inst: NetworkInstance) -> MatchRe
         free[j] = False
 
     rows = np.arange(inst.total_demand)
-    return MatchResult.from_pairs(zip(rows, match), cost[rows, match])
+    return MatchResult.from_pairs(np.column_stack((rows, match)), cost[rows, match])
 
 
 @dataclass(frozen=True)

@@ -32,12 +32,12 @@ def check_sorted_coordinates(name: str, coords: np.ndarray, length: float) -> No
     """Reject coordinates outside [0, length], given rows sorted ascending.
 
     ``coords`` is one sorted array or a stack of sorted rows; only the first
-    and last column are read. Sorting puts NaN last, and every comparison
-    with NaN is False, so this one test also rejects NaN and infinite
-    coordinates.
+    and last column are read, through one ``min`` and one ``max``. Sorting
+    puts NaN last, a reduction over NaN is NaN, and every comparison with NaN
+    is False, so this one test also rejects NaN and infinite coordinates.
     """
     if coords.size and not (
-        np.all(coords[..., 0] >= 0.0) and np.all(coords[..., -1] <= length)
+        coords[..., 0].min() >= 0.0 and coords[..., -1].max() <= length
     ):
         raise ValueError(f"{name} coordinates must be finite and lie in [0, length]")
 
@@ -160,7 +160,15 @@ class MatchResult:
 
     @classmethod
     def from_pairs(cls, pairs, distances) -> "MatchResult":
-        pairs = tuple((int(i), int(j)) for i, j in pairs)
+        """Result from a k x 2 integer array or an iterable of (demand,
+        supply) pairs, stored as tuples of Python ints, and the matched
+        distances."""
+        p = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+        if p.shape == (0,):
+            p = p.reshape(0, 2)
+        if p.ndim != 2 or p.shape[1] != 2:
+            raise ValueError(f"pairs must have shape (k, 2), got {p.shape}")
+        pairs = tuple(zip(p[:, 0].tolist(), p[:, 1].tolist()))
         total = float(np.sum(distances))
         mean = total / len(pairs) if pairs else 0.0
         return cls(pairs=pairs, total_distance=total, mean_distance=mean)

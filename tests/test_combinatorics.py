@@ -227,6 +227,25 @@ def test_import_loads_no_numpy_random():
     assert out.stdout.strip() == "False"
 
 
+def test_import_loads_no_multiprocessing():
+    # multiprocessing costs ~15-20 ms of import time; it loads only when a
+    # sweep runs on more than one worker
+    src = str(Path(rbmatch.__file__).resolve().parent.parent)
+    code = (
+        "import sys, rbmatch\n"
+        "cfg = rbmatch.ExperimentConfig(rbmatch.ExperimentKind.SEGMENT,"
+        " (rbmatch.SegmentPoint(2, 3),), replications=2, master_seed=1)\n"
+        "rbmatch.run_experiment(cfg)\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_expected_zero_returns_monotone_and_bounded():
     values = [expected_zero_returns(m) for m in range(60)]
     for m, v in enumerate(values):

@@ -13,7 +13,7 @@ from rbmatch.estimators import (
     recursive_estimate,
     step_length_correction,
 )
-from rbmatch.exact1d import optimal_match_1d
+from rbmatch.exact1d import match_costs_1d, optimal_match_1d
 from rbmatch.network import network_estimate
 from rbmatch.types import EdgeParams, Instance1D
 from rbmatch.montecarlo import (
@@ -220,6 +220,42 @@ def test_batched_means_match_per_replication_reference():
         m, n = EdgeParams(point.mu, point.lam, point.length).counts()
         means = _per_replication_means(m, n, point.length, reps, seed, gi)
         assert rec.sim_mean == pytest.approx(float(means.mean()), rel=1e-12, abs=0.0)
+
+
+def _uniform_draw_means(m, n, length, states):
+    """Reference: each replication draws ``uniform(0, length, m)`` demand,
+    then ``uniform(0, length, n)`` supply, from its own stream."""
+    demand, supply = np.empty((len(states), m)), np.empty((len(states), n))
+    for rep, words in enumerate(states):
+        rng = montecarlo._rep_stream(words)
+        demand[rep] = rng.uniform(0, length, m)
+        supply[rep] = rng.uniform(0, length, n)
+    demand.sort(axis=1)
+    supply.sort(axis=1)
+    return match_costs_1d(demand, supply) / m
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    extra=st.integers(0, 8),
+    length=st.sampled_from([1.0, 0.5, 0.7, 2.5, 3.0]),
+    edge=st.booleans(),
+    reps=st.integers(1, 20),
+    master_seed=st.integers(0, 2**64),
+    grid_index=st.integers(0, 50),
+)
+def test_segment_means_equal_per_side_uniform_draws(m, extra, length, edge, reps, master_seed, grid_index):
+    # one random block per replication, scaled once, has the bits of two uniform calls
+    n = m + extra
+    if edge:
+        point = EdgePoint(mu=m / length, lam=n / length, length=length)
+        kind = ExperimentKind.EDGE
+    else:
+        point, kind, length = SegmentPoint(m, n), ExperimentKind.SEGMENT, 1.0
+    states = montecarlo._stream_states(master_seed, [grid_index], np.arange(reps))[0]
+    got = montecarlo._segment_means(kind, point, states)
+    assert np.array_equal(got, _uniform_draw_means(m, n, length, states))
 
 
 def test_replication_zero_check_names_the_point(monkeypatch):

@@ -107,13 +107,16 @@ def test_sampling_determinism_and_counts(square_torus):
         assert (np.diff(offset)[np.diff(edge) == 0] >= 0).all()
 
 
-def test_sampling_keeps_per_edge_draw_order(square_torus):
+@pytest.mark.parametrize("length", [1.0, 0.7, 2.5])
+def test_sampling_keeps_per_edge_draw_order(length):
     # poisson, poisson, uniform, uniform on each edge fixes every seeded draw
-    inst = sample_instance(square_torus, 5.0, 7.0, 123)
+    net = build_regular_network(4, 36, length)
+    inst = sample_instance(net, 5.0, 7.0, 123)
     rng = np.random.default_rng(123)
-    for e in range(square_torus.edge_count):
-        m_e, n_e = rng.poisson(5.0), rng.poisson(7.0)
-        dem, sup = np.sort(rng.uniform(0.0, 1.0, m_e)), np.sort(rng.uniform(0.0, 1.0, n_e))
+    for e in range(net.edge_count):
+        m_e, n_e = rng.poisson(5.0 * length), rng.poisson(7.0 * length)
+        dem = np.sort(rng.uniform(0.0, length, m_e))
+        sup = np.sort(rng.uniform(0.0, length, n_e))
         assert np.array_equal(inst.demand_offset[inst.demand_edge == e], dem)
         assert np.array_equal(inst.supply_offset[inst.supply_edge == e], sup)
 
@@ -148,6 +151,43 @@ def _manual_instance(net, demand_by_edge, supply_by_edge) -> NetworkInstance:
         arrays.append(np.repeat(np.arange(net.edge_count), [len(a) for a in per_edge]))
         arrays.append(np.concatenate(per_edge))
     return NetworkInstance(*arrays)
+
+
+def test_instance_rejects_points_out_of_edge_order(square_torus):
+    # out of order, _cost_matrix would read the point at 0.5 on edge 3 as lying on edge 0
+    demand = (np.array([0]), np.array([0.5]))
+    with pytest.raises(ValueError, match="supply_edge"):
+        NetworkInstance(*demand, np.array([3, 0]), np.array([0.5, 0.9]))
+    inst = NetworkInstance(*demand, np.array([0, 3]), np.array([0.9, 0.5]))
+    assert inst.supply_offset.tolist() == [0.9, 0.5]
+    assert exact_network_match(square_torus, inst).total_distance == pytest.approx(0.4)
+    assert _cost_matrix(square_torus, inst)[0, 1] == point_distance(square_torus, (0, 0.5), (3, 0.5))
+
+
+@pytest.mark.parametrize(
+    "field, fields",
+    [
+        ("demand_offset", ([0, 0], [0.6, 0.2], [0], [0.5])),
+        ("demand_edge", ([1, 0], [0.2, 0.6], [0], [0.5])),
+        ("supply_offset", ([0], [0.5], [2, 2, 4], [0.3, 0.1, 0.0])),
+        ("supply_offset", ([0], [0.5], [0], [np.nan])),
+        ("supply_offset", ([0], [0.5], [0], [np.inf])),
+        ("demand_offset", ([0], [-0.1], [0], [0.5])),
+        ("demand_edge", ([-1], [0.5], [0], [0.5])),
+        ("demand_edge", ([0.0], [0.5], [0], [0.5])),
+        ("supply_edge", ([0], [0.5], [0, 1], [0.5])),
+        ("supply_edge", ([0], [0.5], [[0]], [[0.5]])),
+    ],
+)
+def test_instance_validation_names_the_field(field, fields):
+    with pytest.raises(ValueError, match=field):
+        NetworkInstance(*(np.asarray(f) for f in fields))
+
+
+def test_instance_accepts_empty_sides(square_torus):
+    inst = NetworkInstance([], [], [4], [0.5])
+    assert inst.total_demand == 0 and inst.demand_edge.dtype == np.int64
+    assert exact_network_match(square_torus, inst).pairs == ()
 
 
 def test_exact_match_single_edge_matches_segment_dp(square_torus):

@@ -128,6 +128,41 @@ def test_match_result_mean():
     assert empty.mean_distance == 0.0
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(0, 1), (1, 3), (2, 2)],
+        ((0, 1), (1, 3), (2, 2)),
+        np.array([[0, 1], [1, 3], [2, 2]]),
+        np.array([[0, 1], [1, 3], [2, 2]], dtype=np.int32),
+        np.column_stack((np.arange(3), np.array([1, 3, 2]))),
+        [(np.int64(0), np.int64(1)), (1, np.int64(3)), (np.int32(2), 2)],
+        lambda: zip(range(3), [1, 3, 2]),
+    ],
+)
+def test_from_pairs_gives_python_int_tuples(pairs):
+    pairs = pairs() if callable(pairs) else pairs  # a fresh iterator per run
+    res = MatchResult.from_pairs(pairs, [0.5, 0.25, 0.25])
+    assert res.pairs == ((0, 1), (1, 3), (2, 2))
+    assert all(type(i) is int and type(j) is int for i, j in res.pairs)
+    assert res.total_distance == 1.0 and res.mean_distance == 1.0 / 3.0
+
+
+@pytest.mark.parametrize("empty", [[], (), np.empty((0, 2), dtype=np.int64), np.array([], dtype=np.int64)])
+def test_from_pairs_accepts_empty_input(empty):
+    res = MatchResult.from_pairs(empty, [])
+    assert res == MatchResult(pairs=(), total_distance=0.0, mean_distance=0.0)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[0, 1], [(0, 1, 2)], np.zeros((2, 3), dtype=np.int64), np.zeros((1, 2, 2), dtype=np.int64), np.arange(4)],
+)
+def test_from_pairs_rejects_other_shapes(pairs):
+    with pytest.raises(ValueError, match=r"shape \(k, 2\)"):
+        MatchResult.from_pairs(pairs, [0.0])
+
+
 def test_edge_params_validation():
     EdgeParams(mu=1.0, lam=2.0, length=3.0)
     with pytest.raises(ValueError):
