@@ -107,10 +107,8 @@ def test_sampling_determinism_and_counts(square_torus):
         assert (np.diff(offset)[np.diff(edge) == 0] >= 0).all()
 
 
-@pytest.mark.parametrize("length", [1.0, 0.7, 2.5])
-def test_sampling_keeps_per_edge_draw_order(length):
+def _assert_per_edge_draw_order(net, length):
     # poisson, poisson, uniform, uniform on each edge fixes every seeded draw
-    net = build_regular_network(4, 36, length)
     inst = sample_instance(net, 5.0, 7.0, 123)
     rng = np.random.default_rng(123)
     for e in range(net.edge_count):
@@ -119,6 +117,15 @@ def test_sampling_keeps_per_edge_draw_order(length):
         sup = np.sort(rng.uniform(0.0, length, n_e))
         assert np.array_equal(inst.demand_offset[inst.demand_edge == e], dem)
         assert np.array_equal(inst.supply_offset[inst.supply_edge == e], sup)
+
+
+def test_sampling_keeps_per_edge_draw_order(square_torus):
+    _assert_per_edge_draw_order(square_torus, 1.0)
+
+
+@pytest.mark.parametrize("length", [0.7, 2.5])
+def test_sampling_keeps_per_edge_draw_order_non_unit_length(length):
+    _assert_per_edge_draw_order(build_regular_network(4, 36, length), length)
 
 
 def test_sampling_law_of_large_numbers(square_torus):
