@@ -15,8 +15,6 @@ from .combinatorics import (
 )
 from .estimators import (
     Estimate,
-    EstimatorMethod,
-    RecursionTable,
     balanced_estimate,
     baseline_estimate,
     closed_unbalanced_estimate,

@@ -45,14 +45,6 @@ class CostMatrix:
         costs.flags.writeable = False
         object.__setattr__(self, "costs", costs)
 
-    @property
-    def rows(self) -> int:
-        return self.costs.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.costs.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class AssignmentSolution:
@@ -150,9 +142,7 @@ def solve_dense(costs: np.ndarray) -> AssignmentSolution:
 
 def solve_assignment(c: CostMatrix) -> MatchResult:
     """Minimum-total-cost assignment of every row to a distinct column."""
-    if c.rows == 0:
-        return MatchResult(pairs=(), total_distance=0.0, mean_distance=0.0)
     sol = solve_dense(c.costs)
-    rows = np.arange(c.rows)
+    rows = np.arange(sol.col_of_row.size)
     dists = c.costs[rows, sol.col_of_row]
     return MatchResult.from_pairs(np.column_stack((rows, sol.col_of_row)), dists)

@@ -24,7 +24,7 @@ from .montecarlo import (
     records_to_json,
     run_experiment,
 )
-from .network import network_estimate
+from .network import DEFAULT_SEARCH_LAYERS, network_estimate
 from .types import EdgeParams
 
 USAGE_ERROR = 2
@@ -73,7 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="segment estimator to use (default: the most accurate applicable)",
     )
     est.add_argument("--no-correction", action="store_true")
-    est.add_argument("--kappa", type=int, default=10, help="search-layer truncation")
+    est.add_argument(
+        "--kappa", type=int, default=DEFAULT_SEARCH_LAYERS, help="search-layer truncation"
+    )
 
     sim = sub.add_parser("simulate", help="run a seeded simulation sweep")
     sim.add_argument("kind", choices=["segment", "edge", "network"])
@@ -84,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--length", type=_float_list, default=[1.0], help="edge lengths")
     sim.add_argument("--degree", type=_int_list, help="node degrees (network)")
     sim.add_argument("--edges", type=int, default=36, help="edge count (network)")
-    sim.add_argument("--kappa", type=int, default=10)
+    sim.add_argument("--kappa", type=int, default=DEFAULT_SEARCH_LAYERS)
     _common_run_flags(sim)
 
     cmp_ = sub.add_parser("compare", help="reproduce a named figure sweep")

@@ -4,7 +4,6 @@ for bipartite point sets on a segment, plus a density-based dispatcher."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -17,9 +16,7 @@ from .combinatorics import (
 from .types import EdgeParams
 
 __all__ = [
-    "EstimatorMethod",
     "Estimate",
-    "RecursionTable",
     "step_length_correction",
     "balanced_estimate",
     "closed_unbalanced_estimates",
@@ -35,20 +32,12 @@ __all__ = [
 _DISPATCH_RATIO_CUTOFF = 3.0
 
 
-class EstimatorMethod(Enum):
-    BALANCED = "balanced"
-    CLOSED_UNBALANCED = "closed"
-    RECURSIVE = "recursive"
-    BASELINE = "baseline"
-    EDGE_SCALED = "edge"
-
-
 @dataclass(frozen=True)
 class Estimate:
-    """An expected mean matching distance (du) with its estimator tag."""
+    """An expected mean matching distance (du), and whether the step-length
+    correction was subtracted from it."""
 
     value: float
-    method: EstimatorMethod
     corrected: bool = False
 
 
@@ -77,7 +66,7 @@ def balanced_estimate(n: int, length: float = 1.0) -> Estimate:
     if not length > 0.0:
         raise ValueError("length must be positive")
     gap = length / (2.0 * n)
-    return Estimate(value=gap * harel_area(n) / n, method=EstimatorMethod.BALANCED)
+    return Estimate(value=gap * harel_area(n) / n)
 
 
 def closed_unbalanced_estimates(m: int, ns) -> dict[int, float]:
@@ -125,26 +114,7 @@ def closed_unbalanced_estimate(
     value = closed_unbalanced_estimates(m, [n])[n] if uncorrected is None else uncorrected
     if apply_correction:
         value -= step_length_correction(m, n)
-    return Estimate(
-        value=length * value,
-        method=EstimatorMethod.CLOSED_UNBALANCED,
-        corrected=apply_correction,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class RecursionTable:
-    """Expected post-removal tail areas E[Z_{k,a}] for an unbalanced problem.
-
-    ``values[k, a]`` is the expected absolute area (du) to the right of the
-    k-th removed supply point when a demand points remain there, for
-    k = 0..n-m and a = 0..m. The base row k = n-m holds l * B(a).
-    """
-
-    m: int
-    n: int
-    length: float
-    values: np.ndarray
+    return Estimate(value=length * value, corrected=apply_correction)
 
 
 def _ballot_weights(a: np.ndarray, m_hat: np.ndarray, lf: np.ndarray):
@@ -174,13 +144,17 @@ def _ballot_weights(a: np.ndarray, m_hat: np.ndarray, lf: np.ndarray):
     return weights
 
 
-def recursion_table(m: int, n: int, length: float = 1.0) -> RecursionTable:
+def recursion_table(m: int, n: int, length: float = 1.0) -> np.ndarray:
     """Solve the segment-area recursion bottom-up.
 
-    Rows run from the base k = n-m (a fully balanced tail of area l * B(a))
-    down to k = 0. Interior rows k = 1..n-m-1 subtract the one-swap area
-    reduction l * (2m' - 2 E[zero returns | m']) inside the expectation; row
-    k = 0 applies no swap reduction.
+    Returns the read-only (n-m+1, m+1) table of expected post-removal tail
+    areas E[Z_{k,a}]: entry [k, a] is the expected absolute area (du) to the
+    right of the k-th removed supply point when a demand points remain
+    there, for k = 0..n-m and a = 0..m. Rows run from the base k = n-m (a
+    fully balanced tail of area l * B(a)) down to k = 0. Interior rows
+    k = 1..n-m-1 subtract the one-swap area reduction
+    l * (2m' - 2 E[zero returns | m']) inside the expectation; row k = 0
+    applies no swap reduction.
 
     Row k is E[Z_{k,a}] = sum_{m'<=a} P(m' | a, e) * (S(m') + E[Z_{k+1,a-m'}])
     with e = n-m-k removals left, P the ballot probability of
@@ -221,7 +195,7 @@ def recursion_table(m: int, n: int, length: float = 1.0) -> RecursionTable:
         probs *= (full_segment if k == 0 else swapped_segment) + values[k + 1][rest]
         values[k] = np.add.reduceat(probs, starts)
     values.flags.writeable = False
-    return RecursionTable(m=m, n=n, length=length, values=values)
+    return values
 
 
 def recursive_estimates(m: int, ns, length: float = 1.0) -> dict[int, float]:
@@ -235,7 +209,7 @@ def recursive_estimates(m: int, ns, length: float = 1.0) -> dict[int, float]:
     with P_X the ballot weights P(m' | m, X) and B the walk areas, scaled by
     the gap length/(m+n). Every n, top included, takes this one formula, so
     its value never depends on which other ns share the pass. It agrees with
-    the per-n table's ``values[0, m] / m`` to within a few ulp.
+    the per-n table's entry [0, m] / m to within a few ulp.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -246,7 +220,7 @@ def recursive_estimates(m: int, ns, length: float = 1.0) -> dict[int, float]:
         if n <= m:
             raise ValueError(f"requires n > m, got n={n} for m={m}")
     top = max(ns)
-    rows = recursion_table(m, top, length=float(m + top)).values
+    rows = recursion_table(m, top, length=float(m + top))
     ballot = _ballot_weights(np.full(m + 1, m), np.arange(m + 1), log_factorials(m + top))
     areas = rows[top - m]  # the base row: the walk areas B(a) times a gap of exactly 1.0
     out = {}
@@ -271,9 +245,7 @@ def recursive_estimate(
     value = recursive_estimates(m, [n], length)[n]
     if apply_correction:
         value -= step_length_correction(m, n, length)
-    return Estimate(
-        value=value, method=EstimatorMethod.RECURSIVE, corrected=apply_correction
-    )
+    return Estimate(value=value, corrected=apply_correction)
 
 
 def baseline_estimate(m: int, n: int, length: float = 1.0) -> Estimate:
@@ -292,7 +264,7 @@ def baseline_estimate(m: int, n: int, length: float = 1.0) -> Estimate:
     r = (i - 1.0) / n
     total = float(np.sum((1.0 - r**i) / ((n - i + 1.0) / n)))
     value = length * total / (2.0 * m * (n + 1))
-    return Estimate(value=value, method=EstimatorMethod.BASELINE)
+    return Estimate(value=value)
 
 
 def edge_estimate(params: EdgeParams, recursive: float | None = None) -> Estimate:
@@ -309,7 +281,7 @@ def edge_estimate(params: EdgeParams, recursive: float | None = None) -> Estimat
         return recursive_estimate(m, n, params.length, apply_correction=True)
     # the subtraction recursive_estimate applies when correcting
     value = recursive - step_length_correction(m, n, params.length)
-    return Estimate(value=value, method=EstimatorMethod.RECURSIVE, corrected=True)
+    return Estimate(value=value, corrected=True)
 
 
 def dispatch_estimate(params: EdgeParams, edge_value: float | None = None) -> Estimate:
@@ -323,8 +295,8 @@ def dispatch_estimate(params: EdgeParams, edge_value: float | None = None) -> Es
     """
     m, n = params.counts()  # whole counts are required on every route
     if params.lam / params.mu >= _DISPATCH_RATIO_CUTOFF:
-        return Estimate(value=1.0 / (2.0 * params.lam), method=EstimatorMethod.EDGE_SCALED)
+        return Estimate(value=1.0 / (2.0 * params.lam))
     if edge_value is None:
         edge_value = edge_estimate(params).value
     # edge_estimate applies the step-length correction whenever n > m
-    return Estimate(value=edge_value, method=EstimatorMethod.EDGE_SCALED, corrected=n != m)
+    return Estimate(value=edge_value, corrected=n != m)

@@ -51,8 +51,6 @@ def optimal_match_1d(inst: Instance1D) -> MatchResult:
     """
     xu, xv = inst.demand, inst.supply
     m, n = inst.m, inst.n
-    if m == 0:
-        return MatchResult(pairs=(), total_distance=0.0, mean_distance=0.0)
     rows = np.arange(m)
     if n == m:
         return MatchResult.from_pairs(np.column_stack((rows, rows)), np.abs(xu - xv))
@@ -109,6 +107,17 @@ def match_costs_1d(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:
     return best_next[:, 0]
 
 
+def _removal_set(inst: Instance1D, is_supply: np.ndarray, removed_events) -> RemovalSet:
+    """The removal of the given supply events of ``inst``'s supply curve,
+    with the area of the curve its remaining points induce."""
+    supply_rank = np.cumsum(is_supply) - 1
+    indices = tuple(int(supply_rank[e]) for e in removed_events)
+    keep = np.ones(inst.n, dtype=bool)
+    keep[list(indices)] = False
+    reduced = Instance1D(inst.demand, inst.supply[keep], inst.length)
+    return RemovalSet(indices, build_supply_curve(reduced).total_area)
+
+
 def optimal_removal(inst: Instance1D) -> RemovalSet:
     """Remove the n-m supply points that minimize the post-removal curve area.
 
@@ -148,19 +157,7 @@ def optimal_removal(inst: Instance1D) -> RemovalSet:
             if take <= keep:
                 removed_events.append(i)
                 used += 1
-    supply_rank = np.cumsum(is_supply) - 1
-    indices = tuple(int(supply_rank[e]) for e in removed_events)
-    return RemovalSet(
-        removed_supply_indices=indices,
-        post_removal_area=_induced_area(inst, indices),
-    )
-
-
-def _induced_area(inst: Instance1D, removed_supply_indices) -> float:
-    keep = np.ones(inst.n, dtype=bool)
-    keep[list(removed_supply_indices)] = False
-    reduced = Instance1D(inst.demand, inst.supply[keep], inst.length)
-    return build_supply_curve(reduced).total_area
+    return _removal_set(inst, is_supply, removed_events)
 
 
 def feasible_removal(inst: Instance1D, do_swaps: bool = True) -> RemovalSet:
@@ -203,9 +200,4 @@ def feasible_removal(inst: Instance1D, do_swaps: bool = True) -> RemovalSet:
             if neighbor < removed_events[k] and is_supply[neighbor]:
                 removed_events[k] = neighbor
 
-    supply_rank = np.cumsum(is_supply) - 1
-    indices = tuple(int(supply_rank[e]) for e in removed_events)
-    return RemovalSet(
-        removed_supply_indices=indices,
-        post_removal_area=_induced_area(inst, indices),
-    )
+    return _removal_set(inst, is_supply, removed_events)

@@ -8,7 +8,7 @@ import functools
 import io
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -25,7 +25,9 @@ from .estimators import (
 )
 from .exact1d import match_costs_1d, optimal_match_1d
 from .network import (
+    DEFAULT_SEARCH_LAYERS,
     build_regular_network,
+    check_kappa,
     exact_network_match,
     network_estimate,
     regular_edges,
@@ -97,16 +99,15 @@ class NetworkPoint:
     lam: float
     length: float
     edge_count: int
-    kappa: int = 10
+    kappa: int = DEFAULT_SEARCH_LAYERS
 
     def __post_init__(self):
         try:
             regular_edges(self.degree, self.edge_count)
+            check_kappa(self.kappa)
         except ValueError as exc:
             raise _point_error(self, exc) from None
         _check_counts(self)
-        if not (isinstance(self.kappa, numbers.Integral) and self.kappa >= 1):
-            raise _point_error(self, f"kappa must be an integer of at least 1, got {self.kappa!r}")
 
 
 def _point_error(point, reason) -> ValueError:
@@ -311,19 +312,26 @@ def _segment_means(kind: ExperimentKind, point, states: np.ndarray):
     return means
 
 
-def _simulate_rep(point, net, rng) -> tuple[float, int]:
-    """One network replication: its mean distance and the redraws it took.
+def _network_means(point: NetworkPoint, states: np.ndarray) -> tuple[np.ndarray, int]:
+    """Mean matching distance of every replication of a network point, and
+    the redraws they took in all.
 
-    Realizations with no demand or more demand than supply are redrawn; a
-    valid point (lam >= mu > 0) accepts a draw with positive odds.
+    Each replication draws from its own stream, built from its row of
+    ``states``. Realizations with no demand or more demand than supply are
+    redrawn from the same stream; a valid point (lam >= mu > 0) accepts a
+    draw with positive odds.
     """
-    resamples = 0
-    while True:
+    net = build_regular_network(point.degree, point.edge_count, point.length)
+    means = np.empty(len(states))
+    resampled = 0
+    for rep, words in enumerate(states):
+        rng = _rep_stream(words)
         inst = sample_instance(net, point.mu, point.lam, rng)
-        if 0 < inst.total_demand <= inst.total_supply:
-            break
-        resamples += 1
-    return exact_network_match(net, inst).mean_distance, resamples
+        while not 0 < inst.total_demand <= inst.total_supply:
+            resampled += 1
+            inst = sample_instance(net, point.mu, point.lam, rng)
+        means[rep] = exact_network_match(net, inst).mean_distance
+    return means, resampled
 
 
 def _sweep_estimates(kind: ExperimentKind, grid) -> list[tuple[dict, dict]]:
@@ -397,27 +405,19 @@ def _point_params(kind: ExperimentKind, point) -> dict:
 
 def _run_grid_point(args) -> SummaryRecord:
     kind, point, states, (estimates, extra_meta) = args
-    replications = len(states)
+    meta = {"replications": len(states), **extra_meta}
     if kind is ExperimentKind.NETWORK:
-        net = build_regular_network(point.degree, point.edge_count, point.length)
-        means = np.empty(replications)
-        resampled = 0
-        for rep, words in enumerate(states):
-            means[rep], extra = _simulate_rep(point, net, _rep_stream(words))
-            resampled += extra
+        means, meta["resampled"] = _network_means(point, states)
     else:
         means = _segment_means(kind, point, states)
     sim_mean = float(means.mean())
-    sim_std = float(means.std(ddof=1)) if replications > 1 else 0.0
+    sim_std = float(means.std(ddof=1)) if len(states) > 1 else 0.0
     estimates = {name: float(value) for name, value in estimates.items()}
     rel_errors = {
         name: (value - sim_mean) / sim_mean
         for name, value in estimates.items()
         if sim_mean > 0
     }
-    meta = {"replications": replications, **extra_meta}
-    if kind is ExperimentKind.NETWORK:
-        meta["resampled"] = resampled
     return SummaryRecord(
         kind=kind,
         params=_point_params(kind, point),
@@ -517,18 +517,6 @@ def records_to_csv(records) -> str:
 
 
 def records_to_json(records) -> str:
-    """JSON mirror of the CSV schema."""
-    out = []
-    for rec in records:
-        out.append(
-            {
-                "kind": rec.kind.value,
-                "params": rec.params,
-                "sim_mean": rec.sim_mean,
-                "sim_std": rec.sim_std,
-                "estimates": rec.estimates,
-                "rel_errors": rec.rel_errors,
-                "meta": rec.meta,
-            }
-        )
-    return json.dumps(out, indent=2)
+    """JSON mirror of the CSV schema: each record's fields in order, its kind
+    by value."""
+    return json.dumps([{**asdict(rec), "kind": rec.kind.value} for rec in records], indent=2)

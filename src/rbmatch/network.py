@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "exact_network_match",
     "heuristic_network_match",
     "network_estimate",
+    "check_kappa",
     "d2_probabilities",
 ]
 
@@ -279,11 +281,18 @@ def _cost_matrix(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:
     its edge) is gathered at the two supply endpoints; same-edge pairs then
     take the direct segment if it is shorter. Rounding is monotone, so
     min(x, y) + b equals min(x + b, y + b) and the entries match the
-    four-way minimum of ``point_distance`` bit for bit.
+    four-way minimum of ``point_distance`` bit for bit. A point on an edge
+    the network does not have, or past the edge's end, raises ValueError
+    naming its field.
     """
     d_edge, d_off = inst.demand_edge, inst.demand_offset
     s_edge, s_off = inst.supply_edge, inst.supply_offset
     length = net.length
+    for side, edge, offset in (("demand", d_edge, d_off), ("supply", s_edge, s_off)):
+        if edge.size and edge[-1] >= net.edge_count:  # edges ascend
+            raise ValueError(f"{side}_edge must index one of the {net.edge_count} edges")
+        if offset.size and offset.max() > length:
+            raise ValueError(f"{side}_offset must not exceed the edge length {length}")
     ends = np.array(net.edges, dtype=np.int64)
     nd = net.node_distance
 
@@ -313,8 +322,6 @@ def exact_network_match(net: NetworkModel, inst: NetworkInstance) -> MatchResult
     """
     if inst.total_demand > inst.total_supply:
         raise ValueError("more demand than supply; instance is infeasible")
-    if inst.total_demand == 0:
-        return MatchResult(pairs=(), total_distance=0.0, mean_distance=0.0)
     return solve_assignment(CostMatrix(_cost_matrix(net, inst)))
 
 
@@ -412,6 +419,12 @@ def d2_probabilities(degree: int, supply_excess_prob: float, kappa: int) -> np.n
     return probs
 
 
+def check_kappa(kappa) -> None:
+    """Reject a search-layer truncation that is not an integer of at least 1."""
+    if not (isinstance(kappa, numbers.Integral) and kappa >= 1):
+        raise ValueError(f"kappa must be an integer of at least 1, got {kappa!r}")
+
+
 def network_estimate(
     degree: int, mu: float, lam: float, length: float, kappa: int = DEFAULT_SEARCH_LAYERS
 ) -> NetworkEstimateParts:
@@ -425,8 +438,7 @@ def network_estimate(
     params = EdgeParams(mu, lam, length)
     if degree not in SUPPORTED_DEGREES:
         raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}")
-    if kappa < 1:
-        raise ValueError("kappa must be at least 1")
+    check_kappa(kappa)
     sigma = math.sqrt((lam + mu) * length)
     demand_excess_prob = normal_cdf((-0.5 + (mu - lam) * length) / sigma)
     supply_excess_prob = normal_cdf((-0.5 + (lam - mu) * length) / sigma)

@@ -23,7 +23,8 @@ _COUNT_ROUNDING_TOL = 1e-6
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, copy=True)
+    """``arr`` itself, made read-only: callers pass arrays they have just
+    created and share with no one."""
     arr.flags.writeable = False
     return arr
 
@@ -115,13 +116,6 @@ class SupplyCurve:
         if len(self) < 2:
             return 0.0
         return float(np.dot(self.gaps, np.abs(self.prefix[:-1])))
-
-    def absolute_area(self, x: float) -> float:
-        """Absolute area accumulated by gaps whose left event lies at or before x."""
-        if len(self) < 2:
-            return 0.0
-        mask = self.coords[:-1] <= x
-        return float(np.dot(self.gaps[mask], np.abs(self.prefix[:-1][mask])))
 
 
 def build_supply_curve(inst: Instance1D) -> SupplyCurve:

@@ -14,7 +14,6 @@ from rbmatch.combinatorics import (
     stars_bars_distribution,
 )
 from rbmatch.estimators import (
-    EstimatorMethod,
     balanced_estimate,
     baseline_estimate,
     closed_unbalanced_estimate,
@@ -74,7 +73,6 @@ def test_sqrt_length_law_at_fixed_density():
 def test_closed_unbalanced_hand_value():
     est = closed_unbalanced_estimate(1, 2, apply_correction=False)
     assert est.value == pytest.approx(1.0 / 3.0)
-    assert est.method is EstimatorMethod.CLOSED_UNBALANCED
     assert not est.corrected
 
 
@@ -151,11 +149,13 @@ def test_recursive_hand_value():
 def test_recursion_table_base_row():
     for m, n, length in ((4, 7, 1.0), (10, 13, 2.0)):
         table = recursion_table(m, n, length)
+        assert isinstance(table, np.ndarray) and table.shape == (n - m + 1, m + 1)
+        assert not table.flags.writeable
         gap = length / (m + n)
         for a in range(m + 1):
-            assert table.values[n - m, a] == gap * harel_area(a)
-        assert (table.values >= 0.0).all()
-        assert table.values[n - m, m] == pytest.approx(gap * harel_area(m))
+            assert table[n - m, a] == gap * harel_area(a)
+        assert (table >= 0.0).all()
+        assert table[n - m, m] == pytest.approx(gap * harel_area(m))
 
 
 def _log_binom(n, k):
@@ -216,7 +216,7 @@ def test_ballot_matrix_reference_matches_scalar_probability():
 def test_recursion_table_matches_loop_reference(m, excess, length):
     table = recursion_table(m, m + excess, length)
     expected = _loop_recursion_table(m, m + excess, length)
-    np.testing.assert_allclose(table.values, expected, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(table, expected, rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,7 +230,7 @@ def test_recursive_estimates_match_per_n_tables(m, excesses, length):
     values = recursive_estimates(m, ns, length)
     assert set(values) == set(ns)
     for n in ns:
-        expected = recursion_table(m, n, length).values[0, m] / m
+        expected = recursion_table(m, n, length)[0, m] / m
         assert values[n] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -323,7 +323,6 @@ def test_baseline_rejects_bad_counts():
 
 def test_dispatch_balanced_route():
     est = dispatch_estimate(EdgeParams(mu=10.0, lam=10.0, length=4.0))
-    assert est.method is EstimatorMethod.EDGE_SCALED
     assert est.value == pytest.approx(balanced_estimate(40, 4.0).value, abs=1e-12)
     assert not est.corrected
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -422,6 +423,9 @@ def test_csv_and_json_schemas():
 
     payload = json.loads(records_to_json(records))
     assert len(payload) == 2
+    fields = [f.name for f in dataclasses.fields(SummaryRecord)]
+    assert all(list(entry) == fields for entry in payload)
+    assert all(isinstance(entry["kind"], str) for entry in payload)
     assert payload[0]["kind"] == "segment"
     assert payload[1]["estimates"]["recursive"] > 0
 

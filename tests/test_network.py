@@ -191,6 +191,23 @@ def test_instance_validation_names_the_field(field, fields):
         NetworkInstance(*(np.asarray(f) for f in fields))
 
 
+@pytest.mark.parametrize(
+    "field, fields",
+    [
+        # an offset past the edge end would read as a point on the next stretch
+        ("demand_offset", ([0], [1.5], [0], [0.2])),
+        ("supply_offset", ([0], [0.2], [0], [1.5])),
+        ("demand_edge", ([40], [0.5], [0], [0.5])),
+        ("supply_edge", ([0], [0.5], [36], [0.5])),
+    ],
+)
+def test_matchers_reject_points_off_the_network(square_torus, field, fields):
+    inst = NetworkInstance(*(np.asarray(f) for f in fields))
+    for matcher in (exact_network_match, heuristic_network_match):
+        with pytest.raises(ValueError, match=field):
+            matcher(square_torus, inst)
+
+
 def test_instance_accepts_empty_sides(square_torus):
     inst = NetworkInstance([], [], [4], [0.5])
     assert inst.total_demand == 0 and inst.demand_edge.dtype == np.int64
@@ -489,5 +506,6 @@ def test_estimate_rejects_bad_parameters():
         network_estimate(5, 1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         network_estimate(4, 3.0, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        network_estimate(4, 1.0, 2.0, 1.0, kappa=0)
+    for kappa in (0, 2.5, 3.0):
+        with pytest.raises(ValueError, match="kappa must be an integer"):
+            network_estimate(4, 1.0, 2.0, 1.0, kappa=kappa)
