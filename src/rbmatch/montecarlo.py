@@ -13,6 +13,7 @@ from enum import Enum
 
 import numpy as np
 
+from .assignment import solve_dense
 from .estimators import (
     balanced_estimate,
     baseline_estimate,
@@ -26,6 +27,7 @@ from .estimators import (
 from .exact1d import match_costs_1d, optimal_match_1d
 from .network import (
     DEFAULT_SEARCH_LAYERS,
+    _cost_matrix,
     build_regular_network,
     check_kappa,
     exact_network_match,
@@ -49,7 +51,7 @@ __all__ = [
 ]
 
 
-# relative tolerance between the batched and the reference mean of replication 0
+# relative tolerance between replication 0's mean and its reference solver's
 _REFERENCE_RTOL = 1e-12
 
 
@@ -304,12 +306,18 @@ def _segment_means(kind: ExperimentKind, point, states: np.ndarray):
     check_sorted_coordinates("supply", supply, length)
     means = match_costs_1d(demand, supply) / m
     reference = optimal_match_1d(Instance1D(demand[0], supply[0], length)).mean_distance
-    if not abs(means[0] - reference) <= _REFERENCE_RTOL * abs(reference):
-        raise RuntimeError(
-            f"grid point {point!r}: batched mean {means[0]!r} of replication 0 "
-            f"differs from optimal_match_1d's {reference!r}"
-        )
+    _check_reference(point, means[0], reference, "optimal_match_1d")
     return means
+
+
+def _check_reference(point, mean: float, reference: float, solver: str) -> None:
+    """Raise a RuntimeError naming the grid point unless replication 0's
+    ``mean`` agrees with the reference ``solver``'s to _REFERENCE_RTOL."""
+    if not abs(mean - reference) <= _REFERENCE_RTOL * abs(reference):
+        raise RuntimeError(
+            f"grid point {point!r}: mean {mean!r} of replication 0 "
+            f"differs from {solver}'s {reference!r}"
+        )
 
 
 def _network_means(point: NetworkPoint, states: np.ndarray) -> tuple[np.ndarray, int]:
@@ -319,7 +327,9 @@ def _network_means(point: NetworkPoint, states: np.ndarray) -> tuple[np.ndarray,
     Each replication draws from its own stream, built from its row of
     ``states``. Realizations with no demand or more demand than supply are
     redrawn from the same stream; a valid point (lam >= mu > 0) accepts a
-    draw with positive odds.
+    draw with positive odds. Every replication is solved by the compiled
+    kernel behind ``exact_network_match``; replication 0 is solved again by
+    the reference ``solve_dense`` as a check on it.
     """
     net = build_regular_network(point.degree, point.edge_count, point.length)
     means = np.empty(len(states))
@@ -331,6 +341,9 @@ def _network_means(point: NetworkPoint, states: np.ndarray) -> tuple[np.ndarray,
             resampled += 1
             inst = sample_instance(net, point.mu, point.lam, rng)
         means[rep] = exact_network_match(net, inst).mean_distance
+        if rep == 0:
+            reference = solve_dense(_cost_matrix(net, inst)).total_cost / inst.total_demand
+            _check_reference(point, means[0], reference, "solve_dense")
     return means, resampled
 
 

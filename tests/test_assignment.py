@@ -1,10 +1,12 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rbmatch import assignment
 from rbmatch.assignment import AssignmentSolution, CostMatrix, solve_assignment, solve_dense
 from rbmatch.exact1d import optimal_match_1d
 from rbmatch.types import Instance1D
@@ -191,3 +193,37 @@ def test_matches_reference_solver(shape, kind, seed):
     assert ((sol.col_of_row >= 0) & (sol.col_of_row < n)).all()
     _assert_certificate(costs, sol)
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.integers(0, 12).flatmap(lambda m: st.tuples(st.just(m), st.integers(max(m, 1), 20))),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(0, 5), seed=0)
+@example(shape=(1, 1), seed=1)
+@example(shape=(1, 7), seed=2)
+@example(shape=(9, 9), seed=3)
+def test_kernel_totals_match_reference_on_tied_costs(shape, seed):
+    # costs on the grid k/10 tie often, so both solvers face many optima
+    m, n = shape
+    costs = np.random.default_rng(seed).integers(0, 11, (m, n)) / 10
+    res = solve_assignment(CostMatrix(costs))
+    assert res.total_distance == pytest.approx(solve_dense(costs).total_cost, rel=1e-12)
+    rows = [i for i, _ in res.pairs]
+    cols = [j for _, j in res.pairs]
+    assert rows == list(range(m))
+    assert len(set(cols)) == m and all(0 <= j < n for j in cols)
+
+
+def test_missing_kernel_file_raises_import_error(monkeypatch, tmp_path):
+    missing = str(tmp_path / "_lsap.so")
+    monkeypatch.setattr(assignment, "_kernel_path", lambda: missing)
+    assignment._kernel.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=re.escape(missing)):
+            solve_assignment(CostMatrix([[0.3, 0.1]]))
+    finally:
+        monkeypatch.undo()
+        assignment._kernel.cache_clear()
+    assert solve_assignment(CostMatrix([[0.3, 0.1]])).pairs == ((0, 1),)

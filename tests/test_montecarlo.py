@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import re
+import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rbmatch import estimators, montecarlo
+from rbmatch import assignment, estimators, montecarlo
 from rbmatch.estimators import (
     closed_unbalanced_estimate,
     dispatch_estimate,
@@ -269,6 +271,19 @@ def test_replication_zero_check_names_the_point(monkeypatch):
         ExperimentKind.EDGE, (EdgePoint(mu=2.0, lam=2.0, length=2.0),), replications=4
     )
     with pytest.raises(RuntimeError, match=r"EdgePoint\(mu=2.0, lam=2.0, length=2.0\)"):
+        run_experiment(cfg)
+
+
+def test_network_replication_zero_check_names_the_point(monkeypatch):
+    # a valid but non-optimal assignment: the kernel's most expensive one
+    lsap = assignment._kernel()
+    worst = types.SimpleNamespace(
+        linear_sum_assignment=lambda costs: lsap.linear_sum_assignment(costs, maximize=True)
+    )
+    monkeypatch.setattr(assignment, "_kernel", lambda: worst)
+    point = NetworkPoint(degree=4, mu=5.0, lam=10.0, length=1.0, edge_count=36)
+    cfg = ExperimentConfig(ExperimentKind.NETWORK, (point,), replications=2)
+    with pytest.raises(RuntimeError, match=re.escape(repr(point)) + ".*solve_dense"):
         run_experiment(cfg)
 
 
