@@ -3,15 +3,12 @@ bipartite matching on segments and regular discrete networks."""
 
 from .assignment import AssignmentSolution, CostMatrix, solve_assignment, solve_dense
 from .combinatorics import (
-    ballot_segment_prob,
     expected_zero_returns,
     harel_area,
     log_binomial,
     normal_cdf,
     normal_pdf,
     stars_bars_distribution,
-    stars_bars_prob,
-    walk_area_oracle,
 )
 from .estimators import (
     Estimate,
@@ -52,7 +49,6 @@ from .network import (
     exact_network_match,
     heuristic_network_match,
     network_estimate,
-    point_distance,
     sample_instance,
 )
 from .types import EdgeParams, Instance1D, MatchResult, SupplyCurve, build_supply_curve

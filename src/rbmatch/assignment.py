@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import MatchResult
+from .types import MatchResult, _readonly
 
 __all__ = [
     "CostMatrix",
@@ -47,14 +47,13 @@ def _check_costs(costs) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
-    """Dense m x n matrix of nonnegative finite costs, m <= n."""
+    """Dense m x n matrix of nonnegative finite costs, m <= n. A float64
+    array it is handed is frozen in place: marked read-only, not copied."""
 
     costs: np.ndarray
 
     def __post_init__(self):
-        costs = _check_costs(self.costs).copy()
-        costs.flags.writeable = False
-        object.__setattr__(self, "costs", costs)
+        object.__setattr__(self, "costs", _readonly(_check_costs(self.costs)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,6 @@ preset comparison tables."""
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .estimators import (
@@ -27,23 +26,12 @@ from .montecarlo import (
 from .network import DEFAULT_SEARCH_LAYERS, network_estimate
 from .types import EdgeParams
 
-USAGE_ERROR = 2
-
 
 def _workers(args, parser) -> int:
-    """The worker count: RBMP_WORKERS if set, else --workers; at least 1."""
-    env = os.environ.get("RBMP_WORKERS")
-    if env is None:
-        source, workers = "--workers", args.workers
-    else:
-        source = "RBMP_WORKERS"
-        try:
-            workers = int(env)
-        except ValueError:
-            parser.error(f"RBMP_WORKERS must be an integer, got {env!r}")
-    if workers < 1:
-        parser.error(f"{source} must be at least 1, got {workers}")
-    return workers
+    """The --workers count, which must be at least 1."""
+    if args.workers < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
+    return args.workers
 
 
 def _int_list(text: str) -> list[int]:

@@ -1,10 +1,9 @@
-"""Combinatorial kernels: log-space binomials, random-walk areas, ballot and
-stars-and-bars probabilities, zero-return counts, and the standard normal
+"""Combinatorial kernels: log-space binomials, random-walk areas, the
+stars-and-bars distribution, zero-return counts, and the standard normal
 CDF/PDF."""
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -13,11 +12,7 @@ __all__ = [
     "log_binomial",
     "log_factorials",
     "harel_area",
-    "walk_area_oracle",
-    "enumerate_balanced_walks",
-    "stars_bars_prob",
     "stars_bars_distribution",
-    "ballot_segment_prob",
     "expected_zero_returns",
     "normal_cdf",
     "normal_pdf",
@@ -26,8 +21,6 @@ __all__ = [
 # Above this walk size the closed form and the Stirling asymptote agree to
 # better than 0.1%, so the cheaper asymptote is used.
 HAREL_STIRLING_SWITCH = 150
-
-_MAX_ORACLE_N = 10
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -60,48 +53,9 @@ def harel_area(n: int) -> float:
     return math.exp(log_b)
 
 
-def enumerate_balanced_walks(n: int) -> np.ndarray:
-    """All C(2n, n) balanced +-1 step sequences as a matrix of shape (paths, 2n)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > _MAX_ORACLE_N:
-        raise ValueError(f"enumeration limited to n <= {_MAX_ORACLE_N}")
-    steps = np.full((math.comb(2 * n, n), 2 * n), -1, dtype=np.int8)
-    for row, ups in enumerate(itertools.combinations(range(2 * n), n)):
-        steps[row, list(ups)] = 1
-    return steps
-
-
-def walk_area_oracle(n: int) -> float:
-    """Brute-force mean absolute area over every balanced 2n-step walk.
-
-    Per-path area is the sum of |height| after each step. Areas are integers,
-    so the mean is an exact rational evaluated in floating point. Limited to
-    n <= 10.
-    """
-    if n == 0:
-        return 0.0
-    steps = enumerate_balanced_walks(n)
-    heights = np.cumsum(steps, axis=1, dtype=np.int64)
-    total = int(np.abs(heights).sum())
-    return total / steps.shape[0]
-
-
-def stars_bars_prob(m_prime: int, m: int, n: int) -> float:
-    """Probability that the first of n-m+1 partition segments holds m_prime of m items.
-
-    Equals C(n - m_prime - 1, n - m - 1) / C(n, n - m). Defined only for
-    n > m >= 0; zero when the numerator's arguments fall out of range.
-    """
-    if n <= m:
-        raise ValueError("requires n > m")
-    if m < 0 or m_prime < 0:
-        raise ValueError("counts must be nonnegative")
-    return math.exp(log_binomial(n - m_prime - 1, n - m - 1) - log_binomial(n, n - m))
-
-
 def stars_bars_distribution(m: int, n: int, lf: np.ndarray | None = None) -> np.ndarray:
-    """The whole first-segment distribution: entry m' is stars_bars_prob(m', m, n).
+    """Stars-and-bars law of the first of n-m+1 segments holding m' of m
+    items: entry m' is C(n-m'-1, n-m-1) / C(n, n-m), for n > m >= 0.
 
     ``lf`` is a ``log_factorials`` table of at least n + 1 entries, built
     here when not given; its entries do not depend on its size.
@@ -116,27 +70,6 @@ def stars_bars_distribution(m: int, n: int, lf: np.ndarray | None = None) -> np.
     rest = n - mp - 1
     log_w = (lf[rest] - lf[n - m - 1] - lf[m - mp]) - (lf[n] - lf[n - m] - lf[m])
     return np.exp(log_w)
-
-
-def ballot_segment_prob(m_hat: int, k: int, a: int, excess: int) -> float:
-    """Probability that segment k holds m_hat demand points given a remain to its right.
-
-    ``excess`` is the supply surplus n - m; the segment is a balanced stretch
-    of 2*m_hat steps after which the walk never returns to its starting level,
-    so the result combines a path-counting ratio with a ballot-style factor
-    (excess - k) / (2a + excess - k - 2*m_hat). Requires excess - k >= 1.
-    """
-    e = excess - k
-    if e <= 0:
-        raise ValueError("requires excess - k >= 1")
-    if a < 0 or m_hat < 0:
-        raise ValueError("counts must be nonnegative")
-    if m_hat > a:
-        return 0.0  # the log ratio below would be -inf - (-inf)
-    ratio = math.exp(
-        log_binomial(a, m_hat) + log_binomial(a + e, m_hat) - log_binomial(2 * a + e, 2 * m_hat)
-    )
-    return ratio * e / (2 * a + e - 2 * m_hat)
 
 
 def expected_zero_returns(m_hat: int) -> float:

@@ -13,7 +13,7 @@ from .combinatorics import (
     log_factorials,
     stars_bars_distribution,
 )
-from .types import EdgeParams
+from .types import EdgeParams, check_length
 
 __all__ = [
     "Estimate",
@@ -63,8 +63,7 @@ def balanced_estimate(n: int, length: float = 1.0) -> Estimate:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not length > 0.0:
-        raise ValueError("length must be positive")
+    check_length(length)
     gap = length / (2.0 * n)
     return Estimate(value=gap * harel_area(n) / n)
 
@@ -109,8 +108,7 @@ def closed_unbalanced_estimate(
     case of ``closed_unbalanced_estimates``; a caller that has the unit-length
     value from a shared pass passes it as ``uncorrected``.
     """
-    if not length > 0.0:
-        raise ValueError("length must be positive")
+    check_length(length)
     value = closed_unbalanced_estimates(m, [n])[n] if uncorrected is None else uncorrected
     if apply_correction:
         value -= step_length_correction(m, n)
@@ -118,8 +116,8 @@ def closed_unbalanced_estimate(
 
 
 def _ballot_weights(a: np.ndarray, m_hat: np.ndarray, lf: np.ndarray):
-    """The ballot probabilities P(m' | a, e) of ``ballot_segment_prob`` at the
-    cells (a, m'), as a function of e.
+    """The ballot probabilities P(m' | a, e) = C(a, m') * C(a+e, m') /
+    C(2a+e, 2m') * e / (2a+e-2m') at the cells (a, m'), as a function of e.
 
     Every log C(x, y) is lf[x] - lf[y] - lf[x-y] on the log-factorial table
     lf; the terms that do not depend on e are built once. A cell's weight
@@ -157,11 +155,11 @@ def recursion_table(m: int, n: int, length: float = 1.0) -> np.ndarray:
     applies no swap reduction.
 
     Row k is E[Z_{k,a}] = sum_{m'<=a} P(m' | a, e) * (S(m') + E[Z_{k+1,a-m'}])
-    with e = n-m-k removals left, P the ballot probability of
-    ``ballot_segment_prob`` and S the segment area. The kernel packs the
-    cells (a, m') with m' <= a row by row into flat arrays, so each row is one
-    gather of the next row at a - m', one elementwise product and one
-    segmented sum.
+    with e = n-m-k removals left, P the ballot probability
+    C(a, m') * C(a+e, m') / C(2a+e, 2m') * e / (2a+e-2m') and S the segment
+    area. The kernel packs the cells (a, m') with m' <= a row by row into
+    flat arrays, so each row is one gather of the next row at a - m', one
+    elementwise product and one segmented sum.
 
     Estimates do not build this table per n: ``recursive_estimates`` builds
     one unit-gap table (length = m + n) for all the ns of one (m, length),
@@ -173,6 +171,7 @@ def recursion_table(m: int, n: int, length: float = 1.0) -> np.ndarray:
         raise ValueError("m must be at least 1")
     if n <= m:
         raise ValueError("requires n > m")
+    check_length(length)
     excess = n - m
     gap = length / (m + n)
     areas = _harel_values(m)
@@ -219,6 +218,7 @@ def recursive_estimates(m: int, ns, length: float = 1.0) -> dict[int, float]:
     for n in ns:
         if n <= m:
             raise ValueError(f"requires n > m, got n={n} for m={m}")
+    check_length(length)
     top = max(ns)
     rows = recursion_table(m, top, length=float(m + top))
     ballot = _ballot_weights(np.full(m + 1, m), np.arange(m + 1), log_factorials(m + top))
@@ -258,8 +258,7 @@ def baseline_estimate(m: int, n: int, length: float = 1.0) -> Estimate:
     """
     if m < 1 or n < m:
         raise ValueError("requires n >= m >= 1")
-    if not length > 0.0:
-        raise ValueError("length must be positive")
+    check_length(length)
     i = np.arange(1, m + 1, dtype=np.float64)
     r = (i - 1.0) / n
     total = float(np.sum((1.0 - r**i) / ((n - i + 1.0) / n)))

@@ -4,7 +4,6 @@ local/global decomposition estimator."""
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import numbers
@@ -16,7 +15,7 @@ from .assignment import CostMatrix, solve_assignment
 from .combinatorics import normal_cdf, normal_pdf
 from .estimators import edge_estimate
 from .exact1d import optimal_match_1d
-from .types import EdgeParams, Instance1D, MatchResult
+from .types import EdgeParams, Instance1D, MatchResult, check_length
 
 __all__ = [
     "NetworkModel",
@@ -25,7 +24,6 @@ __all__ = [
     "regular_edges",
     "build_regular_network",
     "sample_instance",
-    "point_distance",
     "exact_network_match",
     "heuristic_network_match",
     "network_estimate",
@@ -56,15 +54,6 @@ class NetworkModel:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "degree": self.degree,
-                "nodes": self.node_count,
-                "edges": [[a, b, self.length] for a, b in self.edges],
-            }
-        )
 
 
 def _torus_dims(node_count: int) -> tuple[int, int] | None:
@@ -145,10 +134,9 @@ def build_regular_network(degree: int, edge_count: int, length: float) -> Networ
     """Construct a vertex-transitive D-regular network with equal-length edges.
 
     The layout is ``regular_edges(degree, edge_count)``; raises for pairs it
-    cannot realize and for a nonpositive length.
+    cannot realize and for a length that is not finite and positive.
     """
-    if not length > 0.0:
-        raise ValueError("length must be positive")
+    check_length(length)
     edges = regular_edges(degree, edge_count)
     node_count = 2 * edge_count // degree
     hops = _all_pairs_hops(node_count, edges)
@@ -246,44 +234,17 @@ def sample_instance(net: NetworkModel, mu: float, lam: float, seed) -> NetworkIn
     return NetworkInstance(*points)
 
 
-def point_distance(net: NetworkModel, a: tuple[int, float], b: tuple[int, float]) -> float:
-    """Shortest along-edge distance between two on-edge locations: the
-    scalar reference that ``_cost_matrix`` equals entry for entry.
-
-    Same edge: the direct segment against the detours through either pair of
-    endpoints. Different edges: the best of the four endpoint combinations of
-    offset-to-node, node-to-node, node-to-offset.
-    """
-    ea, oa = a
-    eb, ob = b
-    length = net.length
-    ua, va = net.edges[ea]
-    ub, vb = net.edges[eb]
-    nd = net.node_distance
-    if ea == eb:
-        return min(
-            abs(oa - ob),
-            oa + nd[ua, vb] + (length - ob),
-            (length - oa) + nd[va, ub] + ob,
-        )
-    return min(
-        oa + nd[ua, ub] + ob,
-        oa + nd[ua, vb] + (length - ob),
-        (length - oa) + nd[va, ub] + ob,
-        (length - oa) + nd[va, vb] + (length - ob),
-    )
-
-
 def _cost_matrix(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:
-    """Demand-by-supply ``point_distance`` matrix.
+    """Demand-by-supply matrix of shortest along-edge distances: the least of
+    the four endpoint routes (out of either end of the demand edge, the node
+    distance, in at either end of the supply edge) and, on one edge, the
+    direct segment |a - b|.
 
-    Each demand point's distance to every node (out through either end of
-    its edge) is gathered at the two supply endpoints; same-edge pairs then
-    take the direct segment if it is shorter. Rounding is monotone, so
-    min(x, y) + b equals min(x + b, y + b) and the entries match the
-    four-way minimum of ``point_distance`` bit for bit. A point on an edge
-    the network does not have, or past the edge's end, raises ValueError
-    naming its field.
+    Each demand point's distance to every node is gathered at the two supply
+    endpoints. Rounding is monotone, so min(x, y) + b equals min(x + b, y + b)
+    and each entry equals the four-way minimum of the summed routes bit for
+    bit. A point on an edge the network does not have, or past the edge's
+    end, raises ValueError naming its field.
     """
     d_edge, d_off = inst.demand_edge, inst.demand_offset
     s_edge, s_off = inst.supply_edge, inst.supply_offset
@@ -395,7 +356,7 @@ def _conditional_surplus(mean_diff: float, sigma: float) -> float:
     """E[X | X above threshold] for X ~ N(mean_diff, sigma^2) truncated just
     below zero (half-unit continuity shift)."""
     z = (-0.5 - mean_diff) / sigma
-    tail = 0.5 * math.erfc(z / math.sqrt(2.0))  # 1 - Phi(z), stable in the far tail
+    tail = normal_cdf(-z)  # 1 - Phi(z), stable in the far tail
     if tail <= 0.0:
         hazard = z  # asymptotic hazard for an unreachable tail
     else:

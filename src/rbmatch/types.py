@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -14,6 +13,7 @@ __all__ = [
     "MatchResult",
     "EdgeParams",
     "build_supply_curve",
+    "check_length",
     "check_sorted_coordinates",
 ]
 
@@ -27,6 +27,12 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     created and share with no one."""
     arr.flags.writeable = False
     return arr
+
+
+def check_length(length) -> None:
+    """Reject a segment or edge length that is not finite and positive."""
+    if not 0.0 < length < math.inf:  # False for NaN
+        raise ValueError(f"length must be finite and positive, got {length!r}")
 
 
 def check_sorted_coordinates(name: str, coords: np.ndarray, length: float) -> None:
@@ -60,8 +66,7 @@ class Instance1D:
         demand = _readonly(np.sort(np.asarray(self.demand, dtype=np.float64).ravel()))
         supply = _readonly(np.sort(np.asarray(self.supply, dtype=np.float64).ravel()))
         length = float(self.length)
-        if not length > 0.0:
-            raise ValueError("length must be positive")
+        check_length(length)
         check_sorted_coordinates("demand", demand, length)
         check_sorted_coordinates("supply", supply, length)
         if supply.size < demand.size:
@@ -77,20 +82,6 @@ class Instance1D:
     @property
     def n(self) -> int:
         return int(self.supply.size)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "length": self.length,
-                "demand": self.demand.tolist(),
-                "supply": self.supply.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Instance1D":
-        obj = json.loads(text)
-        return cls(obj["demand"], obj["supply"], obj["length"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,16 +168,15 @@ class EdgeParams:
     length: float
 
     def __post_init__(self):
-        for name in ("mu", "lam", "length"):
+        for name in ("mu", "lam"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        check_length(self.length)
         if not self.mu > 0.0:
             raise ValueError("mu must be positive")
         if self.lam < self.mu:
             raise ValueError("lam must be at least mu")
-        if not self.length > 0.0:
-            raise ValueError("length must be positive")
 
     def counts(self) -> tuple[int, int]:
         """Point counts (m, n) = (mu*length, lam*length); both must be whole

@@ -9,16 +9,15 @@ import time
 
 import numpy as np
 
-from rbmatch.assignment import solve_dense
-from rbmatch.combinatorics import (
+from _references import (
     ballot_segment_prob,
     enumerate_balanced_walks,
-    expected_zero_returns,
-    harel_area,
-    stars_bars_distribution,
     stars_bars_prob,
     walk_area_oracle,
 )
+
+from rbmatch.assignment import solve_dense
+from rbmatch.combinatorics import expected_zero_returns, harel_area, stars_bars_distribution
 from rbmatch.exact1d import optimal_match_1d, optimal_removal, balanced_area
 from rbmatch.montecarlo import (
     EdgePoint,

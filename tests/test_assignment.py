@@ -86,6 +86,13 @@ def test_single_row_example():
     assert res.total_distance == pytest.approx(0.1)
 
 
+def test_cost_matrix_freezes_float64_input_in_place():
+    costs = np.random.default_rng(5).uniform(0, 1, (3, 4))
+    matrix = CostMatrix(costs)
+    assert matrix.costs is costs
+    assert not costs.flags.writeable
+
+
 def test_cost_matrix_validation():
     with pytest.raises(ValueError):
         CostMatrix(np.ones((3, 2)))  # more rows than cols

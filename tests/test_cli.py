@@ -59,7 +59,7 @@ def test_invalid_flags_exit_two(capsys):
     assert err.value.code == 2
 
 
-def test_invalid_run_settings_exit_two(capsys, monkeypatch):
+def test_invalid_run_settings_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["compare", "--preset", "fig5", "--reps", "0"])
     assert err.value.code == 2
@@ -87,11 +87,6 @@ def test_invalid_run_settings_exit_two(capsys, monkeypatch):
         main(["simulate", "segment", "--m", "2", "--n", "3", "--reps", "1", "--seed", "-5"])
     assert err.value.code == 2
     assert "master_seed" in capsys.readouterr().err
-    monkeypatch.setenv("RBMP_WORKERS", "abc")
-    with pytest.raises(SystemExit) as err:
-        main(["compare", "--preset", "fig5", "--reps", "1"])
-    assert err.value.code == 2
-    assert "RBMP_WORKERS" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -124,25 +119,14 @@ def test_method_balanced_needs_equal_counts(capsys):
     assert "--method recursive requires M < N" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    ("flags", "env", "named"),
-    [
-        (["--workers", "0"], None, "--workers"),
-        (["--workers", "-3"], None, "--workers"),
-        ([], "-4", "RBMP_WORKERS"),
-        ([], "0", "RBMP_WORKERS"),
-    ],
-)
-def test_worker_counts_below_one_exit_two(capsys, monkeypatch, flags, env, named):
-    if env is None:
-        monkeypatch.delenv("RBMP_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("RBMP_WORKERS", env)
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_worker_counts_below_one_exit_two(capsys, workers):
+    flags = ["--workers", workers]
     argv = ["simulate", "segment", "--m", "2", "--n", "3", "--reps", "2"] + flags
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
-    assert f"{named} must be at least 1" in capsys.readouterr().err
+    assert "--workers must be at least 1" in capsys.readouterr().err
     with pytest.raises(SystemExit) as err:
         main(["compare", "--preset", "fig5", "--reps", "1"] + flags)
     assert err.value.code == 2
@@ -158,17 +142,6 @@ def test_simulate_deterministic_output(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text().splitlines()[0]
     assert header.startswith("kind,m,n,sim_mean,sim_std")
-
-
-def test_worker_env_override(tmp_path, capsys, monkeypatch):
-    out1 = tmp_path / "serial.csv"
-    out2 = tmp_path / "env.csv"
-    argv = ["simulate", "segment", "--m", "2", "--n", "3", "--reps", "20", "--seed", "8"]
-    assert main(argv + ["--out", str(out1)]) == 0
-    monkeypatch.setenv("RBMP_WORKERS", "2")
-    assert main(argv + ["--out", str(out2)]) == 0
-    capsys.readouterr()
-    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_simulate_json_format(tmp_path, capsys):

@@ -10,19 +10,22 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
+from _references import (
+    ballot_segment_prob,
+    enumerate_balanced_walks,
+    stars_bars_prob,
+    walk_area_oracle,
+)
+
 import rbmatch
 from rbmatch.combinatorics import (
     HAREL_STIRLING_SWITCH,
-    ballot_segment_prob,
-    enumerate_balanced_walks,
     expected_zero_returns,
     harel_area,
     log_binomial,
     log_factorials,
     normal_cdf,
     normal_pdf,
-    stars_bars_prob,
-    walk_area_oracle,
 )
 
 

@@ -7,19 +7,32 @@ import pytest
 
 import rbmatch
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
     assert len(DEMOS) >= 4
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_runs(demo):
+def _run(argv):
     src = str(Path(rbmatch.__file__).resolve().parent.parent)
-    out = subprocess.run(
-        [sys.executable, str(demo)], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+    return subprocess.run(
+        [sys.executable, *argv], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
         text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo):
+    out = _run([str(demo)])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout
+
+
+def test_readme_quickstart_runs():
+    section = (ROOT / "README.md").read_text().split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = _run(["-c", code])
     assert out.returncode == 0, out.stderr
     assert out.stdout

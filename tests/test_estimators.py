@@ -7,12 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from rbmatch.combinatorics import (
-    ballot_segment_prob,
-    expected_zero_returns,
-    harel_area,
-    stars_bars_distribution,
-)
+from _references import ballot_segment_prob
+
+from rbmatch.combinatorics import expected_zero_returns, harel_area, stars_bars_distribution
 from rbmatch.estimators import (
     balanced_estimate,
     baseline_estimate,

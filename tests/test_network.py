@@ -1,10 +1,10 @@
 import itertools
-import json
 import math
 
 import numpy as np
 import pytest
 
+from _references import _heuristic_reference, point_distance
 from test_assignment import _solve_dense_reference
 
 from rbmatch.combinatorics import normal_cdf
@@ -17,10 +17,9 @@ from rbmatch.network import (
     exact_network_match,
     heuristic_network_match,
     network_estimate,
-    point_distance,
     sample_instance,
 )
-from rbmatch.types import Instance1D, MatchResult
+from rbmatch.types import Instance1D
 
 
 @pytest.fixture(scope="module")
@@ -57,15 +56,6 @@ def test_build_rejects_infeasible_pairs():
         build_regular_network(4, 14, 1.0)  # 7 nodes: no torus factorization
     with pytest.raises(ValueError):
         build_regular_network(3, 4, 1.0)  # 2*4/3 not integral
-
-
-def test_network_json_export():
-    net = build_regular_network(4, 36, 2.0)
-    obj = json.loads(net.to_json())
-    assert obj["degree"] == 4
-    assert obj["nodes"] == 18
-    assert len(obj["edges"]) == 36
-    assert all(e[2] == 2.0 for e in obj["edges"])
 
 
 def test_point_distance_same_edge(square_torus):
@@ -332,70 +322,6 @@ def test_heuristic_never_beats_exact(square_torus):
         ex = exact_network_match(square_torus, inst)
         assert h.total_distance >= ex.total_distance - 1e-9
         assert len(h.pairs) == inst.total_demand
-
-
-def _per_edge(edge, offset, edge_count):
-    bounds = np.searchsorted(edge, np.arange(edge_count + 1))
-    return [offset[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def _heuristic_reference(net, inst):
-    """Scalar local-first heuristic: per-edge loops and ``point_distance``."""
-    length = net.length
-    per_edge_demand = _per_edge(inst.demand_edge, inst.demand_offset, net.edge_count)
-    per_edge_supply = _per_edge(inst.supply_edge, inst.supply_offset, net.edge_count)
-    d_base = np.cumsum([0] + [len(a) for a in per_edge_demand])
-    s_base = np.cumsum([0] + [len(a) for a in per_edge_supply])
-
-    pairs, dists = [], []
-    leftover_demand = []  # (edge, offset, flat index)
-    leftover_supply = {}
-    for e, (dem, sup) in enumerate(zip(per_edge_demand, per_edge_supply)):
-        m_e, n_e = len(dem), len(sup)
-        if m_e <= n_e:
-            local_dem = np.arange(m_e)
-        else:
-            central = np.argsort(np.abs(dem - length / 2.0), kind="stable")[:n_e]
-            local_dem = np.sort(central)
-        res = optimal_match_1d(Instance1D(dem[local_dem], sup, length))
-        matched_sup = set()
-        for di, sj in res.pairs:
-            pairs.append((int(d_base[e] + local_dem[di]), int(s_base[e] + sj)))
-            dists.append(abs(dem[local_dem[di]] - sup[sj]))
-            matched_sup.add(sj)
-        spare = [(float(sup[j]), int(s_base[e] + j)) for j in range(n_e) if j not in matched_sup]
-        if spare:
-            leftover_supply[e] = spare
-        if m_e > n_e:
-            skipped = sorted(set(range(m_e)) - set(int(x) for x in local_dem))
-            leftover_demand.extend((e, float(dem[i]), int(d_base[e] + i)) for i in skipped)
-
-    if leftover_demand:
-        ends = np.array(net.edges, dtype=np.int64)
-        nd = net.node_distance
-        edge_near = np.minimum(nd[:, ends[:, 0]], nd[:, ends[:, 1]])
-        for e, off, gd in leftover_demand:
-            u_end, v_end = net.edges[e]
-            origin = u_end if off <= length - off else v_end
-            layers = np.rint(edge_near[origin] / length).astype(np.int64)
-            best = None
-            for k in range(int(layers.max()) + 1):
-                for e2 in np.flatnonzero(layers == k):
-                    for off2, gs in leftover_supply.get(int(e2), ()):
-                        d = point_distance(net, (e, off), (int(e2), off2))
-                        if best is None or d < best[0]:
-                            best = (d, int(e2), off2, gs)
-                if best is not None:
-                    break
-            d, e2, off2, gs = best
-            pairs.append((gd, gs))
-            dists.append(d)
-            leftover_supply[e2].remove((off2, gs))
-            if not leftover_supply[e2]:
-                del leftover_supply[e2]
-
-    order = np.argsort([p[0] for p in pairs], kind="stable")
-    return MatchResult.from_pairs([pairs[i] for i in order], [dists[i] for i in order])
 
 
 @pytest.mark.parametrize("degree", [3, 4, 6])

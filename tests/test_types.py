@@ -1,6 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
+from rbmatch.estimators import (
+    balanced_estimate,
+    baseline_estimate,
+    closed_unbalanced_estimate,
+    recursion_table,
+    recursive_estimate,
+    recursive_estimates,
+)
+from rbmatch.network import build_regular_network
 from rbmatch.types import (
     EdgeParams,
     Instance1D,
@@ -103,16 +114,6 @@ def test_unbalanced_prefix_ends_at_surplus():
             assert curve.prefix[-1] == n - m
 
 
-def test_instance_json_round_trip():
-    inst = Instance1D(demand=[0.2, 0.8], supply=[0.5, 0.9, 0.95], length=1.0)
-    text = inst.to_json()
-    assert '"length"' in text and '"demand"' in text and '"supply"' in text
-    back = Instance1D.from_json(text)
-    assert back.length == inst.length
-    assert back.demand.tolist() == inst.demand.tolist()
-    assert back.supply.tolist() == inst.supply.tolist()
-
-
 def test_match_result_mean():
     res = MatchResult.from_pairs([(0, 1), (1, 2)], [0.1, 0.3])
     assert res.total_distance == pytest.approx(0.4)
@@ -181,3 +182,23 @@ def test_edge_params_counts():
         EdgeParams(mu=1.5, lam=2.5, length=1.1).counts()
     with pytest.raises(ValueError, match="at least 1"):
         EdgeParams(mu=1e-9, lam=1.0, length=1.0).counts()
+
+
+LENGTH_TAKERS = {
+    "EdgeParams": lambda length: EdgeParams(1.0, 2.0, length),
+    "Instance1D": lambda length: Instance1D([0.1], [0.2], length),
+    "build_regular_network": lambda length: build_regular_network(4, 36, length),
+    "balanced_estimate": lambda length: balanced_estimate(3, length),
+    "closed_unbalanced_estimate": lambda length: closed_unbalanced_estimate(3, 5, length),
+    "baseline_estimate": lambda length: baseline_estimate(3, 5, length),
+    "recursion_table": lambda length: recursion_table(3, 5, length),
+    "recursive_estimates": lambda length: recursive_estimates(3, [4, 5], length),
+    "recursive_estimate": lambda length: recursive_estimate(3, 5, length),
+}
+
+
+@pytest.mark.parametrize("length", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", LENGTH_TAKERS)
+def test_lengths_not_finite_and_positive_are_rejected(name, length):
+    with pytest.raises(ValueError, match=f"length must be finite and positive, got {length!r}"):
+        LENGTH_TAKERS[name](length)
