@@ -14,7 +14,8 @@ lengths = (1.0, 3.0, 5.0, 7.0, 9.0)
 
 
 def simulate(mu, lam, length, reps=150):
-    m, n = round(mu * length), round(lam * length)
+    params = EdgeParams(mu=mu, lam=lam, length=length)
+    m, n = params.m, params.n
     means = [
         optimal_match_1d(
             Instance1D(rng.uniform(0, length, m), rng.uniform(0, length, n), length)

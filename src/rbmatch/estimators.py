@@ -268,12 +268,11 @@ def baseline_estimate(m: int, n: int, length: float = 1.0) -> Estimate:
 
 def edge_estimate(params: EdgeParams, recursive: float | None = None) -> Estimate:
     """Within-edge expected distance: the balanced closed form when the
-    counts m = mu*length and n = lam*length are equal, otherwise the
-    corrected recursion. Both counts must round to integers >= 1. A caller
-    that has the uncorrected recursive value from a shared
-    ``recursive_estimates`` pass passes it as ``recursive``; it is ignored
-    when m = n."""
-    m, n = params.counts()
+    counts ``params.m`` and ``params.n`` are equal, otherwise the corrected
+    recursion. A caller that has the uncorrected recursive value from a
+    shared ``recursive_estimates`` pass passes it as ``recursive``; it is
+    ignored when m = n."""
+    m, n = params.m, params.n
     if n == m:
         return balanced_estimate(n, params.length)
     if recursive is None:
@@ -286,16 +285,14 @@ def edge_estimate(params: EdgeParams, recursive: float | None = None) -> Estimat
 def dispatch_estimate(params: EdgeParams, edge_value: float | None = None) -> Estimate:
     """Route edge parameters to the appropriate segment estimator.
 
-    Counts m = mu*length and n = lam*length must round to integers >= 1.
     Supply/demand ratios below 3 use ``edge_estimate``; heavier surpluses use
     the 1/(2*lam) asymptote, which no longer depends on length. A caller that
     has ``edge_estimate(params).value`` already passes it as ``edge_value``,
     so that the recursion table behind it is not built a second time.
     """
-    m, n = params.counts()  # whole counts are required on every route
     if params.lam / params.mu >= _DISPATCH_RATIO_CUTOFF:
         return Estimate(value=1.0 / (2.0 * params.lam))
     if edge_value is None:
         edge_value = edge_estimate(params).value
     # edge_estimate applies the step-length correction whenever n > m
-    return Estimate(value=edge_value, corrected=n != m)
+    return Estimate(value=edge_value, corrected=params.n != params.m)

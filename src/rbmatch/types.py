@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,7 +14,6 @@ __all__ = [
     "EdgeParams",
     "build_supply_curve",
     "check_length",
-    "check_sorted_coordinates",
 ]
 
 
@@ -35,20 +34,6 @@ def check_length(length) -> None:
         raise ValueError(f"length must be finite and positive, got {length!r}")
 
 
-def check_sorted_coordinates(name: str, coords: np.ndarray, length: float) -> None:
-    """Reject coordinates outside [0, length], given rows sorted ascending.
-
-    ``coords`` is one sorted array or a stack of sorted rows; only the first
-    and last column are read, through one ``min`` and one ``max``. Sorting
-    puts NaN last, a reduction over NaN is NaN, and every comparison with NaN
-    is False, so this one test also rejects NaN and infinite coordinates.
-    """
-    if coords.size and not (
-        coords[..., 0].min() >= 0.0 and coords[..., -1].max() <= length
-    ):
-        raise ValueError(f"{name} coordinates must be finite and lie in [0, length]")
-
-
 @dataclass(frozen=True, eq=False)
 class Instance1D:
     """One realized bipartite matching problem on a segment.
@@ -56,6 +41,9 @@ class Instance1D:
     ``demand`` and ``supply`` are coordinate arrays on ``[0, length]``; they
     are sorted ascending at construction and the instance is immutable
     afterwards. The supply side must be at least as large as the demand side.
+    Only each side's first and last coordinate are range-checked: sorting
+    puts NaN last and every comparison with NaN is False, so this one test
+    also rejects NaN and infinite coordinates.
     """
 
     demand: np.ndarray
@@ -67,8 +55,9 @@ class Instance1D:
         supply = _readonly(np.sort(np.asarray(self.supply, dtype=np.float64).ravel()))
         length = float(self.length)
         check_length(length)
-        check_sorted_coordinates("demand", demand, length)
-        check_sorted_coordinates("supply", supply, length)
+        for name, coords in (("demand", demand), ("supply", supply)):
+            if coords.size and not (coords[0] >= 0.0 and coords[-1] <= length):
+                raise ValueError(f"{name} coordinates must be finite and lie in [0, length]")
         if supply.size < demand.size:
             raise ValueError("need at least as many supply points as demand points")
         object.__setattr__(self, "demand", demand)
@@ -161,11 +150,17 @@ class MatchResult:
 
 @dataclass(frozen=True)
 class EdgeParams:
-    """Demand density ``mu``, supply density ``lam`` (both per du) on a line of ``length`` du."""
+    """Demand density ``mu``, supply density ``lam`` (both per du) on a line of ``length`` du.
+
+    The point counts ``m`` = mu*length and ``n`` = lam*length are rounded at
+    construction; both must be whole numbers of at least 1.
+    """
 
     mu: float
     lam: float
     length: float
+    m: int = field(init=False, repr=False, compare=False)
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("mu", "lam"):
@@ -177,10 +172,6 @@ class EdgeParams:
             raise ValueError("mu must be positive")
         if self.lam < self.mu:
             raise ValueError("lam must be at least mu")
-
-    def counts(self) -> tuple[int, int]:
-        """Point counts (m, n) = (mu*length, lam*length); both must be whole
-        numbers of at least 1."""
         m_f = self.mu * self.length
         n_f = self.lam * self.length
         m, n = round(m_f), round(n_f)
@@ -188,4 +179,5 @@ class EdgeParams:
             raise ValueError("mu*length and lam*length must be integral point counts")
         if m < 1:
             raise ValueError("rounded point counts must be at least 1")
-        return m, n
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)

@@ -1,11 +1,15 @@
 import importlib
+import importlib.util
+import pathlib
 import pkgutil
+import sys
 
 import pytest
 
 import rbmatch
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(rbmatch.__path__))
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def test_modules_found():
@@ -17,4 +21,27 @@ def test_every_exported_name_resolves(name):
     # a stale entry fails only on ``from rbmatch.<module> import *``
     module = importlib.import_module(f"rbmatch.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_every_traced_entry_point_resolves(monkeypatch):
+    # the benchmark's tracer skips a target it cannot find, so its metric goes
+    # absent; a refactor that drops a traced entry point fails here instead
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
+    spec = importlib.util.spec_from_file_location("_bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for name, (module_name, path, _cells) in tracer.TARGETS.items():
+        owner = importlib.import_module(module_name)
+        *owners, attr = path.split(".")
+        for part in owners:
+            owner = getattr(owner, part, None)
+        if owners:  # a class member is patched on the class, so it must be defined there
+            found = None if owner is None else vars(owner).get(attr)
+        else:
+            found = getattr(owner, attr, None)
+        if found is None:
+            missing.append(name)
+    assert tracer.TARGETS
     assert missing == []

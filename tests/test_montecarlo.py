@@ -220,8 +220,8 @@ def test_batched_means_match_per_replication_reference():
     edge_grid = (EdgePoint(mu=4.0, lam=4.0, length=2.5), EdgePoint(mu=3.0, lam=7.0, length=3.0))
     records = run_experiment(ExperimentConfig(ExperimentKind.EDGE, edge_grid, reps, seed))
     for gi, (point, rec) in enumerate(zip(edge_grid, records)):
-        m, n = EdgeParams(point.mu, point.lam, point.length).counts()
-        means = _per_replication_means(m, n, point.length, reps, seed, gi)
+        params = EdgeParams(point.mu, point.lam, point.length)
+        means = _per_replication_means(params.m, params.n, point.length, reps, seed, gi)
         assert rec.sim_mean == pytest.approx(float(means.mean()), rel=1e-12, abs=0.0)
 
 
@@ -333,9 +333,9 @@ def test_edge_sweep_estimates_equal_direct_calls(monkeypatch):
         params = EdgeParams(point.mu, point.lam, point.length)
         assert rec.estimates["edge"] == edge_estimate(params).value
         assert rec.estimates["dispatch"] == dispatch_estimate(params).value
-        m, n = params.counts()
-        if n > m:
-            assert rec.estimates["edge"] == recursive_estimate(m, n, point.length).value
+        if params.n > params.m:
+            recursive = recursive_estimate(params.m, params.n, point.length)
+            assert rec.estimates["edge"] == recursive.value
 
 
 def test_estimator_attachment_by_kind():

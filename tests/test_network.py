@@ -17,6 +17,7 @@ from rbmatch.network import (
     exact_network_match,
     heuristic_network_match,
     network_estimate,
+    regular_edges,
     sample_instance,
 )
 from rbmatch.types import Instance1D
@@ -34,17 +35,27 @@ def test_build_node_counts():
 
 
 def test_build_handshake_regularity_connectivity():
+    # the builders do not check their own output; this test does, for every
+    # layout regular_edges accepts up to 300 edges
+    built = 0
     for degree in (3, 4, 6):
-        net = build_regular_network(degree, 36, 1.0)
-        assert 2 * net.edge_count == degree * net.node_count
-        deg = np.zeros(net.node_count, dtype=int)
-        for a, b in net.edges:
-            deg[a] += 1
-            deg[b] += 1
-        assert (deg == degree).all()
-        assert np.isfinite(net.node_distance).all()
-        assert (net.node_distance == net.node_distance.T).all()
-        assert (np.diag(net.node_distance) == 0).all()
+        for edge_count in range(1, 301):
+            try:
+                regular_edges(degree, edge_count)
+            except ValueError:
+                continue
+            net = build_regular_network(degree, edge_count, 1.0)
+            built += 1
+            assert net.edge_count == edge_count
+            assert 2 * net.edge_count == degree * net.node_count
+            assert len(set(net.edges)) == net.edge_count  # no repeated edge
+            assert all(a < b for a, b in net.edges)  # and no loop
+            deg = np.bincount(np.ravel(net.edges), minlength=net.node_count)
+            assert (deg == degree).all()
+            assert np.isfinite(net.node_distance).all()
+            assert (net.node_distance == net.node_distance.T).all()
+            assert (np.diag(net.node_distance) == 0).all()
+    assert built == 249
 
 
 def test_build_rejects_infeasible_pairs():
@@ -131,8 +142,11 @@ def test_sampling_law_of_large_numbers(square_torus):
 
 
 def test_sampling_rejects_bad_densities(square_torus):
-    with pytest.raises(ValueError):
-        sample_instance(square_torus, 0.0, 1.0, 1)
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"mu must be finite and positive, got {bad!r}"):
+            sample_instance(square_torus, bad, 1.0, 1)
+        with pytest.raises(ValueError, match=f"lam must be finite and positive, got {bad!r}"):
+            sample_instance(square_torus, 1.0, bad, 1)
 
 
 def test_exact_match_single_pair(square_torus):

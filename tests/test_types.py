@@ -12,13 +12,7 @@ from rbmatch.estimators import (
     recursive_estimates,
 )
 from rbmatch.network import build_regular_network
-from rbmatch.types import (
-    EdgeParams,
-    Instance1D,
-    MatchResult,
-    build_supply_curve,
-    check_sorted_coordinates,
-)
+from rbmatch.types import EdgeParams, Instance1D, MatchResult, build_supply_curve
 
 
 def test_two_point_curve():
@@ -66,11 +60,13 @@ def test_coordinates_sorted_on_construction():
 def test_construction_validation():
     with pytest.raises(ValueError):
         Instance1D(demand=[0.1, 0.2], supply=[0.3])  # m > n
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="demand coordinates must be finite and lie in"):
         Instance1D(demand=[1.5], supply=[0.2, 0.3])  # out of range
+    with pytest.raises(ValueError, match="supply coordinates must be finite and lie in"):
+        Instance1D(demand=[0.5], supply=[0.2, 2.5], length=2.0)  # above the length
     with pytest.raises(ValueError):
         Instance1D(demand=[0.1], supply=[0.2], length=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="demand coordinates"):
         Instance1D(demand=[-0.1], supply=[0.2])
 
 
@@ -80,20 +76,6 @@ def test_construction_rejects_non_finite_coordinates(bad):
         Instance1D(demand=[0.2, bad], supply=[0.1, 0.5, 0.9])
     with pytest.raises(ValueError, match="finite"):
         Instance1D(demand=[0.2], supply=[bad, 0.5, 0.9])
-    # one bad row in a stack of sorted rows is found too
-    rows = np.sort(np.array([[0.1, 0.4], [0.3, bad], [0.2, 0.6]]), axis=1)
-    with pytest.raises(ValueError, match="supply coordinates must be finite"):
-        check_sorted_coordinates("supply", rows, 1.0)
-
-
-def test_stacked_rows_check_range():
-    rows = np.array([[0.0, 0.5], [0.25, 2.0]])
-    check_sorted_coordinates("demand", rows, 2.0)
-    with pytest.raises(ValueError, match="demand"):
-        check_sorted_coordinates("demand", rows, 1.0)
-    with pytest.raises(ValueError, match="demand"):
-        check_sorted_coordinates("demand", rows - 0.1, 2.0)
-    check_sorted_coordinates("demand", np.empty((3, 0)), 1.0)
 
 
 def test_balanced_prefix_ends_at_zero():
@@ -176,12 +158,18 @@ def test_edge_params_reject_non_finite(field, bad):
 
 
 def test_edge_params_counts():
-    assert EdgeParams(mu=10.0, lam=11.0, length=3.0).counts() == (30, 33)
-    assert EdgeParams(mu=0.1, lam=0.3, length=30.0).counts() == (3, 9)  # float rounding
+    params = EdgeParams(mu=10.0, lam=11.0, length=3.0)
+    assert (params.m, params.n) == (30, 33)
+    assert type(params.m) is int and type(params.n) is int
+    params = EdgeParams(mu=0.1, lam=0.3, length=30.0)  # float rounding
+    assert (params.m, params.n) == (3, 9)
+    assert params == EdgeParams(mu=0.1, lam=0.3, length=30.0)
+    assert repr(params) == "EdgeParams(mu=0.1, lam=0.3, length=30.0)"
+    # fractional or zero counts are rejected when the parameters are built
     with pytest.raises(ValueError, match="integral"):
-        EdgeParams(mu=1.5, lam=2.5, length=1.1).counts()
+        EdgeParams(mu=1.5, lam=2.5, length=1.1)
     with pytest.raises(ValueError, match="at least 1"):
-        EdgeParams(mu=1e-9, lam=1.0, length=1.0).counts()
+        EdgeParams(mu=1e-9, lam=1.0, length=1.0)
 
 
 LENGTH_TAKERS = {
