@@ -198,31 +198,43 @@ def sample_instance(net: NetworkModel, mu: float, lam: float, seed) -> NetworkIn
     ``seed`` may be an integer or a numpy Generator; identical streams give
     identical instances. Each edge in turn draws its demand count, its supply
     count, then one ``random`` block of demand offsets followed by supply
-    offsets; all blocks are scaled by the length once. numpy's
-    ``uniform(0, length, k)`` is ``0.0 + length * random()``, so the offsets
-    have the bits of per-edge ``uniform`` draws of demand, then supply.
+    offsets; each block's demand and supply slices are sorted in place as
+    they are drawn, and each side is scaled by the length once. numpy's
+    ``uniform(0, length, k)`` is ``0.0 + length * random()``, and scaling by
+    a positive length keeps the order, so the offsets have the bits of sorted
+    per-edge ``uniform`` draws of demand, then supply.
     """
     for name, value in (("mu", mu), ("lam", lam)):
         if not 0.0 < value < math.inf:  # False for NaN
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     length = net.length
-    counts = []  # demand count, then supply count, of each edge in turn
-    blocks = []
+    demand, supply = [], []  # each edge's sorted slice of its block
     for _ in net.edges:
         m_e = rng.poisson(mu * length)
         n_e = rng.poisson(lam * length)
-        counts += [m_e, n_e]
-        blocks.append(rng.random(m_e + n_e))
-    offset = np.concatenate(blocks)
-    offset *= length
-    edge = np.repeat(np.arange(net.edge_count).repeat(2), counts)
-    is_supply = np.repeat(np.tile([False, True], net.edge_count), counts)
+        block = rng.random(m_e + n_e)
+        for side, part in ((demand, block[:m_e]), (supply, block[m_e:])):
+            part.sort()
+            side.append(part)
+    edges = np.arange(net.edge_count)
     points = []
-    for side in (~is_supply, is_supply):
-        side_edge, side_offset = edge[side], offset[side]
-        points += [side_edge, side_offset[np.lexsort((side_offset, side_edge))]]
+    for side in (demand, supply):
+        offset = np.concatenate(side)
+        offset *= length
+        points += [np.repeat(edges, [part.size for part in side]), offset]
     return NetworkInstance(*points)
+
+
+def _check_on_network(net: NetworkModel, inst: NetworkInstance) -> None:
+    """Reject a point on an edge the network does not have, or past the
+    edge's end, with a ValueError naming its field."""
+    for side in ("demand", "supply"):
+        edge, offset = getattr(inst, f"{side}_edge"), getattr(inst, f"{side}_offset")
+        if edge.size and edge[-1] >= net.edge_count:  # edges ascend
+            raise ValueError(f"{side}_edge must index one of the {net.edge_count} edges")
+        if offset.size and offset.max() > net.length:
+            raise ValueError(f"{side}_offset must not exceed the edge length {net.length}")
 
 
 def _cost_matrix(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:
@@ -231,20 +243,17 @@ def _cost_matrix(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:
     distance, in at either end of the supply edge) and, on one edge, the
     direct segment |a - b|.
 
-    Each demand point's distance to every node is gathered at the two supply
-    endpoints. Rounding is monotone, so min(x, y) + b equals min(x + b, y + b)
-    and each entry equals the four-way minimum of the summed routes bit for
-    bit. A point on an edge the network does not have, or past the edge's
-    end, raises ValueError naming its field.
+    Each demand point's distance to every node is gathered at either end of
+    every supply edge into one of two buffers, which in-place adds of the
+    supply offsets and an in-place minimum merge. Rounding is monotone, so
+    min(x, y) + b equals min(x + b, y + b) and each entry equals the four-way
+    minimum of the summed routes bit for bit. A point off the network raises
+    ValueError naming its field.
     """
+    _check_on_network(net, inst)
     d_edge, d_off = inst.demand_edge, inst.demand_offset
     s_edge, s_off = inst.supply_edge, inst.supply_offset
     length = net.length
-    for side, edge, offset in (("demand", d_edge, d_off), ("supply", s_edge, s_off)):
-        if edge.size and edge[-1] >= net.edge_count:  # edges ascend
-            raise ValueError(f"{side}_edge must index one of the {net.edge_count} edges")
-        if offset.size and offset.max() > length:
-            raise ValueError(f"{side}_offset must not exceed the edge length {length}")
     ends = np.array(net.edges, dtype=np.int64)
     nd = net.node_distance
 
@@ -252,8 +261,11 @@ def _cost_matrix(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:
         d_off[:, None] + nd[ends[d_edge, 0]],
         (length - d_off)[:, None] + nd[ends[d_edge, 1]],
     )
-    cost = to_node[:, ends[s_edge, 0]] + s_off
-    np.minimum(cost, to_node[:, ends[s_edge, 1]] + (length - s_off), out=cost)
+    cost = np.take(to_node, ends[s_edge, 0], axis=1)
+    cost += s_off
+    other = np.take(to_node, ends[s_edge, 1], axis=1)
+    other += length - s_off
+    np.minimum(cost, other, out=cost)
 
     # same-edge pairs: each demand point against its edge's supply block
     s_start = np.searchsorted(s_edge, np.arange(net.edge_count))
@@ -262,8 +274,9 @@ def _cost_matrix(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:
     rows = np.repeat(np.arange(d_edge.size), per_row)
     first = np.cumsum(per_row) - per_row
     cols = np.arange(rows.size) - np.repeat(first - s_start[d_edge], per_row)
-    direct = np.abs(d_off[rows] - s_off[cols])
-    cost[rows, cols] = np.minimum(cost[rows, cols], direct)
+    flat = cost.reshape(-1)  # a view: cost is C-contiguous
+    at = rows * s_edge.size + cols
+    flat[at] = np.minimum(flat[at], np.abs(d_off[rows] - s_off[cols]))
     return cost
 
 
@@ -284,18 +297,22 @@ def heuristic_network_match(net: NetworkModel, inst: NetworkInstance) -> MatchRe
     locally; each leftover demand point, in index order, then searches
     outward layer by layer (layer k holds the edges whose nearer endpoint is
     k*L from its origin node) and takes the nearest free supply point of the
-    first layer that has one, the lowest index on ties. Distances are
-    ``_cost_matrix`` entries. Diagnostic companion to the exact solver, never
-    below it in total distance.
+    first layer that has one, the lowest index on ties. A local pair's
+    distance is its direct segment, which no detour through the edge's ends
+    undercuts, so it equals the ``_cost_matrix`` entry bit for bit; the
+    leftover demand rows, still ordered, form a sub-instance whose
+    ``_cost_matrix`` gives their distances. Diagnostic companion to the exact
+    solver, never below it in total distance.
     """
     if inst.total_demand > inst.total_supply:
         raise ValueError("more demand than supply; instance is infeasible")
+    _check_on_network(net, inst)
     length = net.length
-    cost = _cost_matrix(net, inst)
     bounds = np.arange(net.edge_count + 1)
     d_bounds = np.searchsorted(inst.demand_edge, bounds)
     s_bounds = np.searchsorted(inst.supply_edge, bounds)
     match = np.full(inst.total_demand, -1)
+    dist = np.empty(inst.total_demand)
     free = np.ones(inst.total_supply, dtype=bool)
 
     for e in range(net.edge_count):
@@ -309,8 +326,10 @@ def heuristic_network_match(net: NetworkModel, inst: NetworkInstance) -> MatchRe
             local = np.sort(central)
         res = optimal_match_1d(Instance1D(dem[local], sup, length))
         pairs = np.array(res.pairs, dtype=np.int64).reshape(-1, 2)
-        match[d0 + local[pairs[:, 0]]] = s0 + pairs[:, 1]
-        free[s0 + pairs[:, 1]] = False
+        rows, cols = local[pairs[:, 0]], pairs[:, 1]
+        match[d0 + rows] = s0 + cols
+        dist[d0 + rows] = np.abs(dem[rows] - sup[cols])
+        free[s0 + cols] = False
 
     ends = np.array(net.edges, dtype=np.int64)
     nd = net.node_distance
@@ -318,16 +337,16 @@ def heuristic_network_match(net: NetworkModel, inst: NetworkInstance) -> MatchRe
     layer = np.rint(np.minimum(nd[:, ends[:, 0]], nd[:, ends[:, 1]]) / length)
     leftover = np.flatnonzero(match < 0)
     d_edge, d_off = inst.demand_edge[leftover], inst.demand_offset[leftover]
+    cost = _cost_matrix(net, NetworkInstance(d_edge, d_off, inst.supply_edge, inst.supply_offset))
     origin = np.where(d_off <= length - d_off, ends[d_edge, 0], ends[d_edge, 1])
-    for i, node in zip(leftover, origin):
+    for k, (i, node) in enumerate(zip(leftover, origin)):
         supply_layer = layer[node, inst.supply_edge]
         first = free & (supply_layer == supply_layer[free].min())
-        j = np.argmin(np.where(first, cost[i], np.inf))
-        match[i] = j
+        j = np.argmin(np.where(first, cost[k], np.inf))
+        match[i], dist[i] = j, cost[k, j]
         free[j] = False
 
-    rows = np.arange(inst.total_demand)
-    return MatchResult.from_pairs(np.column_stack((rows, match)), cost[rows, match])
+    return MatchResult.from_pairs(np.column_stack((np.arange(inst.total_demand), match)), dist)
 
 
 @dataclass(frozen=True)

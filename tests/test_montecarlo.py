@@ -1,6 +1,10 @@
 import dataclasses
+import importlib.util
+import json
 import math
+import pathlib
 import re
+import sys
 import types
 
 import numpy as np
@@ -9,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rbmatch import assignment, estimators, montecarlo
+from rbmatch.cli import _preset_config
 from rbmatch.estimators import (
     closed_unbalanced_estimate,
     dispatch_estimate,
@@ -443,6 +448,23 @@ def test_csv_and_json_schemas():
     assert all(isinstance(entry["kind"], str) for entry in payload)
     assert payload[0]["kind"] == "segment"
     assert payload[1]["estimates"]["recursive"] > 0
+
+
+BENCH_REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+
+
+@pytest.mark.parametrize("seed", [3, 12])
+def test_fig6_replay_matches_stored_reference(monkeypatch, seed):
+    # the fig6 grid at 5 reps against the benchmark's stored records, at the
+    # benchmark's 1e-9 relative gate: sampling, cost matrices and solver must
+    # keep every network record's value (the stored CSV hashes are not read)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
+    spec = importlib.util.spec_from_file_location("_bench_reference", BENCH_REFERENCE)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    records = run_experiment(_preset_config("fig6", 5, seed, 1))
+    checked = reference.check(json.loads(records_to_json(records)), reference.load("fig6_r5"), seed)
+    assert len(checked) == 15 and all(checked)
 
 
 def test_network_records_report_resampling():

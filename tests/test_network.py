@@ -108,12 +108,12 @@ def test_sampling_determinism_and_counts(square_torus):
         assert (np.diff(offset)[np.diff(edge) == 0] >= 0).all()
 
 
-def _assert_per_edge_draw_order(net, length):
+def _assert_per_edge_draw_order(net, length, mu=5.0, lam=7.0):
     # poisson, poisson, uniform, uniform on each edge fixes every seeded draw
-    inst = sample_instance(net, 5.0, 7.0, 123)
+    inst = sample_instance(net, mu, lam, 123)
     rng = np.random.default_rng(123)
     for e in range(net.edge_count):
-        m_e, n_e = rng.poisson(5.0 * length), rng.poisson(7.0 * length)
+        m_e, n_e = rng.poisson(mu * length), rng.poisson(lam * length)
         dem = np.sort(rng.uniform(0.0, length, m_e))
         sup = np.sort(rng.uniform(0.0, length, n_e))
         assert np.array_equal(inst.demand_offset[inst.demand_edge == e], dem)
@@ -127,6 +127,18 @@ def test_sampling_keeps_per_edge_draw_order(square_torus):
 @pytest.mark.parametrize("length", [0.7, 2.5])
 def test_sampling_keeps_per_edge_draw_order_non_unit_length(length):
     _assert_per_edge_draw_order(build_regular_network(4, 36, length), length)
+
+
+@pytest.mark.parametrize("degree", [3, 4, 6])
+def test_sampling_keeps_per_edge_draw_order_at_low_density(degree):
+    # many edges draw no demand, no supply or neither: empty slices to sort
+    # in place and zero repeat counts
+    net = build_regular_network(degree, 36, 1.0)
+    inst = sample_instance(net, 0.3, 0.5, 123)
+    counts = [np.bincount(e, minlength=36) for e in (inst.demand_edge, inst.supply_edge)]
+    assert ((counts[0] == 0) & (counts[1] == 0)).any()
+    assert ((counts[0] == 0) != (counts[1] == 0)).any()
+    _assert_per_edge_draw_order(net, 1.0, mu=0.3, lam=0.5)
 
 
 def test_sampling_law_of_large_numbers(square_torus):
@@ -232,6 +244,50 @@ def test_exact_match_single_edge_matches_segment_dp(square_torus):
         assert res.total_distance == pytest.approx(seg.total_distance, abs=1e-9)
 
 
+def _point_distances(net, inst) -> np.ndarray:
+    """The demand-by-supply matrix of scalar ``point_distance`` values."""
+    demand = list(zip(inst.demand_edge.tolist(), inst.demand_offset.tolist()))
+    supply = list(zip(inst.supply_edge.tolist(), inst.supply_offset.tolist()))
+    rows = [[point_distance(net, a, b) for b in supply] for a in demand]
+    return np.array(rows).reshape(len(demand), len(supply))
+
+
+def _fig6_sized_instance():
+    net = build_regular_network(3, 36, 1.0)
+    return net, sample_instance(net, 5.0, 25.0, 6)
+
+
+def _sparse_demand_instance():
+    net = build_regular_network(4, 36, 1.0)
+    inst = sample_instance(net, 0.1, 5.0, 7)
+    assert (np.bincount(inst.demand_edge, minlength=36) == 0).mean() > 0.5
+    return net, inst
+
+
+def _demand_without_supply_instance():
+    net = build_regular_network(6, 36, 1.0)
+    inst = _manual_instance(
+        net, {0: [0.1, 0.5, 0.9], 7: [0.3]}, {3: [0.2, 0.8], 7: [0.6], 20: [0.0, 1.0]}
+    )
+    return net, inst
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _fig6_sized_instance,
+        _sparse_demand_instance,
+        _demand_without_supply_instance,
+    ],
+    ids=["fig6_sized", "most_edges_without_demand", "edge_with_demand_but_no_supply"],
+)
+def test_cost_matrix_equals_point_distance(build):
+    net, inst = build()
+    costs = _cost_matrix(net, inst)
+    assert costs.shape == (inst.total_demand, inst.total_supply)
+    assert np.array_equal(costs, _point_distances(net, inst))
+
+
 def test_exact_match_brute_force(square_torus):
     rng = np.random.default_rng(43)
     for _ in range(25):
@@ -240,20 +296,11 @@ def test_exact_match_brute_force(square_torus):
             if 0 < inst.total_demand <= 4 and inst.total_demand <= inst.total_supply <= 6:
                 break
         res = exact_network_match(square_torus, inst)
-        de, do = inst.demand_edge, inst.demand_offset
-        se, so = inst.supply_edge, inst.supply_offset
-        costs = np.array(
-            [
-                [
-                    point_distance(square_torus, (int(de[i]), float(do[i])), (int(se[j]), float(so[j])))
-                    for j in range(len(so))
-                ]
-                for i in range(len(do))
-            ]
-        )
+        costs = _point_distances(square_torus, inst)
+        rows = np.arange(inst.total_demand)
         best = min(
-            costs[np.arange(len(do)), list(perm)].sum()
-            for perm in itertools.permutations(range(len(so)), len(do))
+            costs[rows, list(perm)].sum()
+            for perm in itertools.permutations(range(inst.total_supply), inst.total_demand)
         )
         assert res.total_distance == pytest.approx(float(best), abs=1e-9)
 
@@ -270,16 +317,8 @@ def test_cost_matrix_and_match_against_references(degree, ratio):
         if not 0 < inst.total_demand <= inst.total_supply:
             continue
         checked += 1
-        de, do = inst.demand_edge, inst.demand_offset
-        se, so = inst.supply_edge, inst.supply_offset
-        expected = np.array(
-            [
-                [point_distance(net, (int(de[i]), do[i]), (int(se[j]), so[j])) for j in range(len(so))]
-                for i in range(len(do))
-            ]
-        )
         costs = _cost_matrix(net, inst)
-        assert np.array_equal(costs, expected)
+        assert np.array_equal(costs, _point_distances(net, inst))
         res = exact_network_match(net, inst)
         ref = _solve_dense_reference(costs)
         assert res.total_distance == pytest.approx(ref.total_cost, rel=1e-12, abs=0.0)
