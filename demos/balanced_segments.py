@@ -33,7 +33,7 @@ for n in (1, 2, 5, 10, 25, 50, 100, 200):
         sample = Instance1D(rng.uniform(0, 1, n), rng.uniform(0, 1, n))
         means.append(optimal_match_1d(sample).mean_distance)
     sim = float(np.mean(means))
-    est = balanced_estimate(n).value
+    est = balanced_estimate(n)
     print(f"{n:>5} {sim:>12.5f} {est:>12.5f} {(est - sim) / sim:>+9.1%}")
 
 print()

@@ -30,7 +30,7 @@ for lam in (10.0, 30.0):
     print(f"  {'L':>4} {'simulated':>11} {'estimate':>10} {'sim / sqrt(L)':>14}")
     for length in lengths:
         sim = simulate(mu, lam, length)
-        est = dispatch_estimate(EdgeParams(mu=mu, lam=lam, length=length)).value
+        est = dispatch_estimate(EdgeParams(mu=mu, lam=lam, length=length))
         print(f"  {length:>4g} {sim:>11.5f} {est:>10.5f} {sim / np.sqrt(length):>14.5f}")
     print()
 

@@ -51,6 +51,6 @@ for n in (44, 50, 60, 80, 120):
         sample = Instance1D(rng.uniform(0, 1, m), rng.uniform(0, 1, n))
         sims.append(optimal_match_1d(sample).mean_distance)
     sim = float(np.mean(sims))
-    closed = closed_unbalanced_estimate(m, n).value
-    rec = recursive_estimate(m, n).value
+    closed = closed_unbalanced_estimate(m, n)
+    rec = recursive_estimate(m, n)
     print(f"{n:>5} {sim:>11.5f} {closed:>9.5f} {rec:>10.5f}")

@@ -11,7 +11,6 @@ from .combinatorics import (
     stars_bars_distribution,
 )
 from .estimators import (
-    Estimate,
     balanced_estimate,
     baseline_estimate,
     closed_unbalanced_estimate,

@@ -6,25 +6,18 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .estimators import (
-    balanced_estimate,
-    baseline_estimate,
-    closed_unbalanced_estimate,
-    dispatch_estimate,
-    recursive_estimate,
-)
 from .montecarlo import (
     EdgePoint,
     ExperimentConfig,
     ExperimentKind,
     NetworkPoint,
     SegmentPoint,
+    _sweep_estimates,
     records_to_csv,
     records_to_json,
     run_experiment,
 )
 from .network import DEFAULT_SEARCH_LAYERS, network_estimate
-from .types import EdgeParams
 
 
 def _workers(args, parser) -> int:
@@ -56,26 +49,29 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--edge", nargs=3, type=float, metavar=("MU", "LAM", "L"))
     target.add_argument("--network", nargs=4, type=float, metavar=("D", "MU", "LAM", "L"))
     est.add_argument(
-        "--method",
-        choices=["balanced", "closed", "recursive", "baseline", "dispatch", "all"],
-        help="segment estimator to use (default: the most accurate applicable)",
-    )
-    est.add_argument("--no-correction", action="store_true")
-    est.add_argument(
-        "--kappa", type=int, default=DEFAULT_SEARCH_LAYERS, help="search-layer truncation"
+        "--kappa",
+        type=int,
+        help=f"search-layer truncation, --network only (default {DEFAULT_SEARCH_LAYERS})",
     )
 
     sim = sub.add_parser("simulate", help="run a seeded simulation sweep")
-    sim.add_argument("kind", choices=["segment", "edge", "network"])
-    sim.add_argument("--m", type=_int_list, help="demand counts (segment)")
-    sim.add_argument("--n", type=_int_list, help="supply counts (segment)")
-    sim.add_argument("--mu", type=_float_list, help="demand densities")
-    sim.add_argument("--lam", type=_float_list, help="supply densities")
-    sim.add_argument("--length", type=_float_list, default=[1.0], help="edge lengths")
-    sim.add_argument("--degree", type=_int_list, help="node degrees (network)")
-    sim.add_argument("--edges", type=int, default=36, help="edge count (network)")
-    sim.add_argument("--kappa", type=int, default=DEFAULT_SEARCH_LAYERS)
-    _common_run_flags(sim)
+    # each kind takes its own flags only; no abbreviations, so that another
+    # kind's --m is not read as --mu
+    kinds = sim.add_subparsers(dest="kind", required=True)
+    segment = kinds.add_parser("segment", allow_abbrev=False, help="counts on the unit segment")
+    segment.add_argument("--m", type=_int_list, required=True, help="demand counts")
+    segment.add_argument("--n", type=_int_list, required=True, help="supply counts")
+    edge = kinds.add_parser("edge", allow_abbrev=False, help="densities on one line")
+    network = kinds.add_parser("network", allow_abbrev=False, help="densities on a network")
+    network.add_argument("--degree", type=_int_list, required=True, help="node degrees")
+    for kind in (edge, network):
+        kind.add_argument("--mu", type=_float_list, required=True, help="demand densities")
+        kind.add_argument("--lam", type=_float_list, required=True, help="supply densities")
+        kind.add_argument("--length", type=_float_list, default=[1.0], help="edge lengths")
+    network.add_argument("--edges", type=int, default=36, help="edge count")
+    network.add_argument("--kappa", type=int, default=DEFAULT_SEARCH_LAYERS)
+    for kind in (segment, edge, network):
+        _common_run_flags(kind)
 
     cmp_ = sub.add_parser("compare", help="reproduce a named figure sweep")
     cmp_.add_argument(
@@ -95,48 +91,32 @@ def _common_run_flags(sub) -> None:
     sub.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
-def _print_estimate(label: str, value: float, corrected: bool | None = None) -> None:
-    suffix = "" if corrected is None else f" corrected={str(corrected).lower()}"
-    print(f"method={label}{suffix} value={value:.10g}")
+def _print_estimate(label: str, value: float) -> None:
+    print(f"method={label} value={value:.10g}")
 
 
 def cmd_estimate(args, parser) -> int:
-    corrected = not args.no_correction
-    if args.segment is not None:
-        m, n = args.segment
-        if not 1 <= m <= n:
-            parser.error("--segment requires 1 <= M <= N")
-        method = args.method or ("balanced" if m == n else "recursive")
-        if method == "dispatch":
-            parser.error("--method dispatch applies to --edge")
-        if method == "balanced" and m < n:
-            parser.error("--method balanced requires M == N")
-        if method in ("closed", "recursive") and m == n:
-            parser.error(f"--method {method} requires M < N")
-        if method in ("balanced", "all") and m == n:
-            _print_estimate("balanced", balanced_estimate(n).value)
-        if method in ("closed", "all") and m < n:
-            est = closed_unbalanced_estimate(m, n, apply_correction=corrected)
-            _print_estimate("closed", est.value, est.corrected)
-        if method in ("recursive", "all") and m < n:
-            est = recursive_estimate(m, n, apply_correction=corrected)
-            _print_estimate("recursive", est.value, est.corrected)
-        if method in ("baseline", "all"):
-            _print_estimate("baseline", baseline_estimate(m, n).value)
-        return 0
-    if args.edge is not None:
-        mu, lam, length = args.edge
+    if args.network is None:
+        if args.kappa is not None:
+            parser.error("--kappa applies to --network only")
         try:
-            est = dispatch_estimate(EdgeParams(mu=mu, lam=lam, length=length))
+            if args.segment is not None:
+                kind, point = ExperimentKind.SEGMENT, SegmentPoint(*args.segment)
+            else:
+                kind, point = ExperimentKind.EDGE, EdgePoint(*args.edge)
         except ValueError as exc:
             parser.error(str(exc))
-        _print_estimate("edge", est.value, est.corrected)
+        # the est_* columns that simulate records for this point
+        ((estimates, _),) = _sweep_estimates(kind, (point,))
+        for name in sorted(estimates):
+            _print_estimate(name, estimates[name])
         return 0
     degree, mu, lam, length = args.network
     if degree != int(degree):
         parser.error("--network degree must be an integer")
+    kappa = DEFAULT_SEARCH_LAYERS if args.kappa is None else args.kappa
     try:
-        parts = network_estimate(int(degree), mu, lam, length, kappa=args.kappa)
+        parts = network_estimate(int(degree), mu, lam, length, kappa=kappa)
     except ValueError as exc:
         parser.error(str(exc))
     _print_estimate("network", parts.total)
@@ -151,13 +131,9 @@ def _simulate_config(args, parser) -> ExperimentConfig:
     """The sweep named by the simulate flags; grid points and the config
     raise ValueError on invalid values."""
     if args.kind == "segment":
-        if not args.m or not args.n:
-            parser.error("segment grids need --m and --n")
         kind = ExperimentKind.SEGMENT
         grid = [SegmentPoint(m=m, n=n) for m in args.m for n in args.n]
     elif args.kind == "edge":
-        if not args.mu or not args.lam:
-            parser.error("edge grids need --mu and --lam")
         kind = ExperimentKind.EDGE
         grid = [
             EdgePoint(mu=mu, lam=lam, length=ln)
@@ -166,8 +142,6 @@ def _simulate_config(args, parser) -> ExperimentConfig:
             for ln in args.length
         ]
     else:
-        if not args.degree or not args.mu or not args.lam:
-            parser.error("network grids need --degree, --mu and --lam")
         kind = ExperimentKind.NETWORK
         grid = [
             NetworkPoint(

@@ -3,7 +3,7 @@ for bipartite point sets on a segment, plus a density-based dispatcher."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .combinatorics import (
 from .types import EdgeParams, check_length
 
 __all__ = [
-    "Estimate",
     "step_length_correction",
     "balanced_estimate",
     "closed_unbalanced_estimates",
@@ -32,13 +31,22 @@ __all__ = [
 _DISPATCH_RATIO_CUTOFF = 3.0
 
 
-@dataclass(frozen=True)
-class Estimate:
-    """An expected mean matching distance (du), and whether the step-length
-    correction was subtracted from it."""
-
-    value: float
-    corrected: bool = False
+def _check_counts(m, ns: list, least_excess: int = 1) -> None:
+    """The one count rule of the segment estimators: every count is an
+    integer, m >= 1, ``ns`` is nonempty and each n in it is at least
+    m + least_excess. A ValueError names the count that breaks it."""
+    if not ns:
+        raise ValueError("ns must be nonempty")
+    for name, values in (("n", ns), ("m", [m])):
+        for value in values:
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"counts must be integers, got {name}={value!r}")
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got m={m}")
+    for n in ns:
+        if n < m + least_excess:
+            relation = ">" if least_excess else ">="
+            raise ValueError(f"requires n {relation} m, got n={n} for m={m}")
 
 
 def step_length_correction(m: int, n: int, length: float = 1.0) -> float:
@@ -54,18 +62,17 @@ def _harel_values(max_n: int) -> np.ndarray:
     return np.array([harel_area(i) for i in range(max_n + 1)])
 
 
-def balanced_estimate(n: int, length: float = 1.0) -> Estimate:
+def balanced_estimate(n: int, length: float = 1.0) -> float:
     """Expected mean matching distance for n demand and n supply points.
 
     Evaluates l * B(n) / n with mean gap l = length / (2n), where B is the
     expected balanced-walk area; equals (1/(2n)) * 2^(2n-1) / C(2n, n) on the
     unit segment.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_counts(n, [n], least_excess=0)
     check_length(length)
     gap = length / (2.0 * n)
-    return Estimate(value=gap * harel_area(n) / n)
+    return gap * harel_area(n) / n
 
 
 def closed_unbalanced_estimates(m: int, ns) -> dict[int, float]:
@@ -76,14 +83,8 @@ def closed_unbalanced_estimates(m: int, ns) -> dict[int, float]:
     table entries do not depend on the table's size, so each value equals
     the one-element call's bit for bit.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
     ns = list(ns)
-    if not ns:
-        raise ValueError("ns must be nonempty")
-    for n in ns:
-        if n <= m:
-            raise ValueError(f"requires n > m, got n={n} for m={m}; use balanced_estimate at n = m")
+    _check_counts(m, ns)
     areas = _harel_values(m)
     lf = log_factorials(max(ns))
     return {
@@ -93,26 +94,20 @@ def closed_unbalanced_estimates(m: int, ns) -> dict[int, float]:
 
 
 def closed_unbalanced_estimate(
-    m: int,
-    n: int,
-    length: float = 1.0,
-    apply_correction: bool = True,
-    uncorrected: float | None = None,
-) -> Estimate:
-    """Closed-form estimate for m demand and n > m supply points.
+    m: int, n: int, length: float = 1.0, uncorrected: float | None = None
+) -> float:
+    """Corrected closed-form estimate for m demand and n > m supply points.
 
     Averages the balanced-walk area over the stars-and-bars distribution of
     demand counts per segment:
-    (n-m+1) / (m(m+n)) * sum_{m'} Pr{m_0 = m'} * B(m'), scaled by length,
-    optionally minus the step-length correction. This is the one-element
-    case of ``closed_unbalanced_estimates``; a caller that has the unit-length
-    value from a shared pass passes it as ``uncorrected``.
+    (n-m+1) / (m(m+n)) * sum_{m'} Pr{m_0 = m'} * B(m'), minus the
+    step-length correction, scaled by length. The uncorrected unit-length
+    value is the one-element case of ``closed_unbalanced_estimates``; a
+    caller that has it from a shared pass passes it as ``uncorrected``.
     """
     check_length(length)
     value = closed_unbalanced_estimates(m, [n])[n] if uncorrected is None else uncorrected
-    if apply_correction:
-        value -= step_length_correction(m, n)
-    return Estimate(value=length * value, corrected=apply_correction)
+    return length * (value - step_length_correction(m, n))
 
 
 def _ballot_weights(a: np.ndarray, m_hat: np.ndarray, lf: np.ndarray):
@@ -167,10 +162,7 @@ def recursion_table(m: int, n: int, length: float = 1.0) -> np.ndarray:
     parent process, with one such table per (m, length). The per-n table is
     the test reference.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if n <= m:
-        raise ValueError("requires n > m")
+    _check_counts(m, [n])
     check_length(length)
     excess = n - m
     gap = length / (m + n)
@@ -210,14 +202,8 @@ def recursive_estimates(m: int, ns, length: float = 1.0) -> dict[int, float]:
     its value never depends on which other ns share the pass. It agrees with
     the per-n table's entry [0, m] / m to within a few ulp.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
     ns = list(ns)
-    if not ns:
-        raise ValueError("ns must be nonempty")
-    for n in ns:
-        if n <= m:
-            raise ValueError(f"requires n > m, got n={n} for m={m}")
+    _check_counts(m, ns)
     check_length(length)
     top = max(ns)
     rows = recursion_table(m, top, length=float(m + top))
@@ -230,25 +216,20 @@ def recursive_estimates(m: int, ns, length: float = 1.0) -> dict[int, float]:
     return out
 
 
-def recursive_estimate(
-    m: int, n: int, length: float = 1.0, apply_correction: bool = True
-) -> Estimate:
-    """Recursive upper-bound estimate for m demand and n > m supply points.
+def recursive_estimate(m: int, n: int, length: float = 1.0) -> float:
+    """Corrected recursive estimate for m demand and n > m supply points.
 
-    Returns E[Z_{0,m}] / m from the removal-and-swap recursion, optionally
-    minus the step-length correction. This is the one-element pass of
-    ``recursive_estimates``. The experiment harness computes its estimates
-    once per sweep, in the parent process, with one pass and so one
-    unit-gap table per (m, length); each of its values equals this one bit
-    for bit.
+    Returns E[Z_{0,m}] / m from the removal-and-swap recursion, an upper
+    bound, minus the step-length correction. The uncorrected value is the
+    one-element pass of ``recursive_estimates``. The experiment harness
+    computes its estimates once per sweep, in the parent process, with one
+    pass and so one unit-gap table per (m, length); each of its values
+    equals this one bit for bit.
     """
-    value = recursive_estimates(m, [n], length)[n]
-    if apply_correction:
-        value -= step_length_correction(m, n, length)
-    return Estimate(value=value, corrected=apply_correction)
+    return recursive_estimates(m, [n], length)[n] - step_length_correction(m, n, length)
 
 
-def baseline_estimate(m: int, n: int, length: float = 1.0) -> Estimate:
+def baseline_estimate(m: int, n: int, length: float = 1.0) -> float:
     """Prior double-sum estimate, tending to length/(2n) when n >> m.
 
     1/(2m(n+1)) * sum_{i=1..m} [ sum_{k=1..i} k r^(k-1) (1-r) + i r^i ] with
@@ -256,17 +237,15 @@ def baseline_estimate(m: int, n: int, length: float = 1.0) -> Estimate:
     sum_{k<i} r^k = (1 - r^i) / (1 - r), with 1 - r = (n-i+1)/n taken
     exactly.
     """
-    if m < 1 or n < m:
-        raise ValueError("requires n >= m >= 1")
+    _check_counts(m, [n], least_excess=0)
     check_length(length)
     i = np.arange(1, m + 1, dtype=np.float64)
     r = (i - 1.0) / n
     total = float(np.sum((1.0 - r**i) / ((n - i + 1.0) / n)))
-    value = length * total / (2.0 * m * (n + 1))
-    return Estimate(value=value)
+    return length * total / (2.0 * m * (n + 1))
 
 
-def edge_estimate(params: EdgeParams, recursive: float | None = None) -> Estimate:
+def edge_estimate(params: EdgeParams, recursive: float | None = None) -> float:
     """Within-edge expected distance: the balanced closed form when the
     counts ``params.m`` and ``params.n`` are equal, otherwise the corrected
     recursion. A caller that has the uncorrected recursive value from a
@@ -276,23 +255,19 @@ def edge_estimate(params: EdgeParams, recursive: float | None = None) -> Estimat
     if n == m:
         return balanced_estimate(n, params.length)
     if recursive is None:
-        return recursive_estimate(m, n, params.length, apply_correction=True)
-    # the subtraction recursive_estimate applies when correcting
-    value = recursive - step_length_correction(m, n, params.length)
-    return Estimate(value=value, corrected=True)
+        return recursive_estimate(m, n, params.length)
+    # the subtraction recursive_estimate applies
+    return recursive - step_length_correction(m, n, params.length)
 
 
-def dispatch_estimate(params: EdgeParams, edge_value: float | None = None) -> Estimate:
+def dispatch_estimate(params: EdgeParams, edge_value: float | None = None) -> float:
     """Route edge parameters to the appropriate segment estimator.
 
     Supply/demand ratios below 3 use ``edge_estimate``; heavier surpluses use
     the 1/(2*lam) asymptote, which no longer depends on length. A caller that
-    has ``edge_estimate(params).value`` already passes it as ``edge_value``,
-    so that the recursion table behind it is not built a second time.
+    has ``edge_estimate(params)`` already passes it as ``edge_value``, so
+    that the recursion table behind it is not built a second time.
     """
     if params.lam / params.mu >= _DISPATCH_RATIO_CUTOFF:
-        return Estimate(value=1.0 / (2.0 * params.lam))
-    if edge_value is None:
-        edge_value = edge_estimate(params).value
-    # edge_estimate applies the step-length correction whenever n > m
-    return Estimate(value=edge_value, corrected=params.n != params.m)
+        return 1.0 / (2.0 * params.lam)
+    return edge_estimate(params) if edge_value is None else edge_value

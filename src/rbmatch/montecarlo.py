@@ -378,25 +378,25 @@ def _point_estimates(
     ``closed`` maps (m, n) to the uncorrected closed-form value."""
     if kind is ExperimentKind.SEGMENT:
         m, n = point.m, point.n
-        out = {"baseline": baseline_estimate(m, n).value}
+        out = {"baseline": baseline_estimate(m, n)}
         if n == m:
-            out["balanced"] = balanced_estimate(n).value
+            out["balanced"] = balanced_estimate(n)
         else:
             # one recursion value serves two columns; this is the subtraction
-            # recursive_estimate applies when correcting
+            # recursive_estimate applies
             rec = recursive[m, n, 1.0]
-            out["closed"] = closed_unbalanced_estimate(m, n, uncorrected=closed[m, n]).value
+            out["closed"] = closed_unbalanced_estimate(m, n, uncorrected=closed[m, n])
             out["closed_uncorrected"] = closed[m, n]
             out["recursive"] = rec - step_length_correction(m, n)
             out["recursive_uncorrected"] = rec
         return out, {}
     params = EdgeParams(point.mu, point.lam, point.length)
     if kind is ExperimentKind.EDGE:
-        edge = edge_estimate(params, recursive.get(_shape(kind, point))).value
-        return {"edge": edge, "dispatch": dispatch_estimate(params, edge).value}, {}
+        edge = edge_estimate(params, recursive.get(_shape(kind, point)))
+        return {"edge": edge, "dispatch": dispatch_estimate(params, edge)}, {}
     # the network estimate's local part is the edge estimate
     parts = network_estimate(point.degree, point.mu, point.lam, point.length, point.kappa)
-    dispatch = dispatch_estimate(params, parts.local).value
+    dispatch = dispatch_estimate(params, parts.local)
     out = {"edge": parts.local, "dispatch": dispatch, "network": parts.total}
     return out, {"alpha": parts.alpha}
 

@@ -422,7 +422,7 @@ def network_estimate(
         logger.debug("global-match probability %g clamped to [0, 1]", alpha)
     alpha = min(max(alpha, 0.0), 1.0)
 
-    local = edge_estimate(params).value
+    local = edge_estimate(params)
     d1 = mean_demand_surplus / (4.0 * mu)
     probs = d2_probabilities(degree, supply_excess_prob, kappa)
     d2 = float(np.arange(kappa + 1) @ probs) * length

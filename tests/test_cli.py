@@ -3,6 +3,13 @@ import json
 import pytest
 
 from rbmatch.cli import main
+from rbmatch.montecarlo import (
+    EdgePoint,
+    ExperimentConfig,
+    ExperimentKind,
+    SegmentPoint,
+    run_experiment,
+)
 
 
 def test_estimate_balanced_segment(capsys):
@@ -13,16 +20,44 @@ def test_estimate_balanced_segment(capsys):
 
 
 def test_estimate_closed_uncorrected(capsys):
-    assert main(["estimate", "--segment", "1", "2", "--method", "closed", "--no-correction"]) == 0
+    assert main(["estimate", "--segment", "1", "2"]) == 0
     out = capsys.readouterr().out
-    assert "0.3333333333" in out
-    assert "corrected=false" in out
+    assert "method=closed_uncorrected value=0.3333333333" in out
 
 
 def test_estimate_all_methods(capsys):
-    assert main(["estimate", "--segment", "3", "7", "--method", "all"]) == 0
-    out = capsys.readouterr().out
-    assert "method=closed" in out and "method=recursive" in out and "method=baseline" in out
+    assert main(["estimate", "--segment", "3", "7"]) == 0
+    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert names == [
+        f"method={name}"
+        for name in ("baseline", "closed", "closed_uncorrected", "recursive", "recursive_uncorrected")
+    ]
+
+
+def _printed_estimates(out: str) -> dict:
+    """``method=<name> value=<v>`` lines as {name: printed value}."""
+    pairs = [line.removeprefix("method=").split(" value=") for line in out.splitlines()]
+    assert all(len(pair) == 2 for pair in pairs), out
+    return dict(pairs)
+
+
+@pytest.mark.parametrize(
+    "argv, kind, point",
+    [
+        (["--segment", "1", "2"], ExperimentKind.SEGMENT, SegmentPoint(1, 2)),
+        (["--segment", "3", "3"], ExperimentKind.SEGMENT, SegmentPoint(3, 3)),
+        (["--segment", "50", "60"], ExperimentKind.SEGMENT, SegmentPoint(50, 60)),
+        (["--edge", "10", "11", "1"], ExperimentKind.EDGE, EdgePoint(10.0, 11.0, 1.0)),
+        (["--edge", "10", "30", "1"], ExperimentKind.EDGE, EdgePoint(10.0, 30.0, 1.0)),
+        (["--edge", "4", "4", "2.5"], ExperimentKind.EDGE, EdgePoint(4.0, 4.0, 2.5)),
+    ],
+)
+def test_estimate_prints_the_simulate_columns(capsys, argv, kind, point):
+    assert main(["estimate", *argv]) == 0
+    printed = _printed_estimates(capsys.readouterr().out)
+    assert list(printed) == sorted(printed)
+    (record,) = run_experiment(ExperimentConfig(kind, (point,), replications=1))
+    assert printed == {name: f"{value:.10g}" for name, value in record.estimates.items()}
 
 
 def test_estimate_network_reports_parts(capsys):
@@ -38,7 +73,7 @@ def test_estimate_network_reports_parts(capsys):
 def test_estimate_edge_dispatch(capsys):
     assert main(["estimate", "--edge", "10", "30", "1"]) == 0
     out = capsys.readouterr().out
-    assert "0.01666666667" in out
+    assert _printed_estimates(out) == {"dispatch": "0.01666666667", "edge": "0.02024373168"}
 
 
 def test_invalid_flags_exit_two(capsys):
@@ -47,9 +82,6 @@ def test_invalid_flags_exit_two(capsys):
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         main(["estimate", "--edge", "3", "2", "1"])  # supply density below demand
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["estimate", "--segment", "2", "3", "--method", "dispatch"])
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         main(["compare", "--preset", "fig9"])
@@ -106,17 +138,42 @@ def test_non_finite_edge_values_exit_two(capsys, argv, field):
     assert f"{field} must be finite" in capsys.readouterr().err
 
 
-def test_method_balanced_needs_equal_counts(capsys):
+_SEGMENT = ["simulate", "segment", "--m", "2", "--n", "3", "--reps", "3"]
+_EDGE = ["simulate", "edge", "--mu", "2", "--lam", "3", "--reps", "3"]
+_NETWORK = ["simulate", "network", "--degree", "4", "--mu", "5", "--lam", "5", "--reps", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_SEGMENT + ["--length", "5"], "unrecognized arguments: --length 5"),
+        (_SEGMENT + ["--mu", "1"], "unrecognized arguments: --mu 1"),
+        (_SEGMENT + ["--lam", "1"], "unrecognized arguments: --lam 1"),
+        (_SEGMENT + ["--degree", "4"], "unrecognized arguments: --degree 4"),
+        (_SEGMENT + ["--edges", "7"], "unrecognized arguments: --edges 7"),
+        (_SEGMENT + ["--kappa", "0"], "unrecognized arguments: --kappa 0"),
+        (_EDGE + ["--m", "2"], "unrecognized arguments: --m 2"),
+        (_EDGE + ["--n", "3"], "unrecognized arguments: --n 3"),
+        (_EDGE + ["--degree", "4"], "unrecognized arguments: --degree 4"),
+        (_EDGE + ["--edges", "7"], "unrecognized arguments: --edges 7"),
+        (_EDGE + ["--kappa", "0"], "unrecognized arguments: --kappa 0"),
+        (_NETWORK + ["--m", "2"], "unrecognized arguments: --m 2"),
+        (_NETWORK + ["--n", "3"], "unrecognized arguments: --n 3"),
+        (["estimate", "--segment", "2", "3", "--kappa", "0"], "--kappa applies to --network only"),
+        (["estimate", "--edge", "10", "30", "1", "--kappa", "3"], "--kappa applies to --network only"),
+        (["simulate", "segment", "--n", "3"], "the following arguments are required: --m"),
+        (["simulate", "edge", "--mu", "2"], "the following arguments are required: --lam"),
+        (["simulate", "network", "--mu", "5", "--lam", "5"], "arguments are required: --degree"),
+        (["simulate"], "the following arguments are required: kind"),
+    ],
+)
+def test_inapplicable_or_missing_flags_exit_two(capsys, argv, message):
     with pytest.raises(SystemExit) as err:
-        main(["estimate", "--segment", "3", "5", "--method", "balanced"])
+        main(argv)
     assert err.value.code == 2
     captured = capsys.readouterr()
-    assert "--method balanced requires M == N" in captured.err
+    assert message in captured.err
     assert captured.out == ""
-    with pytest.raises(SystemExit) as err:
-        main(["estimate", "--segment", "4", "4", "--method", "recursive"])
-    assert err.value.code == 2
-    assert "--method recursive requires M < N" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

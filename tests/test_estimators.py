@@ -36,51 +36,50 @@ def _simulated_mean(m, n, reps, seed, length=1.0):
 
 
 def test_balanced_small_and_large():
-    assert balanced_estimate(1).value == pytest.approx(0.5)
+    assert balanced_estimate(1) == pytest.approx(0.5)
     stirling_limit = 0.25 * math.sqrt(math.pi / 100)
-    assert balanced_estimate(100).value == pytest.approx(stirling_limit, rel=3e-3)
+    assert balanced_estimate(100) == pytest.approx(stirling_limit, rel=3e-3)
 
 
 def test_balanced_relative_error_at_n1():
     # the closed form overshoots the true mean 1/3 badly for a single pair
-    err = (balanced_estimate(1).value - 1.0 / 3.0) / (1.0 / 3.0)
+    err = (balanced_estimate(1) - 1.0 / 3.0) / (1.0 / 3.0)
     assert 0.45 <= err <= 0.60
 
 
 def test_balanced_strictly_decreasing():
-    values = [balanced_estimate(n).value for n in range(1, 501)]
+    values = [balanced_estimate(n) for n in range(1, 501)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def test_balanced_length_scaling_is_linear_at_fixed_counts():
-    assert balanced_estimate(40, 4.0).value == pytest.approx(
-        4.0 * balanced_estimate(40, 1.0).value, abs=1e-12
+    assert balanced_estimate(40, 4.0) == pytest.approx(
+        4.0 * balanced_estimate(40, 1.0), abs=1e-12
     )
 
 
 def test_sqrt_length_law_at_fixed_density():
     # with counts n = lam * L, values at L in {1, 4, 9} approach ratios {1, 2, 3}
     lam = 50
-    base = balanced_estimate(lam, 1.0).value
+    base = balanced_estimate(lam, 1.0)
     for L, expected in ((4.0, 2.0), (9.0, 3.0)):
-        ratio = balanced_estimate(int(lam * L), L).value / base
+        ratio = balanced_estimate(int(lam * L), L) / base
         assert ratio == pytest.approx(expected, rel=0.02)
 
 
 def test_closed_unbalanced_hand_value():
-    est = closed_unbalanced_estimate(1, 2, apply_correction=False)
-    assert est.value == pytest.approx(1.0 / 3.0)
-    assert not est.corrected
+    assert closed_unbalanced_estimates(1, [2])[2] == pytest.approx(1.0 / 3.0)
+    assert closed_unbalanced_estimate(1, 2) == pytest.approx(1.0 / 3.0 - 1.0 / 12.0)
 
 
 def test_correction_gap_identity():
     for m, n, length in ((1, 2, 1.0), (10, 17, 1.0), (30, 80, 2.5)):
-        raw = closed_unbalanced_estimate(m, n, length, apply_correction=False).value
-        corr = closed_unbalanced_estimate(m, n, length, apply_correction=True).value
+        raw = length * closed_unbalanced_estimates(m, [n])[n]
+        corr = closed_unbalanced_estimate(m, n, length)
         assert corr <= raw
         assert raw - corr == pytest.approx(step_length_correction(m, n, length), abs=1e-12)
-        raw = recursive_estimate(m, n, length, apply_correction=False).value
-        corr = recursive_estimate(m, n, length, apply_correction=True).value
+        raw = recursive_estimates(m, [n], length)[n]
+        corr = recursive_estimate(m, n, length)
         assert raw - corr == pytest.approx(step_length_correction(m, n, length), abs=1e-12)
 
 
@@ -108,9 +107,8 @@ def test_closed_estimates_equal_per_n_sums(m, excesses):
     for n in ns:
         expected = (n - m + 1) / (m * (m + n)) * float(stars_bars_distribution(m, n) @ areas)
         assert values[n] == expected
-        assert closed_unbalanced_estimate(m, n, apply_correction=False).value == expected
-        corrected = closed_unbalanced_estimate(m, n).value
-        assert closed_unbalanced_estimate(m, n, uncorrected=expected).value == corrected
+        corrected = closed_unbalanced_estimate(m, n)
+        assert closed_unbalanced_estimate(m, n, uncorrected=expected) == corrected
 
 
 def test_closed_estimates_reject_bad_counts():
@@ -122,9 +120,27 @@ def test_closed_estimates_reject_bad_counts():
         closed_unbalanced_estimates(0, [3])
 
 
+@pytest.mark.parametrize(
+    "estimator, args, count",
+    [
+        (balanced_estimate, (2.5,), "n=2.5"),
+        (baseline_estimate, (2, 3.5), "n=3.5"),
+        (baseline_estimate, (2.5, 4), "m=2.5"),
+        (closed_unbalanced_estimate, (2, 3.5), "n=3.5"),
+        (closed_unbalanced_estimates, (2, [3, 4.5]), "n=4.5"),
+        (recursive_estimate, (2, 3.5), "n=3.5"),
+        (recursive_estimates, (2.0, [4]), "m=2.0"),
+        (recursion_table, (2, 3.5), "n=3.5"),
+    ],
+)
+def test_segment_estimators_reject_non_integral_counts(estimator, args, count):
+    with pytest.raises(ValueError, match=f"counts must be integers, got {count}"):
+        estimator(*args)
+
+
 def test_closed_matches_simulation_in_surplus_regime():
     sim, _ = _simulated_mean(50, 200, reps=100, seed=20240811)
-    est = closed_unbalanced_estimate(50, 200).value
+    est = closed_unbalanced_estimate(50, 200)
     assert abs(est - sim) / sim < 0.15
 
 
@@ -132,15 +148,13 @@ def test_closed_corrected_approaches_half_supply_spacing():
     # with m fixed and n large the corrected estimate approaches 1/(2n)
     for m in (1, 2):
         n = 100 * m
-        est = closed_unbalanced_estimate(m, n).value
+        est = closed_unbalanced_estimate(m, n)
         assert est / (1.0 / (2.0 * n)) == pytest.approx(1.0, abs=0.05)
 
 
 def test_recursive_hand_value():
-    est = recursive_estimate(1, 2, apply_correction=False)
-    assert est.value == pytest.approx(1.0 / 3.0)
-    corrected = recursive_estimate(1, 2, apply_correction=True)
-    assert corrected.value == pytest.approx(1.0 / 3.0 - 1.0 / 12.0)
+    assert recursive_estimates(1, [2])[2] == pytest.approx(1.0 / 3.0)
+    assert recursive_estimate(1, 2) == pytest.approx(1.0 / 3.0 - 1.0 / 12.0)
 
 
 def test_recursion_table_base_row():
@@ -245,7 +259,7 @@ def test_recursive_estimates_do_not_depend_on_grouping(m, excesses, length):
         alone = recursive_estimates(m, [n], length)[n]
         assert grouped[n] == alone
         assert half.get(n, alone) == alone
-        assert recursive_estimate(m, n, length, apply_correction=False).value == alone
+        assert recursive_estimate(m, n, length) == alone - step_length_correction(m, n, length)
 
 
 def test_recursive_estimates_reject_bad_counts():
@@ -263,7 +277,7 @@ def test_recursive_upper_bound_before_correction():
     # the removal-and-swap recursion upper-bounds the simulated optimum
     for m, n in ((5, 8), (12, 16), (20, 25)):
         sim, se = _simulated_mean(m, n, reps=1000, seed=100 + m)
-        est = recursive_estimate(m, n, apply_correction=False).value
+        est = recursive_estimates(m, [n])[n]
         assert est >= sim - 2 * se
 
 
@@ -273,8 +287,8 @@ def test_recursive_rejects_balanced():
 
 
 def test_baseline_values():
-    assert baseline_estimate(1, 1).value == pytest.approx(0.25)
-    assert baseline_estimate(1, 99).value == pytest.approx(1.0 / 200.0, rel=0.01)
+    assert baseline_estimate(1, 1) == pytest.approx(0.25)
+    assert baseline_estimate(1, 99) == pytest.approx(1.0 / 200.0, rel=0.01)
 
 
 def _double_sum_baseline(m, n, length=1.0):
@@ -299,7 +313,7 @@ def _exact_baseline(m, n):
 @given(m=st.integers(1, 300), surplus=st.integers(0, 299), length=st.floats(0.5, 4.0))
 def test_baseline_closed_form_matches_double_sum(m, surplus, length):
     n = min(m + surplus, 300)
-    assert baseline_estimate(m, n, length).value == pytest.approx(
+    assert baseline_estimate(m, n, length) == pytest.approx(
         _double_sum_baseline(m, n, length), rel=1e-13, abs=0.0
     )
 
@@ -308,7 +322,7 @@ def test_baseline_against_exact_fractions():
     for m in range(1, 13):
         for n in range(m, 16):
             exact = _exact_baseline(m, n)
-            assert baseline_estimate(m, n).value == pytest.approx(float(exact), rel=2e-15, abs=0.0)
+            assert baseline_estimate(m, n) == pytest.approx(float(exact), rel=2e-15, abs=0.0)
 
 
 def test_baseline_rejects_bad_counts():
@@ -320,39 +334,36 @@ def test_baseline_rejects_bad_counts():
 
 def test_dispatch_balanced_route():
     est = dispatch_estimate(EdgeParams(mu=10.0, lam=10.0, length=4.0))
-    assert est.value == pytest.approx(balanced_estimate(40, 4.0).value, abs=1e-12)
-    assert not est.corrected
+    assert est == pytest.approx(balanced_estimate(40, 4.0), abs=1e-12)
 
 
 def test_dispatch_asymptotic_route():
     params = EdgeParams(mu=10.0, lam=30.0, length=1.0)
     est = dispatch_estimate(params)
-    assert est.value == pytest.approx(1.0 / 60.0)
-    assert not est.corrected
+    assert est == pytest.approx(1.0 / 60.0)
     # a known edge value does not apply above the cutoff
     assert dispatch_estimate(params, edge_value=0.5) == est
     # independent of length in this regime
     est9 = dispatch_estimate(EdgeParams(mu=10.0, lam=30.0, length=9.0))
-    assert est9.value == est.value
+    assert est9 == est
 
 
 def test_dispatch_recursive_route():
     params = EdgeParams(mu=10.0, lam=11.0, length=1.0)
     est = dispatch_estimate(params)
-    expected = recursive_estimate(10, 11, 1.0, apply_correction=True).value
-    assert est.value == pytest.approx(expected, abs=1e-12)
+    expected = recursive_estimate(10, 11, 1.0)
+    assert est == pytest.approx(expected, abs=1e-12)
     # below the cutoff a known edge value is taken as it is
-    edge = edge_estimate(params).value
-    assert est.value == edge
+    edge = edge_estimate(params)
+    assert est == edge
     assert dispatch_estimate(params, edge_value=edge) == est
-    assert est.corrected
 
 
 def test_edge_estimate_routes():
     balanced = edge_estimate(EdgeParams(mu=10.0, lam=10.0, length=4.0))
     assert balanced == balanced_estimate(40, 4.0)
     unbalanced = edge_estimate(EdgeParams(mu=10.0, lam=30.0, length=1.0))
-    assert unbalanced == recursive_estimate(10, 30, 1.0, apply_correction=True)
+    assert unbalanced == recursive_estimate(10, 30, 1.0)
     # a value from a shared pass gives the same estimate; m = n ignores it
     shared = recursive_estimates(10, [11, 30, 45])[30]
     assert edge_estimate(EdgeParams(mu=10.0, lam=30.0, length=1.0), shared) == unbalanced
@@ -381,6 +392,6 @@ def test_estimates_are_nonnegative_and_bounded_by_length():
             recursive_estimate(m, n, length),
             baseline_estimate(m, n, length),
         ):
-            assert 0.0 <= est.value <= length
+            assert 0.0 <= est <= length
     for n in (1, 7, 120):
-        assert 0.0 <= balanced_estimate(n).value <= 1.0
+        assert 0.0 <= balanced_estimate(n) <= 1.0

@@ -16,9 +16,11 @@ from rbmatch import assignment, estimators, montecarlo
 from rbmatch.cli import _preset_config
 from rbmatch.estimators import (
     closed_unbalanced_estimate,
+    closed_unbalanced_estimates,
     dispatch_estimate,
     edge_estimate,
     recursive_estimate,
+    recursive_estimates,
     step_length_correction,
 )
 from rbmatch.exact1d import match_costs_1d, optimal_match_1d
@@ -159,8 +161,8 @@ def test_recursive_columns_share_one_table():
         m, n = point.m, point.n
         est = rec.estimates
         assert est["recursive"] == est["recursive_uncorrected"] - step_length_correction(m, n)
-        assert est["recursive"] == recursive_estimate(m, n).value
-        assert est["recursive_uncorrected"] == recursive_estimate(m, n, apply_correction=False).value
+        assert est["recursive"] == recursive_estimate(m, n)
+        assert est["recursive_uncorrected"] == recursive_estimates(m, [n])[n]
 
 
 def test_closed_columns_share_one_sum():
@@ -169,10 +171,8 @@ def test_closed_columns_share_one_sum():
     for point, rec in zip(grid, run_experiment(cfg)):
         m, n = point.m, point.n
         est = rec.estimates
-        assert est["closed"] == closed_unbalanced_estimate(m, n).value
-        assert est["closed_uncorrected"] == closed_unbalanced_estimate(
-            m, n, apply_correction=False
-        ).value
+        assert est["closed"] == closed_unbalanced_estimate(m, n)
+        assert est["closed_uncorrected"] == closed_unbalanced_estimates(m, [n])[n]
 
 
 def test_deterministic_reruns_and_worker_invariance():
@@ -308,8 +308,8 @@ def test_one_recursion_table_per_edge_point(monkeypatch):
     assert calls == [(10, 30, 40.0)]
     for point, rec in zip(grid, records):
         params = EdgeParams(point.mu, point.lam, point.length)
-        assert rec.estimates["dispatch"] == dispatch_estimate(params).value
-        assert rec.estimates["edge"] == edge_estimate(params).value
+        assert rec.estimates["dispatch"] == dispatch_estimate(params)
+        assert rec.estimates["edge"] == edge_estimate(params)
     calls.clear()
     net_grid = (NetworkPoint(degree=4, mu=1.0, lam=2.0, length=1.0, edge_count=36),)
     run_experiment(ExperimentConfig(ExperimentKind.NETWORK, net_grid, replications=1))
@@ -336,11 +336,11 @@ def test_edge_sweep_estimates_equal_direct_calls(monkeypatch):
     monkeypatch.undo()
     for point, rec in zip(grid, records):
         params = EdgeParams(point.mu, point.lam, point.length)
-        assert rec.estimates["edge"] == edge_estimate(params).value
-        assert rec.estimates["dispatch"] == dispatch_estimate(params).value
+        assert rec.estimates["edge"] == edge_estimate(params)
+        assert rec.estimates["dispatch"] == dispatch_estimate(params)
         if params.n > params.m:
             recursive = recursive_estimate(params.m, params.n, point.length)
-            assert rec.estimates["edge"] == recursive.value
+            assert rec.estimates["edge"] == recursive
 
 
 def test_estimator_attachment_by_kind():
