@@ -80,10 +80,13 @@ def solve_dense(costs: np.ndarray) -> AssignmentSolution:
     order, runs one shortest augmenting path pass (Crouse's rectangular
     form): each step scans one row's reduced costs, so that each column
     keeps the first row that reached its lowest path cost, and takes the
-    cheapest unscanned column, the lowest index among ties. The potentials
-    change once per pass. The solution is therefore deterministic. Raises
-    ValueError unless ``costs`` is 2D with rows <= cols and finite,
-    nonnegative entries.
+    cheapest unscanned column, the lowest index among ties. A step stores
+    its reduced costs in a per-pass buffer and lowers the path costs with
+    an in-place minimum; after the pass, each column on the augmenting path
+    takes as predecessor the first stored row equal to its path cost. The
+    potentials change once per pass. The solution is therefore
+    deterministic. Raises ValueError unless ``costs`` is 2D with rows <=
+    cols and finite, nonnegative entries.
     """
     costs = _check_costs(costs)
     m, n = costs.shape
@@ -98,44 +101,44 @@ def solve_dense(costs: np.ndarray) -> AssignmentSolution:
     row_of_col[cols] = rows
 
     path_cost = np.empty(n)  # to each unscanned column; inf once scanned
-    scanned_cost = np.empty(n)  # to each scanned column
     masked_v = np.empty(n)  # v, with -inf at scanned columns
-    reduced = np.empty(n)
-    better = np.empty(n, dtype=bool)
-    predecessor = np.empty(n, dtype=np.int64)
+    # row k: reduced costs from the row scanned at step k of the pass; a pass
+    # scans distinct rows, and pages it never reaches are never touched
+    reduced = np.empty((m, n))
     for root in np.flatnonzero(col_of_row < 0).tolist():
         path_cost.fill(np.inf)
         masked_v[:] = v
-        scanned = []
+        step_rows, scanned, step_costs = [], [], []
         row = root
         min_val = 0.0
         while True:
             # reduced costs from ``row``, +inf at scanned columns
-            np.subtract(costs[row], masked_v, out=reduced)
-            reduced += min_val - u[row]
-            np.less(reduced, path_cost, out=better)
-            np.copyto(path_cost, reduced, where=better)
-            np.copyto(predecessor, row, where=better)
+            step = reduced[len(step_rows)]
+            np.subtract(costs[row], masked_v, out=step)
+            step += min_val - u[row]
+            np.minimum(path_cost, step, out=path_cost)
             col = int(path_cost.argmin())
             min_val = float(path_cost[col])
             if min_val == np.inf:  # only if the reduced costs overflowed
                 raise ValueError("costs too large: no finite augmenting path")
-            scanned_cost[col] = min_val
             path_cost[col] = np.inf
             masked_v[col] = -np.inf
+            step_rows.append(row)
             scanned.append(col)
+            step_costs.append(min_val)
             row = int(row_of_col[col])
             if row < 0:
                 break
         # one potential update per pass keeps every tree edge tight
-        scanned = np.array(scanned)
-        shift = min_val - scanned_cost[scanned]
+        shift = min_val - np.array(step_costs)
         v[scanned] -= shift
-        u[row_of_col[scanned[:-1]]] += shift[:-1]
+        u[step_rows[1:]] += shift[:-1]
         u[root] += min_val
-        # augment: hand each column on the path to its predecessor row
+        # augment: hand each column on the path to its predecessor, the
+        # first row whose reduced cost reached the column's path cost
+        steps = reduced[: len(step_rows)]
         while True:
-            row = int(predecessor[col])
+            row = step_rows[int(steps[:, col].argmin())]
             row_of_col[col] = row
             col, col_of_row[row] = int(col_of_row[row]), col
             if row == root:

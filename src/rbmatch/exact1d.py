@@ -47,36 +47,39 @@ def optimal_match_1d(inst: Instance1D) -> MatchResult:
     transitions; optimal 1D matchings can always be taken non-crossing, so the
     band of admissible supplies for demand i is i..i+(n-m). Supply-index ties
     resolve to the lowest index. O(m * (n-m+1)). When n = m the band has
-    width 1 and the matching is the identity on sorted order.
+    width 1 and the matching is the identity on sorted order; with no demand
+    it is empty.
+
+    The m x (n-m+1) band of distances is built in one broadcast; right to
+    left, each row gets the next row's suffix minima added in place, and a
+    cell is flagged where the row equals its own suffix minimum. The
+    backtrack takes, from the previous offset on, the first flagged cell of
+    each row: the first cell equal to the suffix minimum at that offset is
+    also the first flagged one, so this is the lowest supply index.
     """
     xu, xv = inst.demand, inst.supply
     m, n = inst.m, inst.n
     rows = np.arange(m)
-    if n == m:
-        return MatchResult.from_pairs(np.column_stack((rows, rows)), np.abs(xu - xv))
+    if n == m or m == 0:
+        return MatchResult.from_pairs(np.column_stack((rows, rows)), np.abs(xu - xv[:m]))
     width = n - m + 1
 
-    # cost_rows[i][d]: |xu[i] - xv[i+d]| plus best continuation; suffix minima
-    # give the optimal cost when demand i may use supplies at offset >= d.
-    cost_rows: list[np.ndarray] = []
-    suffix_rows: list[np.ndarray] = []
-    best_next = np.zeros(width)
+    # band[i, d]: |xu[i] - xv[i+d]| plus the best continuation; its suffix
+    # minimum at d is the optimal cost when demand i may use offsets >= d
+    band = np.subtract(xu[:, None], sliding_window_view(xv, width))
+    np.abs(band, out=band)
+    flagged = np.empty(band.shape, dtype=bool)
+    suffix = np.zeros(width)
     for i in range(m - 1, -1, -1):
-        row = np.abs(xu[i] - xv[i : i + width]) + best_next
-        suffix = np.minimum.accumulate(row[::-1])[::-1]
-        cost_rows.append(row)
-        suffix_rows.append(suffix)
-        best_next = suffix
-    cost_rows.reverse()
-    suffix_rows.reverse()
+        row = band[i]
+        row += suffix
+        np.minimum.accumulate(row[::-1], out=suffix[::-1])
+        np.equal(row, suffix, out=flagged[i])
 
     cols = np.empty(m, dtype=np.int64)
     offset = 0
     for i in range(m):
-        row = cost_rows[i]
-        # first offset achieving the suffix minimum = lowest supply index
-        target = suffix_rows[i][offset]
-        offset += int(np.flatnonzero(row[offset:] == target)[0])
+        offset += int(flagged[i, offset:].argmax())
         cols[i] = i + offset
     return MatchResult.from_pairs(np.column_stack((rows, cols)), np.abs(xu - xv[cols]))
 
@@ -88,9 +91,13 @@ def match_costs_1d(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:
     ascending; row r of both is one instance. When n = m the total is the
     sorted-pair sum, the same float ``optimal_match_1d`` returns. Otherwise
     this is the band DP of ``optimal_match_1d`` run on all rows at once,
-    keeping only the current (R, n-m+1) row and no backtrack; it adds the
-    costs right to left, so a total can differ from ``optimal_match_1d``'s
-    pairwise sum in the last few bits.
+    keeping only the current band row and no backtrack; it adds the costs
+    right to left, so a total can differ from ``optimal_match_1d``'s pairwise
+    sum in the last few bits.
+
+    Replications are innermost: the band row is held as (n-m+1, R) with its
+    offsets reversed, so the suffix minimum is a forward in-place
+    ``minimum.accumulate`` along axis 0, and each step reuses one gap buffer.
     """
     reps, m = demand.shape
     n = supply.shape[1]
@@ -99,12 +106,17 @@ def match_costs_1d(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:
     if n == m:
         return np.abs(demand - supply).sum(axis=1)
     width = n - m + 1
-    windows = sliding_window_view(supply, width, axis=1)  # [r, i] = supply[r, i:i+width]
-    best_next = np.zeros((reps, width))
-    for i in range(m - 1, -1, -1):
-        row = np.abs(demand[:, i, None] - windows[:, i]) + best_next
-        best_next = np.minimum.accumulate(row[:, ::-1], axis=1)[:, ::-1]
-    return best_next[:, 0]
+    demand_t = np.ascontiguousarray(demand.T)  # [i] = demand i of every replication
+    # [j + k] = supply n-1-j-k: demand m-1-j's band at offset width-1-k
+    supply_t = np.ascontiguousarray(supply[:, ::-1].T)
+    gap = np.empty((width, reps))
+    best = np.zeros((width, reps))
+    for j in range(m):
+        np.subtract(supply_t[j : j + width], demand_t[m - 1 - j], out=gap)
+        np.abs(gap, out=gap)
+        best += gap
+        np.minimum.accumulate(best, axis=0, out=best)
+    return best[-1]
 
 
 def _removal_set(inst: Instance1D, is_supply: np.ndarray, removed_events) -> RemovalSet:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .assignment import solve_dense
 from .estimators import (
+    _check_counts as _check_segment_counts,
     balanced_estimate,
     baseline_estimate,
     closed_unbalanced_estimate,
@@ -63,14 +64,16 @@ class ExperimentKind(Enum):
 
 @dataclass(frozen=True)
 class SegmentPoint:
-    """Fixed point counts m <= n on the unit segment."""
+    """Fixed integer point counts 1 <= m <= n on the unit segment."""
 
     m: int
     n: int
 
     def __post_init__(self):
-        if not 1 <= self.m <= self.n:
-            raise _point_error(self, "requires 1 <= m <= n")
+        try:
+            _check_segment_counts(self.m, [self.n], least_excess=0)
+        except ValueError as exc:
+            raise _point_error(self, exc) from None
 
 
 @dataclass(frozen=True)

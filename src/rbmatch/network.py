@@ -7,7 +7,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -183,6 +183,16 @@ class NetworkInstance:
             object.__setattr__(self, f"{side}_edge", edge)
             object.__setattr__(self, f"{side}_offset", offset)
 
+    @classmethod
+    def _trusted(cls, *arrays):
+        """An instance of the four arrays, in field order, built without the
+        checks: for generated draws already in the checked form (int64
+        edges, float64 offsets, ordered by edge and then by offset)."""
+        inst = object.__new__(cls)
+        for f, value in zip(fields(cls), arrays):
+            object.__setattr__(inst, f.name, value)
+        return inst
+
     @property
     def total_demand(self) -> int:
         return int(self.demand_edge.size)
@@ -202,7 +212,8 @@ def sample_instance(net: NetworkModel, mu: float, lam: float, seed) -> NetworkIn
     they are drawn, and each side is scaled by the length once. numpy's
     ``uniform(0, length, k)`` is ``0.0 + length * random()``, and scaling by
     a positive length keeps the order, so the offsets have the bits of sorted
-    per-edge ``uniform`` draws of demand, then supply.
+    per-edge ``uniform`` draws of demand, then supply. The arrays are built
+    in the form ``NetworkInstance`` checks for, so they skip its checks.
     """
     for name, value in (("mu", mu), ("lam", lam)):
         if not 0.0 < value < math.inf:  # False for NaN
@@ -223,7 +234,7 @@ def sample_instance(net: NetworkModel, mu: float, lam: float, seed) -> NetworkIn
         offset = np.concatenate(side)
         offset *= length
         points += [np.repeat(edges, [part.size for part in side]), offset]
-    return NetworkInstance(*points)
+    return NetworkInstance._trusted(*points)
 
 
 def _check_on_network(net: NetworkModel, inst: NetworkInstance) -> None:

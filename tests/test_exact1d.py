@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from _references import match_costs_1d_rowwise, optimal_match_1d_rowwise
 
 from rbmatch.assignment import solve_dense
 from rbmatch.exact1d import (
@@ -98,6 +100,51 @@ def test_match_costs_match_per_instance_dp(reps, m, excess, length, seed):
         else:
             # the DP adds right to left, the reference sums pairwise
             assert totals[r] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def _coords(rng, tied, shape):
+    # the k/10 grid makes many equal distances, so the tie rules decide
+    return rng.integers(0, 11, shape) / 10 if tied else rng.uniform(0, 1, shape)
+
+
+_BAND_SHAPES = st.integers(0, 30).flatmap(lambda m: st.tuples(st.just(m), st.integers(m, 60)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=_BAND_SHAPES, tied=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(shape=(0, 4), tied=False, seed=0)
+@example(shape=(1, 1), tied=True, seed=1)
+@example(shape=(1, 9), tied=True, seed=2)
+@example(shape=(12, 12), tied=True, seed=3)
+@example(shape=(12, 13), tied=True, seed=4)
+@example(shape=(30, 60), tied=True, seed=5)
+def test_optimal_match_equals_rowwise_dp_bit_for_bit(shape, tied, seed):
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    inst = Instance1D(_coords(rng, tied, m), _coords(rng, tied, n))
+    res, ref = optimal_match_1d(inst), optimal_match_1d_rowwise(inst)
+    assert res.pairs == ref.pairs
+    assert res.total_distance == ref.total_distance
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    reps=st.integers(1, 6),
+    shape=_BAND_SHAPES.filter(lambda s: s[0] >= 1),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(reps=3, shape=(1, 1), tied=True, seed=1)
+@example(reps=1, shape=(1, 8), tied=False, seed=2)
+@example(reps=4, shape=(12, 12), tied=True, seed=3)
+@example(reps=4, shape=(12, 13), tied=True, seed=4)
+@example(reps=2, shape=(30, 60), tied=True, seed=5)
+def test_match_costs_equal_rowwise_dp_bit_for_bit(reps, shape, tied, seed):
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    demand = np.sort(_coords(rng, tied, (reps, m)), axis=1)
+    supply = np.sort(_coords(rng, tied, (reps, n)), axis=1)
+    assert np.array_equal(match_costs_1d(demand, supply), match_costs_1d_rowwise(demand, supply))
 
 
 def test_match_costs_shapes():

@@ -120,6 +120,10 @@ def test_stored_seed_words_serve_pcg64_only():
 def test_grid_points_validate_and_name_the_point():
     with pytest.raises(ValueError, match=r"SegmentPoint\(m=3, n=2\)"):
         SegmentPoint(3, 2)
+    with pytest.raises(ValueError, match=r"SegmentPoint\(m=2, n=3.5\): counts must be integers"):
+        SegmentPoint(2, 3.5)
+    with pytest.raises(ValueError, match=r"SegmentPoint\(m=0, n=3\): m must be at least 1"):
+        SegmentPoint(0, 3)
     with pytest.raises(ValueError, match=r"EdgePoint\(mu=1.5, lam=2.5, length=1.1\).*integral"):
         EdgePoint(mu=1.5, lam=2.5, length=1.1)
     with pytest.raises(ValueError, match=r"EdgePoint\(.*lam must be at least mu"):

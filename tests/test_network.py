@@ -141,6 +141,25 @@ def test_sampling_keeps_per_edge_draw_order_at_low_density(degree):
     _assert_per_edge_draw_order(net, 1.0, mu=0.3, lam=0.5)
 
 
+@pytest.mark.parametrize("degree,edge_count", [(3, 6), (4, 36), (6, 36)])
+@pytest.mark.parametrize("mu,lam", [(0.3, 0.3), (0.3, 25.0), (5.0, 25.0), (25.0, 25.0)])
+def test_sampled_instances_pass_the_public_checks(degree, edge_count, mu, lam):
+    # sample_instance skips NetworkInstance's checks; rebuilding each draw
+    # through the public constructor must accept it and keep every array
+    net = build_regular_network(degree, edge_count, 1.0)
+    fields = ("demand_edge", "demand_offset", "supply_edge", "supply_offset")
+    empty_sides = 0
+    for seed in range(20):
+        inst = sample_instance(net, mu, lam, seed)
+        rebuilt = NetworkInstance(*(getattr(inst, f) for f in fields))
+        for f in fields:
+            a, b = getattr(inst, f), getattr(rebuilt, f)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        empty_sides += inst.total_demand == 0
+    if (edge_count, mu) == (6, 0.3):
+        assert empty_sides  # whole sides of no points are among the draws
+
+
 def test_sampling_law_of_large_numbers(square_torus):
     mu = 5.0
     rng = np.random.default_rng(41)
