@@ -17,14 +17,7 @@ from .montecarlo import (
     records_to_json,
     run_experiment,
 )
-from .network import DEFAULT_SEARCH_LAYERS, network_estimate
-
-
-def _workers(args, parser) -> int:
-    """The --workers count, which must be at least 1."""
-    if args.workers < 1:
-        parser.error(f"--workers must be at least 1, got {args.workers}")
-    return args.workers
+from .network import network_estimate
 
 
 def _int_list(text: str) -> list[int]:
@@ -48,11 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--segment", nargs=2, type=int, metavar=("M", "N"))
     target.add_argument("--edge", nargs=3, type=float, metavar=("MU", "LAM", "L"))
     target.add_argument("--network", nargs=4, type=float, metavar=("D", "MU", "LAM", "L"))
-    est.add_argument(
-        "--kappa",
-        type=int,
-        help=f"search-layer truncation, --network only (default {DEFAULT_SEARCH_LAYERS})",
-    )
 
     sim = sub.add_parser("simulate", help="run a seeded simulation sweep")
     # each kind takes its own flags only; no abbreviations, so that another
@@ -69,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         kind.add_argument("--lam", type=_float_list, required=True, help="supply densities")
         kind.add_argument("--length", type=_float_list, default=[1.0], help="edge lengths")
     network.add_argument("--edges", type=int, default=36, help="edge count")
-    network.add_argument("--kappa", type=int, default=DEFAULT_SEARCH_LAYERS)
     for kind in (segment, edge, network):
         _common_run_flags(kind)
 
@@ -97,8 +84,6 @@ def _print_estimate(label: str, value: float) -> None:
 
 def cmd_estimate(args, parser) -> int:
     if args.network is None:
-        if args.kappa is not None:
-            parser.error("--kappa applies to --network only")
         try:
             if args.segment is not None:
                 kind, point = ExperimentKind.SEGMENT, SegmentPoint(*args.segment)
@@ -114,9 +99,8 @@ def cmd_estimate(args, parser) -> int:
     degree, mu, lam, length = args.network
     if degree != int(degree):
         parser.error("--network degree must be an integer")
-    kappa = DEFAULT_SEARCH_LAYERS if args.kappa is None else args.kappa
     try:
-        parts = network_estimate(int(degree), mu, lam, length, kappa=kappa)
+        parts = network_estimate(int(degree), mu, lam, length)
     except ValueError as exc:
         parser.error(str(exc))
     _print_estimate("network", parts.total)
@@ -127,7 +111,7 @@ def cmd_estimate(args, parser) -> int:
     return 0
 
 
-def _simulate_config(args, parser) -> ExperimentConfig:
+def _simulate_config(args) -> ExperimentConfig:
     """The sweep named by the simulate flags; grid points and the config
     raise ValueError on invalid values."""
     if args.kind == "segment":
@@ -144,9 +128,7 @@ def _simulate_config(args, parser) -> ExperimentConfig:
     else:
         kind = ExperimentKind.NETWORK
         grid = [
-            NetworkPoint(
-                degree=d, mu=mu, lam=lam, length=ln, edge_count=args.edges, kappa=args.kappa
-            )
+            NetworkPoint(degree=d, mu=mu, lam=lam, length=ln, edge_count=args.edges)
             for d in args.degree
             for mu in args.mu
             for lam in args.lam
@@ -157,13 +139,13 @@ def _simulate_config(args, parser) -> ExperimentConfig:
         grid=tuple(grid),
         replications=args.reps,
         master_seed=args.seed,
-        workers=_workers(args, parser),
+        workers=args.workers,
     )
 
 
 def cmd_simulate(args, parser) -> int:
     try:
-        cfg = _simulate_config(args, parser)
+        cfg = _simulate_config(args)
     except ValueError as exc:
         parser.error(str(exc))
     return _run_and_emit(cfg, args)
@@ -197,7 +179,7 @@ def _preset_config(preset: str, reps: int, seed: int, workers: int) -> Experimen
 
 def cmd_compare(args, parser) -> int:
     try:
-        cfg = _preset_config(args.preset, args.reps, args.seed, _workers(args, parser))
+        cfg = _preset_config(args.preset, args.reps, args.seed, args.workers)
     except ValueError as exc:
         parser.error(str(exc))
     return _run_and_emit(cfg, args)

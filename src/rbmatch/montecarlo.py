@@ -27,10 +27,8 @@ from .estimators import (
 )
 from .exact1d import match_costs_1d, optimal_match_1d
 from .network import (
-    DEFAULT_SEARCH_LAYERS,
     _cost_matrix,
     build_regular_network,
-    check_kappa,
     exact_network_match,
     network_estimate,
     regular_edges,
@@ -95,8 +93,8 @@ class NetworkPoint:
     The network estimate's local part needs whole per-edge counts mu*length
     and lam*length. With lam < mu almost every realization has more demand
     than supply, and the harness would redraw it forever. The layout
-    (degree, edge_count) must be one ``regular_edges`` can build, and the
-    search-layer truncation ``kappa`` an integer of at least 1.
+    (degree, edge_count) must be one ``regular_edges`` can build. The
+    estimate's d2 sums 10 search layers, exact at every valid point.
     """
 
     degree: int
@@ -104,12 +102,10 @@ class NetworkPoint:
     lam: float
     length: float
     edge_count: int
-    kappa: int = DEFAULT_SEARCH_LAYERS
 
     def __post_init__(self):
         try:
             regular_edges(self.degree, self.edge_count)
-            check_kappa(self.kappa)
         except ValueError as exc:
             raise _point_error(self, exc) from None
         _check_counts(self)
@@ -158,7 +154,7 @@ class ExperimentConfig:
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
         seed = self.master_seed
         if not isinstance(seed, numbers.Integral) or seed < 0:
             raise ValueError(f"master_seed must be a nonnegative integer, got {seed!r}")
@@ -398,7 +394,7 @@ def _point_estimates(
         edge = edge_estimate(params, recursive.get(_shape(kind, point)))
         return {"edge": edge, "dispatch": dispatch_estimate(params, edge)}, {}
     # the network estimate's local part is the edge estimate
-    parts = network_estimate(point.degree, point.mu, point.lam, point.length, point.kappa)
+    parts = network_estimate(point.degree, point.mu, point.lam, point.length)
     dispatch = dispatch_estimate(params, parts.local)
     out = {"edge": parts.local, "dispatch": dispatch, "network": parts.total}
     return out, {"alpha": parts.alpha}
@@ -463,7 +459,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[SummaryRecord]:
     # imported here: loading multiprocessing costs import time on every run
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    with ProcessPoolExecutor(cfg.workers) as pool:
         return list(pool.map(_run_grid_point, tasks))
 
 

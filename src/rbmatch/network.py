@@ -4,9 +4,7 @@ local/global decomposition estimator."""
 
 from __future__ import annotations
 
-import logging
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -27,14 +25,16 @@ __all__ = [
     "exact_network_match",
     "heuristic_network_match",
     "network_estimate",
-    "check_kappa",
     "d2_probabilities",
 ]
 
 SUPPORTED_DEGREES = (3, 4, 6)
-DEFAULT_SEARCH_LAYERS = 10
-
-logger = logging.getLogger(__name__)
+# Layers 0..10 of the d2 search. A valid point (lam >= mu, whole counts
+# >= 1) has supply-excess probability q >= Phi(-1/(2*sqrt(2))) ~ 0.362, at
+# mu*length = lam*length = 1. A search passes layer 10 only if all edges of
+# layers 0..10 (at least 2 + 4 + ... + 2^11 = 4094) miss, with probability
+# <= 0.638^4094, which is 0.0 in float64: the sum is exact.
+SEARCH_LAYERS = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,7 +362,8 @@ def heuristic_network_match(net: NetworkModel, inst: NetworkInstance) -> MatchRe
 
 @dataclass(frozen=True)
 class NetworkEstimateParts:
-    """Decomposed network estimate: total = (1-alpha)*local + alpha*(d1+d2+d3)."""
+    """Decomposed network estimate: total = (1-alpha)*local + alpha*(d1+d2+d3);
+    d2 sums 10 search layers, exact at every valid point."""
 
     alpha: float
     local: float
@@ -370,7 +371,6 @@ class NetworkEstimateParts:
     d2: float
     d3: float
     total: float
-    clamped: bool = False
 
 
 def _conditional_surplus(mean_diff: float, sigma: float) -> float:
@@ -385,14 +385,15 @@ def _conditional_surplus(mean_diff: float, sigma: float) -> float:
     return mean_diff + sigma * hazard
 
 
-def d2_probabilities(degree: int, supply_excess_prob: float, kappa: int) -> np.ndarray:
-    """Pr{search ends in layer k} for k = 0..kappa with layer sizes (D-1)^(k+1)."""
+def d2_probabilities(degree: int, supply_excess_prob: float) -> np.ndarray:
+    """Pr{search ends in layer k} for k = 0..10 with layer sizes (D-1)^(k+1);
+    10 layers are the whole search at every valid point."""
     q = supply_excess_prob
     branch = degree - 1
-    probs = np.empty(kappa + 1)
+    probs = np.empty(SEARCH_LAYERS + 1)
     log_miss = math.log1p(-q) if q < 1.0 else -math.inf
     prior = 0.0  # edges exhausted before layer k
-    for k in range(kappa + 1):
+    for k in range(SEARCH_LAYERS + 1):
         layer = branch ** (k + 1)
         miss_prior = math.exp(prior * log_miss) if prior else 1.0
         hit_layer = -math.expm1(layer * log_miss)
@@ -401,26 +402,18 @@ def d2_probabilities(degree: int, supply_excess_prob: float, kappa: int) -> np.n
     return probs
 
 
-def check_kappa(kappa) -> None:
-    """Reject a search-layer truncation that is not an integer of at least 1."""
-    if not (isinstance(kappa, numbers.Integral) and kappa >= 1):
-        raise ValueError(f"kappa must be an integer of at least 1, got {kappa!r}")
-
-
-def network_estimate(
-    degree: int, mu: float, lam: float, length: float, kappa: int = DEFAULT_SEARCH_LAYERS
-) -> NetworkEstimateParts:
+def network_estimate(degree: int, mu: float, lam: float, length: float) -> NetworkEstimateParts:
     """Expected mean matching distance on a D-regular network.
 
     Combines the within-edge estimate with the layered-search decomposition
     d1 + d2 + d3 of cross-edge matches, weighted by the global-match
     probability alpha derived from the normal approximation of the per-edge
-    count difference.
+    count difference. d2 sums 10 search layers, exact at every valid point.
+    alpha <= E[X+]/(mu*length) <= 0.57/sqrt(mu*length) needs no clamp.
     """
     params = EdgeParams(mu, lam, length)
     if degree not in SUPPORTED_DEGREES:
         raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}")
-    check_kappa(kappa)
     sigma = math.sqrt((lam + mu) * length)
     demand_excess_prob = normal_cdf((-0.5 + (mu - lam) * length) / sigma)
     supply_excess_prob = normal_cdf((-0.5 + (lam - mu) * length) / sigma)
@@ -428,18 +421,10 @@ def network_estimate(
     mean_supply_surplus = _conditional_surplus((lam - mu) * length, sigma)
 
     alpha = demand_excess_prob * mean_demand_surplus / (mu * length)
-    clamped = not 0.0 <= alpha <= 1.0
-    if clamped:
-        logger.debug("global-match probability %g clamped to [0, 1]", alpha)
-    alpha = min(max(alpha, 0.0), 1.0)
-
     local = edge_estimate(params)
     d1 = mean_demand_surplus / (4.0 * mu)
-    probs = d2_probabilities(degree, supply_excess_prob, kappa)
-    d2 = float(np.arange(kappa + 1) @ probs) * length
+    probs = d2_probabilities(degree, supply_excess_prob)
+    d2 = float(np.arange(SEARCH_LAYERS + 1) @ probs) * length
     d3 = mu / (4.0 * lam * lam) * mean_supply_surplus
     total = (1.0 - alpha) * local + alpha * (d1 + d2 + d3)
-    return NetworkEstimateParts(
-        alpha=alpha, local=local, d1=d1, d2=d2, d3=d3, total=total, clamped=clamped
-    )
-
+    return NetworkEstimateParts(alpha=alpha, local=local, d1=d1, d2=d2, d3=d3, total=total)

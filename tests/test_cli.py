@@ -108,10 +108,6 @@ def test_invalid_run_settings_exit_two(capsys):
     assert err.value.code == 2
     assert "edge_count=7" in capsys.readouterr().err
     with pytest.raises(SystemExit) as err:
-        main(["simulate", "network", "--degree", "4", "--mu", "5", "--lam", "10", "--kappa", "0", "--reps", "1"])
-    assert err.value.code == 2
-    assert "kappa=0" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as err:
         main(["compare", "--preset", "fig4a", "--reps", "1", "--seed", "-1"])
     assert err.value.code == 2
     assert "master_seed must be a nonnegative integer, got -1" in capsys.readouterr().err
@@ -159,8 +155,8 @@ _NETWORK = ["simulate", "network", "--degree", "4", "--mu", "5", "--lam", "5", "
         (_EDGE + ["--kappa", "0"], "unrecognized arguments: --kappa 0"),
         (_NETWORK + ["--m", "2"], "unrecognized arguments: --m 2"),
         (_NETWORK + ["--n", "3"], "unrecognized arguments: --n 3"),
-        (["estimate", "--segment", "2", "3", "--kappa", "0"], "--kappa applies to --network only"),
-        (["estimate", "--edge", "10", "30", "1", "--kappa", "3"], "--kappa applies to --network only"),
+        (["estimate", "--segment", "2", "3", "--kappa", "0"], "unrecognized arguments: --kappa 0"),
+        (["estimate", "--network", "4", "5", "25", "1", "--kappa", "10"], "unrecognized arguments: --kappa 10"),
         (["simulate", "segment", "--n", "3"], "the following arguments are required: --m"),
         (["simulate", "edge", "--mu", "2"], "the following arguments are required: --lam"),
         (["simulate", "network", "--mu", "5", "--lam", "5"], "arguments are required: --degree"),
@@ -183,10 +179,11 @@ def test_worker_counts_below_one_exit_two(capsys, workers):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
-    assert "--workers must be at least 1" in capsys.readouterr().err
+    assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
     with pytest.raises(SystemExit) as err:
         main(["compare", "--preset", "fig5", "--reps", "1"] + flags)
     assert err.value.code == 2
+    assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
 
 
 def test_simulate_deterministic_output(tmp_path, capsys):

@@ -236,14 +236,14 @@ def test_import_loads_no_numpy_random():
 
 def test_import_loads_no_multiprocessing():
     # multiprocessing costs ~15-20 ms of import time; it loads only when a
-    # sweep runs on more than one worker
+    # sweep runs on more than one worker. logging (~4 ms) never loads
     src = str(Path(rbmatch.__file__).resolve().parent.parent)
     code = (
         "import sys, rbmatch\n"
         "cfg = rbmatch.ExperimentConfig(rbmatch.ExperimentKind.SEGMENT,"
         " (rbmatch.SegmentPoint(2, 3),), replications=2, master_seed=1)\n"
         "rbmatch.run_experiment(cfg)\n"
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process', 'logging')"
         " if m in sys.modules))"
     )
     out = subprocess.run(

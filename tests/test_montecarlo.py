@@ -144,11 +144,24 @@ def test_grid_points_validate_and_name_the_point():
         NetworkPoint(degree=4, mu=5.0, lam=5.0, length=1.0, edge_count=10)
     with pytest.raises(ValueError, match=r"NetworkPoint\(degree=3, .*edge_count=3.*even node count"):
         NetworkPoint(degree=3, mu=5.0, lam=5.0, length=1.0, edge_count=3)
-    for kappa in (0, -1, 2.5, 3.0):
-        with pytest.raises(ValueError, match=rf"NetworkPoint\(.*kappa={kappa}\).*kappa must be an integer"):
-            NetworkPoint(degree=4, mu=5.0, lam=5.0, length=1.0, edge_count=36, kappa=kappa)
     with pytest.raises(ValueError, match=r"NetworkPoint\(.*lam=inf.*lam must be finite"):
         NetworkPoint(degree=4, mu=5.0, lam=float("inf"), length=1.0, edge_count=36)
+
+
+@pytest.mark.parametrize(
+    "kind, point",
+    [
+        (ExperimentKind.SEGMENT, SegmentPoint(2, 3)),
+        (ExperimentKind.EDGE, EdgePoint(mu=2.0, lam=3.0, length=1.0)),
+        (ExperimentKind.NETWORK, NetworkPoint(degree=4, mu=1.0, lam=2.0, length=1.0, edge_count=36)),
+    ],
+)
+def test_every_point_field_is_a_record_param(kind, point):
+    # an input that can change a record's numbers must be named in the record
+    (rec,) = run_experiment(ExperimentConfig(kind, (point,), replications=1))
+    column = {"edge_count": "edges"}
+    for f in dataclasses.fields(point):
+        assert rec.params[column.get(f.name, f.name)] == getattr(point, f.name)
 
 
 def test_recursive_columns_share_one_table():

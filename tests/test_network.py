@@ -10,6 +10,7 @@ from test_assignment import _solve_dense_reference
 from rbmatch.combinatorics import normal_cdf
 from rbmatch.exact1d import optimal_match_1d
 from rbmatch.network import (
+    SEARCH_LAYERS,
     NetworkInstance,
     _cost_matrix,
     build_regular_network,
@@ -493,10 +494,30 @@ def test_search_layer_distribution_tail():
     for degree in (3, 4, 6):
         for lam in (5.0, 10.0, 15.0, 20.0, 25.0):
             q = normal_cdf((-0.5 + (lam - 5.0)) / math.sqrt(lam + 5.0))
-            probs = d2_probabilities(degree, q, 10)
+            probs = d2_probabilities(degree, q)
             total = probs.sum()
             assert total <= 1.0 + 1e-12
             assert 1.0 - total < 1e-6  # truncation at ten layers loses almost nothing
+    # the least supply-excess probability of a valid point, at mu*length =
+    # lam*length = 1: no search passes layer 10 in float64 at any degree
+    q_least = normal_cdf(-1.0 / (2.0 * math.sqrt(2.0)))
+    assert q_least == pytest.approx(0.362, abs=1e-3)
+    for degree in (3, 4, 6):
+        assert len(d2_probabilities(degree, q_least)) == SEARCH_LAYERS + 1
+        searched = sum((degree - 1) ** (k + 1) for k in range(SEARCH_LAYERS + 1))
+        assert math.exp(searched * math.log1p(-q_least)) == 0.0
+
+
+def test_estimate_alpha_is_a_probability_at_every_valid_point(monkeypatch):
+    # alpha does not read the local edge estimate; a stub keeps the grid fast
+    monkeypatch.setattr("rbmatch.network.edge_estimate", lambda params: 0.0)
+    alphas = [
+        network_estimate(4, mu_count / length, (mu_count + excess) / length, length).alpha
+        for length in (0.5, 1.0, 3.0)
+        for mu_count in range(1, 31)
+        for excess in range(101)
+    ]
+    assert 0.0 <= min(alphas) and max(alphas) <= 1.0
 
 
 def test_estimate_rejects_bad_parameters():
@@ -504,6 +525,3 @@ def test_estimate_rejects_bad_parameters():
         network_estimate(5, 1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         network_estimate(4, 3.0, 2.0, 1.0)
-    for kappa in (0, 2.5, 3.0):
-        with pytest.raises(ValueError, match="kappa must be an integer"):
-            network_estimate(4, 1.0, 2.0, 1.0, kappa=kappa)
