@@ -7,7 +7,9 @@ decomposes the network estimate into its local and cross-edge parts.
 import numpy as np
 
 from rbmatch import (
+    EdgeParams,
     build_regular_network,
+    edge_estimate,
     exact_network_match,
     heuristic_network_match,
     network_estimate,
@@ -47,7 +49,8 @@ for lam in (5.0, 10.0, 15.0, 20.0, 25.0):
                 break
         means.append(exact_network_match(net, inst).mean_distance)
     sim = float(np.mean(means))
-    parts = network_estimate(4, mu, lam, 1.0)
+    params = EdgeParams(mu, lam, 1.0)
+    parts = network_estimate(4, params, edge_estimate(params))
     cross = parts.d1 + parts.d2 + parts.d3
     print(
         f"{lam:>5g} {sim:>11.4f} {parts.total:>10.4f} {parts.alpha:>7.3f} "

@@ -14,8 +14,10 @@ from .estimators import (
     balanced_estimate,
     baseline_estimate,
     closed_unbalanced_estimate,
+    closed_unbalanced_estimates,
     dispatch_estimate,
     edge_estimate,
+    edge_estimates,
     recursion_table,
     recursive_estimate,
     recursive_estimates,

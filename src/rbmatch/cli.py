@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .estimators import edge_estimate
 from .montecarlo import (
     EdgePoint,
     ExperimentConfig,
@@ -18,6 +19,7 @@ from .montecarlo import (
     run_experiment,
 )
 from .network import network_estimate
+from .types import EdgeParams
 
 
 def _int_list(text: str) -> list[int]:
@@ -100,7 +102,8 @@ def cmd_estimate(args, parser) -> int:
     if degree != int(degree):
         parser.error("--network degree must be an integer")
     try:
-        parts = network_estimate(int(degree), mu, lam, length)
+        params = EdgeParams(mu, lam, length)
+        parts = network_estimate(int(degree), params, edge_estimate(params))
     except ValueError as exc:
         parser.error(str(exc))
     _print_estimate("network", parts.total)

@@ -24,6 +24,7 @@ __all__ = [
     "recursive_estimates",
     "recursive_estimate",
     "baseline_estimate",
+    "edge_estimates",
     "edge_estimate",
     "dispatch_estimate",
 ]
@@ -157,10 +158,10 @@ def recursion_table(m: int, n: int, length: float = 1.0) -> np.ndarray:
     elementwise product and one segmented sum.
 
     Estimates do not build this table per n: ``recursive_estimates`` builds
-    one unit-gap table (length = m + n) for all the ns of one (m, length),
-    and the experiment harness computes its estimates once per sweep, in the
-    parent process, with one such table per (m, length). The per-n table is
-    the test reference.
+    one unit-gap table (length = m + n) for all the ns of one (m, length).
+    The experiment harness computes every point's estimates once per sweep,
+    in the parent process, with one such table per (m, length), for segment,
+    edge and network points alike. The per-n table is the test reference.
     """
     _check_counts(m, [n])
     check_length(length)
@@ -221,10 +222,7 @@ def recursive_estimate(m: int, n: int, length: float = 1.0) -> float:
 
     Returns E[Z_{0,m}] / m from the removal-and-swap recursion, an upper
     bound, minus the step-length correction. The uncorrected value is the
-    one-element pass of ``recursive_estimates``. The experiment harness
-    computes its estimates once per sweep, in the parent process, with one
-    pass and so one unit-gap table per (m, length); each of its values
-    equals this one bit for bit.
+    one-element pass of ``recursive_estimates``.
     """
     return recursive_estimates(m, [n], length)[n] - step_length_correction(m, n, length)
 
@@ -245,19 +243,23 @@ def baseline_estimate(m: int, n: int, length: float = 1.0) -> float:
     return length * total / (2.0 * m * (n + 1))
 
 
-def edge_estimate(params: EdgeParams, recursive: float | None = None) -> float:
-    """Within-edge expected distance: the balanced closed form when the
-    counts ``params.m`` and ``params.n`` are equal, otherwise the corrected
-    recursion. A caller that has the uncorrected recursive value from a
-    shared ``recursive_estimates`` pass passes it as ``recursive``; it is
-    ignored when m = n."""
-    m, n = params.m, params.n
-    if n == m:
-        return balanced_estimate(n, params.length)
-    if recursive is None:
-        return recursive_estimate(m, n, params.length)
-    # the subtraction recursive_estimate applies
-    return recursive - step_length_correction(m, n, params.length)
+def edge_estimates(m: int, ns, length: float = 1.0) -> dict[int, float]:
+    """Within-edge estimates for m demand points and every n >= m in ``ns``:
+    the balanced closed form at n = m, otherwise the corrected recursion from
+    one ``recursive_estimates`` pass, equal to the one-element call's bit for bit."""
+    ns = list(ns)
+    _check_counts(m, ns, least_excess=0)
+    surplus = [n for n in ns if n > m]
+    rec = recursive_estimates(m, surplus, length) if surplus else {}
+    return {  # at n > m, the subtraction recursive_estimate applies
+        n: rec[n] - step_length_correction(m, n, length) if n > m else balanced_estimate(n, length)
+        for n in ns
+    }
+
+
+def edge_estimate(params: EdgeParams) -> float:
+    """Within-edge expected distance: the one-element case of ``edge_estimates``."""
+    return edge_estimates(params.m, [params.n], params.length)[params.n]
 
 
 def dispatch_estimate(params: EdgeParams, edge_value: float | None = None) -> float:

@@ -21,7 +21,7 @@ from .estimators import (
     closed_unbalanced_estimate,
     closed_unbalanced_estimates,
     dispatch_estimate,
-    edge_estimate,
+    edge_estimates,
     recursive_estimates,
     step_length_correction,
 )
@@ -83,7 +83,10 @@ class EdgePoint:
     length: float
 
     def __post_init__(self):
-        _check_counts(self)
+        try:
+            EdgeParams(self.mu, self.lam, self.length)
+        except ValueError as exc:
+            raise _point_error(self, exc) from None
 
 
 @dataclass(frozen=True)
@@ -106,21 +109,13 @@ class NetworkPoint:
     def __post_init__(self):
         try:
             regular_edges(self.degree, self.edge_count)
+            EdgeParams(self.mu, self.lam, self.length)
         except ValueError as exc:
             raise _point_error(self, exc) from None
-        _check_counts(self)
 
 
 def _point_error(point, reason) -> ValueError:
     return ValueError(f"invalid grid point {point!r}: {reason}")
-
-
-def _check_counts(point) -> None:
-    """Densities and length must be valid and give whole point counts >= 1."""
-    try:
-        EdgeParams(point.mu, point.lam, point.length)
-    except ValueError as exc:
-        raise _point_error(point, exc) from None
 
 
 _POINT_TYPES = {
@@ -136,7 +131,8 @@ class ExperimentConfig:
 
     Replication r of grid point g always draws from the RNG stream seeded by
     (master_seed, g, r), so outputs are identical for any worker count. The
-    master seed is a nonnegative integer.
+    master seed is a nonnegative integer, the replication and worker counts
+    integers of at least 1.
     """
 
     kind: ExperimentKind
@@ -151,10 +147,12 @@ class ExperimentConfig:
         expected = _POINT_TYPES[self.kind]
         if not all(isinstance(p, expected) for p in self.grid):
             raise ValueError(f"{self.kind.value} grid entries must be {expected.__name__}")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        for name in ("replications", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         seed = self.master_seed
         if not isinstance(seed, numbers.Integral) or seed < 0:
             raise ValueError(f"master_seed must be a nonnegative integer, got {seed!r}")
@@ -274,7 +272,7 @@ def _rep_stream(words: np.ndarray) -> np.random.Generator:
 
 
 def _shape(kind: ExperimentKind, point) -> tuple[int, int, float]:
-    """Counts m <= n and length of a segment or edge point."""
+    """Counts m <= n and length of a segment, edge or network point."""
     if kind is ExperimentKind.SEGMENT:
         return point.m, point.n, 1.0
     params = EdgeParams(point.mu, point.lam, point.length)
@@ -348,55 +346,49 @@ def _network_means(point: NetworkPoint, states: np.ndarray) -> tuple[np.ndarray,
 def _sweep_estimates(kind: ExperimentKind, grid) -> list[tuple[dict, dict]]:
     """Every grid point's estimator values and extra metadata, in grid order.
 
-    Unbalanced segment and edge points share one ``recursive_estimates``
-    pass per (m, length), and unbalanced segment points one
-    ``closed_unbalanced_estimates`` pass per m; each value equals the
-    single-point call's bit for bit.
+    Unbalanced segment points share one ``recursive_estimates`` and one
+    ``closed_unbalanced_estimates`` pass per m. Edge and network points,
+    balanced ones included, share one ``edge_estimates`` pass per
+    (m, length). Each value equals the single-point call's bit for bit.
     """
-    recursive, closed = {}, {}
-    if kind is not ExperimentKind.NETWORK:
-        groups: dict[tuple[int, float], list[int]] = {}
-        for point in grid:
-            m, n, length = _shape(kind, point)
-            if n > m:
-                groups.setdefault((m, length), []).append(n)
-        for (m, length), ns in groups.items():
-            for n, value in recursive_estimates(m, ns, length).items():
-                recursive[m, n, length] = value
-            if kind is ExperimentKind.SEGMENT:
-                for n, value in closed_unbalanced_estimates(m, ns).items():
-                    closed[m, n] = value
-    return [_point_estimates(kind, point, recursive, closed) for point in grid]
+    shapes = [_shape(kind, point) for point in grid]
+    groups: dict[tuple[int, float], list[int]] = {}
+    for m, n, length in shapes:
+        if n > m or kind is not ExperimentKind.SEGMENT:
+            groups.setdefault((m, length), []).append(n)
+    shared = {}
+    for (m, length), ns in groups.items():
+        if kind is ExperimentKind.SEGMENT:
+            rec, closed = recursive_estimates(m, ns, length), closed_unbalanced_estimates(m, ns)
+            shared.update(((m, n, length), (rec[n], closed[n])) for n in ns)
+        else:
+            shared.update(((m, n, length), v) for n, v in edge_estimates(m, ns, length).items())
+    return [_point_estimates(kind, point, shared.get(key)) for point, key in zip(grid, shapes)]
 
 
-def _point_estimates(
-    kind: ExperimentKind, point, recursive: dict, closed: dict
-) -> tuple[dict, dict]:
+def _point_estimates(kind: ExperimentKind, point, shared) -> tuple[dict, dict]:
     """Estimator values for one grid point, plus extra metadata fields;
-    ``recursive`` maps (m, n, length) to the uncorrected recursive value and
-    ``closed`` maps (m, n) to the uncorrected closed-form value."""
+    ``shared`` is its value from the sweep passes: an unbalanced segment
+    point's uncorrected recursive and closed-form pair, or the edge estimate."""
     if kind is ExperimentKind.SEGMENT:
         m, n = point.m, point.n
         out = {"baseline": baseline_estimate(m, n)}
         if n == m:
             out["balanced"] = balanced_estimate(n)
         else:
-            # one recursion value serves two columns; this is the subtraction
-            # recursive_estimate applies
-            rec = recursive[m, n, 1.0]
-            out["closed"] = closed_unbalanced_estimate(m, n, uncorrected=closed[m, n])
-            out["closed_uncorrected"] = closed[m, n]
+            rec, closed = shared
+            out["closed"] = closed_unbalanced_estimate(m, n, uncorrected=closed)
+            out["closed_uncorrected"] = closed
+            # the subtraction recursive_estimate applies
             out["recursive"] = rec - step_length_correction(m, n)
             out["recursive_uncorrected"] = rec
         return out, {}
     params = EdgeParams(point.mu, point.lam, point.length)
+    out = {"edge": shared, "dispatch": dispatch_estimate(params, shared)}
     if kind is ExperimentKind.EDGE:
-        edge = edge_estimate(params, recursive.get(_shape(kind, point)))
-        return {"edge": edge, "dispatch": dispatch_estimate(params, edge)}, {}
-    # the network estimate's local part is the edge estimate
-    parts = network_estimate(point.degree, point.mu, point.lam, point.length)
-    dispatch = dispatch_estimate(params, parts.local)
-    out = {"edge": parts.local, "dispatch": dispatch, "network": parts.total}
+        return out, {}
+    parts = network_estimate(point.degree, params, shared)
+    out["network"] = parts.total
     return out, {"alpha": parts.alpha}
 
 

@@ -1,17 +1,17 @@
 """Regular networks with Poisson points on edges: construction, sampling,
 shortest-path point distances, exact and heuristic matching, and the
-local/global decomposition estimator."""
+local/global decomposition estimator on a given within-edge estimate."""
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .assignment import CostMatrix, solve_assignment
 from .combinatorics import normal_cdf, normal_pdf
-from .estimators import edge_estimate
 from .exact1d import optimal_match_1d
 from .types import EdgeParams, Instance1D, MatchResult, check_length
 
@@ -99,8 +99,10 @@ def regular_edges(degree: int, edge_count: int) -> tuple[tuple[int, int], ...]:
     repeated edges (the tests check each one up to 300 edges). Cheap: no
     distances are computed.
     """
-    if degree not in SUPPORTED_DEGREES:
-        raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}")
+    if not isinstance(degree, numbers.Integral) or degree not in SUPPORTED_DEGREES:
+        raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}, got {degree!r}")
+    if not isinstance(edge_count, numbers.Integral):
+        raise ValueError(f"edge_count must be an integer, got {edge_count!r}")
     if (2 * edge_count) % degree != 0:
         raise ValueError("2*edge_count must be divisible by degree")
     node_count = 2 * edge_count // degree
@@ -402,18 +404,19 @@ def d2_probabilities(degree: int, supply_excess_prob: float) -> np.ndarray:
     return probs
 
 
-def network_estimate(degree: int, mu: float, lam: float, length: float) -> NetworkEstimateParts:
+def network_estimate(degree: int, params: EdgeParams, local: float) -> NetworkEstimateParts:
     """Expected mean matching distance on a D-regular network.
 
-    Combines the within-edge estimate with the layered-search decomposition
-    d1 + d2 + d3 of cross-edge matches, weighted by the global-match
-    probability alpha derived from the normal approximation of the per-edge
-    count difference. d2 sums 10 search layers, exact at every valid point.
+    Combines ``local``, the within-edge estimate ``edge_estimate(params)``,
+    with the layered-search decomposition d1 + d2 + d3 of cross-edge matches,
+    weighted by the global-match probability alpha derived from the normal
+    approximation of the per-edge count difference. d2 sums 10 search layers,
+    exact at every valid point.
     alpha <= E[X+]/(mu*length) <= 0.57/sqrt(mu*length) needs no clamp.
     """
-    params = EdgeParams(mu, lam, length)
     if degree not in SUPPORTED_DEGREES:
         raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}")
+    mu, lam, length = params.mu, params.lam, params.length
     sigma = math.sqrt((lam + mu) * length)
     demand_excess_prob = normal_cdf((-0.5 + (mu - lam) * length) / sigma)
     supply_excess_prob = normal_cdf((-0.5 + (lam - mu) * length) / sigma)
@@ -421,7 +424,6 @@ def network_estimate(degree: int, mu: float, lam: float, length: float) -> Netwo
     mean_supply_surplus = _conditional_surplus((lam - mu) * length, sigma)
 
     alpha = demand_excess_prob * mean_demand_surplus / (mu * length)
-    local = edge_estimate(params)
     d1 = mean_demand_surplus / (4.0 * mu)
     probs = d2_probabilities(degree, supply_excess_prob)
     d2 = float(np.arange(SEARCH_LAYERS + 1) @ probs) * length

@@ -17,6 +17,7 @@ from rbmatch.estimators import (
     closed_unbalanced_estimates,
     dispatch_estimate,
     edge_estimate,
+    edge_estimates,
     recursion_table,
     recursive_estimate,
     recursive_estimates,
@@ -364,10 +365,17 @@ def test_edge_estimate_routes():
     assert balanced == balanced_estimate(40, 4.0)
     unbalanced = edge_estimate(EdgeParams(mu=10.0, lam=30.0, length=1.0))
     assert unbalanced == recursive_estimate(10, 30, 1.0)
-    # a value from a shared pass gives the same estimate; m = n ignores it
-    shared = recursive_estimates(10, [11, 30, 45])[30]
-    assert edge_estimate(EdgeParams(mu=10.0, lam=30.0, length=1.0), shared) == unbalanced
-    assert edge_estimate(EdgeParams(mu=10.0, lam=10.0, length=4.0), 0.5) == balanced
+    # the pass gives every n, n = m included, the per-point value bit for bit,
+    # whatever other ns share it and in whatever order or grouping
+    for m, length in ((10, 1.0), (10, 4.0), (4, 2.5), (1, 0.5)):
+        ns = list(range(m, m + 20))
+        direct = {n: edge_estimate(EdgeParams(m / length, n / length, length)) for n in ns}
+        for group in (ns, ns[::-1], ns[1::3] + ns[::3], [ns[0]], [ns[-1]], ns[1:], ns + ns):
+            assert edge_estimates(m, group, length) == {n: direct[n] for n in group}
+    with pytest.raises(ValueError, match="nonempty"):
+        edge_estimates(10, [], 1.0)
+    with pytest.raises(ValueError, match=r"requires n >= m, got n=9 for m=10"):
+        edge_estimates(10, [12, 10, 9], 1.0)
     with pytest.raises(ValueError, match="integral"):
         edge_estimate(EdgeParams(mu=1.5, lam=2.5, length=1.1))
 

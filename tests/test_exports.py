@@ -24,6 +24,14 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
+def test_every_estimator_resolves_from_the_package():
+    # the sweep passes are public beside their per-point forms
+    from rbmatch import estimators
+
+    missing = [name for name in estimators.__all__ if not hasattr(rbmatch, name)]
+    assert missing == []
+
+
 def test_every_traced_entry_point_resolves(monkeypatch):
     # the benchmark's tracer skips a target it cannot find, so its metric goes
     # absent; a refactor that drops a traced entry point fails here instead

@@ -57,8 +57,18 @@ def test_config_validation():
         ExperimentConfig(ExperimentKind.SEGMENT, ())
     with pytest.raises(ValueError):
         ExperimentConfig(ExperimentKind.SEGMENT, (EdgePoint(1.0, 2.0, 1.0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"replications must be at least 1"):
         ExperimentConfig(ExperimentKind.SEGMENT, (SegmentPoint(1, 1),), replications=0)
+    # counts that are not integers are rejected when the config is built
+    grid = (SegmentPoint(1, 1), SegmentPoint(2, 3))
+    with pytest.raises(ValueError, match=r"replications must be an integer, got 2.5"):
+        ExperimentConfig(ExperimentKind.SEGMENT, grid, replications=2.5)
+    with pytest.raises(ValueError, match=r"workers must be an integer, got 1.5"):
+        ExperimentConfig(ExperimentKind.SEGMENT, grid, workers=1.5)
+    cfg = ExperimentConfig(
+        ExperimentKind.SEGMENT, grid, replications=np.int64(2), workers=np.int64(1)
+    )
+    assert [rec.meta["replications"] for rec in run_experiment(cfg)] == [2, 2]
 
 
 def test_master_seed_must_be_a_nonnegative_integer():
@@ -146,6 +156,12 @@ def test_grid_points_validate_and_name_the_point():
         NetworkPoint(degree=3, mu=5.0, lam=5.0, length=1.0, edge_count=3)
     with pytest.raises(ValueError, match=r"NetworkPoint\(.*lam=inf.*lam must be finite"):
         NetworkPoint(degree=4, mu=5.0, lam=float("inf"), length=1.0, edge_count=36)
+    # a layout needs whole numbers; a float passes the membership and
+    # divisibility tests, so it is rejected by type
+    with pytest.raises(ValueError, match=r"NetworkPoint\(degree=4.0, .*degree must be one of"):
+        NetworkPoint(degree=4.0, mu=5.0, lam=5.0, length=1.0, edge_count=36)
+    with pytest.raises(ValueError, match=r"NetworkPoint\(.*edge_count=36.0\).*must be an integer"):
+        NetworkPoint(degree=4, mu=5.0, lam=5.0, length=1.0, edge_count=36.0)
 
 
 @pytest.mark.parametrize(
@@ -331,6 +347,21 @@ def test_one_recursion_table_per_edge_point(monkeypatch):
     net_grid = (NetworkPoint(degree=4, mu=1.0, lam=2.0, length=1.0, edge_count=36),)
     run_experiment(ExperimentConfig(ExperimentKind.NETWORK, net_grid, replications=1))
     assert calls == [(1, 2, 3.0)]
+    calls.clear()
+    # the fig6 grid (degrees 3/4/6, lam 5..25, mu 5, length 1, 36 edges): its
+    # 15 points share m = 5 and length 1, so one table serves them all
+    fig6 = _preset_config("fig6", 1, 0, 1).grid
+    estimates = montecarlo._sweep_estimates(ExperimentKind.NETWORK, fig6)
+    assert calls == [(5, 25, 30.0)]
+    for point, (values, meta) in zip(fig6, estimates):
+        params = EdgeParams(point.mu, point.lam, point.length)
+        parts = network_estimate(point.degree, params, edge_estimate(params))
+        assert values == {
+            "edge": parts.local,
+            "dispatch": dispatch_estimate(params),
+            "network": parts.total,
+        }
+        assert meta == {"alpha": parts.alpha}
 
 
 def test_edge_sweep_estimates_equal_direct_calls(monkeypatch):
@@ -388,7 +419,8 @@ def test_estimator_attachment_by_kind():
     )
     (net_rec,) = run_experiment(net_cfg)
     assert set(net_rec.estimates) == {"edge", "dispatch", "network"}
-    parts = network_estimate(4, 1.0, 2.0, 1.0)
+    params = EdgeParams(1.0, 2.0, 1.0)
+    parts = network_estimate(4, params, edge_estimate(params))
     assert net_rec.estimates["edge"] == parts.local
     assert net_rec.estimates["network"] == parts.total
     assert "resampled" in net_rec.meta and "alpha" in net_rec.meta

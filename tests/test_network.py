@@ -8,6 +8,7 @@ from _references import _heuristic_reference, point_distance
 from test_assignment import _solve_dense_reference
 
 from rbmatch.combinatorics import normal_cdf
+from rbmatch.estimators import edge_estimate
 from rbmatch.exact1d import optimal_match_1d
 from rbmatch.network import (
     SEARCH_LAYERS,
@@ -21,7 +22,12 @@ from rbmatch.network import (
     regular_edges,
     sample_instance,
 )
-from rbmatch.types import Instance1D
+from rbmatch.types import EdgeParams, Instance1D
+
+
+def _estimate(degree, mu, lam, length):
+    params = EdgeParams(mu, lam, length)
+    return network_estimate(degree, params, edge_estimate(params))
 
 
 @pytest.fixture(scope="module")
@@ -449,7 +455,7 @@ def test_global_fraction_tracks_alpha(square_torus):
     # fraction of demand matched across edges stays within three per-instance
     # standard deviations of the alpha approximation
     mu = lam = 5.0
-    parts = network_estimate(4, mu, lam, 1.0)
+    parts = _estimate(4, mu, lam, 1.0)
     rng = np.random.default_rng(46)
     fractions = []
     for _ in range(100):
@@ -468,7 +474,7 @@ def test_global_fraction_tracks_alpha(square_torus):
 
 
 def test_estimate_parts_identity_and_probability():
-    parts = network_estimate(4, 5.0, 5.0, 1.0)
+    parts = _estimate(4, 5.0, 5.0, 1.0)
     assert parts.total == pytest.approx(
         (1 - parts.alpha) * parts.local + parts.alpha * (parts.d1 + parts.d2 + parts.d3),
         abs=1e-15,
@@ -479,14 +485,14 @@ def test_estimate_parts_identity_and_probability():
 
 
 def test_estimate_alpha_vanishes_for_heavy_surplus():
-    parts = network_estimate(4, 5.0, 500.0, 1.0)
+    parts = _estimate(4, 5.0, 500.0, 1.0)
     assert parts.alpha == pytest.approx(0.0, abs=1e-12)
     assert parts.total == pytest.approx(parts.local)
 
 
 def test_estimate_monotone_in_supply_density():
     for degree in (3, 4, 6):
-        totals = [network_estimate(degree, 5.0, float(lam), 1.0).total for lam in range(5, 26)]
+        totals = [_estimate(degree, 5.0, float(lam), 1.0).total for lam in range(5, 26)]
         assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
 
 
@@ -508,11 +514,12 @@ def test_search_layer_distribution_tail():
         assert math.exp(searched * math.log1p(-q_least)) == 0.0
 
 
-def test_estimate_alpha_is_a_probability_at_every_valid_point(monkeypatch):
-    # alpha does not read the local edge estimate; a stub keeps the grid fast
-    monkeypatch.setattr("rbmatch.network.edge_estimate", lambda params: 0.0)
+def test_estimate_alpha_is_a_probability_at_every_valid_point():
+    # alpha does not read the local edge estimate; a zero keeps the grid fast
     alphas = [
-        network_estimate(4, mu_count / length, (mu_count + excess) / length, length).alpha
+        network_estimate(
+            4, EdgeParams(mu_count / length, (mu_count + excess) / length, length), 0.0
+        ).alpha
         for length in (0.5, 1.0, 3.0)
         for mu_count in range(1, 31)
         for excess in range(101)
@@ -521,7 +528,8 @@ def test_estimate_alpha_is_a_probability_at_every_valid_point(monkeypatch):
 
 
 def test_estimate_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        network_estimate(5, 1.0, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        network_estimate(4, 3.0, 2.0, 1.0)
+    with pytest.raises(ValueError, match="degree must be one of"):
+        network_estimate(5, EdgeParams(1.0, 2.0, 1.0), 0.0)
+    # lam < mu is rejected when the edge parameters are built
+    with pytest.raises(ValueError, match="lam must be at least mu"):
+        _estimate(4, 3.0, 2.0, 1.0)
