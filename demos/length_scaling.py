@@ -6,7 +6,7 @@ dominates demand it stops depending on L at all and settles near 1/(2*lam).
 
 import numpy as np
 
-from rbmatch import EdgeParams, Instance1D, dispatch_estimate, optimal_match_1d
+from rbmatch import EdgeParams, Instance1D, dispatch_estimate, edge_estimate, optimal_match_1d
 
 rng = np.random.default_rng(31)
 mu = 10.0
@@ -30,7 +30,8 @@ for lam in (10.0, 30.0):
     print(f"  {'L':>4} {'simulated':>11} {'estimate':>10} {'sim / sqrt(L)':>14}")
     for length in lengths:
         sim = simulate(mu, lam, length)
-        est = dispatch_estimate(EdgeParams(mu=mu, lam=lam, length=length))
+        params = EdgeParams(mu=mu, lam=lam, length=length)
+        est = dispatch_estimate(params, edge_estimate(params))
         print(f"  {length:>4g} {sim:>11.5f} {est:>10.5f} {sim / np.sqrt(length):>14.5f}")
     print()
 

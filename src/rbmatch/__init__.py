@@ -5,7 +5,6 @@ from .assignment import AssignmentSolution, CostMatrix, solve_assignment, solve_
 from .combinatorics import (
     expected_zero_returns,
     harel_area,
-    log_binomial,
     normal_cdf,
     normal_pdf,
     stars_bars_distribution,

@@ -262,14 +262,13 @@ def edge_estimate(params: EdgeParams) -> float:
     return edge_estimates(params.m, [params.n], params.length)[params.n]
 
 
-def dispatch_estimate(params: EdgeParams, edge_value: float | None = None) -> float:
+def dispatch_estimate(params: EdgeParams, edge_value: float) -> float:
     """Route edge parameters to the appropriate segment estimator.
 
-    Supply/demand ratios below 3 use ``edge_estimate``; heavier surpluses use
-    the 1/(2*lam) asymptote, which no longer depends on length. A caller that
-    has ``edge_estimate(params)`` already passes it as ``edge_value``, so
-    that the recursion table behind it is not built a second time.
+    Supply/demand ratios below 3 take ``edge_value``, the caller's
+    ``edge_estimate(params)``; heavier surpluses use the 1/(2*lam) asymptote,
+    which no longer depends on length.
     """
     if params.lam / params.mu >= _DISPATCH_RATIO_CUTOFF:
         return 1.0 / (2.0 * params.lam)
-    return edge_estimate(params) if edge_value is None else edge_value
+    return edge_value

@@ -89,6 +89,11 @@ def _all_pairs_hops(node_count: int, edges) -> np.ndarray:
     return dist
 
 
+def _check_degree(degree) -> None:
+    if not isinstance(degree, numbers.Integral) or degree not in SUPPORTED_DEGREES:
+        raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}, got {degree!r}")
+
+
 def regular_edges(degree: int, edge_count: int) -> tuple[tuple[int, int], ...]:
     """Edge list of the D-regular layout with ``edge_count`` edges.
 
@@ -99,8 +104,7 @@ def regular_edges(degree: int, edge_count: int) -> tuple[tuple[int, int], ...]:
     repeated edges (the tests check each one up to 300 edges). Cheap: no
     distances are computed.
     """
-    if not isinstance(degree, numbers.Integral) or degree not in SUPPORTED_DEGREES:
-        raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}, got {degree!r}")
+    _check_degree(degree)
     if not isinstance(edge_count, numbers.Integral):
         raise ValueError(f"edge_count must be an integer, got {edge_count!r}")
     if (2 * edge_count) % degree != 0:
@@ -389,8 +393,12 @@ def _conditional_surplus(mean_diff: float, sigma: float) -> float:
 
 def d2_probabilities(degree: int, supply_excess_prob: float) -> np.ndarray:
     """Pr{search ends in layer k} for k = 0..10 with layer sizes (D-1)^(k+1);
-    10 layers are the whole search at every valid point."""
+    10 layers are the whole search at every valid point. A ValueError names a
+    degree outside ``SUPPORTED_DEGREES`` or a probability outside [0, 1]."""
+    _check_degree(degree)
     q = supply_excess_prob
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"supply_excess_prob must lie in [0, 1], got {q!r}")
     branch = degree - 1
     probs = np.empty(SEARCH_LAYERS + 1)
     log_miss = math.log1p(-q) if q < 1.0 else -math.inf
@@ -411,11 +419,10 @@ def network_estimate(degree: int, params: EdgeParams, local: float) -> NetworkEs
     with the layered-search decomposition d1 + d2 + d3 of cross-edge matches,
     weighted by the global-match probability alpha derived from the normal
     approximation of the per-edge count difference. d2 sums 10 search layers,
-    exact at every valid point.
+    exact at every valid point; ``d2_probabilities`` rejects a degree outside
+    ``SUPPORTED_DEGREES``.
     alpha <= E[X+]/(mu*length) <= 0.57/sqrt(mu*length) needs no clamp.
     """
-    if degree not in SUPPORTED_DEGREES:
-        raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}")
     mu, lam, length = params.mu, params.lam, params.length
     sigma = math.sqrt((lam + mu) * length)
     demand_excess_prob = normal_cdf((-0.5 + (mu - lam) * length) / sigma)

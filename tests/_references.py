@@ -17,7 +17,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from rbmatch.assignment import AssignmentSolution, _check_costs
-from rbmatch.combinatorics import log_binomial
 from rbmatch.exact1d import optimal_match_1d
 from rbmatch.network import NetworkModel
 from rbmatch.types import Instance1D, MatchResult
@@ -55,14 +54,15 @@ def walk_area_oracle(n: int) -> float:
 def stars_bars_prob(m_prime: int, m: int, n: int) -> float:
     """Probability that the first of n-m+1 partition segments holds m_prime of m items.
 
-    Equals C(n - m_prime - 1, n - m - 1) / C(n, n - m). Defined only for
-    n > m >= 0; zero when the numerator's arguments fall out of range.
+    Equals C(n - m_prime - 1, n - m - 1) / C(n, n - m), one correctly
+    rounded division of exact integers. Defined only for n > m >= 0; zero
+    when m_prime > m.
     """
     if n <= m:
         raise ValueError("requires n > m")
     if m < 0 or m_prime < 0:
         raise ValueError("counts must be nonnegative")
-    return math.exp(log_binomial(n - m_prime - 1, n - m - 1) - log_binomial(n, n - m))
+    return math.comb(n - m_prime - 1, n - m - 1) / math.comb(n, n - m)
 
 
 def ballot_segment_prob(m_hat: int, k: int, a: int, excess: int) -> float:
@@ -71,7 +71,8 @@ def ballot_segment_prob(m_hat: int, k: int, a: int, excess: int) -> float:
     ``excess`` is the supply surplus n - m; the segment is a balanced stretch
     of 2*m_hat steps after which the walk never returns to its starting level,
     so the result combines a path-counting ratio with a ballot-style factor
-    (excess - k) / (2a + excess - k - 2*m_hat). Requires excess - k >= 1.
+    (excess - k) / (2a + excess - k - 2*m_hat), taken as one correctly rounded
+    division of exact integers. Requires excess - k >= 1.
     """
     e = excess - k
     if e <= 0:
@@ -79,11 +80,9 @@ def ballot_segment_prob(m_hat: int, k: int, a: int, excess: int) -> float:
     if a < 0 or m_hat < 0:
         raise ValueError("counts must be nonnegative")
     if m_hat > a:
-        return 0.0  # the log ratio below would be -inf - (-inf)
-    ratio = math.exp(
-        log_binomial(a, m_hat) + log_binomial(a + e, m_hat) - log_binomial(2 * a + e, 2 * m_hat)
-    )
-    return ratio * e / (2 * a + e - 2 * m_hat)
+        return 0.0  # C(2a + e, 2 m_hat) in the denominator may be zero
+    numerator = math.comb(a, m_hat) * math.comb(a + e, m_hat) * e
+    return numerator / (math.comb(2 * a + e, 2 * m_hat) * (2 * a + e - 2 * m_hat))
 
 
 def point_distance(net: NetworkModel, a: tuple[int, float], b: tuple[int, float]) -> float:

@@ -22,28 +22,11 @@ from rbmatch.combinatorics import (
     HAREL_STIRLING_SWITCH,
     expected_zero_returns,
     harel_area,
-    log_binomial,
     log_factorials,
     normal_cdf,
     normal_pdf,
+    stars_bars_distribution,
 )
-
-
-def test_log_binomial_small_values():
-    assert isinstance(log_binomial(4, 2), float)
-    assert math.exp(log_binomial(4, 2)) == pytest.approx(6.0)
-    assert log_binomial(0, 0) == 0.0
-    assert log_binomial(5, -1) == -math.inf
-    assert log_binomial(5, 6) == -math.inf
-    assert math.exp(log_binomial(5, 6)) == 0.0
-    with pytest.raises(ValueError):
-        log_binomial(-1, 0)
-
-
-def test_log_binomial_matches_exact_integers():
-    for n in range(0, 121):
-        for k in range(0, n + 1):
-            assert log_binomial(n, k) == pytest.approx(math.log(math.comb(n, k)), abs=1e-12)
 
 
 def test_log_factorials_table():
@@ -52,14 +35,7 @@ def test_log_factorials_table():
     assert lf[0] == lf[1] == 0.0
     np.testing.assert_allclose(lf, gammaln(np.arange(301) + 1.0), rtol=1e-14, atol=1e-13)
     for n, k in ((10, 3), (300, 150), (211, 7)):
-        assert lf[n] - lf[k] - lf[n - k] == pytest.approx(log_binomial(n, k), abs=1e-11)
-
-
-def test_log_binomial_large_against_ratio_accumulation():
-    # C(400, 200) = prod_{i=1..200} (200 + i) / i
-    expected = sum(math.log((200 + i) / i) for i in range(1, 201))
-    got = log_binomial(400, 200)
-    assert got == pytest.approx(expected, rel=1e-10)
+        assert lf[n] - lf[k] - lf[n - k] == pytest.approx(math.log(math.comb(n, k)), abs=1e-11)
 
 
 def test_harel_area_small_values():
@@ -76,8 +52,16 @@ def test_walk_area_oracle_small_counts():
 
 
 def test_harel_matches_oracle_up_to_eight():
-    for n in range(9):
-        assert harel_area(n) == pytest.approx(walk_area_oracle(n), rel=1e-12)
+    # both are one correctly rounded division of the same rational
+    for n in range(11):
+        assert harel_area(n) == walk_area_oracle(n)
+
+
+def test_harel_is_the_exact_rational_below_switch():
+    for n in range(HAREL_STIRLING_SWITCH):
+        assert harel_area(n) == n * 4**n / (2 * math.comb(2 * n, n))
+    assert harel_area(1) == 1.0
+    assert harel_area(np.int64(HAREL_STIRLING_SWITCH - 1)) == harel_area(HAREL_STIRLING_SWITCH - 1)
 
 
 def test_walk_oracle_rejects_large_n():
@@ -87,11 +71,24 @@ def test_walk_oracle_rejects_large_n():
 
 def test_harel_branches_agree_at_switch():
     n = HAREL_STIRLING_SWITCH
-    exact = math.exp(
-        math.log(n) + (2 * n - 1) * math.log(2.0) - log_binomial(2 * n, n)
-    )
+    exact = n * 4**n / (2 * math.comb(2 * n, n))
     stirling = harel_area(n)
     assert abs(stirling - exact) / exact < 1e-3
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: harel_area(2.5), "n=2.5"),
+        (lambda: harel_area(-1), "n=-1"),
+        (lambda: expected_zero_returns(2.5), "m_hat=2.5"),
+        (lambda: stars_bars_distribution(2.5, 5), "m=2.5"),
+        (lambda: stars_bars_distribution(2, 5.0), "n=5.0"),
+    ],
+)
+def test_walk_helpers_reject_non_integral_counts(call, name):
+    with pytest.raises(ValueError, match=f"must be a nonnegative integer, got {name}"):
+        call()
 
 
 def test_stars_bars_examples():

@@ -334,30 +334,30 @@ def test_baseline_rejects_bad_counts():
 
 
 def test_dispatch_balanced_route():
-    est = dispatch_estimate(EdgeParams(mu=10.0, lam=10.0, length=4.0))
+    params = EdgeParams(mu=10.0, lam=10.0, length=4.0)
+    est = dispatch_estimate(params, edge_estimate(params))
     assert est == pytest.approx(balanced_estimate(40, 4.0), abs=1e-12)
 
 
 def test_dispatch_asymptotic_route():
     params = EdgeParams(mu=10.0, lam=30.0, length=1.0)
-    est = dispatch_estimate(params)
+    est = dispatch_estimate(params, edge_estimate(params))
     assert est == pytest.approx(1.0 / 60.0)
-    # a known edge value does not apply above the cutoff
+    # the edge value does not apply above the cutoff
     assert dispatch_estimate(params, edge_value=0.5) == est
     # independent of length in this regime
-    est9 = dispatch_estimate(EdgeParams(mu=10.0, lam=30.0, length=9.0))
+    est9 = dispatch_estimate(EdgeParams(mu=10.0, lam=30.0, length=9.0), edge_value=0.5)
     assert est9 == est
 
 
 def test_dispatch_recursive_route():
     params = EdgeParams(mu=10.0, lam=11.0, length=1.0)
-    est = dispatch_estimate(params)
+    est = dispatch_estimate(params, edge_estimate(params))
     expected = recursive_estimate(10, 11, 1.0)
     assert est == pytest.approx(expected, abs=1e-12)
-    # below the cutoff a known edge value is taken as it is
-    edge = edge_estimate(params)
-    assert est == edge
-    assert dispatch_estimate(params, edge_value=edge) == est
+    # below the cutoff the edge value is taken as it is
+    assert est == edge_estimate(params)
+    assert dispatch_estimate(params, edge_value=0.5) == 0.5
 
 
 def test_edge_estimate_routes():
@@ -382,11 +382,11 @@ def test_edge_estimate_routes():
 
 def test_dispatch_rejects_fractional_or_zero_counts():
     with pytest.raises(ValueError):
-        dispatch_estimate(EdgeParams(mu=1.5, lam=2.5, length=1.1))
+        EdgeParams(mu=1.5, lam=2.5, length=1.1)
     with pytest.raises(ValueError):
-        dispatch_estimate(EdgeParams(mu=0.2, lam=1.0, length=1.0))
+        EdgeParams(mu=0.2, lam=1.0, length=1.0)
     with pytest.raises(ValueError, match="integral"):
-        dispatch_estimate(EdgeParams(mu=1.5, lam=5.5, length=1.1))  # asymptotic route
+        EdgeParams(mu=1.5, lam=5.5, length=1.1)  # asymptotic route
 
 
 def test_estimates_are_nonnegative_and_bounded_by_length():

@@ -341,7 +341,7 @@ def test_one_recursion_table_per_edge_point(monkeypatch):
     assert calls == [(10, 30, 40.0)]
     for point, rec in zip(grid, records):
         params = EdgeParams(point.mu, point.lam, point.length)
-        assert rec.estimates["dispatch"] == dispatch_estimate(params)
+        assert rec.estimates["dispatch"] == dispatch_estimate(params, edge_estimate(params))
         assert rec.estimates["edge"] == edge_estimate(params)
     calls.clear()
     net_grid = (NetworkPoint(degree=4, mu=1.0, lam=2.0, length=1.0, edge_count=36),)
@@ -358,7 +358,7 @@ def test_one_recursion_table_per_edge_point(monkeypatch):
         parts = network_estimate(point.degree, params, edge_estimate(params))
         assert values == {
             "edge": parts.local,
-            "dispatch": dispatch_estimate(params),
+            "dispatch": dispatch_estimate(params, edge_estimate(params)),
             "network": parts.total,
         }
         assert meta == {"alpha": parts.alpha}
@@ -385,7 +385,7 @@ def test_edge_sweep_estimates_equal_direct_calls(monkeypatch):
     for point, rec in zip(grid, records):
         params = EdgeParams(point.mu, point.lam, point.length)
         assert rec.estimates["edge"] == edge_estimate(params)
-        assert rec.estimates["dispatch"] == dispatch_estimate(params)
+        assert rec.estimates["dispatch"] == dispatch_estimate(params, edge_estimate(params))
         if params.n > params.m:
             recursive = recursive_estimate(params.m, params.n, point.length)
             assert rec.estimates["edge"] == recursive

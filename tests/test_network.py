@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -512,6 +513,21 @@ def test_search_layer_distribution_tail():
         assert len(d2_probabilities(degree, q_least)) == SEARCH_LAYERS + 1
         searched = sum((degree - 1) ** (k + 1) for k in range(SEARCH_LAYERS + 1))
         assert math.exp(searched * math.log1p(-q_least)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "degree, q, message",
+    [
+        (5, 0.5, "degree must be one of (3, 4, 6), got 5"),
+        (4.0, 0.5, "degree must be one of (3, 4, 6), got 4.0"),
+        (4, 1.5, "supply_excess_prob must lie in [0, 1], got 1.5"),
+        (4, -0.2, "supply_excess_prob must lie in [0, 1], got -0.2"),
+        (4, math.nan, "supply_excess_prob must lie in [0, 1], got nan"),
+    ],
+)
+def test_search_layer_distribution_rejects_bad_inputs(degree, q, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        d2_probabilities(degree, q)
 
 
 def test_estimate_alpha_is_a_probability_at_every_valid_point():
