@@ -4,6 +4,7 @@ preset comparison tables."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .estimators import edge_estimate
@@ -99,7 +100,7 @@ def cmd_estimate(args, parser) -> int:
             _print_estimate(name, estimates[name])
         return 0
     degree, mu, lam, length = args.network
-    if degree != int(degree):
+    if not degree.is_integer():  # False for NaN and infinities
         parser.error("--network degree must be an integer")
     try:
         params = EdgeParams(mu, lam, length)
@@ -151,7 +152,7 @@ def cmd_simulate(args, parser) -> int:
         cfg = _simulate_config(args)
     except ValueError as exc:
         parser.error(str(exc))
-    return _run_and_emit(cfg, args)
+    return _run_and_emit(cfg, args, parser)
 
 
 _FIG4_SWEEPS = {"fig4b": 50, "fig4c": 100, "fig4d": 200}
@@ -185,10 +186,27 @@ def cmd_compare(args, parser) -> int:
         cfg = _preset_config(args.preset, args.reps, args.seed, args.workers)
     except ValueError as exc:
         parser.error(str(exc))
-    return _run_and_emit(cfg, args)
+    return _run_and_emit(cfg, args, parser)
 
 
-def _run_and_emit(cfg: ExperimentConfig, args) -> int:
+def _check_out(path: str, parser) -> None:
+    """Exit through ``parser.error`` unless ``path`` can be written: an
+    existing writable file, or a new file in an existing writable directory.
+    Nothing is created."""
+    directory = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(directory):
+        parser.error(f"--out {path}: directory {directory} does not exist")
+    target = path if os.path.exists(path) else directory
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        parser.error(f"--out {path}: cannot be written")
+
+
+def _run_and_emit(cfg: ExperimentConfig, args, parser) -> int:
+    """Run the sweep, print its table and write ``--out`` afterwards, so that
+    a failed run leaves an existing file untouched; an ``--out`` that cannot
+    be written is rejected before the sweep."""
+    if args.out:
+        _check_out(args.out, parser)
     records = run_experiment(cfg)
     _print_table(records)
     if args.out:

@@ -406,6 +406,19 @@ def _point_params(kind: ExperimentKind, point) -> dict:
     }
 
 
+def _moments(means: np.ndarray) -> tuple[float, float]:
+    """``float(means.mean())`` and ``float(means.std(ddof=1))`` bit for bit,
+    the std taken as 0.0 for one value: the ufunc steps of numpy's own mean
+    and two-pass var, without their Python wrappers."""
+    reps = len(means)
+    mean = np.add.reduce(means) / reps
+    if reps == 1:
+        return float(mean), 0.0
+    dev = means - mean
+    np.square(dev, out=dev)
+    return float(mean), float(np.sqrt(np.add.reduce(dev) / (reps - 1)))
+
+
 def _run_grid_point(args) -> SummaryRecord:
     kind, point, states, (estimates, extra_meta) = args
     meta = {"replications": len(states), **extra_meta}
@@ -413,8 +426,7 @@ def _run_grid_point(args) -> SummaryRecord:
         means, meta["resampled"] = _network_means(point, states)
     else:
         means = _segment_means(kind, point, states)
-    sim_mean = float(means.mean())
-    sim_std = float(means.std(ddof=1)) if len(states) > 1 else 0.0
+    sim_mean, sim_std = _moments(means)
     estimates = {name: float(value) for name, value in estimates.items()}
     rel_errors = {
         name: (value - sim_mean) / sim_mean
@@ -451,7 +463,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[SummaryRecord]:
     # imported here: loading multiprocessing costs import time on every run
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(cfg.workers) as pool:
+    # at most one worker per task: the executor starts all of its workers at once
+    with ProcessPoolExecutor(min(cfg.workers, len(tasks))) as pool:
         return list(pool.map(_run_grid_point, tasks))
 
 

@@ -342,8 +342,7 @@ def heuristic_network_match(net: NetworkModel, inst: NetworkInstance) -> MatchRe
             central = np.argsort(np.abs(dem - length / 2.0), kind="stable")[: sup.size]
             local = np.sort(central)
         res = optimal_match_1d(Instance1D(dem[local], sup, length))
-        pairs = np.array(res.pairs, dtype=np.int64).reshape(-1, 2)
-        rows, cols = local[pairs[:, 0]], pairs[:, 1]
+        rows, cols = local[res.pairs[:, 0]], res.pairs[:, 1]
         match[d0 + rows] = s0 + cols
         dist[d0 + rows] = np.abs(dem[rows] - sup[cols])
         free[s0 + cols] = False

@@ -22,8 +22,9 @@ _COUNT_ROUNDING_TOL = 1e-6
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    """``arr`` itself, made read-only: callers pass arrays they have just
-    created and share with no one."""
+    """``arr`` itself, made read-only, not copied: callers pass arrays they
+    have just created, or arrays handed to a constructor documented to
+    freeze them in place."""
     arr.flags.writeable = False
     return arr
 
@@ -124,28 +125,31 @@ def build_supply_curve(inst: Instance1D) -> SupplyCurve:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchResult:
-    """Matched (demand_index, supply_index) pairs with total and mean distance."""
+    """Matched pairs with total and mean distance.
 
-    pairs: tuple[tuple[int, int], ...]
+    ``pairs`` is a read-only (k, 2) int64 array; row i holds the demand
+    index and the supply index of the i-th matched pair.
+    """
+
+    pairs: np.ndarray
     total_distance: float
     mean_distance: float
 
     @classmethod
     def from_pairs(cls, pairs, distances) -> "MatchResult":
         """Result from a k x 2 integer array or an iterable of (demand,
-        supply) pairs, stored as tuples of Python ints, and the matched
-        distances."""
+        supply) pairs, and the matched distances. An int64 array it is
+        handed is frozen in place: marked read-only, not copied."""
         p = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
         if p.shape == (0,):
             p = p.reshape(0, 2)
         if p.ndim != 2 or p.shape[1] != 2:
             raise ValueError(f"pairs must have shape (k, 2), got {p.shape}")
-        pairs = tuple(zip(p[:, 0].tolist(), p[:, 1].tolist()))
         total = float(np.sum(distances))
-        mean = total / len(pairs) if pairs else 0.0
-        return cls(pairs=pairs, total_distance=total, mean_distance=mean)
+        mean = total / len(p) if len(p) else 0.0
+        return cls(pairs=_readonly(p), total_distance=total, mean_distance=mean)
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,7 @@ def _assert_certificate(costs, sol: AssignmentSolution):
 
 def test_single_row_example():
     res = solve_assignment(CostMatrix([[0.3, 0.1]]))
-    assert res.pairs == ((0, 1),)
+    assert res.pairs.tolist() == [[0, 1]]
     assert res.total_distance == pytest.approx(0.1)
 
 
@@ -168,7 +168,7 @@ def test_matches_segment_dp_on_distance_matrices():
 
 def test_deterministic_tie_break_prefers_low_columns():
     res = solve_assignment(CostMatrix([[0.5, 0.5, 0.5]]))
-    assert res.pairs == ((0, 0),)
+    assert res.pairs.tolist() == [[0, 0]]
     res2 = solve_assignment(CostMatrix([[0.2, 0.1, 0.1], [0.1, 0.1, 0.4]]))
     sol_total = res2.total_distance
     assert sol_total == pytest.approx(0.2)
@@ -176,7 +176,7 @@ def test_deterministic_tie_break_prefers_low_columns():
 
 def test_empty_matrix():
     res = solve_assignment(CostMatrix(np.empty((0, 4))))
-    assert res.pairs == ()
+    assert res.pairs.shape == (0, 2)
     assert res.total_distance == 0.0
 
 
@@ -247,8 +247,9 @@ def test_kernel_totals_match_reference_on_tied_costs(shape, seed):
     costs = np.random.default_rng(seed).integers(0, 11, (m, n)) / 10
     res = solve_assignment(CostMatrix(costs))
     assert res.total_distance == pytest.approx(solve_dense(costs).total_cost, rel=1e-12)
-    rows = [i for i, _ in res.pairs]
-    cols = [j for _, j in res.pairs]
+    assert res.pairs.dtype == np.int64 and res.pairs.shape == (m, 2)
+    assert not res.pairs.flags.writeable
+    rows, cols = res.pairs[:, 0].tolist(), res.pairs[:, 1].tolist()
     assert rows == list(range(m))
     assert len(set(cols)) == m and all(0 <= j < n for j in cols)
 
@@ -263,4 +264,4 @@ def test_missing_kernel_file_raises_import_error(monkeypatch, tmp_path):
     finally:
         monkeypatch.undo()
         assignment._kernel.cache_clear()
-    assert solve_assignment(CostMatrix([[0.3, 0.1]])).pairs == ((0, 1),)
+    assert solve_assignment(CostMatrix([[0.3, 0.1]])).pairs.tolist() == [[0, 1]]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rbmatch import cli
 from rbmatch.cli import main
 from rbmatch.montecarlo import (
     EdgePoint,
@@ -134,6 +135,14 @@ def test_non_finite_edge_values_exit_two(capsys, argv, field):
     assert f"{field} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("degree", ["4.5", "nan", "inf"])
+def test_non_integral_network_degree_exits_two(capsys, degree):
+    with pytest.raises(SystemExit) as err:
+        main(["estimate", "--network", degree, "5", "10", "1"])
+    assert err.value.code == 2
+    assert "--network degree must be an integer" in capsys.readouterr().err
+
+
 _SEGMENT = ["simulate", "segment", "--m", "2", "--n", "3", "--reps", "3"]
 _EDGE = ["simulate", "edge", "--mu", "2", "--lam", "3", "--reps", "3"]
 _NETWORK = ["simulate", "network", "--degree", "4", "--mu", "5", "--lam", "5", "--reps", "1"]
@@ -196,6 +205,30 @@ def test_simulate_deterministic_output(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text().splitlines()[0]
     assert header.startswith("kind,m,n,sim_mean,sim_std")
+
+
+def test_unwritable_out_exits_two_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def no_sweep(cfg):
+        raise AssertionError("run_experiment reached")
+
+    monkeypatch.setattr(cli, "run_experiment", no_sweep)
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "segment", "--m", "2", "--n", "3", "--reps", "2", "--out", str(out)])
+        assert err.value.code == 2
+        assert f"--out {out}" in capsys.readouterr().err
+
+
+def test_failed_sweep_leaves_out_untouched(tmp_path, capsys, monkeypatch):
+    def failing_sweep(cfg):
+        raise RuntimeError("sweep failed")
+
+    monkeypatch.setattr(cli, "run_experiment", failing_sweep)
+    out = tmp_path / "x.csv"
+    out.write_text("kept")
+    assert main(["compare", "--preset", "fig4b", "--reps", "2", "--out", str(out)]) == 1
+    assert "error: sweep failed" in capsys.readouterr().err
+    assert out.read_text() == "kept"
 
 
 def test_simulate_json_format(tmp_path, capsys):

@@ -158,6 +158,15 @@ def test_recursive_hand_value():
     assert recursive_estimate(1, 2) == pytest.approx(1.0 / 3.0 - 1.0 / 12.0)
 
 
+def test_one_demand_estimates_are_half_the_supply_spacing():
+    # at m = 1 the step-length correction takes both uncorrected values,
+    # 1/(n + 1), to 1/(2n) exactly; the float paths keep it to rounding
+    for n in range(2, 301):
+        expected = 1.0 / (2 * n)
+        assert recursive_estimate(1, n) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert closed_unbalanced_estimate(1, n) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_recursion_table_base_row():
     for m, n, length in ((4, 7, 1.0), (10, 13, 2.0)):
         table = recursion_table(m, n, length)
@@ -290,6 +299,11 @@ def test_recursive_rejects_balanced():
 def test_baseline_values():
     assert baseline_estimate(1, 1) == pytest.approx(0.25)
     assert baseline_estimate(1, 99) == pytest.approx(1.0 / 200.0, rel=0.01)
+
+
+def test_one_demand_baseline_is_exact():
+    for n in range(1, 301):
+        assert baseline_estimate(1, n) == 1 / (2 * (n + 1))
 
 
 def _double_sum_baseline(m, n, length=1.0):

@@ -43,18 +43,18 @@ def test_balanced_area_rejects_unbalanced():
 
 def test_optimal_match_nearest_feasible():
     res = optimal_match_1d(Instance1D([0.5], [0.2, 0.6]))
-    assert res.pairs == ((0, 1),)
+    assert res.pairs.tolist() == [[0, 1]]
     assert res.total_distance == pytest.approx(0.1)
 
 
 def test_optimal_match_tie_prefers_lower_supply_index():
     res = optimal_match_1d(Instance1D([0.5], [0.4, 0.6]))
-    assert res.pairs == ((0, 0),)
+    assert res.pairs.tolist() == [[0, 0]]
 
 
 def test_optimal_match_empty_demand():
     res = optimal_match_1d(Instance1D([], [0.2, 0.6]))
-    assert res.pairs == ()
+    assert res.pairs.shape == (0, 2)
     assert res.total_distance == 0.0
 
 
@@ -74,7 +74,7 @@ def test_balanced_match_is_identity_on_sorted_order():
         length = float(rng.uniform(0.5, 4.0))
         inst = _random_instance(rng, n, n, length)
         res = optimal_match_1d(inst)
-        assert res.pairs == tuple((i, i) for i in range(n))
+        assert res.pairs.tolist() == [[i, i] for i in range(n)]
         assert res.total_distance == pytest.approx(balanced_area(inst), rel=1e-12, abs=0.0)
         assert res.mean_distance == res.total_distance / n
 
@@ -123,7 +123,8 @@ def test_optimal_match_equals_rowwise_dp_bit_for_bit(shape, tied, seed):
     rng = np.random.default_rng(seed)
     inst = Instance1D(_coords(rng, tied, m), _coords(rng, tied, n))
     res, ref = optimal_match_1d(inst), optimal_match_1d_rowwise(inst)
-    assert res.pairs == ref.pairs
+    assert res.pairs.dtype == np.int64 and not res.pairs.flags.writeable
+    assert np.array_equal(res.pairs, ref.pairs) and res.pairs.shape == (m, 2)
     assert res.total_distance == ref.total_distance
 
 
@@ -199,7 +200,7 @@ def test_optimal_match_non_crossing():
         m = int(rng.integers(1, 20))
         n = int(rng.integers(m, 35))
         res = optimal_match_1d(_random_instance(rng, m, n))
-        cols = [j for _, j in res.pairs]
+        cols = res.pairs[:, 1].tolist()
         assert cols == sorted(cols)
         assert len(set(cols)) == len(cols)
 

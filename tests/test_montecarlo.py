@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import importlib.util
 import json
@@ -297,6 +298,55 @@ def test_segment_means_equal_per_side_uniform_draws(m, extra, length, edge, reps
     states = montecarlo._stream_states(master_seed, [grid_index], np.arange(reps))[0]
     got = montecarlo._segment_means(kind, point, states)
     assert np.array_equal(got, _uniform_draw_means(m, n, length, states))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.integers(1, 300),
+    scale=st.sampled_from([1e-8, 1e-4, 1.0, 1e4, 1e8]),
+    shape=st.sampled_from(["spread", "constant", "tied"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(size=1, scale=1.0, shape="spread", seed=0)
+@example(size=2, scale=1e-8, shape="constant", seed=1)
+@example(size=300, scale=1e8, shape="tied", seed=2)
+def test_moments_equal_numpy_mean_and_std(size, scale, shape, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.random(size) * scale
+    if shape == "constant":
+        x[:] = x[0]
+    elif shape == "tied":
+        x = rng.choice(x[:3], size)
+    expected = (float(x.mean()), float(x.std(ddof=1)) if size > 1 else 0.0)
+    assert montecarlo._moments(x) == expected
+
+
+def test_pool_has_at_most_one_worker_per_grid_point(monkeypatch):
+    started = []
+
+    class InlinePool:
+        """Records its worker count and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    grid = (SegmentPoint(2, 3), SegmentPoint(3, 3), SegmentPoint(1, 4))
+    kwargs = dict(kind=ExperimentKind.SEGMENT, grid=grid, replications=3, master_seed=4)
+    serial = records_to_csv(run_experiment(ExperimentConfig(**kwargs)))
+    for workers, expected in ((64, 3), (2, 2)):
+        pooled = records_to_csv(run_experiment(ExperimentConfig(**kwargs, workers=workers)))
+        assert pooled == serial
+        assert started.pop() == expected
 
 
 def test_replication_zero_check_names_the_point(monkeypatch):

@@ -254,7 +254,7 @@ def test_matchers_reject_points_off_the_network(square_torus, field, fields):
 def test_instance_accepts_empty_sides(square_torus):
     inst = NetworkInstance([], [], [4], [0.5])
     assert inst.total_demand == 0 and inst.demand_edge.dtype == np.int64
-    assert exact_network_match(square_torus, inst).pairs == ()
+    assert exact_network_match(square_torus, inst).pairs.shape == (0, 2)
 
 
 def test_exact_match_single_edge_matches_segment_dp(square_torus):
@@ -386,7 +386,7 @@ def test_heuristic_keeps_central_demand_local(square_torus):
         {0: [0.4, 0.6], 5: [0.5], 9: [0.5]},
     )
     res = heuristic_network_match(square_torus, inst)
-    local = {(i, j) for i, j in res.pairs if j in (0, 1)}
+    local = {(i, j) for i, j in res.pairs.tolist() if j in (0, 1)}
     assert local == {(1, 0), (2, 1)}
     assert len(res.pairs) == 4
 
@@ -401,7 +401,16 @@ def test_heuristic_never_beats_exact(square_torus):
         h = heuristic_network_match(square_torus, inst)
         ex = exact_network_match(square_torus, inst)
         assert h.total_distance >= ex.total_distance - 1e-9
-        assert len(h.pairs) == inst.total_demand
+        for res in (h, ex):
+            assert res.pairs.dtype == np.int64 and not res.pairs.flags.writeable
+            assert res.pairs.shape == (inst.total_demand, 2)
+
+
+def _assert_same_result(res, ref):
+    """The two results hold equal pairs, totals and means."""
+    assert np.array_equal(res.pairs, ref.pairs)
+    assert res.total_distance == ref.total_distance
+    assert res.mean_distance == ref.mean_distance
 
 
 @pytest.mark.parametrize("degree", [3, 4, 6])
@@ -417,8 +426,7 @@ def test_heuristic_equals_scalar_reference(degree):
             checked += 1
             res = heuristic_network_match(net, inst)
             ref = _heuristic_reference(net, inst)
-            assert res.pairs == ref.pairs
-            assert res.total_distance == ref.total_distance
+            _assert_same_result(res, ref)
 
 
 def test_heuristic_search_layer_outranks_distance(square_torus):
@@ -432,10 +440,10 @@ def test_heuristic_search_layer_outranks_distance(square_torus):
     )
     near_layer = int(np.flatnonzero(inst.supply_edge == edge[0, 1])[0])
     res = heuristic_network_match(square_torus, inst)
-    assert res.pairs == ((0, near_layer),)
+    assert res.pairs.tolist() == [[0, near_layer]]
     assert res.total_distance == pytest.approx(1.35, abs=1e-12)
     assert exact_network_match(square_torus, inst).total_distance == pytest.approx(0.65, abs=1e-12)
-    assert res == _heuristic_reference(square_torus, inst)
+    _assert_same_result(res, _heuristic_reference(square_torus, inst))
 
 
 def test_heuristic_ties_take_lowest_index(square_torus):
@@ -448,8 +456,8 @@ def test_heuristic_ties_take_lowest_index(square_torus):
         {edge[0, 5]: [0.1], edge[0, 1]: [0.1]},
     )
     res = heuristic_network_match(square_torus, inst)
-    assert res.pairs == ((0, 0),)
-    assert res == _heuristic_reference(square_torus, inst)
+    assert res.pairs.tolist() == [[0, 0]]
+    _assert_same_result(res, _heuristic_reference(square_torus, inst))
 
 
 def test_global_fraction_tracks_alpha(square_torus):
@@ -466,7 +474,7 @@ def test_global_fraction_tracks_alpha(square_torus):
                 break
         local_pairs = 0
         res = heuristic_network_match(square_torus, inst)
-        for i, j in res.pairs:
+        for i, j in res.pairs.tolist():
             if inst.demand_edge[i] == inst.supply_edge[j]:
                 local_pairs += 1
         fractions.append(1.0 - local_pairs / inst.total_demand)

@@ -116,18 +116,27 @@ def test_match_result_mean():
         lambda: zip(range(3), [1, 3, 2]),
     ],
 )
-def test_from_pairs_gives_python_int_tuples(pairs):
+def test_from_pairs_gives_readonly_int64_array(pairs):
     pairs = pairs() if callable(pairs) else pairs  # a fresh iterator per run
     res = MatchResult.from_pairs(pairs, [0.5, 0.25, 0.25])
-    assert res.pairs == ((0, 1), (1, 3), (2, 2))
-    assert all(type(i) is int and type(j) is int for i, j in res.pairs)
+    assert type(res.pairs) is np.ndarray and res.pairs.dtype == np.int64
+    assert res.pairs.tolist() == [[0, 1], [1, 3], [2, 2]]
+    assert not res.pairs.flags.writeable
     assert res.total_distance == 1.0 and res.mean_distance == 1.0 / 3.0
+
+
+def test_from_pairs_freezes_int64_input_in_place():
+    pairs = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    assert MatchResult.from_pairs(pairs, [0.0, 0.0]).pairs is pairs
+    assert not pairs.flags.writeable
 
 
 @pytest.mark.parametrize("empty", [[], (), np.empty((0, 2), dtype=np.int64), np.array([], dtype=np.int64)])
 def test_from_pairs_accepts_empty_input(empty):
     res = MatchResult.from_pairs(empty, [])
-    assert res == MatchResult(pairs=(), total_distance=0.0, mean_distance=0.0)
+    assert res.pairs.shape == (0, 2) and res.pairs.dtype == np.int64
+    assert not res.pairs.flags.writeable
+    assert res.total_distance == 0.0 and res.mean_distance == 0.0
 
 
 @pytest.mark.parametrize(
