@@ -16,7 +16,6 @@ from .estimators import (
     closed_unbalanced_estimates,
     dispatch_estimate,
     edge_estimate,
-    edge_estimates,
     recursion_table,
     recursive_estimate,
     recursive_estimates,

@@ -24,7 +24,6 @@ __all__ = [
     "recursive_estimates",
     "recursive_estimate",
     "baseline_estimate",
-    "edge_estimates",
     "edge_estimate",
     "dispatch_estimate",
 ]
@@ -34,13 +33,13 @@ _DISPATCH_RATIO_CUTOFF = 3.0
 
 def _check_counts(m, ns: list, least_excess: int = 1) -> None:
     """The one count rule of the segment estimators: every count is an
-    integer, m >= 1, ``ns`` is nonempty and each n in it is at least
-    m + least_excess. A ValueError names the count that breaks it."""
+    integer (a bool is not), m >= 1, ``ns`` is nonempty and each n in it is
+    at least m + least_excess. A ValueError names the count that breaks it."""
     if not ns:
         raise ValueError("ns must be nonempty")
     for name, values in (("n", ns), ("m", [m])):
         for value in values:
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"counts must be integers, got {name}={value!r}")
     if m < 1:
         raise ValueError(f"m must be at least 1, got m={m}")
@@ -243,23 +242,11 @@ def baseline_estimate(m: int, n: int, length: float = 1.0) -> float:
     return length * total / (2.0 * m * (n + 1))
 
 
-def edge_estimates(m: int, ns, length: float = 1.0) -> dict[int, float]:
-    """Within-edge estimates for m demand points and every n >= m in ``ns``:
-    the balanced closed form at n = m, otherwise the corrected recursion from
-    one ``recursive_estimates`` pass, equal to the one-element call's bit for bit."""
-    ns = list(ns)
-    _check_counts(m, ns, least_excess=0)
-    surplus = [n for n in ns if n > m]
-    rec = recursive_estimates(m, surplus, length) if surplus else {}
-    return {  # at n > m, the subtraction recursive_estimate applies
-        n: rec[n] - step_length_correction(m, n, length) if n > m else balanced_estimate(n, length)
-        for n in ns
-    }
-
-
 def edge_estimate(params: EdgeParams) -> float:
-    """Within-edge expected distance: the one-element case of ``edge_estimates``."""
-    return edge_estimates(params.m, [params.n], params.length)[params.n]
+    """Within-edge expected distance: balanced at n = m, else the corrected recursion."""
+    if params.n == params.m:
+        return balanced_estimate(params.n, params.length)
+    return recursive_estimate(params.m, params.n, params.length)
 
 
 def dispatch_estimate(params: EdgeParams, edge_value: float) -> float:

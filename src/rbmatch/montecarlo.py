@@ -21,7 +21,6 @@ from .estimators import (
     closed_unbalanced_estimate,
     closed_unbalanced_estimates,
     dispatch_estimate,
-    edge_estimates,
     recursive_estimates,
     step_length_correction,
 )
@@ -131,8 +130,9 @@ class ExperimentConfig:
 
     Replication r of grid point g always draws from the RNG stream seeded by
     (master_seed, g, r), so outputs are identical for any worker count. The
-    master seed is a nonnegative integer, the replication and worker counts
-    integers of at least 1.
+    grid is any iterable of the kind's points, stored as a tuple. The master
+    seed is a nonnegative integer, the replication and worker counts integers
+    of at least 1; a bool is not an integer here.
     """
 
     kind: ExperimentKind
@@ -142,6 +142,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.kind, ExperimentKind):
+            raise ValueError(f"kind must be an ExperimentKind, got {self.kind!r}")
+        object.__setattr__(self, "grid", tuple(self.grid))
         if not self.grid:
             raise ValueError("grid must be nonempty")
         expected = _POINT_TYPES[self.kind]
@@ -149,15 +152,14 @@ class ExperimentConfig:
             raise ValueError(f"{self.kind.value} grid entries must be {expected.__name__}")
         for name in ("replications", "workers"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
         seed = self.master_seed
-        if not isinstance(seed, numbers.Integral) or seed < 0:
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise ValueError(f"master_seed must be a nonnegative integer, got {seed!r}")
         object.__setattr__(self, "master_seed", int(seed))
-        object.__setattr__(self, "grid", tuple(self.grid))
 
 
 @dataclass(frozen=True)
@@ -346,48 +348,48 @@ def _network_means(point: NetworkPoint, states: np.ndarray) -> tuple[np.ndarray,
 def _sweep_estimates(kind: ExperimentKind, grid) -> list[tuple[dict, dict]]:
     """Every grid point's estimator values and extra metadata, in grid order.
 
-    Unbalanced segment points share one ``recursive_estimates`` and one
-    ``closed_unbalanced_estimates`` pass per m. Edge and network points,
-    balanced ones included, share one ``edge_estimates`` pass per
-    (m, length). Each value equals the single-point call's bit for bit.
+    Unbalanced points of every kind share one ``recursive_estimates`` pass
+    per (m, length); unbalanced segment points also share one
+    ``closed_unbalanced_estimates`` pass per m. Each value equals the
+    single-point call's bit for bit.
     """
     shapes = [_shape(kind, point) for point in grid]
     groups: dict[tuple[int, float], list[int]] = {}
     for m, n, length in shapes:
-        if n > m or kind is not ExperimentKind.SEGMENT:
+        if n > m:
             groups.setdefault((m, length), []).append(n)
     shared = {}
     for (m, length), ns in groups.items():
-        if kind is ExperimentKind.SEGMENT:
-            rec, closed = recursive_estimates(m, ns, length), closed_unbalanced_estimates(m, ns)
-            shared.update(((m, n, length), (rec[n], closed[n])) for n in ns)
-        else:
-            shared.update(((m, n, length), v) for n, v in edge_estimates(m, ns, length).items())
-    return [_point_estimates(kind, point, shared.get(key)) for point, key in zip(grid, shapes)]
+        rec = recursive_estimates(m, ns, length)
+        closed = closed_unbalanced_estimates(m, ns) if kind is ExperimentKind.SEGMENT else {}
+        shared.update(((m, n, length), (rec[n], closed.get(n))) for n in ns)
+    return [_point_estimates(kind, p, key, shared.get(key)) for p, key in zip(grid, shapes)]
 
 
-def _point_estimates(kind: ExperimentKind, point, shared) -> tuple[dict, dict]:
-    """Estimator values for one grid point, plus extra metadata fields;
-    ``shared`` is its value from the sweep passes: an unbalanced segment
-    point's uncorrected recursive and closed-form pair, or the edge estimate."""
+def _point_estimates(kind: ExperimentKind, point, shape, shared) -> tuple[dict, dict]:
+    """Estimator values for one grid point of shape (m, n, length), plus
+    extra metadata fields; ``shared`` is an unbalanced point's pair from the
+    sweep passes: its uncorrected recursive value and, for a segment point,
+    its uncorrected closed form."""
+    m, n, length = shape
+    rec, closed = shared or (None, None)
+    # the within-segment value: balanced at n = m, else recursive_estimate's subtraction
+    value = balanced_estimate(n, length) if n == m else rec - step_length_correction(m, n, length)
     if kind is ExperimentKind.SEGMENT:
-        m, n = point.m, point.n
         out = {"baseline": baseline_estimate(m, n)}
         if n == m:
-            out["balanced"] = balanced_estimate(n)
+            out["balanced"] = value
         else:
-            rec, closed = shared
             out["closed"] = closed_unbalanced_estimate(m, n, uncorrected=closed)
             out["closed_uncorrected"] = closed
-            # the subtraction recursive_estimate applies
-            out["recursive"] = rec - step_length_correction(m, n)
+            out["recursive"] = value
             out["recursive_uncorrected"] = rec
         return out, {}
     params = EdgeParams(point.mu, point.lam, point.length)
-    out = {"edge": shared, "dispatch": dispatch_estimate(params, shared)}
+    out = {"edge": value, "dispatch": dispatch_estimate(params, value)}
     if kind is ExperimentKind.EDGE:
         return out, {}
-    parts = network_estimate(point.degree, params, shared)
+    parts = network_estimate(point.degree, params, value)
     out["network"] = parts.total
     return out, {"alpha": parts.alpha}
 

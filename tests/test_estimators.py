@@ -17,7 +17,6 @@ from rbmatch.estimators import (
     closed_unbalanced_estimates,
     dispatch_estimate,
     edge_estimate,
-    edge_estimates,
     recursion_table,
     recursive_estimate,
     recursive_estimates,
@@ -379,19 +378,33 @@ def test_edge_estimate_routes():
     assert balanced == balanced_estimate(40, 4.0)
     unbalanced = edge_estimate(EdgeParams(mu=10.0, lam=30.0, length=1.0))
     assert unbalanced == recursive_estimate(10, 30, 1.0)
-    # the pass gives every n, n = m included, the per-point value bit for bit,
-    # whatever other ns share it and in whatever order or grouping
+    # every n, n = m included, takes the balanced closed form or the
+    # corrected one-element recursion pass, bit for bit
     for m, length in ((10, 1.0), (10, 4.0), (4, 2.5), (1, 0.5)):
-        ns = list(range(m, m + 20))
-        direct = {n: edge_estimate(EdgeParams(m / length, n / length, length)) for n in ns}
-        for group in (ns, ns[::-1], ns[1::3] + ns[::3], [ns[0]], [ns[-1]], ns[1:], ns + ns):
-            assert edge_estimates(m, group, length) == {n: direct[n] for n in group}
-    with pytest.raises(ValueError, match="nonempty"):
-        edge_estimates(10, [], 1.0)
-    with pytest.raises(ValueError, match=r"requires n >= m, got n=9 for m=10"):
-        edge_estimates(10, [12, 10, 9], 1.0)
+        for n in range(m, m + 20):
+            value = edge_estimate(EdgeParams(m / length, n / length, length))
+            if n == m:
+                assert value == balanced_estimate(n, length)
+            else:
+                rec = recursive_estimates(m, [n], length)[n]
+                assert value == rec - step_length_correction(m, n, length)
     with pytest.raises(ValueError, match="integral"):
         edge_estimate(EdgeParams(mu=1.5, lam=2.5, length=1.1))
+
+
+def test_counts_reject_bool():
+    # a bool is an Integral, but True is no count of points
+    for call in (
+        lambda: balanced_estimate(True),
+        lambda: baseline_estimate(True, 2),
+        lambda: recursive_estimates(True, [3]),
+        lambda: recursive_estimates(2, [3, True]),
+        lambda: closed_unbalanced_estimates(False, [3]),
+        lambda: recursion_table(1, True),
+    ):
+        with pytest.raises(ValueError, match=r"counts must be integers, got [mn]=(True|False)"):
+            call()
+    assert balanced_estimate(np.int64(3)) == balanced_estimate(3)
 
 
 def test_dispatch_rejects_fractional_or_zero_counts():

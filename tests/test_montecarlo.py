@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -80,6 +81,42 @@ def test_master_seed_must_be_a_nonnegative_integer():
     cfg = ExperimentConfig(ExperimentKind.SEGMENT, grid, master_seed=np.int64(5))
     assert type(cfg.master_seed) is int and cfg.master_seed == 5
     assert ExperimentConfig(ExperimentKind.SEGMENT, grid, master_seed=2**100).master_seed == 2**100
+
+
+def test_config_stores_any_grid_iterable_as_a_tuple():
+    points = [SegmentPoint(1, 1), SegmentPoint(2, 3)]
+    for grid in (points, (p for p in points), iter(points), map(lambda p: p, points)):
+        cfg = ExperimentConfig(ExperimentKind.SEGMENT, grid, replications=1)
+        assert cfg.grid == tuple(points)
+        assert len(run_experiment(cfg)) == 2
+    # an empty iterator is an empty grid, however it is given
+    for grid in (iter([]), (p for p in ()), []):
+        with pytest.raises(ValueError, match="grid must be nonempty"):
+            ExperimentConfig(ExperimentKind.SEGMENT, grid)
+
+
+def test_config_rejects_a_kind_that_is_not_an_experiment_kind():
+    grid = (SegmentPoint(1, 1),)
+    for kind in ("segment", None, 0, ExperimentKind):
+        message = "kind must be an ExperimentKind, got " + re.escape(repr(kind))
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(kind, grid)
+
+
+def test_counts_and_config_integers_reject_bool():
+    # a bool is an Integral, but no count: SegmentPoint(True, 2) would reach
+    # the sweep as m = 1 and fail there
+    for m, n in ((True, 2), (True, True), (1, True), (2, False)):
+        with pytest.raises(ValueError, match=r"SegmentPoint\(.*counts must be integers"):
+            SegmentPoint(m, n)
+    grid = (SegmentPoint(1, 1),)
+    for name in ("replications", "workers"):
+        for value in (True, False):
+            with pytest.raises(ValueError, match=rf"{name} must be an integer, got {value}"):
+                ExperimentConfig(ExperimentKind.SEGMENT, grid, **{name: value})
+    for seed in (True, False):
+        with pytest.raises(ValueError, match=r"master_seed must be a nonnegative integer"):
+            ExperimentConfig(ExperimentKind.SEGMENT, grid, master_seed=seed)
 
 
 _INDEX = st.integers(0, 2**32 - 1)
@@ -439,6 +476,51 @@ def test_edge_sweep_estimates_equal_direct_calls(monkeypatch):
         if params.n > params.m:
             recursive = recursive_estimate(params.m, params.n, point.length)
             assert rec.estimates["edge"] == recursive
+
+
+def test_one_within_segment_rule_for_every_kind(monkeypatch):
+    calls = []
+    table = estimators.recursion_table
+
+    def counting_table(m, n, length=1.0):
+        calls.append((m, n, length))
+        return table(m, n, length)
+
+    monkeypatch.setattr(estimators, "recursion_table", counting_table)
+    # balanced points of any kind take the closed form and build no table
+    balanced = (
+        (ExperimentKind.SEGMENT, (SegmentPoint(4, 4),)),
+        (ExperimentKind.EDGE, (EdgePoint(mu=4.0, lam=4.0, length=1.0),)),
+        (ExperimentKind.NETWORK, (NetworkPoint(4, 5.0, 5.0, 1.0, 36),)),
+    )
+    for kind, grid in balanced:
+        montecarlo._sweep_estimates(kind, grid)
+    assert calls == []
+    # a segment point and a unit-length edge point of the same counts get
+    # the same within-segment value, bit for bit
+    for m, n in ((4, 4), (4, 5), (10, 30), (1, 2)):
+        ((seg, _),) = montecarlo._sweep_estimates(ExperimentKind.SEGMENT, (SegmentPoint(m, n),))
+        edge_point = EdgePoint(mu=float(m), lam=float(n), length=1.0)
+        ((edge, _),) = montecarlo._sweep_estimates(ExperimentKind.EDGE, (edge_point,))
+        assert edge["edge"] == seg["balanced" if n == m else "recursive"]
+
+
+# sha256 of repr(_sweep_estimates(kind, grid)) over each preset grid: every
+# estimate's bits and each dict's key order, which records_to_json writes;
+# computed with numpy 2.4.6 and scipy 1.17.1
+_SWEEP_ESTIMATE_DIGESTS = {
+    "fig4a": "a9877336919076e942a3079ea8eceb3cf442f14eacea102c28387938f76061f5",
+    "fig4b": "11f5fee8a1c0225fc683676493c5a238c5acad687ff50ce821c71d079fe53106",
+    "fig5": "ded26d138cb41a5d02aa9de8c5266729fa23042ca2f01b0f6495e20ed6047bbb",
+    "fig6": "0cea678036ae46ad1d0b26db261ae844bd68250a73696856a5b8598e76e19cfe",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_SWEEP_ESTIMATE_DIGESTS))
+def test_sweep_estimates_are_pinned_bit_for_bit(preset):
+    cfg = _preset_config(preset, 1, 0, 1)
+    text = repr(montecarlo._sweep_estimates(cfg.kind, cfg.grid))
+    assert hashlib.sha256(text.encode()).hexdigest() == _SWEEP_ESTIMATE_DIGESTS[preset]
 
 
 def test_estimator_attachment_by_kind():
