@@ -5,9 +5,10 @@ and the standard normal CDF/PDF."""
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
+
+from .types import check_count
 
 __all__ = [
     "log_factorials",
@@ -23,14 +24,6 @@ __all__ = [
 HAREL_STIRLING_SWITCH = 150
 
 
-def _count(name: str, value) -> int:
-    """``value`` as a Python int; a ValueError names a count that is not a
-    nonnegative integer."""
-    if not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {name}={value!r}")
-    return int(value)
-
-
 def log_factorials(top: int) -> np.ndarray:
     """Table of log k! for k = 0..top, so log C(x, y) = lf[x] - lf[y] - lf[x-y]."""
     return np.array([math.lgamma(k + 1) for k in range(top + 1)])
@@ -43,7 +36,7 @@ def harel_area(n: int) -> float:
     n * 4^n / (2 C(2n, n)), whose true division is correctly rounded; from
     there on the Stirling form n * sqrt(pi*n) / 2 is used instead.
     """
-    n = _count("n", n)
+    n = check_count("n", n)
     if n >= HAREL_STIRLING_SWITCH:
         return n * math.sqrt(math.pi * n) / 2.0
     return n * 4**n / (2 * math.comb(2 * n, n))
@@ -56,9 +49,9 @@ def stars_bars_distribution(m: int, n: int, lf: np.ndarray | None = None) -> np.
     ``lf`` is a ``log_factorials`` table of at least n + 1 entries, built
     here when not given; its entries do not depend on its size.
     """
-    m, n = _count("m", m), _count("n", n)
+    m, n = check_count("m", m), check_count("n", n)
     if n <= m:
-        raise ValueError("requires n > m")
+        raise ValueError(f"requires n > m, got n={n} for m={m}")
     if lf is None:
         lf = log_factorials(n)
     mp = np.arange(m + 1)
@@ -75,7 +68,7 @@ def expected_zero_returns(m_hat: int) -> float:
     - 1, since the products summed over j = 0..m_hat give 4^m_hat. Integer
     true division is correctly rounded, so m_hat = 1 gives exactly 1.
     """
-    m_hat = _count("m_hat", m_hat)
+    m_hat = check_count("m_hat", m_hat)
     return 4**m_hat / math.comb(2 * m_hat, m_hat) - 1.0
 
 

@@ -3,8 +3,6 @@ for bipartite point sets on a segment, plus a density-based dispatcher."""
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from .combinatorics import (
@@ -13,7 +11,7 @@ from .combinatorics import (
     log_factorials,
     stars_bars_distribution,
 )
-from .types import EdgeParams, check_length
+from .types import EdgeParams, check_count, check_positive
 
 __all__ = [
     "step_length_correction",
@@ -32,18 +30,14 @@ _DISPATCH_RATIO_CUTOFF = 3.0
 
 
 def _check_counts(m, ns: list, least_excess: int = 1) -> None:
-    """The one count rule of the segment estimators: every count is an
-    integer (a bool is not), m >= 1, ``ns`` is nonempty and each n in it is
-    at least m + least_excess. A ValueError names the count that breaks it."""
+    """The count relations of the segment estimators: m is a count of at
+    least 1, ``ns`` is nonempty and each n in it is a count of at least
+    m + least_excess. A ValueError names the count that breaks them."""
     if not ns:
         raise ValueError("ns must be nonempty")
-    for name, values in (("n", ns), ("m", [m])):
-        for value in values:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"counts must be integers, got {name}={value!r}")
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got m={m}")
+    check_count("m", m, least=1)
     for n in ns:
+        check_count("n", n)
         if n < m + least_excess:
             relation = ">" if least_excess else ">="
             raise ValueError(f"requires n {relation} m, got n={n} for m={m}")
@@ -69,8 +63,8 @@ def balanced_estimate(n: int, length: float = 1.0) -> float:
     expected balanced-walk area; equals (1/(2n)) * 2^(2n-1) / C(2n, n) on the
     unit segment.
     """
-    _check_counts(n, [n], least_excess=0)
-    check_length(length)
+    check_count("n", n, least=1)
+    check_positive("length", length)
     gap = length / (2.0 * n)
     return gap * harel_area(n) / n
 
@@ -105,7 +99,7 @@ def closed_unbalanced_estimate(
     value is the one-element case of ``closed_unbalanced_estimates``; a
     caller that has it from a shared pass passes it as ``uncorrected``.
     """
-    check_length(length)
+    check_positive("length", length)
     value = closed_unbalanced_estimates(m, [n])[n] if uncorrected is None else uncorrected
     return length * (value - step_length_correction(m, n))
 
@@ -163,7 +157,7 @@ def recursion_table(m: int, n: int, length: float = 1.0) -> np.ndarray:
     edge and network points alike. The per-n table is the test reference.
     """
     _check_counts(m, [n])
-    check_length(length)
+    check_positive("length", length)
     excess = n - m
     gap = length / (m + n)
     areas = _harel_values(m)
@@ -204,7 +198,7 @@ def recursive_estimates(m: int, ns, length: float = 1.0) -> dict[int, float]:
     """
     ns = list(ns)
     _check_counts(m, ns)
-    check_length(length)
+    check_positive("length", length)
     top = max(ns)
     rows = recursion_table(m, top, length=float(m + top))
     ballot = _ballot_weights(np.full(m + 1, m), np.arange(m + 1), log_factorials(m + top))
@@ -235,7 +229,7 @@ def baseline_estimate(m: int, n: int, length: float = 1.0) -> float:
     exactly.
     """
     _check_counts(m, [n], least_excess=0)
-    check_length(length)
+    check_positive("length", length)
     i = np.arange(1, m + 1, dtype=np.float64)
     r = (i - 1.0) / n
     total = float(np.sum((1.0 - r**i) / ((n - i + 1.0) / n)))

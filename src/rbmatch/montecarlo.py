@@ -7,7 +7,6 @@ import csv
 import functools
 import io
 import json
-import numbers
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
@@ -15,7 +14,6 @@ import numpy as np
 
 from .assignment import solve_dense
 from .estimators import (
-    _check_counts as _check_segment_counts,
     balanced_estimate,
     baseline_estimate,
     closed_unbalanced_estimate,
@@ -33,7 +31,7 @@ from .network import (
     regular_edges,
     sample_instance,
 )
-from .types import EdgeParams, Instance1D
+from .types import EdgeParams, Instance1D, _store, check_count
 
 __all__ = [
     "ExperimentKind",
@@ -61,31 +59,36 @@ class ExperimentKind(Enum):
 
 @dataclass(frozen=True)
 class SegmentPoint:
-    """Fixed integer point counts 1 <= m <= n on the unit segment."""
+    """Fixed integer point counts 1 <= m <= n on the unit segment, stored as ints."""
 
     m: int
     n: int
 
     def __post_init__(self):
         try:
-            _check_segment_counts(self.m, [self.n], least_excess=0)
+            m = check_count("m", self.m, least=1)
+            n = check_count("n", self.n, least=m)
         except ValueError as exc:
             raise _point_error(self, exc) from None
+        _store(self, m=m, n=n)
 
 
 @dataclass(frozen=True)
 class EdgePoint:
-    """Densities on a line of the given length; counts are mu*length, lam*length."""
+    """Densities on a line of the given length, stored as floats; ``params``,
+    built once, is their ``EdgeParams``, with the counts mu*length, lam*length."""
 
     mu: float
     lam: float
     length: float
+    params: EdgeParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
-            EdgeParams(self.mu, self.lam, self.length)
+            params = EdgeParams(self.mu, self.lam, self.length)
         except ValueError as exc:
             raise _point_error(self, exc) from None
+        _store(self, mu=params.mu, lam=params.lam, length=params.length, params=params)
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,7 @@ class NetworkPoint:
     than supply, and the harness would redraw it forever. The layout
     (degree, edge_count) must be one ``regular_edges`` can build. The
     estimate's d2 sums 10 search layers, exact at every valid point.
+    ``params``, built once, is its ``EdgeParams``; every field is a plain int or float.
     """
 
     degree: int
@@ -104,13 +108,16 @@ class NetworkPoint:
     lam: float
     length: float
     edge_count: int
+    params: EdgeParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
-            regular_edges(self.degree, self.edge_count)
-            EdgeParams(self.mu, self.lam, self.length)
+            regular_edges(self.degree, self.edge_count)  # both are integers from here on
+            params = EdgeParams(self.mu, self.lam, self.length)
         except ValueError as exc:
             raise _point_error(self, exc) from None
+        _store(self, degree=int(self.degree), edge_count=int(self.edge_count), params=params)
+        _store(self, mu=params.mu, lam=params.lam, length=params.length)
 
 
 def _point_error(point, reason) -> ValueError:
@@ -130,9 +137,9 @@ class ExperimentConfig:
 
     Replication r of grid point g always draws from the RNG stream seeded by
     (master_seed, g, r), so outputs are identical for any worker count. The
-    grid is any iterable of the kind's points, stored as a tuple. The master
-    seed is a nonnegative integer, the replication and worker counts integers
-    of at least 1; a bool is not an integer here.
+    grid is any iterable of the kind's points, stored as a tuple. The
+    replication and worker counts are counts of at least 1 and the master
+    seed one of at least 0, each stored as an int.
     """
 
     kind: ExperimentKind
@@ -150,16 +157,8 @@ class ExperimentConfig:
         expected = _POINT_TYPES[self.kind]
         if not all(isinstance(p, expected) for p in self.grid):
             raise ValueError(f"{self.kind.value} grid entries must be {expected.__name__}")
-        for name in ("replications", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
-        seed = self.master_seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError(f"master_seed must be a nonnegative integer, got {seed!r}")
-        object.__setattr__(self, "master_seed", int(seed))
+        for name, least in (("replications", 1), ("workers", 1), ("master_seed", 0)):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), least))
 
 
 @dataclass(frozen=True)
@@ -277,8 +276,7 @@ def _shape(kind: ExperimentKind, point) -> tuple[int, int, float]:
     """Counts m <= n and length of a segment, edge or network point."""
     if kind is ExperimentKind.SEGMENT:
         return point.m, point.n, 1.0
-    params = EdgeParams(point.mu, point.lam, point.length)
-    return params.m, params.n, point.length
+    return point.params.m, point.params.n, point.length
 
 
 def _segment_means(kind: ExperimentKind, point, states: np.ndarray):
@@ -385,11 +383,10 @@ def _point_estimates(kind: ExperimentKind, point, shape, shared) -> tuple[dict, 
             out["recursive"] = value
             out["recursive_uncorrected"] = rec
         return out, {}
-    params = EdgeParams(point.mu, point.lam, point.length)
-    out = {"edge": value, "dispatch": dispatch_estimate(params, value)}
+    out = {"edge": value, "dispatch": dispatch_estimate(point.params, value)}
     if kind is ExperimentKind.EDGE:
         return out, {}
-    parts = network_estimate(point.degree, params, value)
+    parts = network_estimate(point.degree, point.params, value)
     out["network"] = parts.total
     return out, {"alpha": parts.alpha}
 
@@ -466,8 +463,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[SummaryRecord]:
     from concurrent.futures import ProcessPoolExecutor
 
     # at most one worker per task: the executor starts all of its workers at once
-    with ProcessPoolExecutor(min(cfg.workers, len(tasks))) as pool:
-        return list(pool.map(_run_grid_point, tasks))
+    workers = min(cfg.workers, len(tasks))
+    with ProcessPoolExecutor(workers) as pool:  # about four chunks per worker
+        return list(pool.map(_run_grid_point, tasks, chunksize=-(-len(tasks) // (4 * workers))))
 
 
 def relative_error_table(records) -> dict:

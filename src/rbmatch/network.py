@@ -5,7 +5,6 @@ local/global decomposition estimator on a given within-edge estimate."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -13,7 +12,7 @@ import numpy as np
 from .assignment import CostMatrix, solve_assignment
 from .combinatorics import normal_cdf, normal_pdf
 from .exact1d import optimal_match_1d
-from .types import EdgeParams, Instance1D, MatchResult, check_length
+from .types import EdgeParams, Instance1D, MatchResult, check_count, check_positive
 
 __all__ = [
     "NetworkModel",
@@ -90,7 +89,7 @@ def _all_pairs_hops(node_count: int, edges) -> np.ndarray:
 
 
 def _check_degree(degree) -> None:
-    if not isinstance(degree, numbers.Integral) or degree not in SUPPORTED_DEGREES:
+    if check_count("degree", degree, least=min(SUPPORTED_DEGREES)) not in SUPPORTED_DEGREES:
         raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}, got {degree!r}")
 
 
@@ -105,8 +104,7 @@ def regular_edges(degree: int, edge_count: int) -> tuple[tuple[int, int], ...]:
     distances are computed.
     """
     _check_degree(degree)
-    if not isinstance(edge_count, numbers.Integral):
-        raise ValueError(f"edge_count must be an integer, got {edge_count!r}")
+    check_count("edge_count", edge_count, least=1)
     if (2 * edge_count) % degree != 0:
         raise ValueError("2*edge_count must be divisible by degree")
     node_count = 2 * edge_count // degree
@@ -135,7 +133,7 @@ def build_regular_network(degree: int, edge_count: int, length: float) -> Networ
     The layout is ``regular_edges(degree, edge_count)``; raises for pairs it
     cannot realize and for a length that is not finite and positive.
     """
-    check_length(length)
+    length = check_positive("length", length)
     edges = regular_edges(degree, edge_count)
     node_count = 2 * edge_count // degree
     dist = _all_pairs_hops(node_count, edges) * length
@@ -143,7 +141,7 @@ def build_regular_network(degree: int, edge_count: int, length: float) -> Networ
     return NetworkModel(
         node_count=node_count,
         edges=edges,
-        length=float(length),
+        length=length,
         degree=degree,
         node_distance=dist,
     )
@@ -221,9 +219,7 @@ def sample_instance(net: NetworkModel, mu: float, lam: float, seed) -> NetworkIn
     per-edge ``uniform`` draws of demand, then supply. The arrays are built
     in the form ``NetworkInstance`` checks for, so they skip its checks.
     """
-    for name, value in (("mu", mu), ("lam", lam)):
-        if not 0.0 < value < math.inf:  # False for NaN
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    mu, lam = check_positive("mu", mu), check_positive("lam", lam)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     length = net.length
     demand, supply = [], []  # each edge's sorted slice of its block

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,7 +14,8 @@ __all__ = [
     "MatchResult",
     "EdgeParams",
     "build_supply_curve",
-    "check_length",
+    "check_count",
+    "check_positive",
 ]
 
 
@@ -29,10 +31,26 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def check_length(length) -> None:
-    """Reject a segment or edge length that is not finite and positive."""
-    if not 0.0 < length < math.inf:  # False for NaN
-        raise ValueError(f"length must be finite and positive, got {length!r}")
+def _store(obj, **values) -> None:
+    """Set fields of a frozen dataclass instance, from its own __post_init__."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+
+
+def check_count(name: str, value, least: int = 0) -> int:
+    """The one count rule: ``value`` as a Python int, if it is an integer (a
+    bool is not one) of at least ``least``; else a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def check_positive(name: str, value) -> float:
+    """The one rule for densities and lengths: ``value`` as a Python float, if
+    it is a finite real above 0 (a bool is not one); else a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,16 +72,13 @@ class Instance1D:
     def __post_init__(self):
         demand = _readonly(np.sort(np.asarray(self.demand, dtype=np.float64).ravel()))
         supply = _readonly(np.sort(np.asarray(self.supply, dtype=np.float64).ravel()))
-        length = float(self.length)
-        check_length(length)
+        length = check_positive("length", self.length)
         for name, coords in (("demand", demand), ("supply", supply)):
             if coords.size and not (coords[0] >= 0.0 and coords[-1] <= length):
                 raise ValueError(f"{name} coordinates must be finite and lie in [0, length]")
         if supply.size < demand.size:
             raise ValueError("need at least as many supply points as demand points")
-        object.__setattr__(self, "demand", demand)
-        object.__setattr__(self, "supply", supply)
-        object.__setattr__(self, "length", length)
+        _store(self, demand=demand, supply=supply, length=length)
 
     @property
     def m(self) -> int:
@@ -156,8 +171,8 @@ class MatchResult:
 class EdgeParams:
     """Demand density ``mu``, supply density ``lam`` (both per du) on a line of ``length`` du.
 
-    The point counts ``m`` = mu*length and ``n`` = lam*length are rounded at
-    construction; both must be whole numbers of at least 1.
+    All three are finite positive floats. The counts ``m`` = mu*length and
+    ``n`` = lam*length are rounded when built and must be whole and >= 1.
     """
 
     mu: float
@@ -167,13 +182,8 @@ class EdgeParams:
     n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("mu", "lam"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        check_length(self.length)
-        if not self.mu > 0.0:
-            raise ValueError("mu must be positive")
+        for name in ("mu", "lam", "length"):
+            object.__setattr__(self, name, check_positive(name, getattr(self, name)))
         if self.lam < self.mu:
             raise ValueError("lam must be at least mu")
         m_f = self.mu * self.length
@@ -183,5 +193,4 @@ class EdgeParams:
             raise ValueError("mu*length and lam*length must be integral point counts")
         if m < 1:
             raise ValueError("rounded point counts must be at least 1")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
+        _store(self, m=m, n=n)

@@ -111,7 +111,7 @@ def test_invalid_run_settings_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["compare", "--preset", "fig4a", "--reps", "1", "--seed", "-1"])
     assert err.value.code == 2
-    assert "master_seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+    assert "master_seed must be an integer of at least 0, got -1" in capsys.readouterr().err
     with pytest.raises(SystemExit) as err:
         main(["simulate", "segment", "--m", "2", "--n", "3", "--reps", "1", "--seed", "-5"])
     assert err.value.code == 2
@@ -188,11 +188,11 @@ def test_worker_counts_below_one_exit_two(capsys, workers):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
-    assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+    assert f"workers must be an integer of at least 1, got {workers}" in capsys.readouterr().err
     with pytest.raises(SystemExit) as err:
         main(["compare", "--preset", "fig5", "--reps", "1"] + flags)
     assert err.value.code == 2
-    assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+    assert f"workers must be an integer of at least 1, got {workers}" in capsys.readouterr().err
 
 
 def test_simulate_deterministic_output(tmp_path, capsys):

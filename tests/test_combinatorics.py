@@ -87,7 +87,8 @@ def test_harel_branches_agree_at_switch():
     ],
 )
 def test_walk_helpers_reject_non_integral_counts(call, name):
-    with pytest.raises(ValueError, match=f"must be a nonnegative integer, got {name}"):
+    count, value = name.split("=")
+    with pytest.raises(ValueError, match=f"^{count} must be an integer of at least 0, got {value}$"):
         call()
 
 

@@ -116,7 +116,7 @@ def test_closed_estimates_reject_bad_counts():
         closed_unbalanced_estimates(5, [])
     with pytest.raises(ValueError, match="n=5"):
         closed_unbalanced_estimates(5, [9, 5, 12])
-    with pytest.raises(ValueError, match="m must be at least 1"):
+    with pytest.raises(ValueError, match="m must be an integer of at least 1, got 0"):
         closed_unbalanced_estimates(0, [3])
 
 
@@ -134,7 +134,8 @@ def test_closed_estimates_reject_bad_counts():
     ],
 )
 def test_segment_estimators_reject_non_integral_counts(estimator, args, count):
-    with pytest.raises(ValueError, match=f"counts must be integers, got {count}"):
+    name, value = count.split("=")
+    with pytest.raises(ValueError, match=f"^{name} must be an integer of at least [01], got {value}$"):
         estimator(*args)
 
 
@@ -278,7 +279,7 @@ def test_recursive_estimates_reject_bad_counts():
         recursive_estimates(5, [9, 5, 12])
     with pytest.raises(ValueError, match="n=3"):
         recursive_estimates(5, [3])
-    with pytest.raises(ValueError, match="m must be at least 1"):
+    with pytest.raises(ValueError, match="m must be an integer of at least 1, got 0"):
         recursive_estimates(0, [3])
 
 
@@ -394,6 +395,7 @@ def test_edge_estimate_routes():
 
 def test_counts_reject_bool():
     # a bool is an Integral, but True is no count of points
+    message = r"^[mn] must be an integer of at least [01], got (True|False)$"
     for call in (
         lambda: balanced_estimate(True),
         lambda: baseline_estimate(True, 2),
@@ -402,7 +404,7 @@ def test_counts_reject_bool():
         lambda: closed_unbalanced_estimates(False, [3]),
         lambda: recursion_table(1, True),
     ):
-        with pytest.raises(ValueError, match=r"counts must be integers, got [mn]=(True|False)"):
+        with pytest.raises(ValueError, match=message):
             call()
     assert balanced_estimate(np.int64(3)) == balanced_estimate(3)
 

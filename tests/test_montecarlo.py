@@ -59,13 +59,13 @@ def test_config_validation():
         ExperimentConfig(ExperimentKind.SEGMENT, ())
     with pytest.raises(ValueError):
         ExperimentConfig(ExperimentKind.SEGMENT, (EdgePoint(1.0, 2.0, 1.0),))
-    with pytest.raises(ValueError, match=r"replications must be at least 1"):
+    with pytest.raises(ValueError, match=r"replications must be an integer of at least 1, got 0"):
         ExperimentConfig(ExperimentKind.SEGMENT, (SegmentPoint(1, 1),), replications=0)
     # counts that are not integers are rejected when the config is built
     grid = (SegmentPoint(1, 1), SegmentPoint(2, 3))
-    with pytest.raises(ValueError, match=r"replications must be an integer, got 2.5"):
+    with pytest.raises(ValueError, match=r"replications must be an integer of at least 1, got 2.5"):
         ExperimentConfig(ExperimentKind.SEGMENT, grid, replications=2.5)
-    with pytest.raises(ValueError, match=r"workers must be an integer, got 1.5"):
+    with pytest.raises(ValueError, match=r"workers must be an integer of at least 1, got 1.5"):
         ExperimentConfig(ExperimentKind.SEGMENT, grid, workers=1.5)
     cfg = ExperimentConfig(
         ExperimentKind.SEGMENT, grid, replications=np.int64(2), workers=np.int64(1)
@@ -76,7 +76,8 @@ def test_config_validation():
 def test_master_seed_must_be_a_nonnegative_integer():
     grid = (SegmentPoint(1, 1),)
     for seed in (-1, 1.5, 2.0, "3", None):
-        with pytest.raises(ValueError, match=r"master_seed must be a nonnegative integer"):
+        message = rf"master_seed must be an integer of at least 0, got {re.escape(repr(seed))}"
+        with pytest.raises(ValueError, match=message):
             ExperimentConfig(ExperimentKind.SEGMENT, grid, master_seed=seed)
     cfg = ExperimentConfig(ExperimentKind.SEGMENT, grid, master_seed=np.int64(5))
     assert type(cfg.master_seed) is int and cfg.master_seed == 5
@@ -107,15 +108,17 @@ def test_counts_and_config_integers_reject_bool():
     # a bool is an Integral, but no count: SegmentPoint(True, 2) would reach
     # the sweep as m = 1 and fail there
     for m, n in ((True, 2), (True, True), (1, True), (2, False)):
-        with pytest.raises(ValueError, match=r"SegmentPoint\(.*counts must be integers"):
+        message = r"SegmentPoint\(.*: [mn] must be an integer of at least \d, got (True|False)$"
+        with pytest.raises(ValueError, match=message):
             SegmentPoint(m, n)
     grid = (SegmentPoint(1, 1),)
     for name in ("replications", "workers"):
         for value in (True, False):
-            with pytest.raises(ValueError, match=rf"{name} must be an integer, got {value}"):
+            message = rf"{name} must be an integer of at least 1, got {value}"
+            with pytest.raises(ValueError, match=message):
                 ExperimentConfig(ExperimentKind.SEGMENT, grid, **{name: value})
     for seed in (True, False):
-        with pytest.raises(ValueError, match=r"master_seed must be a nonnegative integer"):
+        with pytest.raises(ValueError, match=rf"master_seed must be an integer of at least 0, got {seed}"):
             ExperimentConfig(ExperimentKind.SEGMENT, grid, master_seed=seed)
 
 
@@ -168,9 +171,9 @@ def test_stored_seed_words_serve_pcg64_only():
 def test_grid_points_validate_and_name_the_point():
     with pytest.raises(ValueError, match=r"SegmentPoint\(m=3, n=2\)"):
         SegmentPoint(3, 2)
-    with pytest.raises(ValueError, match=r"SegmentPoint\(m=2, n=3.5\): counts must be integers"):
+    with pytest.raises(ValueError, match=r"SegmentPoint\(m=2, n=3.5\): n must be an integer .*, got 3.5"):
         SegmentPoint(2, 3.5)
-    with pytest.raises(ValueError, match=r"SegmentPoint\(m=0, n=3\): m must be at least 1"):
+    with pytest.raises(ValueError, match=r"SegmentPoint\(m=0, n=3\): m must be an integer .*, got 0"):
         SegmentPoint(0, 3)
     with pytest.raises(ValueError, match=r"EdgePoint\(mu=1.5, lam=2.5, length=1.1\).*integral"):
         EdgePoint(mu=1.5, lam=2.5, length=1.1)
@@ -179,7 +182,7 @@ def test_grid_points_validate_and_name_the_point():
     # demand above supply would leave the network redraw loop without an exit
     with pytest.raises(ValueError, match=r"NetworkPoint\(degree=4, mu=10.*lam must be at least mu"):
         NetworkPoint(degree=4, mu=10.0, lam=5.0, length=1.0, edge_count=36)
-    with pytest.raises(ValueError, match=r"NetworkPoint\(.*mu must be positive"):
+    with pytest.raises(ValueError, match=r"NetworkPoint\(.*mu must be finite and positive, got 0.0"):
         NetworkPoint(degree=4, mu=0.0, lam=5.0, length=1.0, edge_count=36)
     with pytest.raises(ValueError, match=r"NetworkPoint\(degree=5.*degree must be one of"):
         NetworkPoint(degree=5, mu=1.0, lam=2.0, length=1.0, edge_count=36)
@@ -196,9 +199,9 @@ def test_grid_points_validate_and_name_the_point():
         NetworkPoint(degree=4, mu=5.0, lam=float("inf"), length=1.0, edge_count=36)
     # a layout needs whole numbers; a float passes the membership and
     # divisibility tests, so it is rejected by type
-    with pytest.raises(ValueError, match=r"NetworkPoint\(degree=4.0, .*degree must be one of"):
+    with pytest.raises(ValueError, match=r"NetworkPoint\(degree=4.0, .*degree must be an integer of at least 3, got 4.0"):
         NetworkPoint(degree=4.0, mu=5.0, lam=5.0, length=1.0, edge_count=36)
-    with pytest.raises(ValueError, match=r"NetworkPoint\(.*edge_count=36.0\).*must be an integer"):
+    with pytest.raises(ValueError, match=r"NetworkPoint\(.*edge_count=36.0\).*edge_count must be an integer .*, got 36.0"):
         NetworkPoint(degree=4, mu=5.0, lam=5.0, length=1.0, edge_count=36.0)
 
 
@@ -215,7 +218,8 @@ def test_every_point_field_is_a_record_param(kind, point):
     (rec,) = run_experiment(ExperimentConfig(kind, (point,), replications=1))
     column = {"edge_count": "edges"}
     for f in dataclasses.fields(point):
-        assert rec.params[column.get(f.name, f.name)] == getattr(point, f.name)
+        if f.init:  # ``params`` is derived from the others
+            assert rec.params[column.get(f.name, f.name)] == getattr(point, f.name)
 
 
 def test_recursive_columns_share_one_table():
@@ -362,10 +366,10 @@ def test_pool_has_at_most_one_worker_per_grid_point(monkeypatch):
     started = []
 
     class InlinePool:
-        """Records its worker count and maps in this process."""
+        """Records its worker count and chunk size and maps in this process."""
 
         def __init__(self, max_workers):
-            started.append(max_workers)
+            self.workers = max_workers
 
         def __enter__(self):
             return self
@@ -373,17 +377,22 @@ def test_pool_has_at_most_one_worker_per_grid_point(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize):
+            started.append((self.workers, chunksize))
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    grid = (SegmentPoint(2, 3), SegmentPoint(3, 3), SegmentPoint(1, 4))
-    kwargs = dict(kind=ExperimentKind.SEGMENT, grid=grid, replications=3, master_seed=4)
-    serial = records_to_csv(run_experiment(ExperimentConfig(**kwargs)))
-    for workers, expected in ((64, 3), (2, 2)):
-        pooled = records_to_csv(run_experiment(ExperimentConfig(**kwargs, workers=workers)))
-        assert pooled == serial
-        assert started.pop() == expected
+    small = (SegmentPoint(2, 3), SegmentPoint(3, 3), SegmentPoint(1, 4))
+    large = tuple(SegmentPoint(1, n) for n in range(1, 21))
+    # chunks of ceil(tasks / (4 * workers)): 20 tasks go 3 at a time to 2 workers
+    cases = {small: ((64, 3, 1), (2, 2, 1)), large: ((2, 2, 3), (3, 3, 2), (5, 5, 1))}
+    for grid, expected in cases.items():
+        kwargs = dict(kind=ExperimentKind.SEGMENT, grid=grid, replications=3, master_seed=4)
+        serial = records_to_csv(run_experiment(ExperimentConfig(**kwargs)))
+        for workers, pool_workers, chunksize in expected:
+            pooled = records_to_csv(run_experiment(ExperimentConfig(**kwargs, workers=workers)))
+            assert pooled == serial
+            assert started.pop() == (pool_workers, chunksize)
 
 
 def test_replication_zero_check_names_the_point(monkeypatch):

@@ -181,7 +181,7 @@ def test_sampling_law_of_large_numbers(square_torus):
 
 
 def test_sampling_rejects_bad_densities(square_torus):
-    for bad in (math.nan, math.inf, 0.0, -1.0):
+    for bad in (math.nan, math.inf, 0.0, -1.0, True):
         with pytest.raises(ValueError, match=f"mu must be finite and positive, got {bad!r}"):
             sample_instance(square_torus, bad, 1.0, 1)
         with pytest.raises(ValueError, match=f"lam must be finite and positive, got {bad!r}"):
@@ -527,7 +527,7 @@ def test_search_layer_distribution_tail():
     "degree, q, message",
     [
         (5, 0.5, "degree must be one of (3, 4, 6), got 5"),
-        (4.0, 0.5, "degree must be one of (3, 4, 6), got 4.0"),
+        (4.0, 0.5, "degree must be an integer of at least 3, got 4.0"),
         (4, 1.5, "supply_excess_prob must lie in [0, 1], got 1.5"),
         (4, -0.2, "supply_excess_prob must lie in [0, 1], got -0.2"),
         (4, math.nan, "supply_excess_prob must lie in [0, 1], got nan"),

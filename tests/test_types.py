@@ -1,18 +1,43 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from rbmatch.combinatorics import expected_zero_returns, harel_area, stars_bars_distribution
 from rbmatch.estimators import (
     balanced_estimate,
     baseline_estimate,
     closed_unbalanced_estimate,
+    closed_unbalanced_estimates,
     recursion_table,
     recursive_estimate,
     recursive_estimates,
 )
-from rbmatch.network import build_regular_network
-from rbmatch.types import EdgeParams, Instance1D, MatchResult, build_supply_curve
+from rbmatch.montecarlo import (
+    EdgePoint,
+    ExperimentConfig,
+    ExperimentKind,
+    NetworkPoint,
+    SegmentPoint,
+    records_to_json,
+    run_experiment,
+)
+from rbmatch.network import (
+    build_regular_network,
+    d2_probabilities,
+    network_estimate,
+    regular_edges,
+)
+from rbmatch.types import (
+    EdgeParams,
+    Instance1D,
+    MatchResult,
+    build_supply_curve,
+    check_count,
+    check_positive,
+)
 
 
 def test_two_point_curve():
@@ -191,11 +216,130 @@ LENGTH_TAKERS = {
     "recursion_table": lambda length: recursion_table(3, 5, length),
     "recursive_estimates": lambda length: recursive_estimates(3, [4, 5], length),
     "recursive_estimate": lambda length: recursive_estimate(3, 5, length),
+    "EdgePoint": lambda length: EdgePoint(1.0, 2.0, length),
+    "NetworkPoint": lambda length: NetworkPoint(4, 1.0, 2.0, length, 36),
 }
 
 
-@pytest.mark.parametrize("length", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("length", [-1.0, 0.0, math.nan, math.inf, True])
 @pytest.mark.parametrize("name", LENGTH_TAKERS)
 def test_lengths_not_finite_and_positive_are_rejected(name, length):
-    with pytest.raises(ValueError, match=f"length must be finite and positive, got {length!r}"):
+    with pytest.raises(ValueError, match=f"length must be finite and positive, got {length!r}$"):
         LENGTH_TAKERS[name](length)
+
+
+_GRID = (SegmentPoint(1, 1),)
+
+# (entry point, parameter) -> (the call with the parameter set to v, its rule):
+# "positive", or a count that may be 0 (rule 0) or may not (rule 1). A count
+# below its least fails, whether the count rule or a relation between counts
+# rejects it. Lengths are in LENGTH_TAKERS above, and sample_instance's
+# densities in test_network.py.
+INPUT_TAKERS = {
+    ("harel_area", "n"): (harel_area, 0),
+    ("expected_zero_returns", "m_hat"): (expected_zero_returns, 0),
+    ("stars_bars_distribution", "m"): (lambda v: stars_bars_distribution(v, 5), 0),
+    ("stars_bars_distribution", "n"): (lambda v: stars_bars_distribution(0, v), 1),
+    ("balanced_estimate", "n"): (balanced_estimate, 1),
+    ("baseline_estimate", "m"): (lambda v: baseline_estimate(v, 3), 1),
+    ("baseline_estimate", "n"): (lambda v: baseline_estimate(1, v), 1),
+    ("closed_unbalanced_estimate", "m"): (lambda v: closed_unbalanced_estimate(v, 5), 1),
+    ("closed_unbalanced_estimate", "n"): (lambda v: closed_unbalanced_estimate(1, v), 1),
+    ("closed_unbalanced_estimates", "m"): (lambda v: closed_unbalanced_estimates(v, [5]), 1),
+    ("closed_unbalanced_estimates", "n"): (lambda v: closed_unbalanced_estimates(1, [5, v]), 1),
+    ("recursion_table", "m"): (lambda v: recursion_table(v, 5), 1),
+    ("recursion_table", "n"): (lambda v: recursion_table(1, v), 1),
+    ("recursive_estimates", "m"): (lambda v: recursive_estimates(v, [5]), 1),
+    ("recursive_estimates", "n"): (lambda v: recursive_estimates(1, [5, v]), 1),
+    ("recursive_estimate", "m"): (lambda v: recursive_estimate(v, 5), 1),
+    ("recursive_estimate", "n"): (lambda v: recursive_estimate(1, v), 1),
+    ("network_estimate", "degree"): (lambda v: network_estimate(v, EdgeParams(1, 2, 1), 0.1), 1),
+    ("d2_probabilities", "degree"): (lambda v: d2_probabilities(v, 0.5), 1),
+    ("regular_edges", "degree"): (lambda v: regular_edges(v, 36), 1),
+    ("regular_edges", "edge_count"): (lambda v: regular_edges(4, v), 1),
+    ("EdgeParams", "mu"): (lambda v: EdgeParams(v, 2.0, 1.0), "positive"),
+    ("EdgeParams", "lam"): (lambda v: EdgeParams(1.0, v, 1.0), "positive"),
+    ("SegmentPoint", "m"): (lambda v: SegmentPoint(v, 3), 1),
+    ("SegmentPoint", "n"): (lambda v: SegmentPoint(1, v), 1),
+    ("EdgePoint", "mu"): (lambda v: EdgePoint(v, 2.0, 1.0), "positive"),
+    ("EdgePoint", "lam"): (lambda v: EdgePoint(1.0, v, 1.0), "positive"),
+    ("NetworkPoint", "degree"): (lambda v: NetworkPoint(v, 1.0, 2.0, 1.0, 36), 1),
+    ("NetworkPoint", "mu"): (lambda v: NetworkPoint(4, v, 2.0, 1.0, 36), "positive"),
+    ("NetworkPoint", "lam"): (lambda v: NetworkPoint(4, 1.0, v, 1.0, 36), "positive"),
+    ("NetworkPoint", "edge_count"): (lambda v: NetworkPoint(4, 1.0, 2.0, 1.0, v), 1),
+    ("ExperimentConfig", "replications"): (
+        lambda v: ExperimentConfig(ExperimentKind.SEGMENT, _GRID, replications=v),
+        1,
+    ),
+    ("ExperimentConfig", "workers"): (
+        lambda v: ExperimentConfig(ExperimentKind.SEGMENT, _GRID, workers=v),
+        1,
+    ),
+    ("ExperimentConfig", "master_seed"): (
+        lambda v: ExperimentConfig(ExperimentKind.SEGMENT, _GRID, master_seed=v),
+        0,
+    ),
+}
+
+_BAD_VALUES = {"True": True, "2.5": 2.5, "nan": math.nan, "inf": math.inf, "0": 0, "-1": -1}
+
+
+def _bad_inputs():
+    for (entry, param), (call, rule) in INPUT_TAKERS.items():
+        for label, value in _BAD_VALUES.items():
+            # 2.5 is a valid density, and 0 a count where the least is 0
+            if (rule == "positive" and label == "2.5") or (rule == 0 and label == "0"):
+                continue
+            yield pytest.param(call, param, value, id=f"{entry}-{param}-{label}")
+
+
+@pytest.mark.parametrize("call, param, value", _bad_inputs())
+def test_bad_inputs_raise_a_value_error_naming_the_parameter(call, param, value):
+    # the count or positive rule: "<param> must be ..., got <value>", also
+    # after a grid point's "invalid grid point ...: " prefix; a relation
+    # between counts: "requires n >= m, got n=<value> for m=<m>"
+    got = re.escape(repr(value))
+    named = rf"(^|: ){param} must be .*, got {got}$|^requires n >=? m, got {param}={got} for m="
+    with pytest.raises(ValueError, match=named):
+        call(value)
+
+
+def test_numpy_scalars_are_accepted_and_stored_as_python_values():
+    assert type(check_count("n", np.int64(3))) is int and check_count("n", np.int64(3)) == 3
+    assert type(check_positive("mu", np.float64(0.5))) is float
+    assert type(check_positive("mu", np.int32(2))) is float
+    assert harel_area(np.int64(7)) == harel_area(7)
+    value = recursive_estimate(np.int64(3), np.int64(5), np.float64(2.0))
+    assert value == recursive_estimate(3, 5, 2.0)
+    params = EdgeParams(np.float64(10.0), np.int64(30), np.float32(1.0))
+    assert params == EdgeParams(10.0, 30.0, 1.0)
+    assert [type(v) for v in (params.mu, params.lam, params.length)] == [float] * 3
+    point = NetworkPoint(np.int64(4), np.float64(5.0), 10, 1, np.int64(36))
+    assert point == NetworkPoint(4, 5.0, 10.0, 1.0, 36)
+    fields = ("degree", "mu", "lam", "length", "edge_count")
+    assert [type(getattr(point, f)) for f in fields] == [int, float, float, float, int]
+    cfg = ExperimentConfig(ExperimentKind.SEGMENT, _GRID, np.int64(2), np.int64(3), np.int64(1))
+    assert (cfg.replications, cfg.master_seed, cfg.workers) == (2, 3, 1)
+    assert {type(v) for v in (cfg.replications, cfg.master_seed, cfg.workers)} == {int}
+
+
+@pytest.mark.parametrize(
+    "kind, point, params",
+    [
+        (
+            ExperimentKind.SEGMENT,
+            SegmentPoint(np.int64(2), np.int64(3)),
+            {"m": 2, "n": 3},
+        ),
+        (
+            ExperimentKind.NETWORK,
+            NetworkPoint(np.int64(4), 5.0, 10.0, 1.0, np.int64(36)),
+            {"degree": 4, "mu": 5.0, "lam": 10.0, "length": 1.0, "edges": 36},
+        ),
+    ],
+)
+def test_records_of_numpy_counts_are_json(kind, point, params):
+    records = run_experiment(ExperimentConfig(kind, (point,), replications=2))
+    (parsed,) = json.loads(records_to_json(records))
+    assert parsed["params"] == params
+    assert [type(v) for v in parsed["params"].values()] == [type(v) for v in params.values()]
