@@ -131,17 +131,17 @@ def _ballot_weights(a: np.ndarray, m_hat: np.ndarray, lf: np.ndarray):
     return weights
 
 
-def recursion_table(m: int, n: int, length: float = 1.0) -> np.ndarray:
-    """Solve the segment-area recursion bottom-up.
+def recursion_table(m: int, n: int) -> np.ndarray:
+    """Solve the segment-area recursion bottom-up, in units of the mean gap.
 
     Returns the read-only (n-m+1, m+1) table of expected post-removal tail
-    areas E[Z_{k,a}]: entry [k, a] is the expected absolute area (du) to the
-    right of the k-th removed supply point when a demand points remain
-    there, for k = 0..n-m and a = 0..m. Rows run from the base k = n-m (a
-    fully balanced tail of area l * B(a)) down to k = 0. Interior rows
-    k = 1..n-m-1 subtract the one-swap area reduction
-    l * (2m' - 2 E[zero returns | m']) inside the expectation; row k = 0
-    applies no swap reduction.
+    areas E[Z_{k,a}] on a line whose mean gap length/(m+n) is 1: entry
+    [k, a] is the expected absolute area, in gap units, to the right of the
+    k-th removed supply point when a demand points remain there, for
+    k = 0..n-m and a = 0..m. Rows run from the base k = n-m (a fully
+    balanced tail of area B(a)) down to k = 0. Interior rows k = 1..n-m-1
+    subtract the one-swap area reduction 2m' - 2 E[zero returns | m'] inside
+    the expectation; row k = 0 applies no swap reduction.
 
     Row k is E[Z_{k,a}] = sum_{m'<=a} P(m' | a, e) * (S(m') + E[Z_{k+1,a-m'}])
     with e = n-m-k removals left, P the ballot probability
@@ -151,18 +151,16 @@ def recursion_table(m: int, n: int, length: float = 1.0) -> np.ndarray:
     elementwise product and one segmented sum.
 
     Estimates do not build this table per n: ``recursive_estimates`` builds
-    one unit-gap table (length = m + n) for all the ns of one (m, length).
-    The experiment harness computes every point's estimates once per sweep,
-    in the parent process, with one such table per (m, length), for segment,
+    one table for all the ns of one (m, length) and scales by the gap. The
+    experiment harness computes every point's estimates once per sweep, in
+    the parent process, with one such table per (m, length), for segment,
     edge and network points alike. The per-n table is the test reference.
     """
     _check_counts(m, [n])
-    check_positive("length", length)
     excess = n - m
-    gap = length / (m + n)
     areas = _harel_values(m)
     zero_returns = np.array([expected_zero_returns(i) for i in range(m + 1)])
-    swap_reduction = gap * (2.0 * np.arange(m + 1) - 2.0 * zero_returns)
+    swap_reduction = 2.0 * np.arange(m + 1) - 2.0 * zero_returns
 
     counts = np.arange(m + 1)
     a = np.repeat(counts, counts + 1)  # cell -> remaining demand a
@@ -170,11 +168,11 @@ def recursion_table(m: int, n: int, length: float = 1.0) -> np.ndarray:
     m_hat = np.arange(a.size) - starts[a]  # cell -> demand in this segment
     rest = a - m_hat  # cell -> demand left for the next segment
     ballot = _ballot_weights(a, m_hat, log_factorials(2 * m + excess))
-    full_segment = (gap * areas)[m_hat]
-    swapped_segment = (gap * areas - swap_reduction)[m_hat]
+    full_segment = areas[m_hat]
+    swapped_segment = (areas - swap_reduction)[m_hat]
 
     values = np.zeros((excess + 1, m + 1))
-    values[excess] = gap * areas
+    values[excess] = areas
     for k in range(excess - 1, -1, -1):
         probs = ballot(excess - k)
         probs *= (full_segment if k == 0 else swapped_segment) + values[k + 1][rest]
@@ -187,22 +185,22 @@ def recursive_estimates(m: int, ns, length: float = 1.0) -> dict[int, float]:
     """Uncorrected recursive estimates E[Z_{0,m}] / m for every n in ``ns``,
     from one recursion pass.
 
-    The pass builds one unit-gap table ``recursion_table(m, top, m + top)``
-    at top = max(ns); its row k >= 1 is the unit-gap row for e = top - m - k
+    The pass builds one unit-gap table ``recursion_table(m, top)`` at
+    top = max(ns); its row k >= 1 is the unit-gap row for e = top - m - k
     removals left, bit for bit the same whatever top is. With X = n - m,
     row 0 of n's own table at a = m is P_X . (B(m') + row_{X-1}[m - m']),
     with P_X the ballot weights P(m' | m, X) and B the walk areas, scaled by
     the gap length/(m+n). Every n, top included, takes this one formula, so
     its value never depends on which other ns share the pass. It agrees with
-    the per-n table's entry [0, m] / m to within a few ulp.
+    the per-n table's entry [0, m] times the gap, over m, to a few ulp.
     """
     ns = list(ns)
     _check_counts(m, ns)
     check_positive("length", length)
     top = max(ns)
-    rows = recursion_table(m, top, length=float(m + top))
+    rows = recursion_table(m, top)
     ballot = _ballot_weights(np.full(m + 1, m), np.arange(m + 1), log_factorials(m + top))
-    areas = rows[top - m]  # the base row: the walk areas B(a) times a gap of exactly 1.0
+    areas = rows[top - m]  # the base row: the walk areas B(a)
     out = {}
     for n in ns:
         tail = rows[top - n + 1][::-1]  # the row for e = n - m - 1, at a = m - m'

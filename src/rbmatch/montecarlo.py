@@ -205,36 +205,26 @@ def _stream_states(master_seed: int, grid_indices, rep_indices) -> np.ndarray:
 
     Entry [i, j] of the (G, R, 4) uint64 result equals
     ``SeedSequence(master_seed, spawn_key=(g, r)).generate_state(4, np.uint64)``
-    with g = grid_indices[i] and r = rep_indices[j], word for word: this is
-    numpy's hash, with the entropy words master_seed (padded to the pool
-    size) then g then r. The master-seed part is the same for every stream
-    and is hashed once in Python ints; only the g and r words are hashed as
-    uint32 arrays, g over G entries and r over G*R. Each index must lie in
-    [0, 2**32), so that it is a single entropy word.
+    with g = grid_indices[i] and r = rep_indices[j], word for word. Every
+    stream starts from the pool of numpy's own ``SeedSequence(master_seed)``.
+    Its mix takes one hash step per pool word, 12 for the cross-mix and 4 per
+    word past the pool, so the hash constant goes on from
+    _INIT_A * _MULT_A**(4 * max(4, words)) for the seed's count of 32-bit
+    words. Only the g and r words are then hashed, as uint32 arrays, g over G
+    entries and r over G*R, before numpy's output stage. Each index must lie
+    in [0, 2**32), so that it is a single entropy word.
     """
-    if master_seed < 0:
-        raise ValueError(f"master_seed must be nonnegative, got {master_seed}")
     spawn = []
     for name, indices in (("grid index", grid_indices), ("replication", rep_indices)):
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size and not (indices.min() >= 0 and indices.max() <= _MASK32):
             raise ValueError(f"every {name} must lie in [0, 2**32)")
         spawn.append(indices.astype(np.uint32))
-    words = []
-    while True:
-        words.append(master_seed & _MASK32)
-        master_seed >>= 32
-        if not master_seed:
-            break
-    words += [0] * (_POOL_SIZE - len(words))
-    const = [_INIT_A]
-    pool = [_hash(word, const, _MULT_A) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], const, _MULT_A))
+    pool = np.random.SeedSequence(master_seed).pool.tolist()
+    words = -(-master_seed.bit_length() // 32)
+    const = [_INIT_A * pow(_MULT_A, 4 * max(_POOL_SIZE, words), 1 << 32) & _MASK32]
     grid_word, rep_word = spawn
-    for word in words[_POOL_SIZE:] + [grid_word[:, None], rep_word[None, :]]:
+    for word in (grid_word[:, None], rep_word[None, :]):
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hash(word, const, _MULT_A))
     const = [_INIT_B]

@@ -179,10 +179,10 @@ class NetworkInstance:
             # min and max are NaN if any offset is
             if offset.size and not (offset.min() >= 0.0 and offset.max() < np.inf):
                 raise ValueError(f"{side}_offset must be finite and nonnegative")
-            edge_step = np.diff(edge)
-            if (edge_step < 0).any():
+            # neighbours compared, not differenced: a difference wraps for unsigned dtypes
+            if (edge[1:] < edge[:-1]).any():
                 raise ValueError(f"{side}_edge must be in ascending order")
-            if (np.diff(offset)[edge_step == 0] < 0).any():
+            if (np.diff(offset)[edge[1:] == edge[:-1]] < 0).any():
                 raise ValueError(f"{side}_offset must be ascending within each edge")
             object.__setattr__(self, f"{side}_edge", edge)
             object.__setattr__(self, f"{side}_offset", offset)

@@ -172,7 +172,7 @@ class EdgeParams:
     """Demand density ``mu``, supply density ``lam`` (both per du) on a line of ``length`` du.
 
     All three are finite positive floats. The counts ``m`` = mu*length and
-    ``n`` = lam*length are rounded when built and must be whole and >= 1.
+    ``n`` = lam*length are rounded when built and must be finite, whole and >= 1.
     """
 
     mu: float
@@ -188,6 +188,8 @@ class EdgeParams:
             raise ValueError("lam must be at least mu")
         m_f = self.mu * self.length
         n_f = self.lam * self.length
+        if not (math.isfinite(m_f) and math.isfinite(n_f)):
+            raise ValueError(f"mu*length and lam*length must be finite, got {m_f!r} and {n_f!r}")
         m, n = round(m_f), round(n_f)
         if abs(m_f - m) > _COUNT_ROUNDING_TOL or abs(n_f - n) > _COUNT_ROUNDING_TOL:
             raise ValueError("mu*length and lam*length must be integral point counts")

@@ -126,6 +126,10 @@ def test_invalid_run_settings_exit_two(capsys):
         (["estimate", "--edge", "1", "nan", "1"], "lam"),
         (["estimate", "--network", "4", "5", "inf", "1"], "lam"),
         (["simulate", "edge", "--mu", "1", "--lam", "inf", "--reps", "1"], "lam"),
+        # finite densities and lengths whose point counts overflow
+        (["estimate", "--edge", "1e308", "1e308", "10"], "lam*length"),
+        (["simulate", "edge", "--mu", "1e200", "--lam", "1e200", "--length", "1e200"], "lam*length"),
+        (["estimate", "--network", "4", "1e200", "1e200", "1e200"], "lam*length"),
     ],
 )
 def test_non_finite_edge_values_exit_two(capsys, argv, field):

@@ -168,15 +168,15 @@ def test_one_demand_estimates_are_half_the_supply_spacing():
 
 
 def test_recursion_table_base_row():
-    for m, n, length in ((4, 7, 1.0), (10, 13, 2.0)):
-        table = recursion_table(m, n, length)
+    # the table is in units of the mean gap: its base row is the walk areas
+    for m, n in ((4, 7), (10, 13)):
+        table = recursion_table(m, n)
         assert isinstance(table, np.ndarray) and table.shape == (n - m + 1, m + 1)
         assert not table.flags.writeable
-        gap = length / (m + n)
         for a in range(m + 1):
-            assert table[n - m, a] == gap * harel_area(a)
+            assert table[n - m, a] == harel_area(a)
         assert (table >= 0.0).all()
-        assert table[n - m, m] == pytest.approx(gap * harel_area(m))
+        assert table[n - m, m] == pytest.approx(harel_area(m))
 
 
 def _log_binom(n, k):
@@ -229,14 +229,11 @@ def test_ballot_matrix_reference_matches_scalar_probability():
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    m=st.integers(1, 40),
-    excess=st.integers(1, 40),
-    length=st.floats(0.5, 4.0),
-)
-def test_recursion_table_matches_loop_reference(m, excess, length):
-    table = recursion_table(m, m + excess, length)
-    expected = _loop_recursion_table(m, m + excess, length)
+@given(m=st.integers(1, 40), excess=st.integers(1, 40))
+def test_recursion_table_matches_loop_reference(m, excess):
+    # the unit-gap table: the reference on a line of length m + n
+    table = recursion_table(m, m + excess)
+    expected = _loop_recursion_table(m, m + excess, 2 * m + excess)
     np.testing.assert_allclose(table, expected, rtol=1e-12, atol=0.0)
 
 
@@ -251,7 +248,7 @@ def test_recursive_estimates_match_per_n_tables(m, excesses, length):
     values = recursive_estimates(m, ns, length)
     assert set(values) == set(ns)
     for n in ns:
-        expected = recursion_table(m, n, length)[0, m] / m
+        expected = recursion_table(m, n)[0, m] * length / (m + n) / m
         assert values[n] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 

@@ -229,9 +229,14 @@ def test_instance_rejects_points_out_of_edge_order(square_torus):
         ("supply_edge", ([0], [0.5], [[0]], [[0.5]])),
     ],
 )
-def test_instance_validation_names_the_field(field, fields):
+@pytest.mark.parametrize("edge_dtype", [np.int64, np.int8, np.int32, np.uint8, np.uint64])
+def test_instance_validation_names_the_field(field, fields, edge_dtype):
+    arrays = [np.asarray(f) for f in fields]
+    for i in (0, 2):  # the edge arrays, in edge_dtype wherever it holds their values
+        if arrays[i].dtype.kind == "i" and (arrays[i].astype(edge_dtype) == arrays[i]).all():
+            arrays[i] = arrays[i].astype(edge_dtype)
     with pytest.raises(ValueError, match=field):
-        NetworkInstance(*(np.asarray(f) for f in fields))
+        NetworkInstance(*arrays)
 
 
 @pytest.mark.parametrize(

@@ -181,6 +181,9 @@ def test_edge_params_validation():
         EdgeParams(mu=2.0, lam=1.0, length=1.0)
     with pytest.raises(ValueError):
         EdgeParams(mu=1.0, lam=2.0, length=0.0)
+    # finite inputs whose counts overflow are rejected, not left to round(inf)
+    with pytest.raises(ValueError, match=r"^mu\*length and lam\*length must be finite, got inf and inf$"):
+        EdgeParams(mu=1e200, lam=1e200, length=1e200)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -213,7 +216,6 @@ LENGTH_TAKERS = {
     "balanced_estimate": lambda length: balanced_estimate(3, length),
     "closed_unbalanced_estimate": lambda length: closed_unbalanced_estimate(3, 5, length),
     "baseline_estimate": lambda length: baseline_estimate(3, 5, length),
-    "recursion_table": lambda length: recursion_table(3, 5, length),
     "recursive_estimates": lambda length: recursive_estimates(3, [4, 5], length),
     "recursive_estimate": lambda length: recursive_estimate(3, 5, length),
     "EdgePoint": lambda length: EdgePoint(1.0, 2.0, length),
