@@ -2,9 +2,11 @@
 
 Walk enumeration and its mean area, the scalar stars-and-bars and ballot
 probabilities, the scalar network point distance, a loop-based version of
-the local-first network heuristic, and the earlier row-by-row forms of the
+the local-first network heuristic, the earlier row-by-row forms of the
 three exact kernels (``optimal_match_1d``, ``match_costs_1d`` and
-``solve_dense``), which the kernels must equal bit for bit. None of them is
+``solve_dense``), the earlier column-gathering ``_cost_matrix`` and
+per-edge-sorting ``sample_instance``, which the library must equal bit for
+bit, and the exact mean rank area over all interleavings. None of them is
 on a sweep's path.
 """
 
@@ -12,14 +14,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from rbmatch.assignment import AssignmentSolution, _check_costs
-from rbmatch.exact1d import optimal_match_1d
-from rbmatch.network import NetworkModel
-from rbmatch.types import Instance1D, MatchResult
+from rbmatch.exact1d import match_costs_1d, optimal_match_1d
+from rbmatch.network import NetworkInstance, NetworkModel, _check_on_network
+from rbmatch.types import Instance1D, MatchResult, check_positive
 
 _MAX_ORACLE_N = 10
 
@@ -49,6 +52,26 @@ def walk_area_oracle(n: int) -> float:
     heights = np.cumsum(steps, axis=1, dtype=np.int64)
     total = int(np.abs(heights).sum())
     return total / steps.shape[0]
+
+
+def expected_rank_area(m: int, n: int) -> Fraction:
+    """Exact mean, per demand point, of the least unit-step walk area over
+    all C(m + n, m) equally likely interleavings of m demand and n supply
+    points, 1 <= m <= n.
+
+    An interleaving's rank instance puts its points at 0, 1, ..., m + n - 1.
+    By the removal identity its optimal matching cost, an integer, is the
+    least post-removal walk area in unit steps. The ``match_costs_1d``
+    totals of every interleaving, from one batched call, are summed as
+    integers and divided by C(m + n, m) * m.
+    """
+    demand = np.array(list(itertools.combinations(range(m + n), m)), dtype=np.int64)
+    is_supply = np.ones((len(demand), m + n), dtype=bool)
+    is_supply[np.arange(len(demand))[:, None], demand] = False
+    supply = np.nonzero(is_supply)[1].reshape(len(demand), n)
+    totals = match_costs_1d(demand.astype(np.float64), supply.astype(np.float64))
+    assert (totals == np.rint(totals)).all()  # sums of integer gaps, each exact
+    return Fraction(int(totals.sum()), len(demand) * m)
 
 
 def stars_bars_prob(m_prime: int, m: int, n: int) -> float:
@@ -175,6 +198,82 @@ def _heuristic_reference(net, inst):
 
     order = np.argsort([p[0] for p in pairs], kind="stable")
     return MatchResult.from_pairs([pairs[i] for i in order], [dists[i] for i in order])
+
+
+def sample_instance_edgewise(net: NetworkModel, mu: float, lam: float, seed) -> NetworkInstance:
+    """Draw Poisson(mu*L) demand and Poisson(lam*L) supply points per edge.
+
+    ``seed`` may be an integer or a numpy Generator; identical streams give
+    identical instances. Each edge in turn draws its demand count, its supply
+    count, then one ``random`` block of demand offsets followed by supply
+    offsets; each block's demand and supply slices are sorted in place as
+    they are drawn, and each side is scaled by the length once. numpy's
+    ``uniform(0, length, k)`` is ``0.0 + length * random()``, and scaling by
+    a positive length keeps the order, so the offsets have the bits of sorted
+    per-edge ``uniform`` draws of demand, then supply. The arrays are built
+    in the form ``NetworkInstance`` checks for, so they skip its checks.
+    """
+    mu, lam = check_positive("mu", mu), check_positive("lam", lam)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    length = net.length
+    demand, supply = [], []  # each edge's sorted slice of its block
+    for _ in net.edges:
+        m_e = rng.poisson(mu * length)
+        n_e = rng.poisson(lam * length)
+        block = rng.random(m_e + n_e)
+        for side, part in ((demand, block[:m_e]), (supply, block[m_e:])):
+            part.sort()
+            side.append(part)
+    edges = np.arange(net.edge_count)
+    points = []
+    for side in (demand, supply):
+        offset = np.concatenate(side)
+        offset *= length
+        points += [np.repeat(edges, [part.size for part in side]), offset]
+    return NetworkInstance._trusted(*points)
+
+
+def cost_matrix_columnwise(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:
+    """Demand-by-supply matrix of shortest along-edge distances: the least of
+    the four endpoint routes (out of either end of the demand edge, the node
+    distance, in at either end of the supply edge) and, on one edge, the
+    direct segment |a - b|.
+
+    Each demand point's distance to every node is gathered at either end of
+    every supply edge into one of two buffers, which in-place adds of the
+    supply offsets and an in-place minimum merge. Rounding is monotone, so
+    min(x, y) + b equals min(x + b, y + b) and each entry equals the four-way
+    minimum of the summed routes bit for bit. A point off the network raises
+    ValueError naming its field.
+    """
+    _check_on_network(net, inst)
+    d_edge, d_off = inst.demand_edge, inst.demand_offset
+    s_edge, s_off = inst.supply_edge, inst.supply_offset
+    length = net.length
+    ends = np.array(net.edges, dtype=np.int64)
+    nd = net.node_distance
+
+    to_node = np.minimum(
+        d_off[:, None] + nd[ends[d_edge, 0]],
+        (length - d_off)[:, None] + nd[ends[d_edge, 1]],
+    )
+    cost = np.take(to_node, ends[s_edge, 0], axis=1)
+    cost += s_off
+    other = np.take(to_node, ends[s_edge, 1], axis=1)
+    other += length - s_off
+    np.minimum(cost, other, out=cost)
+
+    # same-edge pairs: each demand point against its edge's supply block
+    s_start = np.searchsorted(s_edge, np.arange(net.edge_count))
+    s_count = np.bincount(s_edge, minlength=net.edge_count)
+    per_row = s_count[d_edge]
+    rows = np.repeat(np.arange(d_edge.size), per_row)
+    first = np.cumsum(per_row) - per_row
+    cols = np.arange(rows.size) - np.repeat(first - s_start[d_edge], per_row)
+    flat = cost.reshape(-1)  # a view: cost is C-contiguous
+    at = rows * s_edge.size + cols
+    flat[at] = np.minimum(flat[at], np.abs(d_off[rows] - s_off[cols]))
+    return cost
 
 
 def optimal_match_1d_rowwise(inst: Instance1D) -> MatchResult:
