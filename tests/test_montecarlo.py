@@ -365,13 +365,12 @@ def test_moments_equal_numpy_mean_and_std(size, scale, shape, seed):
     assert montecarlo._moments(x) == expected
 
 
-@pytest.fixture
-def pool_maps(monkeypatch):
-    """Swaps the process pool for one that maps in this process; returns the
-    list it appends each map's worker count, chunk size and tasks to."""
+def test_pool_has_at_most_one_worker_per_grid_point(monkeypatch):
     started = []
 
     class InlinePool:
+        """Records its worker count and chunk size and maps in this process."""
+
         def __init__(self, max_workers):
             self.workers = max_workers
 
@@ -382,15 +381,10 @@ def pool_maps(monkeypatch):
             return False
 
         def map(self, fn, tasks, chunksize):
-            tasks = list(tasks)
-            started.append((self.workers, chunksize, tasks))
+            started.append((self.workers, chunksize))
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return started
-
-
-def test_pool_has_at_most_one_worker_per_grid_point(pool_maps):
     small = (SegmentPoint(2, 3), SegmentPoint(3, 3), SegmentPoint(1, 4))
     large = tuple(SegmentPoint(1, n) for n in range(1, 21))
     # chunks of ceil(tasks / (4 * workers)): 20 tasks go 3 at a time to 2 workers
@@ -401,41 +395,7 @@ def test_pool_has_at_most_one_worker_per_grid_point(pool_maps):
         for workers, pool_workers, chunksize in expected:
             pooled = records_to_csv(run_experiment(ExperimentConfig(**kwargs, workers=workers)))
             assert pooled == serial
-            assert pool_maps.pop()[:2] == (pool_workers, chunksize)
-
-
-_NETWORK_GRID = tuple(
-    NetworkPoint(degree, 5.0, lam, 1.0, 36) for degree in (3, 4, 6) for lam in (5.0, 25.0)
-)
-
-
-@pytest.mark.parametrize(
-    "kind, grid, submitted",
-    [
-        # m*(n - m + 1): 3, 3, 6, 2; the two of size 3 keep their grid order
-        (
-            ExperimentKind.SEGMENT,
-            (SegmentPoint(1, 3), SegmentPoint(3, 3), SegmentPoint(2, 4), SegmentPoint(1, 2)),
-            (2, 0, 1, 3),
-        ),
-        # counts (3, 3), (2, 4), (1, 5): sizes 3, 6, 5
-        (
-            ExperimentKind.EDGE,
-            (EdgePoint(3.0, 3.0, 1.0), EdgePoint(2.0, 4.0, 1.0), EdgePoint(1.0, 5.0, 1.0)),
-            (1, 2, 0),
-        ),
-        # mu*lam*D: 75, 375, 100, 500, 150, 750
-        (ExperimentKind.NETWORK, _NETWORK_GRID, (5, 3, 1, 4, 2, 0)),
-    ],
-    ids=["segment", "edge", "network"],
-)
-def test_pool_takes_largest_tasks_first_and_keeps_grid_order(pool_maps, kind, grid, submitted):
-    kwargs = dict(kind=kind, grid=grid, replications=2, master_seed=3)
-    serial = run_experiment(ExperimentConfig(**kwargs))
-    pooled = run_experiment(ExperimentConfig(**kwargs, workers=2))
-    assert [task[1] for task in pool_maps.pop()[2]] == [grid[gi] for gi in submitted]
-    assert records_to_csv(pooled) == records_to_csv(serial)
-    assert records_to_json(pooled) == records_to_json(serial)
+            assert started.pop() == (pool_workers, chunksize)
 
 
 def test_replication_zero_check_names_the_point(monkeypatch):

@@ -8,12 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _references import (
-    _heuristic_reference,
-    cost_matrix_columnwise,
-    point_distance,
-    sample_instance_edgewise,
-)
+from _references import _heuristic_reference, cost_matrix_columnwise, point_distance
 from test_assignment import _solve_dense_reference
 
 from rbmatch.combinatorics import normal_cdf
@@ -22,7 +17,6 @@ from rbmatch.exact1d import optimal_match_1d
 from rbmatch.network import (
     SEARCH_LAYERS,
     NetworkInstance,
-    NetworkModel,
     _cost_matrix,
     build_regular_network,
     d2_probabilities,
@@ -365,7 +359,6 @@ def test_cost_matrix_and_match_against_references(degree, ratio):
         assert res.total_distance == pytest.approx(ref.total_cost, rel=1e-12, abs=0.0)
 
 
-_FIELDS = ("demand_edge", "demand_offset", "supply_edge", "supply_offset")
 # buildable layouts: several edge counts of each degree
 _LAYOUTS = [(3, 6), (3, 12), (3, 36), (4, 18), (4, 36), (4, 50), (6, 27), (6, 36), (6, 48)]
 
@@ -375,14 +368,10 @@ def _network(degree, edge_count, length):
     return build_regular_network(degree, edge_count, length)
 
 
-def _assert_same_arrays(a, b):
-    assert a.dtype == b.dtype and np.array_equal(a, b)
-
-
 def _assert_same_cost_matrix(net, inst):
-    costs = _cost_matrix(net, inst)
+    costs, ref = _cost_matrix(net, inst), cost_matrix_columnwise(net, inst)
     assert costs.flags.c_contiguous  # the same-edge write goes through reshape(-1)
-    _assert_same_arrays(costs, cost_matrix_columnwise(net, inst))
+    assert costs.dtype == ref.dtype and np.array_equal(costs, ref)
 
 
 _densities = st.floats(0.01, 30.0)
@@ -399,13 +388,9 @@ _densities = st.floats(0.01, 30.0)
 @example(layout=(3, 6), length=1.0, mu=0.01, lam=0.01, seed=0)  # both sides empty
 @example(layout=(6, 48), length=2.5, mu=0.05, lam=30.0, seed=1)  # most edges without demand
 @example(layout=(4, 50), length=0.7, mu=30.0, lam=0.05, seed=2)  # most edges without supply
-def test_sampler_and_cost_matrix_equal_their_references(layout, length, mu, lam, seed):
+def test_cost_matrix_of_sampled_instances_equals_reference(layout, length, mu, lam, seed):
     net = _network(*layout, length)
-    inst = sample_instance(net, mu, lam, seed)
-    ref = sample_instance_edgewise(net, mu, lam, seed)
-    for f in _FIELDS:
-        _assert_same_arrays(getattr(inst, f), getattr(ref, f))
-    _assert_same_cost_matrix(net, inst)
+    _assert_same_cost_matrix(net, sample_instance(net, mu, lam, seed))
 
 
 def _points(edge_count):
@@ -430,32 +415,6 @@ def test_cost_matrix_of_public_instances_equals_reference(data, layout, length, 
         edge = np.array([e for e, _ in points], dtype=edge_dtype)
         arrays += [edge, np.array([f * length for _, f in points], dtype=np.float64)]
     _assert_same_cost_matrix(net, NetworkInstance(*arrays))
-
-
-def test_sampler_sorts_more_than_1024_edges_in_ranges():
-    # sampling reads only the edge list and the length, so the node
-    # distances are a placeholder; 2100 edges make three ranges of keys
-    edges = regular_edges(3, 2100)
-    net = NetworkModel(1400, edges, 1.5, 3, node_distance=np.zeros((0, 0)))
-    inst = sample_instance(net, 1.0, 1.5, 11)
-    ref = sample_instance_edgewise(net, 1.0, 1.5, 11)
-    for f in _FIELDS:
-        _assert_same_arrays(getattr(inst, f), getattr(ref, f))
-    for edge in (inst.demand_edge, inst.supply_edge):
-        counts = np.bincount(edge, minlength=2100)
-        assert (counts[1024:2048] > 1).any() and (counts[2048:] > 1).any()
-
-
-@pytest.mark.parametrize("draw", [1 / 3, 1.0, -0.25])
-def test_sampler_rejects_draws_off_the_2_53_grid(square_torus, draw):
-    # 1/3 is no multiple of 2**-53; 1.0 and -0.25 are, but lie outside [0, 1)
-    class FixedDraws(np.random.Generator):
-        def random(self, size=None, dtype=np.float64, out=None):
-            return np.full(size, draw)
-
-    rng = FixedDraws(np.random.PCG64(5))
-    with pytest.raises(ValueError, match=r"multiple of 2\*\*-53 in \[0, 1\)"):
-        sample_instance(square_torus, 5.0, 5.0, rng)
 
 
 def test_exact_match_rejects_excess_demand(square_torus):
