@@ -7,7 +7,16 @@ expected distance against a seeded simulation.
 
 import numpy as np
 
-from rbmatch import Instance1D, balanced_area, balanced_estimate, build_supply_curve, optimal_match_1d
+from rbmatch import (
+    ExperimentConfig,
+    ExperimentKind,
+    Instance1D,
+    SegmentPoint,
+    balanced_area,
+    build_supply_curve,
+    optimal_match_1d,
+    run_experiment,
+)
 
 rng = np.random.default_rng(2024)
 
@@ -25,17 +34,21 @@ print()
 
 # The identity holds instance by instance, so the expected distance reduces
 # to the expected area of a balanced random walk. Compare the closed form
-# with simulation across sizes.
-print(f"{'n':>5} {'simulated':>12} {'closed form':>12} {'rel err':>9}")
-for n in (1, 2, 5, 10, 25, 50, 100, 200):
-    means = []
-    for _ in range(300):
-        sample = Instance1D(rng.uniform(0, 1, n), rng.uniform(0, 1, n))
-        means.append(optimal_match_1d(sample).mean_distance)
-    sim = float(np.mean(means))
-    est = balanced_estimate(n)
-    print(f"{n:>5} {sim:>12.5f} {est:>12.5f} {(est - sim) / sim:>+9.1%}")
+# with a seeded simulation across sizes; sem/sim is the standard error of
+# the simulated mean, relative to it.
+reps = 10000
+sizes = (1, 2, 5, 10, 25, 50, 100, 200)
+grid = [SegmentPoint(m=n, n=n) for n in sizes]
+records = run_experiment(ExperimentConfig(ExperimentKind.SEGMENT, grid, reps, master_seed=2024))
+print(f"{'n':>5} {'simulated':>12} {'closed form':>12} {'rel err':>9} {'sem/sim':>8}")
+for n, rec in zip(sizes, records):
+    sem = rec.sim_std / np.sqrt(reps)
+    print(
+        f"{n:>5} {rec.sim_mean:>12.5f} {rec.estimates['balanced']:>12.5f} "
+        f"{rec.rel_errors['balanced']:>+9.1%} {sem / rec.sim_mean:>8.1%}"
+    )
 
 print()
-print("The overshoot at n = 1 fades quickly; by n ~ 10 the closed form is")
-print("within a few percent and the error keeps shrinking as n grows.")
+print("The closed form overshoots at small n: by half at n = 1, where the exact")
+print("mean is 1/3. From n = 25 on it is within 2% of the simulated mean, and")
+print("at n = 100 and 200 the gap is below one standard error.")

@@ -1,39 +1,36 @@
 """How the expected matching distance scales with segment length.
 
 With balanced densities the distance grows like sqrt(L); once supply clearly
-dominates demand it stops depending on L at all and settles near 1/(2*lam).
+dominates demand it barely depends on L, and the density dispatcher estimates
+it by the flat 1/(2*lam).
 """
 
 import numpy as np
 
-from rbmatch import EdgeParams, Instance1D, dispatch_estimate, edge_estimate, optimal_match_1d
+from rbmatch import EdgePoint, ExperimentConfig, ExperimentKind, run_experiment
 
-rng = np.random.default_rng(31)
-mu = 10.0
+mu, reps = 10.0, 2000
 lengths = (1.0, 3.0, 5.0, 7.0, 9.0)
 
-
-def simulate(mu, lam, length, reps=150):
-    params = EdgeParams(mu=mu, lam=lam, length=length)
-    m, n = params.m, params.n
-    means = [
-        optimal_match_1d(
-            Instance1D(rng.uniform(0, length, m), rng.uniform(0, length, n), length)
-        ).mean_distance
-        for _ in range(reps)
-    ]
-    return float(np.mean(means))
-
-
+# One seeded sweep per density ratio; each record carries the dispatched
+# estimate, and sem is the standard error of the simulated mean.
 for lam in (10.0, 30.0):
+    grid = [EdgePoint(mu=mu, lam=lam, length=length) for length in lengths]
+    records = run_experiment(ExperimentConfig(ExperimentKind.EDGE, grid, reps, master_seed=31))
     print(f"supply/demand ratio {lam / mu:g}:")
-    print(f"  {'L':>4} {'simulated':>11} {'estimate':>10} {'sim / sqrt(L)':>14}")
-    for length in lengths:
-        sim = simulate(mu, lam, length)
-        params = EdgeParams(mu=mu, lam=lam, length=length)
-        est = dispatch_estimate(params, edge_estimate(params))
-        print(f"  {length:>4g} {sim:>11.5f} {est:>10.5f} {sim / np.sqrt(length):>14.5f}")
+    print(
+        f"  {'L':>4} {'simulated':>11} {'sem':>8} {'estimate':>10} {'rel err':>8} "
+        f"{'sim / sqrt(L)':>14}"
+    )
+    for length, rec in zip(lengths, records):
+        sem = rec.sim_std / np.sqrt(reps)
+        print(
+            f"  {length:>4g} {rec.sim_mean:>11.5f} {sem:>8.5f} {rec.estimates['dispatch']:>10.5f} "
+            f"{rec.rel_errors['dispatch']:>+8.1%} {rec.sim_mean / np.sqrt(length):>14.5f}"
+        )
     print()
 
-print("At ratio 1 the last column is nearly constant (the sqrt(L) law); at")
-print("ratio 3 the simulated means themselves are flat across lengths.")
+print("At ratio 1 the mean grows more than threefold from L = 1 to 9 while the")
+print("last column stays between 0.131 and 0.141: the sqrt(L) law. At ratio 3 the")
+print("mean grows by 6% over the same lengths, and the flat estimate 1/(2*lam)")
+print("falls 22% to 27% below it.")

@@ -10,13 +10,15 @@ on top of that picture.
 import numpy as np
 
 from rbmatch import (
+    ExperimentConfig,
+    ExperimentKind,
     Instance1D,
+    SegmentPoint,
     build_supply_curve,
-    closed_unbalanced_estimate,
     feasible_removal,
     optimal_match_1d,
     optimal_removal,
-    recursive_estimate,
+    run_experiment,
 )
 
 rng = np.random.default_rng(7)
@@ -41,16 +43,26 @@ levels = [int(curve.prefix[supply_events[i]]) for i in opt.removed_supply_indice
 print("net supply at the removed points:", levels)
 print()
 
-# Averaged over many instances, the closed form and the recursion predict the
-# simulated mean distance; the recursion is the sharper of the two near m = n.
-m = 40
-print(f"{'n':>5} {'simulated':>11} {'closed':>9} {'recursive':>10}")
-for n in (44, 50, 60, 80, 120):
-    sims = []
-    for _ in range(200):
-        sample = Instance1D(rng.uniform(0, 1, m), rng.uniform(0, 1, n))
-        sims.append(optimal_match_1d(sample).mean_distance)
-    sim = float(np.mean(sims))
-    closed = closed_unbalanced_estimate(m, n)
-    rec = recursive_estimate(m, n)
-    print(f"{n:>5} {sim:>11.5f} {closed:>9.5f} {rec:>10.5f}")
+# Averaged over many seeded instances, the closed form and the recursion
+# both predict the simulated mean distance; each error is relative to the
+# simulated mean, and sem/sim is that mean's standard error, relative to it.
+m, reps = 40, 4000
+sizes = (44, 50, 60, 80, 120)
+grid = [SegmentPoint(m=m, n=n) for n in sizes]
+records = run_experiment(ExperimentConfig(ExperimentKind.SEGMENT, grid, reps, master_seed=7))
+print(
+    f"{'n':>5} {'simulated':>11} {'closed':>9} {'recursive':>10} "
+    f"{'err closed':>11} {'err rec':>8} {'sem/sim':>8}"
+)
+for n, rec in zip(sizes, records):
+    sem = rec.sim_std / np.sqrt(reps)
+    closed, recursive = rec.estimates["closed"], rec.estimates["recursive"]
+    print(
+        f"{n:>5} {rec.sim_mean:>11.5f} {closed:>9.5f} {recursive:>10.5f} "
+        f"{rec.rel_errors['closed']:>+11.1%} {rec.rel_errors['recursive']:>+8.1%} "
+        f"{sem / rec.sim_mean:>8.1%}"
+    )
+
+print()
+print("Near m = n (n = 44 to 60) the recursion is the sharper of the two;")
+print("at n = 80 and 120 the closed form is.")

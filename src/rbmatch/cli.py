@@ -4,6 +4,7 @@ preset comparison tables."""
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -14,6 +15,7 @@ from .montecarlo import (
     ExperimentKind,
     NetworkPoint,
     SegmentPoint,
+    _columns,
     _sweep_estimates,
     records_to_csv,
     records_to_json,
@@ -118,41 +120,20 @@ def cmd_estimate(args, parser) -> int:
 def _simulate_config(args) -> ExperimentConfig:
     """The sweep named by the simulate flags; grid points and the config
     raise ValueError on invalid values."""
-    if args.kind == "segment":
-        kind = ExperimentKind.SEGMENT
+    kind = ExperimentKind(args.kind)
+    if kind is ExperimentKind.SEGMENT:
         grid = [SegmentPoint(m=m, n=n) for m in args.m for n in args.n]
-    elif args.kind == "edge":
-        kind = ExperimentKind.EDGE
-        grid = [
-            EdgePoint(mu=mu, lam=lam, length=ln)
-            for mu in args.mu
-            for lam in args.lam
-            for ln in args.length
-        ]
     else:
-        kind = ExperimentKind.NETWORK
-        grid = [
-            NetworkPoint(degree=d, mu=mu, lam=lam, length=ln, edge_count=args.edges)
-            for d in args.degree
-            for mu in args.mu
-            for lam in args.lam
-            for ln in args.length
-        ]
-    return ExperimentConfig(
-        kind=kind,
-        grid=tuple(grid),
-        replications=args.reps,
-        master_seed=args.seed,
-        workers=args.workers,
-    )
-
-
-def cmd_simulate(args, parser) -> int:
-    try:
-        cfg = _simulate_config(args)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return _run_and_emit(cfg, args, parser)
+        triples = list(itertools.product(args.mu, args.lam, args.length))
+        if kind is ExperimentKind.EDGE:
+            grid = [EdgePoint(*triple) for triple in triples]
+        else:
+            grid = [
+                NetworkPoint(d, *triple, edge_count=args.edges)
+                for d in args.degree
+                for triple in triples
+            ]
+    return ExperimentConfig(kind, grid, args.reps, args.seed, args.workers)
 
 
 _FIG4_SWEEPS = {"fig4b": 50, "fig4c": 100, "fig4d": 200}
@@ -160,33 +141,27 @@ _FIG4_SWEEPS = {"fig4b": 50, "fig4c": 100, "fig4d": 200}
 
 def _preset_config(preset: str, reps: int, seed: int, workers: int) -> ExperimentConfig:
     if preset == "fig4a":
-        grid = tuple(SegmentPoint(m=n, n=n) for n in range(1, 201))
-        return ExperimentConfig(ExperimentKind.SEGMENT, grid, reps, seed, workers)
-    if preset in _FIG4_SWEEPS:
+        kind = ExperimentKind.SEGMENT
+        grid = [SegmentPoint(m=n, n=n) for n in range(1, 201)]
+    elif preset in _FIG4_SWEEPS:
         m = _FIG4_SWEEPS[preset]
-        grid = tuple(SegmentPoint(m=m, n=n) for n in range(m + 1, 2 * m + 101, 10))
-        return ExperimentConfig(ExperimentKind.SEGMENT, grid, reps, seed, workers)
-    if preset == "fig5":
-        grid = tuple(
+        kind = ExperimentKind.SEGMENT
+        grid = [SegmentPoint(m=m, n=n) for n in range(m + 1, 2 * m + 101, 10)]
+    elif preset == "fig5":
+        kind = ExperimentKind.EDGE
+        grid = [
             EdgePoint(mu=10.0, lam=lam, length=float(ln))
             for lam in (10.0, 11.0, 15.0, 30.0)
             for ln in (1, 3, 5, 7, 9)
-        )
-        return ExperimentConfig(ExperimentKind.EDGE, grid, reps, seed, workers)
-    grid = tuple(
-        NetworkPoint(degree=d, mu=5.0, lam=float(lam), length=1.0, edge_count=36)
-        for d in (3, 4, 6)
-        for lam in (5, 10, 15, 20, 25)
-    )
-    return ExperimentConfig(ExperimentKind.NETWORK, grid, reps, seed, workers)
-
-
-def cmd_compare(args, parser) -> int:
-    try:
-        cfg = _preset_config(args.preset, args.reps, args.seed, args.workers)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return _run_and_emit(cfg, args, parser)
+        ]
+    else:
+        kind = ExperimentKind.NETWORK
+        grid = [
+            NetworkPoint(degree=d, mu=5.0, lam=float(lam), length=1.0, edge_count=36)
+            for d in (3, 4, 6)
+            for lam in (5, 10, 15, 20, 25)
+        ]
+    return ExperimentConfig(kind, grid, reps, seed, workers)
 
 
 def _check_out(path: str, parser) -> None:
@@ -201,10 +176,18 @@ def _check_out(path: str, parser) -> None:
         parser.error(f"--out {path}: cannot be written")
 
 
-def _run_and_emit(cfg: ExperimentConfig, args, parser) -> int:
-    """Run the sweep, print its table and write ``--out`` afterwards, so that
-    a failed run leaves an existing file untouched; an ``--out`` that cannot
+def cmd_run(args, parser) -> int:
+    """Run the sweep named by the simulate flags or the preset, print its
+    table and write ``--out`` afterwards, so that a failed run leaves an
+    existing file untouched; an invalid config or an ``--out`` that cannot
     be written is rejected before the sweep."""
+    try:
+        if args.command == "simulate":
+            cfg = _simulate_config(args)
+        else:
+            cfg = _preset_config(args.preset, args.reps, args.seed, args.workers)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.out:
         _check_out(args.out, parser)
     records = run_experiment(cfg)
@@ -217,16 +200,13 @@ def _run_and_emit(cfg: ExperimentConfig, args, parser) -> int:
 
 
 def _print_table(records) -> None:
-    param_keys = list(records[0].params)
-    est_keys = sorted({k for rec in records for k in rec.estimates})
-    header = param_keys + ["sim_mean", "sim_std"] + est_keys
+    params, estimates, _ = _columns(records)
+    header = params + ["sim_mean", "sim_std"] + estimates
     print("  ".join(f"{h:>12}" for h in header))
     for rec in records:
-        cells = [rec.params[k] for k in param_keys]
+        cells = [rec.params[k] for k in params]
         cells += [f"{rec.sim_mean:.6f}", f"{rec.sim_std:.6f}"]
-        cells += [
-            f"{rec.estimates[k]:.6f}" if k in rec.estimates else "" for k in est_keys
-        ]
+        cells += [f"{rec.estimates[k]:.6f}" if k in rec.estimates else "" for k in estimates]
         print("  ".join(f"{str(c):>12}" for c in cells))
 
 
@@ -236,9 +216,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "estimate":
             return cmd_estimate(args, parser)
-        if args.command == "simulate":
-            return cmd_simulate(args, parser)
-        return cmd_compare(args, parser)
+        return cmd_run(args, parser)
     except SystemExit:
         raise
     except Exception as exc:  # internal failure, distinct from usage errors

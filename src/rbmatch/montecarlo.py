@@ -469,29 +469,13 @@ def relative_error_table(records) -> dict:
     return table
 
 
-def _columns(records) -> tuple[list[str], list[str], list[str], list[str]]:
-    param_cols: list[str] = []
-    est_cols: list[str] = []
-    meta_cols: list[str] = []
-    for rec in records:
-        for key in rec.params:
-            if key not in param_cols:
-                param_cols.append(key)
-        for key in sorted(rec.estimates):
-            if key not in est_cols:
-                est_cols.append(key)
-        for key in sorted(rec.meta):
-            if key not in meta_cols:
-                meta_cols.append(key)
-    header = (
-        ["kind"]
-        + param_cols
-        + ["sim_mean", "sim_std"]
-        + [f"est_{c}" for c in est_cols]
-        + [f"relerr_{c}" for c in est_cols]
-        + meta_cols
-    )
-    return header, param_cols, est_cols, meta_cols
+def _columns(records) -> tuple[list[str], list[str], list[str]]:
+    """The column rule of every table: the param, estimator and meta names
+    of ``records``, params in order of first appearance, the others sorted."""
+    params = list(dict.fromkeys(key for rec in records for key in rec.params))
+    estimates = sorted({key for rec in records for key in rec.estimates})
+    meta = sorted({key for rec in records for key in rec.meta})
+    return params, estimates, meta
 
 
 def _format(value) -> str:
@@ -504,10 +488,15 @@ def _format(value) -> str:
 
 def records_to_csv(records) -> str:
     """Render records as CSV; identical records give byte-identical text."""
-    header, param_cols, est_cols, meta_cols = _columns(records)
+    param_cols, est_cols, meta_cols = _columns(records)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(
+        ["kind", *param_cols, "sim_mean", "sim_std"]
+        + [f"est_{c}" for c in est_cols]
+        + [f"relerr_{c}" for c in est_cols]
+        + meta_cols
+    )
     for rec in records:
         row = [rec.kind.value]
         row += [_format(rec.params.get(c)) for c in param_cols]

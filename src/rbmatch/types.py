@@ -109,8 +109,6 @@ class SupplyCurve:
     @property
     def total_area(self) -> float:
         """Absolute area between the step curve and the axis over all gaps."""
-        if len(self) < 2:
-            return 0.0
         return float(np.dot(self.gaps, np.abs(self.prefix[:-1])))
 
 

@@ -211,6 +211,29 @@ def test_simulate_deterministic_output(tmp_path, capsys):
     assert header.startswith("kind,m,n,sim_mean,sim_std")
 
 
+def test_csv_table_and_estimate_share_one_column_order(tmp_path, capsys):
+    # the first point, (2, 3), is unbalanced: first appearance would put
+    # est_balanced last, name order puts it first
+    out = tmp_path / "mixed.csv"
+    argv = ["simulate", "segment", "--m", "2,3", "--n", "3,5", "--reps", "2", "--out", str(out)]
+    assert main(argv) == 0
+    table_header = capsys.readouterr().out.splitlines()[0].split()
+    names = []
+    for point in (["2", "3"], ["3", "3"]):
+        assert main(["estimate", "--segment", *point]) == 0
+        names += _printed_estimates(capsys.readouterr().out)
+    order = sorted(set(names))
+    assert order[0] == "balanced"
+    assert table_header == ["m", "n", "sim_mean", "sim_std", *order]
+    csv_header = out.read_text().splitlines()[0].split(",")
+    assert csv_header == [
+        "kind", "m", "n", "sim_mean", "sim_std",
+        *(f"est_{name}" for name in order),
+        *(f"relerr_{name}" for name in order),
+        "replications",
+    ]
+
+
 def test_unwritable_out_exits_two_before_the_sweep(tmp_path, capsys, monkeypatch):
     def no_sweep(cfg):
         raise AssertionError("run_experiment reached")
