@@ -80,7 +80,7 @@ def _common_run_flags(sub) -> None:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--out", help="write machine-readable output to this path")
-    sub.add_argument("--format", choices=["csv", "json"], default="csv")
+    sub.add_argument("--format", choices=["csv", "json"], help="format of --out (default csv)")
 
 
 def _print_estimate(label: str, value: float) -> None:
@@ -179,8 +179,8 @@ def _check_out(path: str, parser) -> None:
 def cmd_run(args, parser) -> int:
     """Run the sweep named by the simulate flags or the preset, print its
     table and write ``--out`` afterwards, so that a failed run leaves an
-    existing file untouched; an invalid config or an ``--out`` that cannot
-    be written is rejected before the sweep."""
+    existing file untouched; an invalid config, an ``--out`` that cannot be
+    written or a ``--format`` without ``--out`` is rejected before the sweep."""
     try:
         if args.command == "simulate":
             cfg = _simulate_config(args)
@@ -188,12 +188,14 @@ def cmd_run(args, parser) -> int:
             cfg = _preset_config(args.preset, args.reps, args.seed, args.workers)
     except ValueError as exc:
         parser.error(str(exc))
+    if args.format and not args.out:
+        parser.error("--format applies only with --out")
     if args.out:
         _check_out(args.out, parser)
     records = run_experiment(cfg)
     _print_table(records)
     if args.out:
-        text = records_to_csv(records) if args.format == "csv" else records_to_json(records)
+        text = records_to_json(records) if args.format == "json" else records_to_csv(records)
         with open(args.out, "w") as fh:
             fh.write(text)
     return 0

@@ -395,67 +395,60 @@ def _point_params(kind: ExperimentKind, point) -> dict:
     }
 
 
-def _moments(means: np.ndarray) -> tuple[float, float]:
-    """``float(means.mean())`` and ``float(means.std(ddof=1))`` bit for bit,
-    the std taken as 0.0 for one value: the ufunc steps of numpy's own mean
-    and two-pass var, without their Python wrappers."""
-    reps = len(means)
-    mean = np.add.reduce(means) / reps
-    if reps == 1:
-        return float(mean), 0.0
-    dev = means - mean
-    np.square(dev, out=dev)
-    return float(mean), float(np.sqrt(np.add.reduce(dev) / (reps - 1)))
-
-
-def _run_grid_point(args) -> SummaryRecord:
-    kind, point, states, (estimates, extra_meta) = args
-    meta = {"replications": len(states), **extra_meta}
+def _simulate(args) -> tuple[np.ndarray, dict]:
+    """One grid point's task: the means of its replications, drawn from its
+    rows of seed words, and the metadata of the draws, ``{"resampled": k}``
+    for a network point."""
+    kind, point, states = args
     if kind is ExperimentKind.NETWORK:
-        means, meta["resampled"] = _network_means(point, states)
-    else:
-        means = _segment_means(kind, point, states)
-    sim_mean, sim_std = _moments(means)
-    estimates = {name: float(value) for name, value in estimates.items()}
-    rel_errors = {
-        name: (value - sim_mean) / sim_mean
-        for name, value in estimates.items()
-        if sim_mean > 0
-    }
-    return SummaryRecord(
-        kind=kind,
-        params=_point_params(kind, point),
-        sim_mean=sim_mean,
-        sim_std=sim_std,
-        estimates=estimates,
-        rel_errors=rel_errors,
-        meta=meta,
-    )
+        means, resampled = _network_means(point, states)
+        return means, {"resampled": resampled}
+    return _segment_means(kind, point, states), {}
+
+
+def _moments(block: np.ndarray) -> tuple[list[float], list[float]]:
+    """Row means and stds (ddof=1) of a C-contiguous (G, R) block of replication
+    means, as floats, every std 0.0 at R = 1. Along the last, contiguous axis each
+    equals its row's own numpy call bit for bit, which a middle axis need not."""
+    mean = block.mean(axis=1).tolist()
+    if block.shape[1] == 1:  # numpy would warn and give NaN
+        return mean, [0.0] * len(mean)
+    return mean, block.std(axis=1, ddof=1).tolist()
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[SummaryRecord]:
     """Simulate every grid point and attach all applicable estimator values.
 
-    Estimates depend on the grid point alone, and every replication's seed
-    words on (master_seed, g, r) alone: both are computed here, once per
-    sweep, and travel with each point's task. Output order follows the grid;
+    The estimates depend on the point alone and are computed first, once per
+    sweep. Each point's task gets only the point and its seed words, which
+    depend on (master_seed, g, r) alone, and returns its replication means;
+    moments, relative errors and records are made here, in grid order, so
     values are identical for any worker count.
     """
-    estimates = _sweep_estimates(cfg.kind, cfg.grid)
+    kind = cfg.kind
+    estimates = _sweep_estimates(kind, cfg.grid)
     grid_indices, rep_indices = np.arange(len(cfg.grid)), np.arange(cfg.replications)
     states = _stream_states(cfg.master_seed, grid_indices, rep_indices)
-    tasks = [
-        (cfg.kind, point, states[gi], estimates[gi]) for gi, point in enumerate(cfg.grid)
-    ]
+    tasks = [(kind, point, words) for point, words in zip(cfg.grid, states)]
     if cfg.workers == 1 or len(tasks) == 1:
-        return [_run_grid_point(t) for t in tasks]
-    # imported here: loading multiprocessing costs import time on every run
-    from concurrent.futures import ProcessPoolExecutor
+        results = [_simulate(t) for t in tasks]
+    else:
+        # imported here: loading multiprocessing costs import time on every run
+        from concurrent.futures import ProcessPoolExecutor
 
-    # at most one worker per task: the executor starts all of its workers at once
-    workers = min(cfg.workers, len(tasks))
-    with ProcessPoolExecutor(workers) as pool:  # about four chunks per worker
-        return list(pool.map(_run_grid_point, tasks, chunksize=-(-len(tasks) // (4 * workers))))
+        # at most one worker per task: the executor starts all of its workers at once
+        workers = min(cfg.workers, len(tasks))
+        with ProcessPoolExecutor(workers) as pool:  # about four chunks per worker
+            results = list(pool.map(_simulate, tasks, chunksize=-(-len(tasks) // (4 * workers))))
+    sim_means, sim_stds = _moments(np.stack([means for means, _ in results]))
+    records = []
+    for gi, point in enumerate(cfg.grid):
+        (values, extra), mean = estimates[gi], sim_means[gi]
+        rel_errors = {name: (v - mean) / mean for name, v in values.items() if mean > 0}
+        meta = {"replications": cfg.replications, **extra, **results[gi][1]}
+        params = _point_params(kind, point)
+        records.append(SummaryRecord(kind, params, mean, sim_stds[gi], values, rel_errors, meta))
+    return records
 
 
 def relative_error_table(records) -> dict:

@@ -297,7 +297,8 @@ def _cost_matrix(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:
     cols = np.arange(rows.size) - np.repeat(first - s_start[d_edge], per_row)
     flat = cost.reshape(-1)  # a view: cost is C-contiguous
     at = rows * s_edge.size + cols
-    flat[at] = np.minimum(flat[at], np.abs(d_off[rows] - s_off[cols]))
+    # no route out through the edge's ends is shorter, and rounding is monotone
+    flat[at] = np.abs(d_off[rows] - s_off[cols])
     return cost
 
 

@@ -246,6 +246,21 @@ def test_unwritable_out_exits_two_before_the_sweep(tmp_path, capsys, monkeypatch
         assert f"--out {out}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_format_without_out_exits_two_before_the_sweep(capsys, monkeypatch, fmt):
+    def no_sweep(cfg):
+        raise AssertionError("run_experiment reached")
+
+    monkeypatch.setattr(cli, "run_experiment", no_sweep)
+    for argv in (["compare", "--preset", "fig4b", "--reps", "2"], _SEGMENT):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--format", fmt])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert "--format" in captured.err
+        assert captured.out == ""
+
+
 def test_failed_sweep_leaves_out_untouched(tmp_path, capsys, monkeypatch):
     def failing_sweep(cfg):
         raise RuntimeError("sweep failed")

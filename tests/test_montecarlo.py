@@ -348,21 +348,51 @@ def test_segment_means_equal_per_side_uniform_draws(m, extra, length, edge, reps
 @given(
     size=st.integers(1, 300),
     scale=st.sampled_from([1e-8, 1e-4, 1.0, 1e4, 1e8]),
-    shape=st.sampled_from(["spread", "constant", "tied"]),
+    shapes=st.lists(st.sampled_from(["spread", "constant", "tied"]), min_size=1, max_size=6),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(size=1, scale=1.0, shape="spread", seed=0)
-@example(size=2, scale=1e-8, shape="constant", seed=1)
-@example(size=300, scale=1e8, shape="tied", seed=2)
-def test_moments_equal_numpy_mean_and_std(size, scale, shape, seed):
+@example(size=1, scale=1.0, shapes=["spread", "constant"], seed=0)
+@example(size=2, scale=1e-8, shapes=["constant"], seed=1)
+@example(size=300, scale=1e8, shapes=["tied", "spread", "constant"], seed=2)
+def test_moments_equal_numpy_mean_and_std(size, scale, shapes, seed):
+    # one (G, R) block of G rows against each row's own numpy calls
     rng = np.random.default_rng(seed)
-    x = rng.random(size) * scale
-    if shape == "constant":
-        x[:] = x[0]
-    elif shape == "tied":
-        x = rng.choice(x[:3], size)
-    expected = (float(x.mean()), float(x.std(ddof=1)) if size > 1 else 0.0)
-    assert montecarlo._moments(x) == expected
+    rows = []
+    for shape in shapes:
+        x = rng.random(size) * scale
+        if shape == "constant":
+            x[:] = x[0]
+        elif shape == "tied":
+            x = rng.choice(x[:3], size)
+        rows.append(x)
+    block = np.stack(rows)
+    assert block.flags.c_contiguous
+    expected = [(float(x.mean()), float(x.std(ddof=1)) if size > 1 else 0.0) for x in rows]
+    means, stds = montecarlo._moments(block)
+    assert list(zip(means, stds)) == expected
+    assert all(type(v) is float for v in means + stds)
+
+
+def test_one_replication_records_agree_across_workers_with_zero_std():
+    # numpy's std of one value warns, which the test config turns into an error
+    for kind, grid in (
+        (ExperimentKind.SEGMENT, (SegmentPoint(2, 3), SegmentPoint(3, 3), SegmentPoint(1, 4))),
+        (ExperimentKind.EDGE, (EdgePoint(2.0, 3.0, 1.0), EdgePoint(2.0, 2.0, 2.0))),
+        (
+            ExperimentKind.NETWORK,
+            (NetworkPoint(3, 5.0, 5.0, 1.0, 6), NetworkPoint(4, 2.0, 4.0, 1.0, 18)),
+        ),
+    ):
+        serial = run_experiment(ExperimentConfig(kind, grid, replications=1, master_seed=6))
+        pooled = run_experiment(ExperimentConfig(kind, grid, replications=1, master_seed=6, workers=2))
+        assert pooled == serial
+        assert all(rec.sim_std == 0.0 and rec.meta["replications"] == 1 for rec in serial)
+
+
+def test_network_record_meta_keeps_its_key_order():
+    cfg = ExperimentConfig(ExperimentKind.NETWORK, (NetworkPoint(3, 5.0, 5.0, 1.0, 6),), 2)
+    (record,) = json.loads(records_to_json(run_experiment(cfg)))
+    assert list(record["meta"]) == ["replications", "alpha", "resampled"]
 
 
 def test_pool_has_at_most_one_worker_per_grid_point(monkeypatch):

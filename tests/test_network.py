@@ -417,6 +417,17 @@ def test_cost_matrix_of_public_instances_equals_reference(data, layout, length, 
     _assert_same_cost_matrix(net, NetworkInstance(*arrays))
 
 
+@pytest.mark.parametrize("layout", [(3, 6), (4, 18), (6, 27)])
+@pytest.mark.parametrize("length", [1.0, 0.7, 2.5, 1e-3, 1e3])
+def test_cost_matrix_at_edge_ends_equals_reference(layout, length):
+    # the route out through an end ties the direct segment at the ends; the
+    # reference takes the least of both, _cost_matrix the segment alone
+    net = _network(*layout, length)
+    offsets = [0.0, 1e-300, length / 2, np.nextafter(length, 0.0), length]
+    by_edge = {e: offsets for e in range(3)}
+    _assert_same_cost_matrix(net, _manual_instance(net, by_edge, by_edge))
+
+
 def test_exact_match_rejects_excess_demand(square_torus):
     inst = _manual_instance(square_torus, {0: [0.1, 0.2]}, {1: [0.5]})
     with pytest.raises(ValueError):
