@@ -8,7 +8,6 @@ import itertools
 import os
 import sys
 
-from .estimators import edge_estimate
 from .montecarlo import (
     EdgePoint,
     ExperimentConfig,
@@ -22,7 +21,6 @@ from .montecarlo import (
     run_experiment,
 )
 from .network import network_estimate
-from .types import EdgeParams
 
 
 def _int_list(text: str) -> list[int]:
@@ -42,6 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", help="print estimator values for one setting")
+    est.set_defaults(run=cmd_estimate, parser=est)
     target = est.add_mutually_exclusive_group(required=True)
     target.add_argument("--segment", nargs=2, type=int, metavar=("M", "N"))
     target.add_argument("--edge", nargs=3, type=float, metavar=("MU", "LAM", "L"))
@@ -63,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         kind.add_argument("--length", type=_float_list, default=[1.0], help="edge lengths")
     network.add_argument("--edges", type=int, default=36, help="edge count")
     for kind in (segment, edge, network):
-        _common_run_flags(kind)
+        _common_run_flags(kind, _simulate_config)
 
     cmp_ = sub.add_parser("compare", help="reproduce a named figure sweep")
     cmp_.add_argument(
@@ -71,49 +70,45 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["fig4a", "fig4b", "fig4c", "fig4d", "fig5", "fig6"],
     )
-    _common_run_flags(cmp_)
+    _common_run_flags(cmp_, lambda a: _preset_config(a.preset, a.reps, a.seed, a.workers))
     return parser
 
 
-def _common_run_flags(sub) -> None:
+def _common_run_flags(sub, config) -> None:
+    """The flags of a sweep subcommand, which runs ``config(args)`` through ``cmd_run``."""
+    sub.set_defaults(run=cmd_run, parser=sub, config=config)
     sub.add_argument("--reps", type=int, default=100)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--out", help="write machine-readable output to this path")
-    sub.add_argument("--format", choices=["csv", "json"], help="format of --out (default csv)")
+    sub.add_argument("--out", help="records file: JSON for a .json suffix (any case), else CSV")
 
 
-def _print_estimate(label: str, value: float) -> None:
-    print(f"method={label} value={value:.10g}")
-
-
-def cmd_estimate(args, parser) -> int:
-    if args.network is None:
-        try:
-            if args.segment is not None:
-                kind, point = ExperimentKind.SEGMENT, SegmentPoint(*args.segment)
-            else:
-                kind, point = ExperimentKind.EDGE, EdgePoint(*args.edge)
-        except ValueError as exc:
-            parser.error(str(exc))
-        # the est_* columns that simulate records for this point
-        ((estimates, _),) = _sweep_estimates(kind, (point,))
-        for name in sorted(estimates):
-            _print_estimate(name, estimates[name])
-        return 0
-    degree, mu, lam, length = args.network
-    if not degree.is_integer():  # False for NaN and infinities
-        parser.error("--network degree must be an integer")
+def cmd_estimate(args) -> int:
+    network = args.network
+    if network is not None and not network[0].is_integer():  # False for NaN and infinities
+        args.parser.error("--network degree must be an integer")
     try:
-        params = EdgeParams(mu, lam, length)
-        parts = network_estimate(int(degree), params, edge_estimate(params))
+        if args.segment is not None:
+            kind, point = ExperimentKind.SEGMENT, SegmentPoint(*args.segment)
+        else:
+            kind, point = ExperimentKind.EDGE, EdgePoint(*(args.edge or network[1:]))
     except ValueError as exc:
-        parser.error(str(exc))
-    _print_estimate("network", parts.total)
-    print(
-        f"  alpha={parts.alpha:.6g} local={parts.local:.6g} "
-        f"d1={parts.d1:.6g} d2={parts.d2:.6g} d3={parts.d3:.6g}"
-    )
+        args.parser.error(str(exc))
+    # the est_* columns that simulate records for this point
+    ((estimates, _),) = _sweep_estimates(kind, (point,))
+    if network is not None:
+        try:
+            parts = network_estimate(int(network[0]), point.params, estimates["edge"])
+        except ValueError as exc:
+            args.parser.error(str(exc))
+        estimates["network"] = parts.total
+    for name in sorted(estimates):
+        print(f"method={name} value={estimates[name]:.10g}")
+    if network is not None:
+        print(
+            f"  alpha={parts.alpha:.6g} local={parts.local:.6g} "
+            f"d1={parts.d1:.6g} d2={parts.d2:.6g} d3={parts.d3:.6g}"
+        )
     return 0
 
 
@@ -176,26 +171,22 @@ def _check_out(path: str, parser) -> None:
         parser.error(f"--out {path}: cannot be written")
 
 
-def cmd_run(args, parser) -> int:
-    """Run the sweep named by the simulate flags or the preset, print its
+def cmd_run(args) -> int:
+    """Run the sweep that ``args.config`` builds from the flags, print its
     table and write ``--out`` afterwards, so that a failed run leaves an
-    existing file untouched; an invalid config, an ``--out`` that cannot be
-    written or a ``--format`` without ``--out`` is rejected before the sweep."""
+    existing file untouched; an invalid config or an ``--out`` that cannot be
+    written is rejected before the sweep."""
     try:
-        if args.command == "simulate":
-            cfg = _simulate_config(args)
-        else:
-            cfg = _preset_config(args.preset, args.reps, args.seed, args.workers)
+        cfg = args.config(args)
     except ValueError as exc:
-        parser.error(str(exc))
-    if args.format and not args.out:
-        parser.error("--format applies only with --out")
+        args.parser.error(str(exc))
     if args.out:
-        _check_out(args.out, parser)
+        _check_out(args.out, args.parser)
     records = run_experiment(cfg)
     _print_table(records)
     if args.out:
-        text = records_to_json(records) if args.format == "json" else records_to_csv(records)
+        as_json = os.path.splitext(args.out)[1].lower() == ".json"
+        text = records_to_json(records) if as_json else records_to_csv(records)
         with open(args.out, "w") as fh:
             fh.write(text)
     return 0
@@ -213,12 +204,11 @@ def _print_table(records) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # reported with the usage of the subcommand they were given to
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        if args.command == "estimate":
-            return cmd_estimate(args, parser)
-        return cmd_run(args, parser)
+        return args.run(args)
     except SystemExit:
         raise
     except Exception as exc:  # internal failure, distinct from usage errors

@@ -1,6 +1,6 @@
 """Exact ground truth on segments: the balanced area identity, optimal
 non-crossing matching, the optimal point-removal dynamic program, and the
-scan-based feasible removal with local swaps."""
+level-by-level feasible removal with local swaps."""
 
 from __future__ import annotations
 
@@ -173,7 +173,7 @@ def optimal_removal(inst: Instance1D) -> RemovalSet:
 
 
 def feasible_removal(inst: Instance1D, do_swaps: bool = True) -> RemovalSet:
-    """Left-to-right scan choosing n-m supply points to leave unmatched.
+    """Choose n-m supply points to leave unmatched, one per level of net supply.
 
     The k-th selected point is the first supply event whose running net supply
     equals k with every later event at net supply >= k, which keeps the curve
@@ -181,30 +181,22 @@ def feasible_removal(inst: Instance1D, do_swaps: bool = True) -> RemovalSet:
     be refined once: when the point immediately after selection k is a supply
     point lying before selection k+1, it replaces selection k+1, trading the
     segment's positive strip down by one level.
+
+    After level k-1's selection no event is at k-1, so level k's first
+    qualifying event comes later; one array pass finds them all in order.
     """
     m, n = inst.m, inst.n
     if n <= m:
         raise ValueError("feasible_removal requires n > m")
     curve = build_supply_curve(inst)
     excess = n - m
-    count = len(curve)
     is_supply = curve.values == 1
     prefix = curve.prefix
-    suffix_min = np.minimum.accumulate(prefix[::-1])[::-1]
-
-    removed_events = []
-    i = 0
-    for k in range(1, excess + 1):
-        while True:
-            if (
-                is_supply[i]
-                and prefix[i] == k
-                and (i + 1 >= count or suffix_min[i + 1] >= k)
-            ):
-                removed_events.append(i)
-                i += 1
-                break
-            i += 1
+    # the least net supply after each event; the curve ends at n - m
+    after = np.append(np.minimum.accumulate(prefix[:0:-1])[::-1], excess)
+    events = np.flatnonzero(is_supply & (prefix >= 1) & (prefix <= excess) & (after >= prefix))
+    _, first = np.unique(prefix[events], return_index=True)
+    removed_events = events[first].tolist()
 
     if do_swaps:
         for k in range(1, excess):  # interior segments only

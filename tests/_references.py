@@ -4,9 +4,9 @@ Walk enumeration and its mean area, the scalar stars-and-bars and ballot
 probabilities, the scalar network point distance, a loop-based version of
 the local-first network heuristic, the earlier row-by-row forms of the
 three exact kernels (``optimal_match_1d``, ``match_costs_1d`` and
-``solve_dense``) and the earlier column-gathering ``_cost_matrix``, which
-the library must equal bit for bit, and the exact mean rank area over all
-interleavings. None of them is on a sweep's path.
+``solve_dense``), the earlier column-gathering ``_cost_matrix`` and the
+earlier event-by-event scan of ``feasible_removal``, which the library must
+equal bit for bit, and the exact mean rank area over all interleavings. None of them is on a sweep's path.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from rbmatch.assignment import AssignmentSolution, _check_costs
-from rbmatch.exact1d import match_costs_1d, optimal_match_1d
+from rbmatch.exact1d import RemovalSet, _removal_set, match_costs_1d, optimal_match_1d
 from rbmatch.network import NetworkInstance, NetworkModel, _check_on_network
-from rbmatch.types import Instance1D, MatchResult
+from rbmatch.types import Instance1D, MatchResult, build_supply_curve
 
 _MAX_ORACLE_N = 10
 
@@ -281,6 +281,41 @@ def optimal_match_1d_rowwise(inst: Instance1D) -> MatchResult:
         offset += int(np.flatnonzero(row[offset:] == target)[0])
         cols[i] = i + offset
     return MatchResult.from_pairs(np.column_stack((rows, cols)), np.abs(xu - xv[cols]))
+
+
+def feasible_removal_scan(inst: Instance1D, do_swaps: bool = True) -> RemovalSet:
+    """``feasible_removal`` as a left-to-right scan over the supply curve's
+    events: for k = 1..n-m in turn, the k-th selection is the next supply
+    event at net supply k with every later event at net supply >= k. The
+    swaps are ``feasible_removal``'s. Requires n > m."""
+    curve = build_supply_curve(inst)
+    excess = inst.n - inst.m
+    count = len(curve)
+    is_supply = curve.values == 1
+    prefix = curve.prefix
+    suffix_min = np.minimum.accumulate(prefix[::-1])[::-1]
+
+    removed_events = []
+    i = 0
+    for k in range(1, excess + 1):
+        while True:
+            if (
+                is_supply[i]
+                and prefix[i] == k
+                and (i + 1 >= count or suffix_min[i + 1] >= k)
+            ):
+                removed_events.append(i)
+                i += 1
+                break
+            i += 1
+
+    if do_swaps:
+        for k in range(1, excess):  # interior segments only
+            neighbor = removed_events[k - 1] + 1
+            if neighbor < removed_events[k] and is_supply[neighbor]:
+                removed_events[k] = neighbor
+
+    return _removal_set(inst, is_supply, removed_events)
 
 
 def match_costs_1d_rowwise(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:

@@ -8,7 +8,10 @@ from rbmatch.montecarlo import (
     EdgePoint,
     ExperimentConfig,
     ExperimentKind,
+    NetworkPoint,
     SegmentPoint,
+    records_to_csv,
+    records_to_json,
     run_experiment,
 )
 
@@ -51,11 +54,19 @@ def _printed_estimates(out: str) -> dict:
         (["--edge", "10", "11", "1"], ExperimentKind.EDGE, EdgePoint(10.0, 11.0, 1.0)),
         (["--edge", "10", "30", "1"], ExperimentKind.EDGE, EdgePoint(10.0, 30.0, 1.0)),
         (["--edge", "4", "4", "2.5"], ExperimentKind.EDGE, EdgePoint(4.0, 4.0, 2.5)),
+        (["--network", "3", "5", "5", "1"], ExperimentKind.NETWORK, NetworkPoint(3, 5.0, 5.0, 1.0, 36)),
+        (["--network", "4", "5", "25", "1"], ExperimentKind.NETWORK, NetworkPoint(4, 5.0, 25.0, 1.0, 36)),
+        (["--network", "6", "4", "4", "2.5"], ExperimentKind.NETWORK, NetworkPoint(6, 4.0, 4.0, 2.5, 36)),
+        (["--network", "6", "5", "10", "1"], ExperimentKind.NETWORK, NetworkPoint(6, 5.0, 10.0, 1.0, 36)),
     ],
 )
 def test_estimate_prints_the_simulate_columns(capsys, argv, kind, point):
     assert main(["estimate", *argv]) == 0
-    printed = _printed_estimates(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    if kind is ExperimentKind.NETWORK:  # the last line holds the network estimate's parts
+        out, parts = out.rstrip("\n").rsplit("\n", 1)
+        assert parts.startswith("  alpha=")
+    printed = _printed_estimates(out)
     assert list(printed) == sorted(printed)
     (record,) = run_experiment(ExperimentConfig(kind, (point,), replications=1))
     assert printed == {name: f"{value:.10g}" for name, value in record.estimates.items()}
@@ -63,12 +74,10 @@ def test_estimate_prints_the_simulate_columns(capsys, argv, kind, point):
 
 def test_estimate_network_reports_parts(capsys):
     assert main(["estimate", "--network", "4", "5", "25", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "method=network" in out
-    value = float(out.splitlines()[0].split("value=")[1])
-    assert value > 0
-    alpha = float(out.splitlines()[1].split("alpha=")[1].split()[0])
-    assert alpha < 0.01
+    lines = capsys.readouterr().out.splitlines()
+    assert "method=network value=0.02150340008" in lines
+    (parts,) = [line for line in lines if "alpha=" in line]
+    assert parts == "  alpha=1.56228e-05 local=0.0215024 d1=0.0429193 d2=6.3613e-12 d3=0.040004"
 
 
 def test_estimate_edge_dispatch(capsys):
@@ -170,6 +179,8 @@ _NETWORK = ["simulate", "network", "--degree", "4", "--mu", "5", "--lam", "5", "
         (_NETWORK + ["--n", "3"], "unrecognized arguments: --n 3"),
         (["estimate", "--segment", "2", "3", "--kappa", "0"], "unrecognized arguments: --kappa 0"),
         (["estimate", "--network", "4", "5", "25", "1", "--kappa", "10"], "unrecognized arguments: --kappa 10"),
+        (_SEGMENT + ["--format", "json"], "unrecognized arguments: --format json"),
+        (["compare", "--preset", "fig4b", "--format", "json"], "unrecognized arguments: --format json"),
         (["simulate", "segment", "--n", "3"], "the following arguments are required: --m"),
         (["simulate", "edge", "--mu", "2"], "the following arguments are required: --lam"),
         (["simulate", "network", "--mu", "5", "--lam", "5"], "arguments are required: --degree"),
@@ -183,6 +194,24 @@ def test_inapplicable_or_missing_flags_exit_two(capsys, argv, message):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["estimate", "--segment", "5", "2"], "rbmatch estimate"),
+        (["estimate", "--network", "5", "5", "25", "1"], "rbmatch estimate"),
+        (["simulate", "segment", "--m", "5", "--n", "3", "--reps", "1"], "rbmatch simulate segment"),
+        (_EDGE + ["--m", "2"], "rbmatch simulate edge"),
+        (["simulate", "network", "--degree", "4", "--mu", "10", "--lam", "5"], "rbmatch simulate network"),
+        (["compare", "--preset", "fig4b", "--reps", "2", "--workers", "0"], "rbmatch compare"),
+    ],
+)
+def test_usage_error_prints_the_subcommand_usage(capsys, argv, usage):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: {usage} [-h]")
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -246,21 +275,6 @@ def test_unwritable_out_exits_two_before_the_sweep(tmp_path, capsys, monkeypatch
         assert f"--out {out}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_format_without_out_exits_two_before_the_sweep(capsys, monkeypatch, fmt):
-    def no_sweep(cfg):
-        raise AssertionError("run_experiment reached")
-
-    monkeypatch.setattr(cli, "run_experiment", no_sweep)
-    for argv in (["compare", "--preset", "fig4b", "--reps", "2"], _SEGMENT):
-        with pytest.raises(SystemExit) as err:
-            main(argv + ["--format", fmt])
-        assert err.value.code == 2
-        captured = capsys.readouterr()
-        assert "--format" in captured.err
-        assert captured.out == ""
-
-
 def test_failed_sweep_leaves_out_untouched(tmp_path, capsys, monkeypatch):
     def failing_sweep(cfg):
         raise RuntimeError("sweep failed")
@@ -277,13 +291,30 @@ def test_simulate_json_format(tmp_path, capsys):
     out = tmp_path / "records.json"
     argv = [
         "simulate", "edge", "--mu", "2", "--lam", "2,4", "--length", "1",
-        "--reps", "10", "--seed", "1", "--out", str(out), "--format", "json",
+        "--reps", "10", "--seed", "1", "--out", str(out),
     ]
     assert main(argv) == 0
     capsys.readouterr()
     payload = json.loads(out.read_text())
     assert len(payload) == 2
     assert payload[0]["params"] == {"mu": 2.0, "lam": 2.0, "length": 1.0}
+
+
+@pytest.mark.parametrize(
+    "name, as_json",
+    [
+        ("x.json", True), ("X.JSON", True), ("x.Json", True),
+        ("x.csv", False), ("x", False), ("x.json.csv", False),
+    ],
+)
+def test_out_suffix_picks_the_format(tmp_path, capsys, name, as_json):
+    out = tmp_path / name
+    argv = ["simulate", "segment", "--m", "2", "--n", "2,4", "--reps", "3", "--seed", "5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    cfg = ExperimentConfig(ExperimentKind.SEGMENT, (SegmentPoint(2, 2), SegmentPoint(2, 4)), 3, 5)
+    records = run_experiment(cfg)
+    assert out.read_text() == (records_to_json(records) if as_json else records_to_csv(records))
 
 
 def test_simulate_rejects_bad_grid(capsys):

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _references import expected_rank_area, match_costs_1d_rowwise, optimal_match_1d_rowwise
+from _references import (
+    expected_rank_area,
+    feasible_removal_scan,
+    match_costs_1d_rowwise,
+    optimal_match_1d_rowwise,
+)
 
 from rbmatch.assignment import solve_dense
 from rbmatch.exact1d import (
@@ -325,6 +330,29 @@ def test_feasible_removal_curve_nonnegative_right_of_selections():
         reduced = build_supply_curve(Instance1D(inst.demand, inst.supply[keep]))
         first_removed = inst.supply[feas.removed_supply_indices[0]]
         assert (reduced.prefix[reduced.coords > first_removed] >= 0).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=_BAND_SHAPES.filter(lambda s: s[1] > s[0]),
+    tied=st.booleans(),
+    do_swaps=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(0, 1), tied=False, do_swaps=True, seed=0)
+@example(shape=(0, 7), tied=True, do_swaps=True, seed=1)
+@example(shape=(5, 6), tied=True, do_swaps=False, seed=2)
+@example(shape=(12, 13), tied=True, do_swaps=True, seed=3)
+@example(shape=(20, 40), tied=True, do_swaps=True, seed=4)
+@example(shape=(20, 40), tied=True, do_swaps=False, seed=5)
+def test_feasible_removal_equals_the_scan(shape, tied, do_swaps, seed):
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    inst = Instance1D(_coords(rng, tied, m), _coords(rng, tied, n))
+    res = feasible_removal(inst, do_swaps=do_swaps)
+    ref = feasible_removal_scan(inst, do_swaps=do_swaps)
+    assert res.removed_supply_indices == ref.removed_supply_indices
+    assert res.post_removal_area == ref.post_removal_area
 
 
 def test_swaps_single_surplus_is_noop():
