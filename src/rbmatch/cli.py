@@ -163,6 +163,8 @@ def _check_out(path: str, parser) -> None:
     """Exit through ``parser.error`` unless ``path`` can be written: an
     existing writable file, or a new file in an existing writable directory.
     Nothing is created."""
+    if not path:
+        parser.error("--out '': the path is empty")
     directory = os.path.dirname(path) or os.curdir
     if not os.path.isdir(directory):
         parser.error(f"--out {path}: directory {directory} does not exist")
@@ -180,11 +182,11 @@ def cmd_run(args) -> int:
         cfg = args.config(args)
     except ValueError as exc:
         args.parser.error(str(exc))
-    if args.out:
+    if args.out is not None:
         _check_out(args.out, args.parser)
     records = run_experiment(cfg)
     _print_table(records)
-    if args.out:
+    if args.out is not None:
         as_json = os.path.splitext(args.out)[1].lower() == ".json"
         text = records_to_json(records) if as_json else records_to_csv(records)
         with open(args.out, "w") as fh:

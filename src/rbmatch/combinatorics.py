@@ -11,7 +11,6 @@ import numpy as np
 from .types import check_count
 
 __all__ = [
-    "log_factorials",
     "harel_area",
     "stars_bars_distribution",
     "expected_zero_returns",

@@ -15,7 +15,6 @@ __all__ = [
     "RemovalSet",
     "balanced_area",
     "optimal_match_1d",
-    "match_costs_1d",
     "optimal_removal",
     "feasible_removal",
 ]
@@ -148,27 +147,27 @@ def optimal_removal(inst: Instance1D) -> RemovalSet:
     prefix = curve.prefix
     removals = np.arange(excess + 1)
 
-    # cost_to_go[i, r]: optimal remaining area from event i with r removals used
-    cost_to_go = np.full((count + 1, excess + 1), np.inf)
-    cost_to_go[count, excess] = 0.0
+    # cost_to_go[r]: optimal remaining area from event i + 1 with r removals
+    # used; take_at[i, r]: removing supply event i at r removals is optimal
+    # (never for a demand event or once all n-m removals are used)
+    cost_to_go = np.full(excess + 1, np.inf)
+    cost_to_go[excess] = 0.0
+    take_at = np.zeros((count, excess + 1), dtype=bool)
     for i in range(count - 1, -1, -1):
-        keep = gaps[i] * np.abs(prefix[i] - removals) + cost_to_go[i + 1]
-        cost_to_go[i] = keep
+        keep = gaps[i] * np.abs(prefix[i] - removals) + cost_to_go
         if is_supply[i]:
-            take = gaps[i] * np.abs(prefix[i] - (removals[:-1] + 1))
-            take += cost_to_go[i + 1, 1:]
-            cost_to_go[i, :-1] = np.minimum(keep[:-1], take)
+            take = gaps[i] * np.abs(prefix[i] - removals[1:]) + cost_to_go[1:]
+            take_at[i, :-1] = take <= keep[:-1]
+            keep[:-1] = np.minimum(keep[:-1], take)
+        cost_to_go = keep
 
     # forward pass, removing as early as optimality allows
     removed_events = []
     used = 0
     for i in range(count):
-        if is_supply[i] and used < excess:
-            take = gaps[i] * abs(prefix[i] - (used + 1)) + cost_to_go[i + 1, used + 1]
-            keep = gaps[i] * abs(prefix[i] - used) + cost_to_go[i + 1, used]
-            if take <= keep:
-                removed_events.append(i)
-                used += 1
+        if take_at[i, used]:
+            removed_events.append(i)
+            used += 1
     return _removal_set(inst, is_supply, removed_events)
 
 

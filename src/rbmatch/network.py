@@ -18,13 +18,11 @@ __all__ = [
     "NetworkModel",
     "NetworkInstance",
     "NetworkEstimateParts",
-    "regular_edges",
     "build_regular_network",
     "sample_instance",
     "exact_network_match",
     "heuristic_network_match",
     "network_estimate",
-    "d2_probabilities",
 ]
 
 SUPPORTED_DEGREES = (3, 4, 6)

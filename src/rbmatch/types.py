@@ -14,8 +14,6 @@ __all__ = [
     "MatchResult",
     "EdgeParams",
     "build_supply_curve",
-    "check_count",
-    "check_positive",
 ]
 
 

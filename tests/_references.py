@@ -4,9 +4,11 @@ Walk enumeration and its mean area, the scalar stars-and-bars and ballot
 probabilities, the scalar network point distance, a loop-based version of
 the local-first network heuristic, the earlier row-by-row forms of the
 three exact kernels (``optimal_match_1d``, ``match_costs_1d`` and
-``solve_dense``), the earlier column-gathering ``_cost_matrix`` and the
-earlier event-by-event scan of ``feasible_removal``, which the library must
-equal bit for bit, and the exact mean rank area over all interleavings. None of them is on a sweep's path.
+``solve_dense``), the earlier column-gathering ``_cost_matrix``, the
+earlier event-by-event scan of ``feasible_removal`` and the earlier
+``optimal_removal`` that recomputes each choice on its forward pass, which
+the library must equal bit for bit, and the exact mean rank area over all
+interleavings. None of them is on a sweep's path.
 """
 
 from __future__ import annotations
@@ -315,6 +317,42 @@ def feasible_removal_scan(inst: Instance1D, do_swaps: bool = True) -> RemovalSet
             if neighbor < removed_events[k] and is_supply[neighbor]:
                 removed_events[k] = neighbor
 
+    return _removal_set(inst, is_supply, removed_events)
+
+
+def optimal_removal_recompute(inst: Instance1D) -> RemovalSet:
+    """``optimal_removal`` whose forward pass recomputes the take and keep
+    costs of every supply event from the stored cost-to-go table instead of
+    reading the backward pass's choices. Requires n > m."""
+    m, n = inst.m, inst.n
+    curve = build_supply_curve(inst)
+    excess = n - m
+    count = len(curve)
+    is_supply = curve.values == 1
+    gaps = np.append(curve.gaps, 0.0)  # the last event has no gap cost
+    prefix = curve.prefix
+    removals = np.arange(excess + 1)
+
+    # cost_to_go[i, r]: optimal remaining area from event i with r removals used
+    cost_to_go = np.full((count + 1, excess + 1), np.inf)
+    cost_to_go[count, excess] = 0.0
+    for i in range(count - 1, -1, -1):
+        keep = gaps[i] * np.abs(prefix[i] - removals) + cost_to_go[i + 1]
+        cost_to_go[i] = keep
+        if is_supply[i]:
+            take = gaps[i] * np.abs(prefix[i] - (removals[:-1] + 1))
+            take += cost_to_go[i + 1, 1:]
+            cost_to_go[i, :-1] = np.minimum(keep[:-1], take)
+
+    removed_events = []
+    used = 0
+    for i in range(count):
+        if is_supply[i] and used < excess:
+            take = gaps[i] * abs(prefix[i] - (used + 1)) + cost_to_go[i + 1, used + 1]
+            keep = gaps[i] * abs(prefix[i] - used) + cost_to_go[i + 1, used]
+            if take <= keep:
+                removed_events.append(i)
+                used += 1
     return _removal_set(inst, is_supply, removed_events)
 
 

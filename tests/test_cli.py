@@ -268,11 +268,13 @@ def test_unwritable_out_exits_two_before_the_sweep(tmp_path, capsys, monkeypatch
         raise AssertionError("run_experiment reached")
 
     monkeypatch.setattr(cli, "run_experiment", no_sweep)
-    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+    for out in (tmp_path / "missing" / "x.csv", tmp_path, ""):
         with pytest.raises(SystemExit) as err:
             main(["simulate", "segment", "--m", "2", "--n", "3", "--reps", "2", "--out", str(out)])
         assert err.value.code == 2
-        assert f"--out {out}" in capsys.readouterr().err
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("usage: rbmatch simulate segment")
+        assert f"--out {out}" in stderr
 
 
 def test_failed_sweep_leaves_out_untouched(tmp_path, capsys, monkeypatch):

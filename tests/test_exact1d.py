@@ -12,6 +12,7 @@ from _references import (
     feasible_removal_scan,
     match_costs_1d_rowwise,
     optimal_match_1d_rowwise,
+    optimal_removal_recompute,
 )
 
 from rbmatch.assignment import solve_dense
@@ -351,6 +352,27 @@ def test_feasible_removal_equals_the_scan(shape, tied, do_swaps, seed):
     inst = Instance1D(_coords(rng, tied, m), _coords(rng, tied, n))
     res = feasible_removal(inst, do_swaps=do_swaps)
     ref = feasible_removal_scan(inst, do_swaps=do_swaps)
+    assert res.removed_supply_indices == ref.removed_supply_indices
+    assert res.post_removal_area == ref.post_removal_area
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=_BAND_SHAPES.filter(lambda s: s[1] > s[0]),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(0, 1), tied=False, seed=0)
+@example(shape=(0, 7), tied=False, seed=1)
+@example(shape=(5, 6), tied=True, seed=2)
+@example(shape=(20, 40), tied=True, seed=3)
+def test_optimal_removal_equals_the_recompute(shape, tied, seed):
+    # the stored backward-pass choices pick what recomputing each one picked
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    inst = Instance1D(_coords(rng, tied, m), _coords(rng, tied, n))
+    res = optimal_removal(inst)
+    ref = optimal_removal_recompute(inst)
     assert res.removed_supply_indices == ref.removed_supply_indices
     assert res.post_removal_area == ref.post_removal_area
 

@@ -3,12 +3,14 @@ import importlib.util
 import pathlib
 import pkgutil
 import sys
+import types
 
 import pytest
 
 import rbmatch
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(rbmatch.__path__))
+LIBRARY_MODULES = [name for name in MODULES if name != "cli"]  # cli is not re-exported
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
@@ -24,12 +26,18 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
-def test_every_estimator_resolves_from_the_package():
-    # the sweep passes are public beside their per-point forms
-    from rbmatch import estimators
-
-    missing = [name for name in estimators.__all__ if not hasattr(rbmatch, name)]
-    assert missing == []
+def test_package_exports_exactly_the_library_modules_all():
+    # submodules are left out: whether ``rbmatch.cli`` is bound depends on
+    # which tests imported it first
+    exported = {
+        name
+        for name, value in vars(rbmatch).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    declared = set()
+    for name in LIBRARY_MODULES:
+        declared.update(importlib.import_module(f"rbmatch.{name}").__all__)
+    assert exported == declared
 
 
 def test_every_traced_entry_point_resolves(monkeypatch):
