@@ -24,6 +24,8 @@ from .estimators import (
 )
 from .exact1d import match_costs_1d, optimal_match_1d
 from .network import (
+    NetworkInstance,
+    NetworkModel,
     _cost_matrix,
     build_regular_network,
     exact_network_match,
@@ -306,9 +308,11 @@ def _check_reference(point, mean: float, reference: float, solver: str) -> None:
         )
 
 
-def _network_means(point: NetworkPoint, states: np.ndarray) -> tuple[np.ndarray, int]:
-    """Mean matching distance of every replication of a network point, and
-    the redraws they took in all.
+def _network_means(
+    point: NetworkPoint, net: NetworkModel, states: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Mean matching distance of every replication of a network point on its
+    layout ``net``, and the redraws they took in all.
 
     Each replication draws from its own stream, built from its row of
     ``states``. Realizations with no demand or more demand than supply are
@@ -317,7 +321,6 @@ def _network_means(point: NetworkPoint, states: np.ndarray) -> tuple[np.ndarray,
     kernel behind ``exact_network_match``; replication 0 is solved again by
     the reference ``solve_dense`` as a check on it.
     """
-    net = build_regular_network(point.degree, point.edge_count, point.length)
     means = np.empty(len(states))
     resampled = 0
     for rep, words in enumerate(states):
@@ -326,11 +329,32 @@ def _network_means(point: NetworkPoint, states: np.ndarray) -> tuple[np.ndarray,
         while not 0 < inst.total_demand <= inst.total_supply:
             resampled += 1
             inst = sample_instance(net, point.mu, point.lam, rng)
-        means[rep] = exact_network_match(net, inst).mean_distance
         if rep == 0:
-            reference = solve_dense(_cost_matrix(net, inst)).total_cost / inst.total_demand
-            _check_reference(point, means[0], reference, "solve_dense")
+            means[rep] = _checked_network_mean(point, net, inst)
+        else:
+            means[rep] = exact_network_match(net, inst).mean_distance
     return means, resampled
+
+
+def _checked_network_mean(point: NetworkPoint, net: NetworkModel, inst: NetworkInstance) -> float:
+    """The kernel's mean matching distance of ``inst``, checked against
+    ``solve_dense``'s on the same cost matrix, built once. The matrix is
+    released on return, before the next replication is drawn."""
+    costs = _cost_matrix(net, inst)
+    mean = exact_network_match(net, inst, costs=costs).mean_distance
+    reference = solve_dense(costs).total_cost / inst.total_demand
+    _check_reference(point, mean, reference, "solve_dense")
+    return mean
+
+
+def _layouts(kind: ExperimentKind, grid) -> list:
+    """Each grid point's network, built once per distinct (degree,
+    edge_count, length) of a network grid; None for every other point."""
+    if kind is not ExperimentKind.NETWORK:
+        return [None] * len(grid)
+    keys = [(point.degree, point.edge_count, point.length) for point in grid]
+    built = {key: build_regular_network(*key) for key in dict.fromkeys(keys)}
+    return [built[key] for key in keys]
 
 
 def _sweep_estimates(kind: ExperimentKind, grid) -> list[tuple[dict, dict]]:
@@ -397,11 +421,11 @@ def _point_params(kind: ExperimentKind, point) -> dict:
 
 def _simulate(args) -> tuple[np.ndarray, dict]:
     """One grid point's task: the means of its replications, drawn from its
-    rows of seed words, and the metadata of the draws, ``{"resampled": k}``
-    for a network point."""
-    kind, point, states = args
+    rows of seed words (and, for a network point, on its layout), and the
+    metadata of the draws, ``{"resampled": k}`` for a network point."""
+    kind, point, states, net = args
     if kind is ExperimentKind.NETWORK:
-        means, resampled = _network_means(point, states)
+        means, resampled = _network_means(point, net, states)
         return means, {"resampled": resampled}
     return _segment_means(kind, point, states), {}
 
@@ -420,16 +444,19 @@ def run_experiment(cfg: ExperimentConfig) -> list[SummaryRecord]:
     """Simulate every grid point and attach all applicable estimator values.
 
     The estimates depend on the point alone and are computed first, once per
-    sweep. Each point's task gets only the point and its seed words, which
-    depend on (master_seed, g, r) alone, and returns its replication means;
+    sweep, and so are the networks of a network grid, one per distinct
+    layout. Each point's task gets only the point, its seed words, which
+    depend on (master_seed, g, r) alone, and its network if it has one, and
+    returns its replication means;
     moments, relative errors and records are made here, in grid order, so
     values are identical for any worker count.
     """
     kind = cfg.kind
     estimates = _sweep_estimates(kind, cfg.grid)
+    layouts = _layouts(kind, cfg.grid)
     grid_indices, rep_indices = np.arange(len(cfg.grid)), np.arange(cfg.replications)
     states = _stream_states(cfg.master_seed, grid_indices, rep_indices)
-    tasks = [(kind, point, words) for point, words in zip(cfg.grid, states)]
+    tasks = [(kind, *task) for task in zip(cfg.grid, states, layouts)]
     if cfg.workers == 1 or len(tasks) == 1:
         results = [_simulate(t) for t in tasks]
     else:

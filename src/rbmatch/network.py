@@ -5,14 +5,22 @@ local/global decomposition estimator on a given within-edge estimate."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .assignment import CostMatrix, solve_assignment
 from .combinatorics import normal_cdf, normal_pdf
 from .exact1d import optimal_match_1d
-from .types import EdgeParams, Instance1D, MatchResult, check_count, check_positive
+from .types import (
+    EdgeParams,
+    Instance1D,
+    MatchResult,
+    _readonly,
+    _store,
+    check_count,
+    check_positive,
+)
 
 __all__ = [
     "NetworkModel",
@@ -39,7 +47,11 @@ class NetworkModel:
     """A connected D-regular graph whose edges all have the same length.
 
     ``edges[k] = (a, b)`` joins node ids a and b; ``node_distance[a, b]`` is
-    the shortest-path distance in du between nodes.
+    the shortest-path distance in du between nodes, frozen in place. ``ends``,
+    derived from ``edges`` when the model is built, holds them as a read-only
+    (E, 2) int64 array, so the matchers index it without converting the
+    tuple per call. A pickled model is rebuilt through the constructor, so a
+    copy sent to a pool worker is read-only too.
     """
 
     node_count: int
@@ -47,6 +59,15 @@ class NetworkModel:
     length: float
     degree: int
     node_distance: np.ndarray
+    ends: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        _readonly(self.node_distance)
+        _store(self, ends=_readonly(np.array(self.edges, dtype=np.int64)))
+
+    def __reduce__(self):
+        args = (self.node_count, self.edges, self.length, self.degree, self.node_distance)
+        return NetworkModel, args
 
     @property
     def edge_count(self) -> int:
@@ -135,7 +156,6 @@ def build_regular_network(degree: int, edge_count: int, length: float) -> Networ
     edges = regular_edges(degree, edge_count)
     node_count = 2 * edge_count // degree
     dist = _all_pairs_hops(node_count, edges) * length
-    dist.flags.writeable = False
     return NetworkModel(
         node_count=node_count,
         edges=edges,
@@ -269,7 +289,7 @@ def _cost_matrix(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:
     d_edge, d_off = inst.demand_edge, inst.demand_offset
     s_edge, s_off = inst.supply_edge, inst.supply_offset
     length = net.length
-    ends = np.array(net.edges, dtype=np.int64)
+    ends = net.ends
     nd = net.node_distance
 
     to_node = np.minimum(
@@ -300,14 +320,27 @@ def _cost_matrix(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:
     return cost
 
 
-def exact_network_match(net: NetworkModel, inst: NetworkInstance) -> MatchResult:
+def exact_network_match(
+    net: NetworkModel, inst: NetworkInstance, *, costs: np.ndarray | None = None
+) -> MatchResult:
     """Optimal matching of all demand to supply under the network metric.
 
-    Pairs index into the instance's flat point arrays.
+    Pairs index into the instance's flat point arrays. ``costs``, if given,
+    is taken as ``_cost_matrix(net, inst)`` already built, so a caller that
+    needs the matrix for another solver builds it once; it is frozen in
+    place as ``CostMatrix`` freezes it, and a shape other than (demand,
+    supply) of ``inst`` raises a ValueError naming it.
     """
     if inst.total_demand > inst.total_supply:
         raise ValueError("more demand than supply; instance is infeasible")
-    return solve_assignment(CostMatrix(_cost_matrix(net, inst)))
+    if costs is None:
+        costs = _cost_matrix(net, inst)
+    elif np.shape(costs) != (inst.total_demand, inst.total_supply):
+        raise ValueError(
+            f"costs must have the instance's shape "
+            f"{(inst.total_demand, inst.total_supply)}, got {np.shape(costs)}"
+        )
+    return solve_assignment(CostMatrix(costs))
 
 
 def heuristic_network_match(net: NetworkModel, inst: NetworkInstance) -> MatchResult:
@@ -350,7 +383,7 @@ def heuristic_network_match(net: NetworkModel, inst: NetworkInstance) -> MatchRe
         dist[d0 + rows] = np.abs(dem[rows] - sup[cols])
         free[s0 + cols] = False
 
-    ends = np.array(net.edges, dtype=np.int64)
+    ends = net.ends
     nd = net.node_distance
     # search layer of every edge seen from every node: nearer-endpoint hops
     layer = np.rint(np.minimum(nd[:, ends[:, 0]], nd[:, ends[:, 1]]) / length)

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import pathlib
 import re
 import sys
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rbmatch import assignment, estimators, montecarlo
+from rbmatch import assignment, estimators, montecarlo, network
 from rbmatch.cli import _preset_config
 from rbmatch.estimators import (
     closed_unbalanced_estimate,
@@ -26,7 +27,12 @@ from rbmatch.estimators import (
     step_length_correction,
 )
 from rbmatch.exact1d import match_costs_1d, optimal_match_1d
-from rbmatch.network import network_estimate
+from rbmatch.network import (
+    build_regular_network,
+    exact_network_match,
+    network_estimate,
+    sample_instance,
+)
 from rbmatch.types import EdgeParams, Instance1D
 from rbmatch.montecarlo import (
     EdgePoint,
@@ -452,6 +458,59 @@ def test_network_replication_zero_check_names_the_point(monkeypatch):
     cfg = ExperimentConfig(ExperimentKind.NETWORK, (point,), replications=2)
     with pytest.raises(RuntimeError, match=re.escape(repr(point)) + ".*solve_dense"):
         run_experiment(cfg)
+
+
+# two degrees and two lengths, so layouts differ in each part of their key;
+# two supply densities, so each layout serves two points
+_LAYOUT_GRID = tuple(
+    NetworkPoint(degree, 1.0, lam, length, 18)
+    for degree in (3, 4)
+    for lam in (2.0, 3.0)
+    for length in (1.0, 2.0)
+)
+
+
+def test_network_sweep_builds_each_layout_once_and_each_matrix_once(monkeypatch):
+    parent, builds, matrices = os.getpid(), [], []
+    build, cost_matrix = network.build_regular_network, network._cost_matrix
+
+    def counting_build(*key):
+        assert os.getpid() == parent, "a worker built a layout"
+        builds.append(key)
+        return build(*key)
+
+    def counting_matrix(net, inst):
+        matrices.append(inst.total_demand)
+        return cost_matrix(net, inst)
+
+    monkeypatch.setattr(montecarlo, "build_regular_network", counting_build)
+    for module in (network, montecarlo):
+        monkeypatch.setattr(module, "_cost_matrix", counting_matrix)
+    cfg = ExperimentConfig(ExperimentKind.NETWORK, _LAYOUT_GRID, replications=2, master_seed=5)
+    run_experiment(cfg)
+    assert builds == list(dict.fromkeys((p.degree, 18, p.length) for p in _LAYOUT_GRID))
+    assert len(matrices) == len(_LAYOUT_GRID) * 2  # one per accepted draw
+    builds.clear()
+    run_experiment(dataclasses.replace(cfg, workers=2))
+    assert len(builds) == 4
+
+
+def test_network_records_equal_each_point_run_on_its_own_network():
+    reps, seed = 2, 5
+    cfg = ExperimentConfig(ExperimentKind.NETWORK, _LAYOUT_GRID, reps, seed)
+    serial = run_experiment(cfg)
+    assert run_experiment(dataclasses.replace(cfg, workers=2)) == serial
+    for gi, (point, rec) in enumerate(zip(_LAYOUT_GRID, serial)):
+        net = build_regular_network(point.degree, point.edge_count, point.length)
+        means = []
+        for rep in range(reps):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(gi, rep)))
+            inst = sample_instance(net, point.mu, point.lam, rng)
+            while not 0 < inst.total_demand <= inst.total_supply:
+                inst = sample_instance(net, point.mu, point.lam, rng)
+            means.append(exact_network_match(net, inst).mean_distance)
+        assert rec.sim_mean == float(np.mean(means))
+        assert rec.sim_std == float(np.std(means, ddof=1))
 
 
 def test_one_recursion_table_per_edge_point(monkeypatch):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import pickle
 import re
 
 import numpy as np
@@ -434,6 +435,48 @@ def test_exact_match_rejects_excess_demand(square_torus):
         exact_network_match(square_torus, inst)
     with pytest.raises(ValueError):
         heuristic_network_match(square_torus, inst)
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+def test_model_holds_its_edge_ends_once(layout):
+    net = build_regular_network(*layout, 1.0)
+    # a pool worker gets the model by pickle: it must arrive as built
+    for model in (net, pickle.loads(pickle.dumps(net))):
+        assert model.ends.shape == (net.edge_count, 2) and model.ends.dtype == np.int64
+        assert model.ends.tolist() == [list(edge) for edge in net.edges]
+        assert np.array_equal(model.node_distance, net.node_distance)
+        assert not (model.ends.flags.writeable or model.node_distance.flags.writeable)
+
+
+def _fig6_instances():
+    """Feasible draws of fig6's shape: 36 edges, mu = 5, lam = 5 and 25."""
+    for degree in (3, 4, 6):
+        net = _network(degree, 36, 1.0)
+        rng = np.random.default_rng(60 + degree)
+        for lam in (5.0, 25.0):
+            for _ in range(2):
+                inst = sample_instance(net, 5.0, lam, rng)
+                while not 0 < inst.total_demand <= inst.total_supply:
+                    inst = sample_instance(net, 5.0, lam, rng)
+                yield net, inst
+
+
+def test_exact_match_on_a_given_cost_matrix_equals_the_default_call():
+    for net, inst in _fig6_instances():
+        res = exact_network_match(net, inst)
+        given = exact_network_match(net, inst, costs=_cost_matrix(net, inst))
+        assert np.array_equal(given.pairs, res.pairs)
+        assert given.total_distance == res.total_distance  # bit for bit
+
+
+def test_exact_match_rejects_costs_of_another_shape():
+    (net, inst), (_, other) = itertools.islice(_fig6_instances(), 2)
+    costs = _cost_matrix(net, inst)
+    assert inst.total_demand < inst.total_supply  # so the transpose has another shape
+    assert other.total_demand != inst.total_demand
+    for wrong in (costs.T, _cost_matrix(net, other)):
+        with pytest.raises(ValueError, match="costs"):
+            exact_network_match(net, inst, costs=wrong)
 
 
 def test_heuristic_all_local_when_every_edge_balanced(square_torus):
