@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import MatchResult, _readonly
+from .types import MatchResult, _readonly, _store
 
 __all__ = [
     "CostMatrix",
@@ -53,7 +53,7 @@ class CostMatrix:
     costs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "costs", _readonly(_check_costs(self.costs)))
+        _store(self, costs=_readonly(_check_costs(self.costs)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -153,14 +153,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.kind, ExperimentKind):
             raise ValueError(f"kind must be an ExperimentKind, got {self.kind!r}")
-        object.__setattr__(self, "grid", tuple(self.grid))
+        _store(self, grid=tuple(self.grid))
         if not self.grid:
             raise ValueError("grid must be nonempty")
         expected = _POINT_TYPES[self.kind]
         if not all(isinstance(p, expected) for p in self.grid):
             raise ValueError(f"{self.kind.value} grid entries must be {expected.__name__}")
         for name, least in (("replications", 1), ("workers", 1), ("master_seed", 0)):
-            object.__setattr__(self, name, check_count(name, getattr(self, name), least))
+            _store(self, **{name: check_count(name, getattr(self, name), least)})
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ local/global decomposition estimator on a given within-edge estimate."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -174,6 +174,9 @@ class NetworkInstance:
     nonnegative integers and offsets finite and nonnegative; the cost matrix
     and the heuristic read each edge's points as one ordered block, so an
     instance out of that order is rejected with an error naming the field.
+    The four arrays it stores are frozen in place, as ``CostMatrix`` freezes
+    its matrix: an array handed in the stored dtype is marked read-only, not
+    copied, so a checked instance cannot be reordered afterwards.
     """
 
     demand_edge: np.ndarray
@@ -192,7 +195,8 @@ class NetworkInstance:
                 )
             if edge.size == 0:
                 edge = edge.astype(np.int64)
-            elif not (np.issubdtype(edge.dtype, np.integer) and edge.min() >= 0):
+            # the first index is the least once the order check below passes
+            elif edge.dtype.kind not in "iu" or edge[0] < 0:
                 raise ValueError(f"{side}_edge must hold nonnegative integer edge indices")
             # min and max are NaN if any offset is
             if offset.size and not (offset.min() >= 0.0 and offset.max() < np.inf):
@@ -200,20 +204,9 @@ class NetworkInstance:
             # neighbours compared, not differenced: a difference wraps for unsigned dtypes
             if (edge[1:] < edge[:-1]).any():
                 raise ValueError(f"{side}_edge must be in ascending order")
-            if (np.diff(offset)[edge[1:] == edge[:-1]] < 0).any():
+            if ((offset[1:] < offset[:-1]) & (edge[1:] == edge[:-1])).any():
                 raise ValueError(f"{side}_offset must be ascending within each edge")
-            object.__setattr__(self, f"{side}_edge", edge)
-            object.__setattr__(self, f"{side}_offset", offset)
-
-    @classmethod
-    def _trusted(cls, *arrays):
-        """An instance of the four arrays, in field order, built without the
-        checks: for generated draws already in the checked form (int64
-        edges, float64 offsets, ordered by edge and then by offset)."""
-        inst = object.__new__(cls)
-        for f, value in zip(fields(cls), arrays):
-            object.__setattr__(inst, f.name, value)
-        return inst
+            _store(self, **{f"{side}_edge": _readonly(edge), f"{side}_offset": _readonly(offset)})
 
     @property
     def total_demand(self) -> int:
@@ -235,7 +228,7 @@ def sample_instance(net: NetworkModel, mu: float, lam: float, seed) -> NetworkIn
     ``uniform(0, length, k)`` is ``0.0 + length * random()``, and scaling by
     a positive length keeps the order, so the offsets have the bits of sorted
     per-edge ``uniform`` draws of demand, then supply. The arrays are built
-    in the form ``NetworkInstance`` checks for, so they skip its checks.
+    in the form ``NetworkInstance`` checks for.
     """
     mu, lam = check_positive("mu", mu), check_positive("lam", lam)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -256,7 +249,7 @@ def sample_instance(net: NetworkModel, mu: float, lam: float, seed) -> NetworkIn
         offset = np.concatenate(side)
         offset *= length
         points += [np.repeat(edges, [part.size for part in side]), offset]
-    return NetworkInstance._trusted(*points)
+    return NetworkInstance(*points)
 
 
 def _check_on_network(net: NetworkModel, inst: NetworkInstance) -> None:

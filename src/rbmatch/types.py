@@ -179,7 +179,7 @@ class EdgeParams:
 
     def __post_init__(self):
         for name in ("mu", "lam", "length"):
-            object.__setattr__(self, name, check_positive(name, getattr(self, name)))
+            _store(self, **{name: check_positive(name, getattr(self, name))})
         if self.lam < self.mu:
             raise ValueError("lam must be at least mu")
         m_f = self.mu * self.length

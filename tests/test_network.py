@@ -156,8 +156,8 @@ def test_sampling_keeps_per_edge_draw_order_at_low_density(degree):
 @pytest.mark.parametrize("degree,edge_count", [(3, 6), (4, 36), (6, 36)])
 @pytest.mark.parametrize("mu,lam", [(0.3, 0.3), (0.3, 25.0), (5.0, 25.0), (25.0, 25.0)])
 def test_sampled_instances_pass_the_public_checks(degree, edge_count, mu, lam):
-    # sample_instance skips NetworkInstance's checks; rebuilding each draw
-    # through the public constructor must accept it and keep every array
+    # a draw is checked once as sample_instance builds it; rebuilding it from
+    # its own arrays must pass the same checks again and keep every array
     net = build_regular_network(degree, edge_count, 1.0)
     fields = ("demand_edge", "demand_offset", "supply_edge", "supply_offset")
     empty_sides = 0
@@ -170,6 +170,19 @@ def test_sampled_instances_pass_the_public_checks(degree, edge_count, mu, lam):
         empty_sides += inst.total_demand == 0
     if (edge_count, mu) == (6, 0.3):
         assert empty_sides  # whole sides of no points are among the draws
+
+
+def test_network_instance_arrays_are_frozen(square_torus):
+    # the cost matrix and the heuristic index each edge's block by the order
+    # checked at construction; no write may reorder it afterwards
+    fields = ("demand_edge", "demand_offset", "supply_edge", "supply_offset")
+    arrays = (np.array([0, 2]), np.array([0.1, 0.5]), np.array([0, 0, 2]), np.array([0.2, 0.3, 0.4]))
+    hand_built = NetworkInstance(*arrays)
+    assert all(getattr(hand_built, f) is a for f, a in zip(fields, arrays))  # frozen in place
+    for inst in (hand_built, sample_instance(square_torus, 5.0, 25.0, 7)):
+        for f in fields:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(inst, f)[0] = 0
 
 
 def test_sampling_law_of_large_numbers(square_torus):
@@ -228,6 +241,7 @@ def test_instance_rejects_points_out_of_edge_order(square_torus):
         ("supply_offset", ([0], [0.5], [0], [np.inf])),
         ("demand_offset", ([0], [-0.1], [0], [0.5])),
         ("demand_edge", ([-1], [0.5], [0], [0.5])),
+        ("demand_edge", ([1, -1], [0.2, 0.6], [0], [0.5])),
         ("demand_edge", ([0.0], [0.5], [0], [0.5])),
         ("supply_edge", ([0], [0.5], [0, 1], [0.5])),
         ("supply_edge", ([0], [0.5], [[0]], [[0.5]])),
