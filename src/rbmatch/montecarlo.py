@@ -318,8 +318,9 @@ def _network_means(
     ``states``. Realizations with no demand or more demand than supply are
     redrawn from the same stream; a valid point (lam >= mu > 0) accepts a
     draw with positive odds. Every replication is solved by the compiled
-    kernel behind ``exact_network_match``; replication 0 is solved again by
-    the reference ``solve_dense`` as a check on it.
+    kernel behind ``exact_network_match``; replication 0 is checked by the
+    reference ``solve_dense``, which certifies the kernel's assignment or
+    solves it again.
     """
     means = np.empty(len(states))
     resampled = 0
@@ -338,13 +339,16 @@ def _network_means(
 
 def _checked_network_mean(point: NetworkPoint, net: NetworkModel, inst: NetworkInstance) -> float:
     """The kernel's mean matching distance of ``inst``, checked against
-    ``solve_dense``'s on the same cost matrix, built once. The matrix is
-    released on return, before the next replication is drawn."""
+    ``solve_dense``'s on the same cost matrix, built once. ``solve_dense``
+    starts from the kernel's assignment: if its potentials certify it, the
+    reference total is the kernel's own sum; if not, ``solve_dense`` solves
+    the matrix from scratch. The matrix is released on return, before the
+    next replication is drawn."""
     costs = _cost_matrix(net, inst)
-    mean = exact_network_match(net, inst, costs=costs).mean_distance
-    reference = solve_dense(costs).total_cost / inst.total_demand
-    _check_reference(point, mean, reference, "solve_dense")
-    return mean
+    match = exact_network_match(net, inst, costs=costs)
+    reference = solve_dense(costs, start=match.pairs[:, 1]).total_cost / inst.total_demand
+    _check_reference(point, match.mean_distance, reference, "solve_dense")
+    return match.mean_distance
 
 
 def _layouts(kind: ExperimentKind, grid) -> list:

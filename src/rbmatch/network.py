@@ -176,7 +176,9 @@ class NetworkInstance:
     instance out of that order is rejected with an error naming the field.
     The four arrays it stores are frozen in place, as ``CostMatrix`` freezes
     its matrix: an array handed in the stored dtype is marked read-only, not
-    copied, so a checked instance cannot be reordered afterwards.
+    copied, so a checked instance cannot be reordered afterwards. A pickled
+    or copied instance is rebuilt through the constructor, checked and
+    frozen again.
     """
 
     demand_edge: np.ndarray
@@ -207,6 +209,10 @@ class NetworkInstance:
             if ((offset[1:] < offset[:-1]) & (edge[1:] == edge[:-1])).any():
                 raise ValueError(f"{side}_offset must be ascending within each edge")
             _store(self, **{f"{side}_edge": _readonly(edge), f"{side}_offset": _readonly(offset)})
+
+    def __reduce__(self):
+        args = (self.demand_edge, self.demand_offset, self.supply_edge, self.supply_offset)
+        return NetworkInstance, args
 
     @property
     def total_demand(self) -> int:

@@ -254,6 +254,91 @@ def test_kernel_totals_match_reference_on_tied_costs(shape, seed):
     assert len(set(cols)) == m and all(0 <= j < n for j in cols)
 
 
+# solve_dense's stated bound on a certified start's excess over the optimum
+_CERTIFY_RTOL = 4.6e-13
+
+
+def _assert_same_solution(sol, ref):
+    assert np.array_equal(sol.col_of_row, ref.col_of_row)
+    assert np.array_equal(sol.row_potentials, ref.row_potentials)
+    assert np.array_equal(sol.col_potentials, ref.col_potentials)
+    assert sol.total_cost == ref.total_cost
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 30),
+    extra=st.one_of(st.just(0), st.integers(1, 30)),
+    kind=st.sampled_from(["uniform", "ties"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=1, extra=0, kind="uniform", seed=0)
+@example(m=9, extra=0, kind="ties", seed=1)
+@example(m=30, extra=30, kind="ties", seed=2)
+def test_solve_dense_certifies_the_kernels_start_and_no_worse_one(m, extra, kind, seed):
+    n = m + extra
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        costs = rng.uniform(0, 1, (m, n))
+    else:  # integer costs tie often
+        costs = rng.integers(0, 4, (m, n)).astype(float)
+    optimum = solve_dense(costs)
+    start = solve_assignment(CostMatrix(costs.copy())).pairs[:, 1]
+    sol = solve_dense(costs, start=start)
+    assert np.array_equal(sol.col_of_row, start)  # certified: not solved again
+    assert sol.total_cost == float(costs[np.arange(m), start].sum())
+    assert sol.total_cost == pytest.approx(optimum.total_cost, rel=1e-12, abs=0.0)
+    _assert_certificate(costs, sol)
+    # worse starts: two rows swap their columns, or a row moves to a free one
+    free = np.setdiff1d(np.arange(n), start)
+    for _ in range(4):
+        worse = start.copy()
+        if m >= 2 and (not free.size or rng.random() < 0.5):
+            a, b = rng.choice(m, 2, replace=False)
+            worse[[a, b]] = worse[[b, a]]
+        elif free.size:
+            worse[rng.integers(m)] = rng.choice(free)
+        total = float(costs[np.arange(m), worse].sum())
+        sol = solve_dense(costs, start=worse)
+        if total - optimum.total_cost > _CERTIFY_RTOL * total:
+            _assert_same_solution(sol, optimum)
+        else:  # a tie: certified or solved again, the total is the optimum's
+            assert sol.total_cost == pytest.approx(optimum.total_cost, rel=1e-12, abs=0.0)
+            _assert_certificate(costs, sol)
+
+
+def test_solve_dense_refuses_a_start_on_a_negative_cycle():
+    # swapped, the two rows cost 0.002 more than the optimum; the free
+    # column is far, so the cycle's potentials stay positive at the cap
+    costs = np.array([[1.0, 1.001, 3.0], [1.001, 1.0, 3.0]])
+    assert solve_dense(costs, start=np.array([0, 1])).col_of_row.tolist() == [0, 1]
+    _assert_same_solution(solve_dense(costs, start=np.array([1, 0])), solve_dense(costs))
+
+
+@pytest.mark.parametrize(
+    "start, message",
+    [
+        ([0, 1], "1D integer array of 3 columns"),
+        ([[0], [1], [2]], "1D integer array of 3 columns"),
+        ([0.0, 1.0, 2.0], "1D integer array of 3 columns"),
+        ([True, False, True], "1D integer array of 3 columns"),
+        ([0, 1, 4], r"start columns must lie in \[0, 4\)"),
+        ([-1, 1, 2], r"start columns must lie in \[0, 4\)"),
+        ([0, 2, 2], "start must give every row a distinct column"),
+    ],
+)
+def test_solve_dense_rejects_a_bad_start(start, message):
+    costs = np.random.default_rng(34).uniform(0, 1, (3, 4))
+    with pytest.raises(ValueError, match=message):
+        solve_dense(costs, start=np.array(start))
+
+
+def test_solve_dense_with_an_empty_start():
+    sol = solve_dense(np.empty((0, 3)), start=np.empty(0, dtype=np.int64))
+    assert sol.col_of_row.shape == (0,) and sol.total_cost == 0.0
+    assert sol.col_potentials.tolist() == [0.0, 0.0, 0.0]
+
+
 def test_missing_kernel_file_raises_import_error(monkeypatch, tmp_path):
     missing = str(tmp_path / "_lsap.so")
     monkeypatch.setattr(assignment, "_kernel_path", lambda: missing)

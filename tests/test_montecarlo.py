@@ -460,6 +460,41 @@ def test_network_replication_zero_check_names_the_point(monkeypatch):
         run_experiment(cfg)
 
 
+def test_network_replication_zero_check_catches_a_near_miss(monkeypatch):
+    # the kernel's optimum with two rows' columns swapped: solve_dense must
+    # refuse to certify it and solve the matrix again
+    lsap = assignment._kernel()
+
+    def swapped(costs):
+        rows, cols = lsap.linear_sum_assignment(costs)
+        cols = cols.copy()
+        cols[[0, 1]] = cols[[1, 0]]
+        return rows, cols
+
+    near_miss = types.SimpleNamespace(linear_sum_assignment=swapped)
+    monkeypatch.setattr(assignment, "_kernel", lambda: near_miss)
+    point = NetworkPoint(degree=4, mu=5.0, lam=10.0, length=1.0, edge_count=36)
+    cfg = ExperimentConfig(ExperimentKind.NETWORK, (point,), replications=2)
+    with pytest.raises(RuntimeError, match=re.escape(repr(point)) + ".*solve_dense"):
+        run_experiment(cfg)
+
+
+def test_fig6_replication_zero_starts_are_all_certified(monkeypatch):
+    # network distances tie often, so rounding makes cycles of length 0
+    # slightly negative: the tolerance must still certify every kernel start
+    certified = []
+
+    def spy(costs, *, start):
+        sol = assignment.solve_dense(costs, start=start)
+        certified.append(np.array_equal(sol.col_of_row, start))
+        return sol
+
+    monkeypatch.setattr(montecarlo, "solve_dense", spy)
+    cfg = _preset_config("fig6", 5, 3, 1)
+    run_experiment(cfg)
+    assert certified == [True] * len(cfg.grid)
+
+
 # two degrees and two lengths, so layouts differ in each part of their key;
 # two supply densities, so each layout serves two points
 _LAYOUT_GRID = tuple(
@@ -622,6 +657,17 @@ def test_sweep_estimates_are_pinned_bit_for_bit(preset):
     cfg = _preset_config(preset, 1, 0, 1)
     text = repr(montecarlo._sweep_estimates(cfg.kind, cfg.grid))
     assert hashlib.sha256(text.encode()).hexdigest() == _SWEEP_ESTIMATE_DIGESTS[preset]
+
+
+# sha256 of the fig6 grid's CSV at 2 reps and seed 3, computed with numpy
+# 2.4.6 and scipy 1.17.1: how replication 0 is checked must not move a byte
+_FIG6_CSV_DIGEST = "cc2bd27af4008fe09ee739a05846dba060030ee272092cb6bec2c50a655f6a99"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_network_records_are_pinned_byte_for_byte(workers):
+    text = records_to_csv(run_experiment(_preset_config("fig6", 2, 3, workers)))
+    assert hashlib.sha256(text.encode()).hexdigest() == _FIG6_CSV_DIGEST
 
 
 def test_estimator_attachment_by_kind():

@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import math
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from _references import _heuristic_reference, cost_matrix_columnwise, point_distance
 from test_assignment import _solve_dense_reference
 
+from rbmatch.assignment import CostMatrix
 from rbmatch.combinatorics import normal_cdf
 from rbmatch.estimators import edge_estimate
 from rbmatch.exact1d import optimal_match_1d
@@ -183,6 +185,33 @@ def test_network_instance_arrays_are_frozen(square_torus):
         for f in fields:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(inst, f)[0] = 0
+
+
+def test_copies_are_rebuilt_through_the_constructor(square_torus):
+    # pickle and deepcopy drop numpy's read-only flag: a copy must pass the
+    # checks again and come back frozen
+    inst = sample_instance(square_torus, 5.0, 25.0, 7)
+    matrix = CostMatrix(_cost_matrix(square_torus, inst))
+    fields = ("demand_edge", "demand_offset", "supply_edge", "supply_offset")
+    for copy_of in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        inst_copy, matrix_copy = copy_of(inst), copy_of(matrix)
+        for f in fields:
+            assert np.array_equal(getattr(inst_copy, f), getattr(inst, f))
+            assert not getattr(inst_copy, f).flags.writeable
+        assert np.array_equal(matrix_copy.costs, matrix.costs)
+        assert not matrix_copy.costs.flags.writeable
+    # a tampered reduce tuple is checked as a hand-built instance is
+    cls, args = inst.__reduce__()
+    demand_offset = args[1].copy()
+    demand_offset[:2] = demand_offset[1::-1]  # demand 0 and 1 share edge 0
+    assert args[0][1] == args[0][0] and demand_offset[0] > demand_offset[1]
+    with pytest.raises(ValueError, match="demand_offset must be ascending"):
+        cls(args[0], demand_offset, *args[2:])
+    cls, (costs,) = matrix.__reduce__()
+    costs = costs.copy()
+    costs[0, 0] = -1.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        cls(costs)
 
 
 def test_sampling_law_of_large_numbers(square_torus):
