@@ -230,7 +230,7 @@ def baseline_estimate(m: int, n: int, length: float = 1.0) -> float:
     check_positive("length", length)
     i = np.arange(1, m + 1, dtype=np.float64)
     r = (i - 1.0) / n
-    total = float(np.sum((1.0 - r**i) / ((n - i + 1.0) / n)))
+    total = float(np.add.reduce((1.0 - r**i) / ((n - i + 1.0) / n)))
     return length * total / (2.0 * m * (n + 1))
 
 

@@ -60,7 +60,7 @@ def optimal_match_1d(inst: Instance1D) -> MatchResult:
     m, n = inst.m, inst.n
     rows = np.arange(m)
     if n == m or m == 0:
-        return MatchResult.from_pairs(np.column_stack((rows, rows)), np.abs(xu - xv[:m]))
+        return MatchResult.from_pairs(rows.repeat(2).reshape(m, 2), np.abs(xu - xv[:m]))
     width = n - m + 1
 
     # band[i, d]: |xu[i] - xv[i+d]| plus the best continuation; its suffix
@@ -103,7 +103,7 @@ def match_costs_1d(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:
     if supply.shape[0] != reps or not 1 <= m <= n:
         raise ValueError("need (R, m) demand and (R, n) supply rows with 1 <= m <= n")
     if n == m:
-        return np.abs(demand - supply).sum(axis=1)
+        return np.add.reduce(np.abs(demand - supply), axis=1)
     width = n - m + 1
     demand_t = np.ascontiguousarray(demand.T)  # [i] = demand i of every replication
     # [j + k] = supply n-1-j-k: demand m-1-j's band at offset width-1-k

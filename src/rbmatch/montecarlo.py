@@ -249,7 +249,7 @@ def _stored_words_type():
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
                 raise ValueError(
                     f"stored seed words are 4 uint64, not {n_words} {np.dtype(dtype)}"
                 )

@@ -37,18 +37,32 @@ def _store(obj, **values) -> None:
 
 def check_count(name: str, value, least: int = 0) -> int:
     """The one count rule: ``value`` as a Python int, if it is an integer (a
-    bool is not one) of at least ``least``; else a ValueError naming it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+    bool is not one) of at least ``least``; else a ValueError naming it. A
+    plain int skips the abstract-base-class test."""
+    integral = type(value) is int or (
+        not isinstance(value, bool) and isinstance(value, numbers.Integral)
+    )
+    if not integral or value < least:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
     return int(value)
 
 
 def check_positive(name: str, value) -> float:
     """The one rule for densities and lengths: ``value`` as a Python float, if
-    it is a finite real above 0 (a bool is not one); else a ValueError naming it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+    it is a real (a bool is not one) whose float is finite and above 0; else a
+    ValueError naming it. The test is on the float, so a real that rounds to
+    0.0 or overflows the float range is rejected. A plain float skips the
+    abstract-base-class test."""
+    real = type(value) is float or (
+        not isinstance(value, bool) and isinstance(value, numbers.Real)
+    )
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an int or Fraction beyond the float range
+        number = math.inf
+    if not 0 < number < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    return float(value)
+    return number
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +172,7 @@ class MatchResult:
             p = p.reshape(0, 2)
         if p.ndim != 2 or p.shape[1] != 2:
             raise ValueError(f"pairs must have shape (k, 2), got {p.shape}")
-        total = float(np.sum(distances))
+        total = float(np.add.reduce(distances, axis=None))  # np.sum's pairwise sum
         mean = total / len(p) if len(p) else 0.0
         return cls(pairs=_readonly(p), total_distance=total, mean_distance=mean)
 

@@ -8,13 +8,16 @@ three exact kernels (``optimal_match_1d``, ``match_costs_1d`` and
 earlier event-by-event scan of ``feasible_removal`` and the earlier
 ``optimal_removal`` that recomputes each choice on its forward pass, which
 the library must equal bit for bit, and the exact mean rank area over all
-interleavings. None of them is on a sweep's path.
+interleavings. The earlier forms of the two input rules and of
+``baseline_estimate``'s sum pin the answers of the library's faster ones.
+None of them is on a sweep's path.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -460,3 +463,27 @@ def solve_dense_stepwise(costs: np.ndarray) -> AssignmentSolution:
         col_potentials=v,
         total_cost=total,
     )
+
+
+def check_count_isinstance(name: str, value, least: int = 0) -> int:
+    """The count rule as it was before plain ints skipped the
+    abstract-base-class test."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def check_positive_isinstance(name: str, value) -> float:
+    """The density and length rule as it was before plain floats skipped the
+    abstract-base-class test, and before the range test moved to the float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return float(value)
+
+
+def baseline_sum_np_sum(m: int, n: int, length: float = 1.0) -> float:
+    """``baseline_estimate``'s arithmetic as it was, summed by ``np.sum``."""
+    i = np.arange(1, m + 1, dtype=np.float64)
+    r = (i - 1.0) / n
+    total = float(np.sum((1.0 - r**i) / ((n - i + 1.0) / n)))
+    return length * total / (2.0 * m * (n + 1))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from _references import ballot_segment_prob
+from _references import ballot_segment_prob, baseline_sum_np_sum
 
 from rbmatch.combinatorics import expected_zero_returns, harel_area, stars_bars_distribution
 from rbmatch.estimators import (
@@ -328,6 +328,14 @@ def test_baseline_closed_form_matches_double_sum(m, surplus, length):
     assert baseline_estimate(m, n, length) == pytest.approx(
         _double_sum_baseline(m, n, length), rel=1e-13, abs=0.0
     )
+
+
+def test_baseline_equals_the_np_sum_form_bit_for_bit():
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        m, n = np.sort(rng.integers(1, 251, 2)).tolist()
+        length = float(rng.uniform(0.5, 4.0))
+        assert baseline_estimate(m, n, length) == baseline_sum_np_sum(m, n, length)
 
 
 def test_baseline_against_exact_fractions():

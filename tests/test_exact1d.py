@@ -155,6 +155,14 @@ def test_match_costs_equal_rowwise_dp_bit_for_bit(reps, shape, tied, seed):
     assert np.array_equal(match_costs_1d(demand, supply), match_costs_1d_rowwise(demand, supply))
 
 
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 127, 128, 129])  # around the pairwise-sum blocks
+def test_balanced_match_costs_are_the_row_sums_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    demand = np.sort(rng.uniform(0, 1, (5, m)), axis=1)
+    supply = np.sort(rng.uniform(0, 1, (5, m)), axis=1)
+    assert np.array_equal(match_costs_1d(demand, supply), np.abs(demand - supply).sum(axis=1))
+
+
 def test_match_costs_shapes():
     with pytest.raises(ValueError):
         match_costs_1d(np.empty((3, 0)), np.zeros((3, 2)))

@@ -1,9 +1,13 @@
+import enum
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from _references import check_count_isinstance, check_positive_isinstance
 
 from rbmatch.combinatorics import expected_zero_returns, harel_area, stars_bars_distribution
 from rbmatch.estimators import (
@@ -173,6 +177,25 @@ def test_from_pairs_rejects_other_shapes(pairs):
         MatchResult.from_pairs(pairs, [0.0])
 
 
+_SUM_LENGTHS = (1, 7, 8, 9, 127, 128, 129, 1000)  # around the pairwise-sum blocks
+
+
+@pytest.mark.parametrize(
+    "distances",
+    [
+        [0.1, 0.2, 0.3],
+        [],
+        np.array(0.7),
+        np.random.default_rng(5).exponential(size=(3, 130)),
+        *(np.random.default_rng(k).exponential(size=k) for k in _SUM_LENGTHS),
+    ],
+    ids=["list", "empty", "0-d", "2-D", *(f"1-D-{k}" for k in _SUM_LENGTHS)],
+)
+def test_from_pairs_total_is_the_np_sum_bit_for_bit(distances):
+    total = MatchResult.from_pairs(np.zeros((1, 2), dtype=np.int64), distances).total_distance
+    assert total.hex() == float(np.sum(distances)).hex()
+
+
 def test_edge_params_validation():
     EdgeParams(mu=1.0, lam=2.0, length=3.0)
     with pytest.raises(ValueError):
@@ -323,6 +346,65 @@ def test_numpy_scalars_are_accepted_and_stored_as_python_values():
     cfg = ExperimentConfig(ExperimentKind.SEGMENT, _GRID, np.int64(2), np.int64(3), np.int64(1))
     assert (cfg.replications, cfg.master_seed, cfg.workers) == (2, 3, 1)
     assert {type(v) for v in (cfg.replications, cfg.master_seed, cfg.workers)} == {int}
+
+
+class _Count(enum.IntEnum):
+    THREE = 3
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+_RULE_INPUTS = [
+    True, np.True_, _Count.THREE, _Int(3), np.int8(3), np.uint64(3), 2**70, -1, 0,
+    _Float(0.5), np.float16(0.5), np.float32(0.5), np.float64(0.5), Fraction(1, 2),
+    math.nan, math.inf, -math.inf, -0.0, 5e-324, "3", None,
+]
+
+
+def _answer(rule, *args):
+    """The value a rule returns and its type, or the error it raises."""
+    try:
+        value = rule(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    return type(value), value
+
+
+@pytest.mark.parametrize("value", _RULE_INPUTS, ids=repr)
+def test_input_rules_give_the_isinstance_rules_answers(value):
+    for least in (0, 1):
+        want = _answer(check_count_isinstance, "n", value, least)
+        assert _answer(check_count, "n", value, least) == want
+    want = _answer(check_positive_isinstance, "mu", value)
+    assert _answer(check_positive, "mu", value) == want
+
+
+_OUT_OF_FLOAT_RANGE = {
+    "Fraction(1, 10**400)": Fraction(1, 10**400),
+    "longdouble-1e-4000": np.longdouble("1e-4000"),
+    "longdouble-1e4000": np.longdouble("1e4000"),
+    "10**400": 10**400,
+}
+
+
+@pytest.mark.parametrize("value", _OUT_OF_FLOAT_RANGE.values(), ids=_OUT_OF_FLOAT_RANGE)
+def test_positive_rule_rejects_reals_outside_the_float_range(value):
+    # the float of each is 0.0 or inf, or there is none
+    got = re.escape(repr(value))
+    with pytest.raises(ValueError, match=rf"^mu must be finite and positive, got {got}$"):
+        check_positive("mu", value)
+    with pytest.raises(ValueError, match=rf"^length must be finite and positive, got {got}$"):
+        Instance1D([0.0], [0.0], length=value)
+    for field in ("mu", "lam", "length"):
+        values = {"mu": 1.0, "lam": 2.0, "length": 3.0, field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must be finite and positive, got {got}$"):
+            EdgeParams(**values)
 
 
 @pytest.mark.parametrize(
