@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import MatchResult, _readonly, _store
+from .types import MatchResult, _readonly, _RebuiltWhenCopied, _store
 
 __all__ = [
     "CostMatrix",
@@ -50,7 +50,7 @@ def _check_costs(costs) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CostMatrix:
+class CostMatrix(_RebuiltWhenCopied):
     """Dense m x n matrix of nonnegative finite costs, m <= n. A float64
     array it is handed is frozen in place: marked read-only, not copied. A
     pickled or copied matrix is rebuilt through the constructor, checked
@@ -60,9 +60,6 @@ class CostMatrix:
 
     def __post_init__(self):
         _store(self, costs=_readonly(_check_costs(self.costs)))
-
-    def __reduce__(self):
-        return CostMatrix, (self.costs,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,12 +160,10 @@ def solve_dense(costs: np.ndarray, *, start=None) -> AssignmentSolution:
     rows claim one column the lowest-index row keeps it. Then each
     unmatched row, in index order, runs one shortest augmenting path pass
     (Crouse's rectangular form): each step scans one row's reduced costs,
-    so that each column keeps the first row that reached its lowest path
-    cost, and takes the cheapest unscanned column, the lowest index among
-    ties. A step stores its reduced costs in a per-pass buffer and lowers
-    the path costs with an in-place minimum; after the pass, each column on
-    the augmenting path takes as predecessor the first stored row equal to
-    its path cost. The potentials change once per pass. The solution is
+    and a column takes that row as predecessor only where its path cost
+    strictly falls, so it keeps the first row that reached its lowest path
+    cost; the step then takes the cheapest unscanned column, the lowest
+    index among ties. The potentials change once per pass. The solution is
     therefore deterministic. Raises ValueError unless ``costs`` is 2D with
     rows <= cols and finite, nonnegative entries.
     """
@@ -201,28 +196,28 @@ def solve_dense(costs: np.ndarray, *, start=None) -> AssignmentSolution:
 
     path_cost = np.empty(n)  # to each unscanned column; inf once scanned
     masked_v = np.empty(n)  # v, with -inf at scanned columns
-    # row k: reduced costs from the row scanned at step k of the pass; a pass
-    # scans distinct rows, and pages it never reaches are never touched
-    reduced = np.empty((m, n))
+    reduced = np.empty(n)
+    better = np.empty(n, dtype=bool)
+    predecessor = np.empty(n, dtype=np.int64)
     for root in np.flatnonzero(col_of_row < 0).tolist():
         path_cost.fill(np.inf)
         masked_v[:] = v
-        step_rows, scanned, step_costs = [], [], []
+        scanned, step_costs = [], []
         row = root
         min_val = 0.0
         while True:
             # reduced costs from ``row``, +inf at scanned columns
-            step = reduced[len(step_rows)]
-            np.subtract(costs[row], masked_v, out=step)
-            step += min_val - u[row]
-            np.minimum(path_cost, step, out=path_cost)
+            np.subtract(costs[row], masked_v, out=reduced)
+            reduced += min_val - u[row]
+            np.less(reduced, path_cost, out=better)
+            np.copyto(path_cost, reduced, where=better)
+            np.copyto(predecessor, row, where=better)
             col = int(path_cost.argmin())
             min_val = float(path_cost[col])
             if min_val == np.inf:  # only if the reduced costs overflowed
                 raise ValueError("costs too large: no finite augmenting path")
             path_cost[col] = np.inf
             masked_v[col] = -np.inf
-            step_rows.append(row)
             scanned.append(col)
             step_costs.append(min_val)
             row = int(row_of_col[col])
@@ -231,25 +226,18 @@ def solve_dense(costs: np.ndarray, *, start=None) -> AssignmentSolution:
         # one potential update per pass keeps every tree edge tight
         shift = min_val - np.array(step_costs)
         v[scanned] -= shift
-        u[step_rows[1:]] += shift[:-1]
+        u[row_of_col[scanned[:-1]]] += shift[:-1]
         u[root] += min_val
-        # augment: hand each column on the path to its predecessor, the
-        # first row whose reduced cost reached the column's path cost
-        steps = reduced[: len(step_rows)]
+        # augment: hand each column on the path to its predecessor row
         while True:
-            row = step_rows[int(steps[:, col].argmin())]
+            row = int(predecessor[col])
             row_of_col[col] = row
             col, col_of_row[row] = int(col_of_row[row]), col
             if row == root:
                 break
 
     total = float(costs[np.arange(m), col_of_row].sum())
-    return AssignmentSolution(
-        col_of_row=col_of_row,
-        row_potentials=u,
-        col_potentials=v,
-        total_cost=total,
-    )
+    return AssignmentSolution(col_of_row, u, v, total)
 
 
 def _kernel_path() -> str:

@@ -5,6 +5,7 @@ local/global decomposition estimator on a given within-edge estimate."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ from .types import (
     Instance1D,
     MatchResult,
     _readonly,
+    _RebuiltWhenCopied,
     _store,
     check_count,
     check_positive,
@@ -43,7 +45,7 @@ SEARCH_LAYERS = 10
 
 
 @dataclass(frozen=True, eq=False)
-class NetworkModel:
+class NetworkModel(_RebuiltWhenCopied):
     """A connected D-regular graph whose edges all have the same length.
 
     ``edges[k] = (a, b)`` joins node ids a and b; ``node_distance[a, b]`` is
@@ -64,10 +66,6 @@ class NetworkModel:
     def __post_init__(self):
         _readonly(self.node_distance)
         _store(self, ends=_readonly(np.array(self.edges, dtype=np.int64)))
-
-    def __reduce__(self):
-        args = (self.node_count, self.edges, self.length, self.degree, self.node_distance)
-        return NetworkModel, args
 
     @property
     def edge_count(self) -> int:
@@ -166,7 +164,7 @@ def build_regular_network(degree: int, edge_count: int, length: float) -> Networ
 
 
 @dataclass(frozen=True, eq=False)
-class NetworkInstance:
+class NetworkInstance(_RebuiltWhenCopied):
     """Realized points as flat (edge, offset) arrays, ordered by edge index and
     then by offset; a point's position in them is its index in a matching.
 
@@ -209,10 +207,6 @@ class NetworkInstance:
             if ((offset[1:] < offset[:-1]) & (edge[1:] == edge[:-1])).any():
                 raise ValueError(f"{side}_offset must be ascending within each edge")
             _store(self, **{f"{side}_edge": _readonly(edge), f"{side}_offset": _readonly(offset)})
-
-    def __reduce__(self):
-        args = (self.demand_edge, self.demand_offset, self.supply_edge, self.supply_offset)
-        return NetworkInstance, args
 
     @property
     def total_demand(self) -> int:
@@ -418,8 +412,8 @@ def _conditional_surplus(mean_diff: float, sigma: float) -> float:
     below zero (half-unit continuity shift)."""
     z = (-0.5 - mean_diff) / sigma
     tail = normal_cdf(-z)  # 1 - Phi(z), stable in the far tail
-    if tail <= 0.0:
-        hazard = z  # asymptotic hazard for an unreachable tail
+    if tail < sys.float_info.min:  # subnormal or zero: its ratio has lost precision
+        hazard = z + 1.0 / z - 2.0 / z**3  # the Mills-ratio asymptote
     else:
         hazard = normal_pdf(z) / tail
     return mean_diff + sigma * hazard

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,6 +33,15 @@ def _store(obj, **values) -> None:
     """Set fields of a frozen dataclass instance, from its own __post_init__."""
     for name, value in values.items():
         object.__setattr__(obj, name, value)
+
+
+class _RebuiltWhenCopied:
+    """Base of the frozen dataclasses whose constructor checks and freezes
+    what it is given: a pickled or copied instance is rebuilt through that
+    constructor from its init fields, not restored unchecked and writable."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 def check_count(name: str, value, least: int = 0) -> int:
@@ -66,7 +75,7 @@ def check_positive(name: str, value) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class Instance1D:
+class Instance1D(_RebuiltWhenCopied):
     """One realized bipartite matching problem on a segment.
 
     ``demand`` and ``supply`` are coordinate arrays on ``[0, length]``; they
@@ -74,7 +83,8 @@ class Instance1D:
     afterwards. The supply side must be at least as large as the demand side.
     Only each side's first and last coordinate are range-checked: sorting
     puts NaN last and every comparison with NaN is False, so this one test
-    also rejects NaN and infinite coordinates.
+    also rejects NaN and infinite coordinates. A pickled or copied instance
+    is rebuilt through the constructor, checked and frozen again.
     """
 
     demand: np.ndarray
@@ -155,7 +165,9 @@ class MatchResult:
     """Matched pairs with total and mean distance.
 
     ``pairs`` is a read-only (k, 2) int64 array; row i holds the demand
-    index and the supply index of the i-th matched pair.
+    index and the supply index of the i-th matched pair. A pickled or
+    copied result is rebuilt by ``from_pairs``, its total standing for the
+    distances, and frozen again.
     """
 
     pairs: np.ndarray
@@ -175,6 +187,9 @@ class MatchResult:
         total = float(np.add.reduce(distances, axis=None))  # np.sum's pairwise sum
         mean = total / len(p) if len(p) else 0.0
         return cls(pairs=_readonly(p), total_distance=total, mean_distance=mean)
+
+    def __reduce__(self):
+        return MatchResult.from_pairs, (self.pairs, (self.total_distance,))
 
 
 @dataclass(frozen=True)

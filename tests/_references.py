@@ -2,15 +2,16 @@
 
 Walk enumeration and its mean area, the scalar stars-and-bars and ballot
 probabilities, the scalar network point distance, a loop-based version of
-the local-first network heuristic, the earlier row-by-row forms of the
-three exact kernels (``optimal_match_1d``, ``match_costs_1d`` and
-``solve_dense``), the earlier column-gathering ``_cost_matrix``, the
-earlier event-by-event scan of ``feasible_removal`` and the earlier
-``optimal_removal`` that recomputes each choice on its forward pass, which
-the library must equal bit for bit, and the exact mean rank area over all
-interleavings. The earlier forms of the two input rules and of
-``baseline_estimate``'s sum pin the answers of the library's faster ones.
-None of them is on a sweep's path.
+the local-first network heuristic, the earlier row-by-row forms of the two
+exact segment kernels (``optimal_match_1d`` and ``match_costs_1d``), the
+earlier column-gathering ``_cost_matrix``, the earlier event-by-event scan
+of ``feasible_removal`` and the earlier ``optimal_removal`` that recomputes
+each choice on its forward pass, which the library must equal bit for bit,
+and the exact mean rank area over all interleavings. The earlier forms of
+the two input rules and of ``baseline_estimate``'s sum pin the answers of
+the library's faster ones. None of them is on a sweep's path.
+``solve_dense`` has no earlier form here: ``test_assignment.py`` checks it
+against an independent solver, brute force and its own certificate.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from rbmatch.assignment import AssignmentSolution, _check_costs
 from rbmatch.exact1d import RemovalSet, _removal_set, match_costs_1d, optimal_match_1d
 from rbmatch.network import NetworkInstance, NetworkModel, _check_on_network
 from rbmatch.types import Instance1D, MatchResult, build_supply_curve
@@ -383,86 +383,6 @@ def match_costs_1d_rowwise(demand: np.ndarray, supply: np.ndarray) -> np.ndarray
         row = np.abs(demand[:, i, None] - windows[:, i]) + best_next
         best_next = np.minimum.accumulate(row[:, ::-1], axis=1)[:, ::-1]
     return best_next[:, 0]
-
-
-def solve_dense_stepwise(costs: np.ndarray) -> AssignmentSolution:
-    """Minimum-cost assignment of every row of a dense cost matrix to a
-    distinct column, with certifying dual potentials.
-
-    Start: ``u`` is each row's minimum and ``v`` is zero; each row claims
-    the lowest-index column of its minimum, and when several rows claim one
-    column the lowest-index row keeps it. Then each unmatched row, in index
-    order, runs one shortest augmenting path pass (Crouse's rectangular
-    form): each step scans one row's reduced costs, so that each column
-    keeps the first row that reached its lowest path cost, and takes the
-    cheapest unscanned column, the lowest index among ties. The potentials
-    change once per pass. The solution is therefore deterministic. Raises
-    ValueError unless ``costs`` is 2D with rows <= cols and finite,
-    nonnegative entries.
-    """
-    costs = _check_costs(costs)
-    m, n = costs.shape
-    col_of_row = np.full(m, -1, dtype=np.int64)
-    row_of_col = np.full(n, -1, dtype=np.int64)
-    v = np.zeros(n)
-    if m == 0:
-        return AssignmentSolution(col_of_row, np.zeros(0), v, 0.0)
-    u = costs.min(axis=1)
-    cols, rows = np.unique(costs.argmin(axis=1), return_index=True)
-    col_of_row[rows] = cols
-    row_of_col[cols] = rows
-
-    path_cost = np.empty(n)  # to each unscanned column; inf once scanned
-    scanned_cost = np.empty(n)  # to each scanned column
-    masked_v = np.empty(n)  # v, with -inf at scanned columns
-    reduced = np.empty(n)
-    better = np.empty(n, dtype=bool)
-    predecessor = np.empty(n, dtype=np.int64)
-    for root in np.flatnonzero(col_of_row < 0).tolist():
-        path_cost.fill(np.inf)
-        masked_v[:] = v
-        scanned = []
-        row = root
-        min_val = 0.0
-        while True:
-            # reduced costs from ``row``, +inf at scanned columns
-            np.subtract(costs[row], masked_v, out=reduced)
-            reduced += min_val - u[row]
-            np.less(reduced, path_cost, out=better)
-            np.copyto(path_cost, reduced, where=better)
-            np.copyto(predecessor, row, where=better)
-            col = int(path_cost.argmin())
-            min_val = float(path_cost[col])
-            if min_val == np.inf:  # only if the reduced costs overflowed
-                raise ValueError("costs too large: no finite augmenting path")
-            scanned_cost[col] = min_val
-            path_cost[col] = np.inf
-            masked_v[col] = -np.inf
-            scanned.append(col)
-            row = int(row_of_col[col])
-            if row < 0:
-                break
-        # one potential update per pass keeps every tree edge tight
-        scanned = np.array(scanned)
-        shift = min_val - scanned_cost[scanned]
-        v[scanned] -= shift
-        u[row_of_col[scanned[:-1]]] += shift[:-1]
-        u[root] += min_val
-        # augment: hand each column on the path to its predecessor row
-        while True:
-            row = int(predecessor[col])
-            row_of_col[col] = row
-            col, col_of_row[row] = int(col_of_row[row]), col
-            if row == root:
-                break
-
-    total = float(costs[np.arange(m), col_of_row].sum())
-    return AssignmentSolution(
-        col_of_row=col_of_row,
-        row_potentials=u,
-        col_potentials=v,
-        total_cost=total,
-    )
 
 
 def check_count_isinstance(name: str, value, least: int = 0) -> int:

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _references import solve_dense_stepwise
-
 from rbmatch import assignment
 from rbmatch.assignment import AssignmentSolution, CostMatrix, solve_assignment, solve_dense
 from rbmatch.exact1d import optimal_match_1d
@@ -201,35 +199,6 @@ def test_matches_reference_solver(shape, kind, seed):
     assert len(set(sol.col_of_row.tolist())) == m
     assert ((sol.col_of_row >= 0) & (sol.col_of_row < n)).all()
     _assert_certificate(costs, sol)
-
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    shape=st.integers(0, 30).flatmap(lambda m: st.tuples(st.just(m), st.integers(max(m, 1), 60))),
-    kind=st.sampled_from(["uniform", "tenths", "rank_one"]),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(shape=(0, 5), kind="tenths", seed=0)
-@example(shape=(1, 1), kind="tenths", seed=1)
-@example(shape=(1, 7), kind="tenths", seed=2)
-@example(shape=(9, 9), kind="tenths", seed=3)
-@example(shape=(9, 10), kind="tenths", seed=4)
-@example(shape=(30, 60), kind="tenths", seed=5)
-def test_solve_dense_equals_stepwise_solver_bit_for_bit(shape, kind, seed):
-    m, n = shape
-    rng = np.random.default_rng(seed)
-    if kind == "uniform":
-        costs = rng.uniform(0, 1, (m, n))
-    elif kind == "tenths":  # the k/10 grid ties often
-        costs = rng.integers(0, 11, (m, n)) / 10
-    else:  # every assignment of a rank-one matrix is optimal
-        costs = rng.uniform(0, 1, m)[:, None] + rng.uniform(0, 1, n)[None, :]
-    sol, ref = solve_dense(costs), solve_dense_stepwise(costs)
-    assert np.array_equal(sol.col_of_row, ref.col_of_row)
-    assert sol.total_cost == ref.total_cost
-    assert np.array_equal(sol.row_potentials, ref.row_potentials)
-    assert np.array_equal(sol.col_potentials, ref.col_potentials)
 
 
 @settings(max_examples=200, deadline=None)

@@ -662,6 +662,20 @@ def test_estimate_alpha_vanishes_for_heavy_surplus():
     assert parts.total == pytest.approx(parts.local)
 
 
+def test_estimate_parts_hold_where_the_surplus_tail_underflows():
+    # at mu = L = 1 the demand-surplus tail is subnormal from lam = 1412 and
+    # 0.0 from lam = 1485; d1 tends to 1/8 throughout
+    lams = (1400, 1450, 1480, 1500, 2000, 5000)
+    parts = [_estimate(4, 1.0, float(lam), 1.0) for lam in lams]
+    for p in parts:
+        assert math.isfinite(p.d1) and p.d1 > 0.0
+        assert p.alpha >= 0.0 and math.copysign(1.0, p.alpha) == 1.0  # never -0.0
+        # the global part's weight is below the last bit of the local one
+        assert p.total == p.local
+    for a, b in zip(parts, parts[1:]):
+        assert abs(a.d1 - b.d1) < 1e-3
+
+
 def test_estimate_monotone_in_supply_density():
     for degree in (3, 4, 6):
         totals = [_estimate(degree, 5.0, float(lam), 1.0).total for lam in range(5, 26)]

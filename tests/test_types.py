@@ -1,6 +1,8 @@
+import copy
 import enum
 import json
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -175,6 +177,32 @@ def test_from_pairs_accepts_empty_input(empty):
 def test_from_pairs_rejects_other_shapes(pairs):
     with pytest.raises(ValueError, match=r"shape \(k, 2\)"):
         MatchResult.from_pairs(pairs, [0.0])
+
+
+def test_copies_of_instances_and_results_come_back_frozen():
+    # pickle and deepcopy drop numpy's read-only flag: a copy must pass the
+    # checks again and come back frozen
+    inst = Instance1D([0.7, 0.1, 0.4], [0.9, 0.2, 0.5, 0.0], length=1.5)
+    res = MatchResult.from_pairs([(0, 1), (1, 3), (2, 0)], [0.1, 0.2, 0.3])
+    for copy_of in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        inst_copy, res_copy = copy_of(inst), copy_of(res)
+        for name in ("demand", "supply"):
+            assert np.array_equal(getattr(inst_copy, name), getattr(inst, name))
+            assert not getattr(inst_copy, name).flags.writeable
+        assert inst_copy.length == inst.length
+        assert np.array_equal(res_copy.pairs, res.pairs) and res_copy.pairs.dtype == np.int64
+        assert not res_copy.pairs.flags.writeable
+        assert res_copy.total_distance == res.total_distance
+        assert res_copy.mean_distance == res.mean_distance
+        empty = copy_of(MatchResult.from_pairs([], []))
+        assert empty.pairs.shape == (0, 2) and not empty.pairs.flags.writeable
+        assert empty.total_distance == empty.mean_distance == 0.0
+    # a tampered reduce tuple is checked as a hand-built instance is
+    cls, (demand, supply, length) = inst.__reduce__()
+    with pytest.raises(ValueError, match="demand coordinates"):
+        cls(demand, supply, length / 4)
+    with pytest.raises(ValueError, match="at least as many supply"):
+        cls(demand, supply[:2], length)
 
 
 _SUM_LENGTHS = (1, 7, 8, 9, 127, 128, 129, 1000)  # around the pairwise-sum blocks
