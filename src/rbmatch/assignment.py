@@ -3,7 +3,8 @@
 ``solve_assignment`` takes its pairs from scipy's compiled
 ``linear_sum_assignment``, Crouse's rectangular shortest augmenting path
 solver (Crouse 2016). Only that one extension file is loaded, at the first
-solve: importing ``scipy.optimize`` would add about 47 MB of peak RSS.
+solve: importing ``scipy.optimize`` would add about 47 MB of peak RSS. The
+kernel reads the frozen matrix in place (see ``_InPlace``).
 ``solve_dense`` is the numpy reference: a row-reduction start, then the same
 shortest augmenting paths, returning dual potentials that certify the
 optimum. Given a complete assignment as ``start``, it first tries to
@@ -16,9 +17,9 @@ alone. Only if they fail is the matrix solved from scratch.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
 import importlib.util
 import os
-import sysconfig
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,11 @@ __all__ = [
 ]
 
 
+# every float64 whose bits, read as an unsigned integer, lie below this is
+# +0.0 or positive and finite: the sign bit is clear, the exponent not all ones
+_FINITE_NONNEGATIVE_BITS = 0x7FF0000000000000
+
+
 def _check_costs(costs) -> np.ndarray:
     """``costs`` as a float64 array, or a ValueError naming the failed rule:
     2D, rows <= cols, finite, nonnegative."""
@@ -41,8 +47,13 @@ def _check_costs(costs) -> np.ndarray:
         raise ValueError(f"costs must be a 2D array, got shape {costs.shape}")
     if costs.shape[0] > costs.shape[1]:
         raise ValueError(f"need rows <= cols, got {costs.shape[0]} x {costs.shape[1]}")
-    # min is NaN if any entry is: two reductions, no temporary
-    if costs.size and not (costs.min() >= 0.0 and costs.max() < np.inf):
+    # one integer pass settles the common case; -0.0 and every bad entry
+    # fall through to min and max, NaN if any entry is
+    if (
+        costs.size
+        and not costs.view(np.uint64).max() < _FINITE_NONNEGATIVE_BITS
+        and not (costs.min() >= 0.0 and costs.max() < np.inf)
+    ):
         if not np.isfinite(costs).all():
             raise ValueError("costs must be finite")
         raise ValueError("costs must be nonnegative")
@@ -52,9 +63,10 @@ def _check_costs(costs) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CostMatrix(_RebuiltWhenCopied):
     """Dense m x n matrix of nonnegative finite costs, m <= n. A float64
-    array it is handed is frozen in place: marked read-only, not copied. A
-    pickled or copied matrix is rebuilt through the constructor, checked
-    and frozen again."""
+    array it is handed that owns its data is frozen in place: marked
+    read-only, not copied; a view is copied first, so no write to its base
+    reaches the checked matrix. A pickled or copied matrix is rebuilt
+    through the constructor, checked and frozen again."""
 
     costs: np.ndarray
 
@@ -247,7 +259,10 @@ def _kernel_path() -> str:
     if spec is None or not spec.submodule_search_locations:
         raise ImportError("scipy is not installed: it provides the assignment kernel")
     package = spec.submodule_search_locations[0]
-    return os.path.join(package, "optimize", "_lsap" + sysconfig.get_config_var("EXT_SUFFIX"))
+    # the interpreter's own suffix, first in the list: sysconfig's EXT_SUFFIX
+    # names the same file, but loads the build's config module to say so
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    return os.path.join(package, "optimize", "_lsap" + suffix)
 
 
 @functools.cache
@@ -263,9 +278,29 @@ def _kernel():
     return module
 
 
+class _InPlace:
+    """A frozen matrix's array interface with the read-only bit cleared.
+
+    The kernel converts its argument with ``PyArray_ContiguousFromAny``,
+    which copies any array that is not writeable. Handed this object, it
+    reads the frozen buffer in place, and it writes nothing to it: with
+    rows <= cols and no ``maximize`` it neither transposes nor negates. The
+    array stays read-only to every Python caller; the writeable view exists
+    only inside the kernel's call.
+    """
+
+    __slots__ = ("__array_interface__", "_costs")
+
+    def __init__(self, costs: np.ndarray):
+        interface = costs.__array_interface__  # a new dict at every access
+        interface["data"] = (interface["data"][0], False)
+        self.__array_interface__ = interface
+        self._costs = costs  # keeps the buffer alive while the kernel reads it
+
+
 def solve_assignment(c: CostMatrix) -> MatchResult:
     """Minimum-total-cost assignment of every row to a distinct column, with
     pairs ordered by row. Among tied optima the kernel's choice may differ
     from ``solve_dense``'s; the totals agree to rounding."""
-    rows, cols = _kernel().linear_sum_assignment(c.costs)
+    rows, cols = _kernel().linear_sum_assignment(_InPlace(c.costs))
     return MatchResult.from_pairs(np.column_stack((rows, cols)), c.costs[rows, cols])

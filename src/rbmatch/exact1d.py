@@ -60,7 +60,8 @@ def optimal_match_1d(inst: Instance1D) -> MatchResult:
     m, n = inst.m, inst.n
     rows = np.arange(m)
     if n == m or m == 0:
-        return MatchResult.from_pairs(rows.repeat(2).reshape(m, 2), np.abs(xu - xv[:m]))
+        # a new array, not a reshaped view, so from_pairs freezes it uncopied
+        return MatchResult.from_pairs(rows[:, None].repeat(2, axis=1), np.abs(xu - xv[:m]))
     width = n - m + 1
 
     # band[i, d]: |xu[i] - xv[i+d]| plus the best continuation; its suffix

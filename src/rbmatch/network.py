@@ -49,7 +49,8 @@ class NetworkModel(_RebuiltWhenCopied):
     """A connected D-regular graph whose edges all have the same length.
 
     ``edges[k] = (a, b)`` joins node ids a and b; ``node_distance[a, b]`` is
-    the shortest-path distance in du between nodes, frozen in place. ``ends``,
+    the shortest-path distance in du between nodes, frozen in place (a view
+    is copied first, as ``CostMatrix`` copies one). ``ends``,
     derived from ``edges`` when the model is built, holds them as a read-only
     (E, 2) int64 array, so the matchers index it without converting the
     tuple per call. A pickled model is rebuilt through the constructor, so a
@@ -64,8 +65,11 @@ class NetworkModel(_RebuiltWhenCopied):
     ends: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _readonly(self.node_distance)
-        _store(self, ends=_readonly(np.array(self.edges, dtype=np.int64)))
+        _store(
+            self,
+            node_distance=_readonly(self.node_distance),
+            ends=_readonly(np.array(self.edges, dtype=np.int64)),
+        )
 
     @property
     def edge_count(self) -> int:
@@ -173,10 +177,11 @@ class NetworkInstance(_RebuiltWhenCopied):
     and the heuristic read each edge's points as one ordered block, so an
     instance out of that order is rejected with an error naming the field.
     The four arrays it stores are frozen in place, as ``CostMatrix`` freezes
-    its matrix: an array handed in the stored dtype is marked read-only, not
-    copied, so a checked instance cannot be reordered afterwards. A pickled
-    or copied instance is rebuilt through the constructor, checked and
-    frozen again.
+    its matrix: an array handed in the stored dtype that owns its data is
+    marked read-only, not copied, and a view is copied first, so no write
+    through the array or a base it views can reorder a checked instance. A
+    pickled or copied instance is rebuilt through the constructor, checked
+    and frozen again.
     """
 
     demand_edge: np.ndarray

@@ -22,9 +22,12 @@ _COUNT_ROUNDING_TOL = 1e-6
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    """``arr`` itself, made read-only, not copied: callers pass arrays they
-    have just created, or arrays handed to a constructor documented to
-    freeze them in place."""
+    """``arr`` made read-only: itself, not copied, if it owns its data, else
+    a copy of it. A view's base could still be written, and the write would
+    reach the frozen view. Callers pass arrays they have just created, or
+    arrays handed to a constructor documented to freeze them in place."""
+    if not arr.flags.owndata:
+        arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -178,7 +181,8 @@ class MatchResult:
     def from_pairs(cls, pairs, distances) -> "MatchResult":
         """Result from a k x 2 integer array or an iterable of (demand,
         supply) pairs, and the matched distances. An int64 array it is
-        handed is frozen in place: marked read-only, not copied."""
+        handed that owns its data is frozen in place: marked read-only, not
+        copied; a view is copied first."""
         p = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
         if p.shape == (0,):
             p = p.reshape(0, 2)

@@ -1,11 +1,18 @@
 import itertools
+import os
 import re
+import subprocess
+import sys
+import sysconfig
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rbmatch
 from rbmatch import assignment
 from rbmatch.assignment import AssignmentSolution, CostMatrix, solve_assignment, solve_dense
 from rbmatch.exact1d import optimal_match_1d
@@ -91,6 +98,138 @@ def test_cost_matrix_freezes_float64_input_in_place():
     matrix = CostMatrix(costs)
     assert matrix.costs is costs
     assert not costs.flags.writeable
+
+
+def test_cost_matrix_copies_a_view_before_freezing_it():
+    # a view frozen in place would still change through its writable base
+    base = np.random.default_rng(6).uniform(0, 1, (3, 4))
+    for view in (base[:, :], base[:, :3], base.T[:3, :]):
+        matrix = CostMatrix(view)
+        before = matrix.costs.copy()
+        base[0, 0] = np.nan
+        assert np.array_equal(matrix.costs, before)
+        assert matrix.costs.flags.owndata and not matrix.costs.flags.writeable
+        base[0, 0] = 0.5
+    assert base.flags.writeable
+
+
+def _check_costs_two_pass(costs):
+    """The two-pass rule ``_check_costs`` replaced, kept as its reference."""
+    costs = np.asarray(costs, dtype=np.float64)
+    if costs.ndim != 2:
+        raise ValueError(f"costs must be a 2D array, got shape {costs.shape}")
+    if costs.shape[0] > costs.shape[1]:
+        raise ValueError(f"need rows <= cols, got {costs.shape[0]} x {costs.shape[1]}")
+    if costs.size and not (costs.min() >= 0.0 and costs.max() < np.inf):
+        if not np.isfinite(costs).all():
+            raise ValueError("costs must be finite")
+        raise ValueError("costs must be nonnegative")
+    return costs
+
+
+def _verdict(check, costs):
+    try:
+        checked = check(costs)
+    except ValueError as exc:
+        return "raises", str(exc)
+    return "passes", checked.dtype, checked.shape, checked.tobytes()
+
+
+_ENTRIES = [0.0, -0.0, 5e-324, sys.float_info.max, np.inf, -np.inf, np.nan, -1e-300, 0.25]
+
+
+@pytest.mark.parametrize("entry", _ENTRIES)
+@pytest.mark.parametrize("form", ["float64", "float32", "transposed", "only"])
+def test_one_pass_check_gives_the_two_pass_verdict(entry, form):
+    costs = np.array([[0.5, entry, 1.0], [0.25, 2.0, 0.0]])
+    if form == "float32":
+        with np.errstate(over="ignore"):  # the largest float64 is inf in float32
+            costs = costs.astype(np.float32)
+    elif form == "transposed":
+        costs = np.ascontiguousarray(costs.T).T  # a non-contiguous view
+    elif form == "only":
+        costs = np.array([[entry]])
+    expected = _verdict(_check_costs_two_pass, costs)
+    assert _verdict(assignment._check_costs, costs) == expected
+    if expected[0] == "passes":
+        assert CostMatrix(costs).costs.tobytes() == expected[3]
+
+
+@pytest.mark.parametrize(
+    "costs", [np.empty((0, 3)), np.empty((1, 0)), np.empty((0, 0)), np.ones(3), np.ones((3, 2))]
+)
+def test_one_pass_check_on_empty_and_misshapen_arrays(costs):
+    assert _verdict(assignment._check_costs, costs) == _verdict(_check_costs_two_pass, costs)
+
+
+def test_kernel_reads_the_frozen_matrix_in_place(monkeypatch):
+    c = CostMatrix(np.random.default_rng(7).uniform(0, 1, (3, 5)))
+    seen = []
+
+    class FakeKernel:
+        @staticmethod
+        def linear_sum_assignment(arg):
+            # the kernel's conversion: a C-contiguous, aligned, writeable array
+            view = np.require(arg, np.float64, ["C", "A", "W"])
+            seen.append((np.shares_memory(view, c.costs), c.costs.flags.writeable))
+            if len(seen) == 2:
+                raise RuntimeError("kernel failed")
+            return np.arange(3), np.array([4, 0, 2])
+
+    monkeypatch.setattr(assignment, "_kernel", lambda: FakeKernel)
+    assert not c.costs.flags.writeable
+    res = solve_assignment(c)
+    assert res.pairs.tolist() == [[0, 4], [1, 0], [2, 2]]
+    assert res.total_distance == np.add.reduce(c.costs[[0, 1, 2], [4, 0, 2]])
+    assert not c.costs.flags.writeable
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        solve_assignment(c)
+    assert seen == [(True, False), (True, False)]
+    assert not c.costs.flags.writeable
+
+
+def test_kernel_solves_without_copying_the_matrix():
+    costs = np.random.default_rng(8).uniform(0, 1, (200, 900))
+    expected_rows, expected_cols = assignment._kernel().linear_sum_assignment(costs.copy())
+    c = CostMatrix(costs)
+    before = c.costs.tobytes()
+    tracemalloc.start()
+    try:
+        res = solve_assignment(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a copy would hold c.costs.nbytes (1.44 MB); pairs and indices take ~11 KB
+    assert peak < c.costs.nbytes / 20
+    assert np.array_equal(res.pairs, np.column_stack((expected_rows, expected_cols)))
+    assert c.costs.tobytes() == before and not c.costs.flags.writeable
+
+
+def test_kernel_suffix_names_the_file_sysconfig_names():
+    package = os.path.dirname(os.path.dirname(assignment._kernel_path()))
+    by_sysconfig = os.path.join(package, "optimize", "_lsap" + sysconfig.get_config_var("EXT_SUFFIX"))
+    assert assignment._kernel_path() == by_sysconfig
+    assert os.path.isfile(by_sysconfig)
+
+
+def test_first_solve_loads_no_sysconfig_data():
+    # sysconfig's config module costs ~0.6 ms to import: a sweep's first
+    # exact solve must not load it to find the kernel's file
+    src = str(Path(rbmatch.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "before = {m for m in sys.modules if m.startswith('_sysconfigdata')}\n"
+        "import rbmatch\n"
+        "net = rbmatch.build_regular_network(4, 36, 1.0)\n"
+        "inst = rbmatch.sample_instance(net, 5.0, 10.0, 0)\n"
+        "assert rbmatch.exact_network_match(net, inst).total_distance > 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('_sysconfigdata') and m not in before))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_cost_matrix_validation():

@@ -20,6 +20,7 @@ from rbmatch.exact1d import optimal_match_1d
 from rbmatch.network import (
     SEARCH_LAYERS,
     NetworkInstance,
+    NetworkModel,
     _cost_matrix,
     build_regular_network,
     d2_probabilities,
@@ -185,6 +186,29 @@ def test_network_instance_arrays_are_frozen(square_torus):
         for f in fields:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(inst, f)[0] = 0
+
+
+def test_network_instance_copies_views_before_freezing_them():
+    # a view frozen in place would still change through its writable base:
+    # a write to it could reorder a checked instance
+    e, o = np.array([0, 2, 5]), np.array([0.1, 0.5, 0.2])
+    inst = NetworkInstance(e[:], o[:], e[:], o[:])
+    e[0], o[0] = 7, 0.9
+    for f in ("demand", "supply"):
+        assert getattr(inst, f"{f}_edge").tolist() == [0, 2, 5]
+        assert getattr(inst, f"{f}_offset").tolist() == [0.1, 0.5, 0.2]
+        assert not getattr(inst, f"{f}_edge").flags.writeable
+
+
+def test_network_model_copies_a_distance_view_before_freezing_it(square_torus):
+    dist = square_torus.node_distance.copy()
+    net = NetworkModel(
+        square_torus.node_count, square_torus.edges, square_torus.length, square_torus.degree,
+        dist[:, :],
+    )
+    dist[0, 1] = 99.0
+    assert np.array_equal(net.node_distance, square_torus.node_distance)
+    assert net.node_distance.flags.owndata and not net.node_distance.flags.writeable
 
 
 def test_copies_are_rebuilt_through_the_constructor(square_torus):

@@ -162,6 +162,14 @@ def test_from_pairs_freezes_int64_input_in_place():
     assert not pairs.flags.writeable
 
 
+def test_from_pairs_copies_a_view_before_freezing_it():
+    base = np.array([[0, 1], [1, 0], [2, 2]], dtype=np.int64)
+    res = MatchResult.from_pairs(base[:2], [0.0, 0.0])
+    base[0, 1] = 2
+    assert res.pairs.tolist() == [[0, 1], [1, 0]]
+    assert res.pairs.flags.owndata and not res.pairs.flags.writeable
+
+
 @pytest.mark.parametrize("empty", [[], (), np.empty((0, 2), dtype=np.int64), np.array([], dtype=np.int64)])
 def test_from_pairs_accepts_empty_input(empty):
     res = MatchResult.from_pairs(empty, [])
