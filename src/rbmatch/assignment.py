@@ -89,6 +89,24 @@ class AssignmentSolution:
     total_cost: float
 
 
+# rows per block in the passes over a cost matrix or its matched columns, here
+# and in ``network._cost_matrix``: no temporary of either's size is held
+_ROW_BLOCK = 32
+
+
+def _lower_reach(
+    reach: np.ndarray, through: np.ndarray, w: np.ndarray, ks: np.ndarray
+) -> np.ndarray:
+    """``reach`` lowered in place to min over k in ``ks`` of through[k] + w[k],
+    ``_ROW_BLOCK`` rows of ``through`` at a time."""
+    for lo in range(0, ks.size, _ROW_BLOCK):
+        k = ks[lo : lo + _ROW_BLOCK]
+        block = through[k]  # a copy: w is added in place
+        block += w[k, None]
+        np.minimum(reach, np.minimum.reduce(block, axis=0), out=reach)
+    return reach
+
+
 # a certified start's total exceeds the optimum by at most m * tol + 2**-52 *
 # (total + sum(w)), tol = _FALL_TOL * total / m: with sum(w) <=
 # _CERTIFY_SPREAD * total, that is below 2049 * 2**-52 * total
@@ -108,23 +126,28 @@ def _certify(costs: np.ndarray, start: np.ndarray) -> AssignmentSolution | None:
     # w = -v on the matched columns, w[k] for column start[k]: from the free
     # columns, at 0 (or, if m = n, from 0 at every column), the shortest
     # alternating path to each column, an edge start[k] -> start[i] costing
-    # c[i, start[k]] - c[i, start[i]]
-    sub = costs[:, start]
-    free = np.ones(n, dtype=bool)
-    free[start] = False
-    reach_free = np.full(m, np.inf)
-    if m < n:  # 64 rows at a time: no copy of the whole matrix is held
-        for lo in range(0, m, 64):
-            reach_free[lo : lo + 64] = costs[lo : lo + 64, free].min(axis=1)
+    # c[i, start[k]] - c[i, start[i]]. through[k, i] = c[i, start[k]]: the
+    # matched columns stored as rows, so that a pass reads them in row blocks
+    through = costs.T[start]
+    reach_free = np.full(m, np.inf)  # each row's least cost at a free column
+    if m < n:
+        free = np.ones(n, dtype=bool)
+        free[start] = False
+        free_cols = np.flatnonzero(free)
+        for lo in range(0, m, _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            block = np.take(costs[rows], free_cols, axis=1)
+            np.minimum.reduce(block, axis=1, out=reach_free[rows])
     w = np.full(m, np.inf) if m < n else np.zeros(m)
+    every = np.arange(m)
     fell = None  # rows whose column fell in the last pass; None: a full pass
     for _ in range(m + 2):
         if fell is None:
             if m == n:
                 w -= w.min()
-            reach = np.minimum((sub + w).min(axis=1), reach_free)
+            reach = _lower_reach(reach_free.copy(), through, w, every)
         else:
-            reach = (sub[:, fell] + w[fell]).min(axis=1)
+            reach = _lower_reach(np.full(m, np.inf), through, w, fell)
         below = reach - matched
         lower = np.flatnonzero(below < w - tol)
         if lower.size:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import CostMatrix, solve_assignment
+from .assignment import _ROW_BLOCK, CostMatrix, solve_assignment
 from .combinatorics import normal_cdf, normal_pdf
 from .exact1d import optimal_match_1d
 from .types import (
@@ -276,12 +276,12 @@ def _cost_matrix(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:
 
     Each demand point's distance to either end of every edge is gathered
     once, as two demand-by-edge arrays, and repeated over each edge's block
-    of supply points (the supply side is ordered by edge) into a buffer and
-    the result, which in-place adds of the supply offsets and an in-place
-    minimum merge. Rounding is monotone, so min(x, y) + b equals
-    min(x + b, y + b) and each entry equals the four-way minimum of the
-    summed routes bit for bit. A point off the network raises ValueError
-    naming its field.
+    of supply points (the supply side is ordered by edge): the near end into
+    the result, the far end into a block of ``_ROW_BLOCK`` rows at a time.
+    In-place adds of the supply offsets and an in-place minimum merge them.
+    Rounding is monotone, so min(x, y) + b equals min(x + b, y + b) and each
+    entry equals the four-way minimum of the summed routes bit for bit. A
+    point off the network raises ValueError naming its field.
     """
     _check_on_network(net, inst)
     d_edge, d_off = inst.demand_edge, inst.demand_offset
@@ -295,15 +295,16 @@ def _cost_matrix(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:
         (length - d_off)[:, None] + nd[ends[d_edge, 1]],
     )
     s_count = np.bincount(s_edge, minlength=net.edge_count)
-    # the buffer is allocated before the result: with glibc malloc, freeing
-    # it then leaves a gap below the result that the next matrix reuses,
-    # where freed at the top of the heap it could go back to the system and
-    # be faulted in again (measured on a fig6 sweep: a third fewer faults)
-    other = np.repeat(to_node[:, ends[:, 1]], s_count, axis=1)
-    other += length - s_off
     cost = np.repeat(to_node[:, ends[:, 0]], s_count, axis=1)  # a new C-order array
     cost += s_off
-    np.minimum(cost, other, out=cost)
+    # the far-end routes _ROW_BLOCK rows at a time: the result is the only
+    # demand-by-supply array held
+    far_node, far_off = to_node[:, ends[:, 1]], length - s_off
+    for lo in range(0, d_edge.size, _ROW_BLOCK):
+        block = slice(lo, lo + _ROW_BLOCK)
+        other = np.repeat(far_node[block], s_count, axis=1)
+        other += far_off
+        np.minimum(cost[block], other, out=cost[block])
 
     # same-edge pairs: each demand point against its edge's supply block
     s_start = np.cumsum(s_count) - s_count

@@ -9,9 +9,12 @@ of ``feasible_removal`` and the earlier ``optimal_removal`` that recomputes
 each choice on its forward pass, which the library must equal bit for bit,
 and the exact mean rank area over all interleavings. The earlier forms of
 the two input rules and of ``baseline_estimate``'s sum pin the answers of
-the library's faster ones. None of them is on a sweep's path.
-``solve_dense`` has no earlier form here: ``test_assignment.py`` checks it
-against an independent solver, brute force and its own certificate.
+the library's faster ones. The earlier unblocked certificate of a
+``solve_dense`` start, whole-matrix passes over the matched columns, pins
+the blocked one bit for bit. None of them is on a sweep's path.
+``solve_dense``'s from-scratch solve has no earlier form here:
+``test_assignment.py`` checks it against an independent solver, brute
+force and its own certificate.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from rbmatch.assignment import _CERTIFY_SPREAD, _FALL_TOL, AssignmentSolution
 from rbmatch.exact1d import RemovalSet, _removal_set, match_costs_1d, optimal_match_1d
 from rbmatch.network import NetworkInstance, NetworkModel, _check_on_network
 from rbmatch.types import Instance1D, MatchResult, build_supply_curve
@@ -245,6 +249,45 @@ def cost_matrix_columnwise(net: NetworkModel, inst: NetworkInstance) -> np.ndarr
     at = rows * s_edge.size + cols
     flat[at] = np.minimum(flat[at], np.abs(d_off[rows] - s_off[cols]))
     return cost
+
+
+def certify_unblocked(costs: np.ndarray, start: np.ndarray) -> AssignmentSolution | None:
+    """``solve_dense``'s certificate of a complete assignment ``start``, or
+    None if it fails: the same passes, each over the whole m x m matrix of
+    matched columns at once."""
+    m, n = costs.shape
+    matched = costs[np.arange(m), start]
+    total = float(matched.sum())
+    tol = _FALL_TOL * total / m
+    sub = costs[:, start]
+    free = np.ones(n, dtype=bool)
+    free[start] = False
+    reach_free = costs[:, free].min(axis=1) if m < n else np.full(m, np.inf)
+    w = np.full(m, np.inf) if m < n else np.zeros(m)
+    fell = None
+    for _ in range(m + 2):
+        if fell is None:
+            if m == n:
+                w -= w.min()
+            reach = np.minimum((sub + w).min(axis=1), reach_free)
+        else:
+            reach = (sub[:, fell] + w[fell]).min(axis=1)
+        below = reach - matched
+        lower = np.flatnonzero(below < w - tol)
+        if lower.size:
+            w[lower] = below[lower]
+            fell = lower
+        elif fell is None:
+            break
+        else:
+            fell = None
+    else:
+        return None
+    if not (w.min() >= 0.0 and (w.sum() <= _CERTIFY_SPREAD * total or total == 0.0)):
+        return None
+    v = np.zeros(n)
+    v[start] = -w
+    return AssignmentSolution(start, matched + w, v, total)
 
 
 def optimal_match_1d_rowwise(inst: Instance1D) -> MatchResult:

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _references import certify_unblocked
+
 import rbmatch
 from rbmatch import assignment
 from rbmatch.assignment import AssignmentSolution, CostMatrix, solve_assignment, solve_dense
@@ -413,6 +415,48 @@ def test_solve_dense_certifies_the_kernels_start_and_no_worse_one(m, extra, kind
         else:  # a tie: certified or solved again, the total is the optimum's
             assert sol.total_cost == pytest.approx(optimum.total_cost, rel=1e-12, abs=0.0)
             _assert_certificate(costs, sol)
+
+
+@pytest.mark.parametrize("size", [1, 31, 32, 33, 64, 65])
+@pytest.mark.parametrize("start", ["inf", "uniform"])
+def test_blocked_pass_lowers_reach_as_one_whole_pass(size, start):
+    # random entries: every row's least entry is at a random matched column
+    rng = np.random.default_rng(size)
+    through, w = rng.uniform(0, 1, (70, 40)), rng.uniform(0, 1, 70)
+    ks = np.sort(rng.choice(70, size, replace=False))
+    reach = np.full(40, np.inf) if start == "inf" else rng.uniform(0, 1, 40)
+    expected = np.minimum(reach, (through[ks] + w[ks, None]).min(axis=0))
+    assert assignment._lower_reach(reach, through, w, ks).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 31, 32, 33, 64, 65])
+@pytest.mark.parametrize("kind", ["uniform", "ties"])
+def test_certificate_at_row_block_edges_equals_unblocked_reference(m, kind, monkeypatch):
+    passes = []
+    lower_reach = assignment._lower_reach
+
+    def counted(reach, through, w, ks):
+        passes.append(ks.size)
+        return lower_reach(reach, through, w, ks)
+
+    monkeypatch.setattr(assignment, "_lower_reach", counted)
+    rng = np.random.default_rng(m)
+    for n in (m, m + 1, 2 * m + 3):
+        if kind == "uniform":
+            costs = rng.uniform(0, 1, (m, n))
+        else:  # costs on the grid k/10 tie often
+            costs = rng.integers(0, 11, (m, n)) / 10
+        start = solve_assignment(CostMatrix(costs.copy())).pairs[:, 1]
+        swapped = start.copy()
+        swapped[[0, -1]] = swapped[[-1, 0]]
+        for s in (start, swapped, rng.permutation(n)[:m]):
+            expected = certify_unblocked(costs, s)
+            if expected is None:  # not certified: solved from scratch
+                expected = solve_dense(costs)
+            _assert_same_solution(solve_dense(costs, start=s), expected)
+    # some passes read only the columns that fell, over more than one block
+    assert m == 1 or any(0 < size < m for size in passes)
+    assert m <= assignment._ROW_BLOCK or max(passes) > assignment._ROW_BLOCK
 
 
 def test_solve_dense_refuses_a_start_on_a_negative_cycle():

@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from _references import _heuristic_reference, cost_matrix_columnwise, point_distance
 from test_assignment import _solve_dense_reference
 
-from rbmatch.assignment import CostMatrix
+from rbmatch import assignment
+from rbmatch.assignment import CostMatrix, solve_dense
 from rbmatch.combinatorics import normal_cdf
 from rbmatch.estimators import edge_estimate
 from rbmatch.exact1d import optimal_match_1d
@@ -439,7 +441,8 @@ def _network(degree, edge_count, length):
 def _assert_same_cost_matrix(net, inst):
     costs, ref = _cost_matrix(net, inst), cost_matrix_columnwise(net, inst)
     assert costs.flags.c_contiguous  # the same-edge write goes through reshape(-1)
-    assert costs.dtype == ref.dtype and np.array_equal(costs, ref)
+    assert costs.dtype == ref.dtype and costs.shape == ref.shape
+    assert costs.tobytes() == ref.tobytes()
 
 
 _densities = st.floats(0.01, 30.0)
@@ -494,6 +497,51 @@ def test_cost_matrix_at_edge_ends_equals_reference(layout, length):
     offsets = [0.0, 1e-300, length / 2, np.nextafter(length, 0.0), length]
     by_edge = {e: offsets for e in range(3)}
     _assert_same_cost_matrix(net, _manual_instance(net, by_edge, by_edge))
+
+
+@pytest.mark.parametrize("m", [1, 31, 32, 33, 64, 65])
+def test_cost_matrix_at_row_block_edges_equals_reference(square_torus, m):
+    # the far-end routes are built _ROW_BLOCK demand rows at a time
+    inst = sample_instance(square_torus, 5.0, 10.0, m)
+    assert inst.total_demand > 65
+    head = NetworkInstance(
+        inst.demand_edge[:m], inst.demand_offset[:m], inst.supply_edge, inst.supply_offset
+    )
+    _assert_same_cost_matrix(square_torus, head)
+
+
+@pytest.fixture(scope="module")
+def draw_at_144_edges():
+    net = build_regular_network(4, 144, 1.0)
+    return net, sample_instance(net, 5.0, 25.0, 0)
+
+
+def _traced_peak(f, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        out = f(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_cost_matrix_holds_no_second_matrix(draw_at_144_edges):
+    costs, peak = _traced_peak(_cost_matrix, *draw_at_144_edges)
+    # a full-size far-end temporary beside the result would take about 2x
+    assert costs.shape[0] > 16 * assignment._ROW_BLOCK  # many blocks
+    assert peak < 1.25 * costs.nbytes
+
+
+def test_certificate_holds_one_matched_column_matrix(draw_at_144_edges):
+    net, inst = draw_at_144_edges
+    costs = _cost_matrix(net, inst)
+    m, n = costs.shape
+    start = exact_network_match(net, inst, costs=costs).pairs[:, 1]
+    sol, peak = _traced_peak(solve_dense, costs, start=start)
+    assert np.array_equal(sol.col_of_row, start)  # certified: not solved again
+    # the m x m matched columns, and at most four row blocks of the matrix
+    assert peak < m * m * 8 + 4 * assignment._ROW_BLOCK * n * 8
 
 
 def test_exact_match_rejects_excess_demand(square_torus):
