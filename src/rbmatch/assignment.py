@@ -1,17 +1,17 @@
-"""Dense rectangular min-cost bipartite assignment.
+"""Dense rectangular min-cost bipartite assignment: one solver and a
+certificate.
 
-``solve_assignment`` takes its pairs from scipy's compiled
-``linear_sum_assignment``, Crouse's rectangular shortest augmenting path
-solver (Crouse 2016). Only that one extension file is loaded, at the first
-solve: importing ``scipy.optimize`` would add about 47 MB of peak RSS. The
-kernel reads the frozen matrix in place (see ``_InPlace``).
-``solve_dense`` is the numpy reference: a row-reduction start, then the same
-shortest augmenting paths, returning dual potentials that certify the
-optimum. Given a complete assignment as ``start``, it first tries to
-certify that one instead: an assignment is optimal exactly when dual
-potentials exist for it (LP duality; Ahuja, Magnanti & Orlin 1993), and a
-few vectorised label-correcting passes recover them from the assignment
-alone. Only if they fail is the matrix solved from scratch.
+The solver is scipy's compiled ``linear_sum_assignment``, Crouse's
+rectangular shortest augmenting path solver (Crouse 2016), loaded from its
+one extension file at the first solve: importing ``scipy.optimize`` would
+add about 47 MB of peak RSS. ``solve_assignment`` hands it a frozen matrix
+to read in place (see ``_InPlace``). ``solve_dense`` certifies an
+assignment, the kernel's or a given ``start``, and raises if that fails: an
+assignment is optimal exactly when dual potentials exist for it (LP
+duality; Ahuja, Magnanti & Orlin 1993), and a few vectorised
+label-correcting passes recover them from the assignment alone. A sweep
+checks replication 0 so: a start that fails stops the sweep rather than
+costing one more solve.
 """
 
 from __future__ import annotations
@@ -64,9 +64,10 @@ def _check_costs(costs) -> np.ndarray:
 class CostMatrix(_RebuiltWhenCopied):
     """Dense m x n matrix of nonnegative finite costs, m <= n. A float64
     array it is handed that owns its data is frozen in place: marked
-    read-only, not copied; a view is copied first, so no write to its base
-    reaches the checked matrix. A pickled or copied matrix is rebuilt
-    through the constructor, checked and frozen again."""
+    read-only, not copied; a view is copied first. A view of the array
+    taken before it was handed over still writes to the matrix (see
+    ``types._readonly``). A pickled or copied matrix is rebuilt through the
+    constructor, checked and frozen again."""
 
     costs: np.ndarray
 
@@ -76,12 +77,9 @@ class CostMatrix(_RebuiltWhenCopied):
 
 @dataclass(frozen=True, eq=False)
 class AssignmentSolution:
-    """Optimal assignment with the final dual potentials.
-
-    The potentials certify optimality: costs - u[:, None] - v[None, :] is
-    nonnegative everywhere and zero on matched edges, up to rounding and,
-    for a certified start, the tolerance stated at ``solve_dense``.
-    """
+    """A certified optimal assignment with its dual potentials: costs -
+    u[:, None] - v[None, :] is nonnegative everywhere and zero on matched
+    edges, up to rounding and the tolerance stated at ``solve_dense``."""
 
     col_of_row: np.ndarray
     row_potentials: np.ndarray
@@ -107,25 +105,20 @@ def _lower_reach(
     return reach
 
 
-# a certified start's total exceeds the optimum by at most m * tol + 2**-52 *
-# (total + sum(w)), tol = _FALL_TOL * total / m: with sum(w) <=
-# _CERTIFY_SPREAD * total, that is below 2049 * 2**-52 * total
+# tol = _FALL_TOL * total / m; a start keeps sum(w) <= _CERTIFY_SPREAD *
+# total, which bounds its excess over the optimum (see ``solve_dense``)
 _FALL_TOL = 2.0**-42
 _CERTIFY_SPREAD = 1024.0
 
 
 def _certify(costs: np.ndarray, start: np.ndarray) -> AssignmentSolution | None:
-    """``start`` with potentials that certify it, or None if they are not
-    found (see ``solve_dense``)."""
+    """``start`` with the potentials that certify it, or None if the passes
+    show a cycle of negative length or a negative w (see ``solve_dense``)."""
     m, n = costs.shape
     matched = costs[np.arange(m), start]
     total = float(matched.sum())
-    # a fall of tol or less is rounding: through a row's own column, or
-    # around a cycle of length 0
-    tol = _FALL_TOL * total / m
-    # w = -v on the matched columns, w[k] for column start[k]: from the free
-    # columns, at 0 (or, if m = n, from 0 at every column), the shortest
-    # alternating path to each column, an edge start[k] -> start[i] costing
+    tol = _FALL_TOL * total / m  # a fall of tol or less is rounding
+    # w[k] = -v[start[k]], reached by edges start[k] -> start[i] of length
     # c[i, start[k]] - c[i, start[i]]. through[k, i] = c[i, start[k]]: the
     # matched columns stored as rows, so that a pass reads them in row blocks
     through = costs.T[start]
@@ -159,8 +152,7 @@ def _certify(costs: np.ndarray, start: np.ndarray) -> AssignmentSolution | None:
             fell = None
     else:
         return None  # still falling: a cycle of negative length
-    # a zero total needs no bound: no assignment undercuts it
-    if not (w.min() >= 0.0 and (w.sum() <= _CERTIFY_SPREAD * total or total == 0.0)):
+    if not w.min() >= 0.0:
         return None
     v = np.zeros(n)
     v[start] = -w
@@ -169,38 +161,32 @@ def _certify(costs: np.ndarray, start: np.ndarray) -> AssignmentSolution | None:
 
 def solve_dense(costs: np.ndarray, *, start=None) -> AssignmentSolution:
     """Minimum-cost assignment of every row of a dense cost matrix to a
-    distinct column, with certifying dual potentials.
+    distinct column, with dual potentials that certify it.
 
-    ``start``, if given, is a complete assignment: a 1D integer array of one
-    distinct column per row (else a ValueError naming ``start``). It is
-    returned, with its total, if potentials that certify it are found;
-    otherwise the matrix is solved from scratch as below. The column
-    potentials are v = -w, where w[j] is the shortest alternating path
-    length to column j from the columns ``start`` leaves free, at 0 (if m =
-    n, from 0 at every column, shifted so that max v = 0); u[i] = c[i,
-    start[i]] + w[start[i]]. A label-correcting search finds them: one full
-    pass, in which each row i relaxes its column by min over j of c[i, j] +
-    w[j] - c[i, start[i]], then passes over the columns that fell in the
+    The assignment a is ``start`` if given: a 1D integer array of one
+    distinct column per row (else a ValueError naming ``start``). Without
+    it, a is the compiled kernel's, solved on ``costs`` as given, which is
+    neither frozen nor changed. Then v = -w, where w[j] is the shortest
+    alternating path length to column j from the columns a leaves free, at
+    0 (if m = n, from 0 at every column, shifted so that max v = 0), and
+    u[i] = c[i, a[i]] + w[a[i]]. A label-correcting search finds w: one
+    full pass, in which each row i relaxes its column by min over j of c[i,
+    j] + w[j] - c[i, a[i]], then passes over the columns that fell in the
     previous pass only, then a closing full pass. A fall of at most tol =
     2**-42 * total / m is not taken, so that rounding around cycles of
-    length 0 cannot lower w forever. The start is certified if the closing
-    pass lowers nothing within m + 2 passes (else a cycle of negative
-    length shows it is not optimal), w >= 0 and sum(w) <= 1024 * total (or
-    the total is 0, which no assignment undercuts). Its total then exceeds
-    the optimum by at most m * tol + 2**-52 * (total + sum(w)) <= 2049 *
-    2**-52 * total < 4.6e-13 * total, tolerance and rounding together.
-
-    Without ``start``: ``u`` is each row's minimum and ``v`` is zero; each
-    row claims the lowest-index column of its minimum, and when several
-    rows claim one column the lowest-index row keeps it. Then each
-    unmatched row, in index order, runs one shortest augmenting path pass
-    (Crouse's rectangular form): each step scans one row's reduced costs,
-    and a column takes that row as predecessor only where its path cost
-    strictly falls, so it keeps the first row that reached its lowest path
-    cost; the step then takes the cheapest unscanned column, the lowest
-    index among ties. The potentials change once per pass. The solution is
-    therefore deterministic. Raises ValueError unless ``costs`` is 2D with
-    rows <= cols and finite, nonnegative entries.
+    length 0 cannot lower w forever. a is certified if the closing pass
+    lowers nothing within m + 2 passes (else a cycle of negative length
+    shows it is not optimal) and w >= 0; its total then exceeds the optimum
+    by at most m * tol + 2**-52 * (total + sum(w)). A ``start`` must also
+    keep sum(w) <= 1024 * total (or have total 0, which no assignment
+    undercuts), which bounds that by 2049 * 2**-52 * total < 4.6e-13 *
+    total; a true optimum may not ([[1e-6, 1e9]] has sum(w) near 1e9), so
+    the kernel's is not held to it. Nothing else is solved: an uncertified
+    ``start`` raises a ValueError naming it, an uncertified kernel
+    assignment a RuntimeError. The name is kept from when this function
+    also solved the matrix in numpy: the sweep's replication-0 check and
+    the benchmark's tracer call it by it. Raises ValueError unless
+    ``costs`` is 2D with rows <= cols and finite, nonnegative entries.
     """
     costs = _check_costs(costs)
     m, n = costs.shape
@@ -216,63 +202,21 @@ def solve_dense(costs: np.ndarray, *, start=None) -> AssignmentSolution:
         start = start.astype(np.int64)
         if np.bincount(start, minlength=n).max(initial=0) > 1:
             raise ValueError("start must give every row a distinct column")
-        certified = _certify(costs, start) if m else None
-        if certified is not None:
-            return certified
-    col_of_row = np.full(m, -1, dtype=np.int64)
-    row_of_col = np.full(n, -1, dtype=np.int64)
-    v = np.zeros(n)
     if m == 0:
-        return AssignmentSolution(col_of_row, np.zeros(0), v, 0.0)
-    u = costs.min(axis=1)
-    cols, rows = np.unique(costs.argmin(axis=1), return_index=True)
-    col_of_row[rows] = cols
-    row_of_col[cols] = rows
-
-    path_cost = np.empty(n)  # to each unscanned column; inf once scanned
-    masked_v = np.empty(n)  # v, with -inf at scanned columns
-    reduced = np.empty(n)
-    better = np.empty(n, dtype=bool)
-    predecessor = np.empty(n, dtype=np.int64)
-    for root in np.flatnonzero(col_of_row < 0).tolist():
-        path_cost.fill(np.inf)
-        masked_v[:] = v
-        scanned, step_costs = [], []
-        row = root
-        min_val = 0.0
-        while True:
-            # reduced costs from ``row``, +inf at scanned columns
-            np.subtract(costs[row], masked_v, out=reduced)
-            reduced += min_val - u[row]
-            np.less(reduced, path_cost, out=better)
-            np.copyto(path_cost, reduced, where=better)
-            np.copyto(predecessor, row, where=better)
-            col = int(path_cost.argmin())
-            min_val = float(path_cost[col])
-            if min_val == np.inf:  # only if the reduced costs overflowed
-                raise ValueError("costs too large: no finite augmenting path")
-            path_cost[col] = np.inf
-            masked_v[col] = -np.inf
-            scanned.append(col)
-            step_costs.append(min_val)
-            row = int(row_of_col[col])
-            if row < 0:
-                break
-        # one potential update per pass keeps every tree edge tight
-        shift = min_val - np.array(step_costs)
-        v[scanned] -= shift
-        u[row_of_col[scanned[:-1]]] += shift[:-1]
-        u[root] += min_val
-        # augment: hand each column on the path to its predecessor row
-        while True:
-            row = int(predecessor[col])
-            row_of_col[col] = row
-            col, col_of_row[row] = int(col_of_row[row]), col
-            if row == root:
-                break
-
-    total = float(costs[np.arange(m), col_of_row].sum())
-    return AssignmentSolution(col_of_row, u, v, total)
+        return AssignmentSolution(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(n), 0.0)
+    if start is None:
+        certified = _certify(costs, _kernel().linear_sum_assignment(costs)[1])
+        if certified is None:
+            raise RuntimeError("the kernel's assignment is not certified optimal")
+        return certified
+    certified = _certify(costs, start)
+    # sum(w) = -sum(v[start]) exactly: v[start] = -w, and negation is exact
+    if certified is None or not (
+        -certified.col_potentials[start].sum() <= _CERTIFY_SPREAD * certified.total_cost
+        or certified.total_cost == 0.0
+    ):
+        raise ValueError("start is not certified optimal")
+    return certified
 
 
 def _kernel_path() -> str:
@@ -323,7 +267,7 @@ class _InPlace:
 
 def solve_assignment(c: CostMatrix) -> MatchResult:
     """Minimum-total-cost assignment of every row to a distinct column, with
-    pairs ordered by row. Among tied optima the kernel's choice may differ
-    from ``solve_dense``'s; the totals agree to rounding."""
+    pairs ordered by row: the kernel's, as ``solve_dense(c.costs)``
+    returns it with its potentials."""
     rows, cols = _kernel().linear_sum_assignment(_InPlace(c.costs))
     return MatchResult.from_pairs(np.column_stack((rows, cols)), c.costs[rows, cols])

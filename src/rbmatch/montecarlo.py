@@ -318,9 +318,8 @@ def _network_means(
     ``states``. Realizations with no demand or more demand than supply are
     redrawn from the same stream; a valid point (lam >= mu > 0) accepts a
     draw with positive odds. Every replication is solved by the compiled
-    kernel behind ``exact_network_match``; replication 0 is checked by the
-    reference ``solve_dense``, which certifies the kernel's assignment or
-    solves it again.
+    kernel behind ``exact_network_match``; replication 0's assignment is
+    certified optimal by ``solve_dense``.
     """
     means = np.empty(len(states))
     resampled = 0
@@ -338,15 +337,17 @@ def _network_means(
 
 
 def _checked_network_mean(point: NetworkPoint, net: NetworkModel, inst: NetworkInstance) -> float:
-    """The kernel's mean matching distance of ``inst``, checked against
-    ``solve_dense``'s on the same cost matrix, built once. ``solve_dense``
-    starts from the kernel's assignment: if its potentials certify it, the
-    reference total is the kernel's own sum; if not, ``solve_dense`` solves
-    the matrix from scratch. The matrix is released on return, before the
-    next replication is drawn."""
+    """The kernel's mean matching distance of ``inst``, checked against the
+    total ``solve_dense`` certifies for the kernel's assignment on the same
+    cost matrix, built once and released on return. A start that fails the
+    certificate stops the sweep with a RuntimeError naming the point and
+    ``solve_dense``: no second solver is tried."""
     costs = _cost_matrix(net, inst)
     match = exact_network_match(net, inst, costs=costs)
-    reference = solve_dense(costs, start=match.pairs[:, 1]).total_cost / inst.total_demand
+    try:
+        reference = solve_dense(costs, start=match.pairs[:, 1]).total_cost / inst.total_demand
+    except ValueError as err:
+        raise RuntimeError(f"grid point {point!r}: replication 0: solve_dense: {err}") from err
     _check_reference(point, match.mean_distance, reference, "solve_dense")
     return match.mean_distance
 

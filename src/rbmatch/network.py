@@ -49,8 +49,9 @@ class NetworkModel(_RebuiltWhenCopied):
     """A connected D-regular graph whose edges all have the same length.
 
     ``edges[k] = (a, b)`` joins node ids a and b; ``node_distance[a, b]`` is
-    the shortest-path distance in du between nodes, frozen in place (a view
-    is copied first, as ``CostMatrix`` copies one). ``ends``,
+    the shortest-path distance in du between nodes, frozen in place as
+    ``CostMatrix`` freezes its matrix, with the same limit: a view of the
+    array taken before it was handed over still writes to it. ``ends``,
     derived from ``edges`` when the model is built, holds them as a read-only
     (E, 2) int64 array, so the matchers index it without converting the
     tuple per call. A pickled model is rebuilt through the constructor, so a
@@ -118,11 +119,11 @@ def regular_edges(degree: int, edge_count: int) -> tuple[tuple[int, int], ...]:
     """Edge list of the D-regular layout with ``edge_count`` edges.
 
     Degree 4 uses a square torus, degree 6 a triangular torus (square torus
-    plus one diagonal per cell), and degree 3 a circulant cycle with antipodal
-    chords. Raises for (degree, edge_count) pairs these topologies cannot
-    realize. Every layout it returns is connected, D-regular and free of
-    repeated edges (the tests check each one up to 300 edges). Cheap: no
-    distances are computed.
+    plus one diagonal per cell), and degree 3 a Möbius ladder: a cycle with
+    antipodal chords, not the honeycomb lattice. Raises for (degree,
+    edge_count) pairs these topologies cannot realize. Every layout it
+    returns is connected, D-regular and free of repeated edges (the tests
+    check each one up to 300 edges). Cheap: no distances are computed.
     """
     _check_degree(degree)
     check_count("edge_count", edge_count, least=1)
@@ -179,7 +180,8 @@ class NetworkInstance(_RebuiltWhenCopied):
     The four arrays it stores are frozen in place, as ``CostMatrix`` freezes
     its matrix: an array handed in the stored dtype that owns its data is
     marked read-only, not copied, and a view is copied first, so no write
-    through the array or a base it views can reorder a checked instance. A
+    through the array or a base it views can reorder a checked instance,
+    though an earlier view of it can (see ``types._readonly``). A
     pickled or copied instance is rebuilt through the constructor, checked
     and frozen again.
     """

@@ -23,9 +23,11 @@ _COUNT_ROUNDING_TOL = 1e-6
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     """``arr`` made read-only: itself, not copied, if it owns its data, else
-    a copy of it. A view's base could still be written, and the write would
-    reach the frozen view. Callers pass arrays they have just created, or
-    arrays handed to a constructor documented to freeze them in place."""
+    a copy of it, as a write to a view's base would reach the frozen view.
+    An earlier view of ``arr`` keeps its own writeable flag and still writes
+    to it: only a copy per call, which no sweep needs, would close that.
+    Callers pass arrays they have just created, or arrays handed to a
+    constructor documented to freeze them in place."""
     if not arr.flags.owndata:
         arr = arr.copy()
     arr.flags.writeable = False
@@ -167,9 +169,10 @@ def build_supply_curve(inst: Instance1D) -> SupplyCurve:
 class MatchResult:
     """Matched pairs with total and mean distance.
 
-    ``pairs`` is a read-only (k, 2) int64 array; row i holds the demand
-    index and the supply index of the i-th matched pair. A pickled or
-    copied result is rebuilt by ``from_pairs``, its total standing for the
+    ``pairs`` is a read-only (k, 2) int64 array (an earlier view of an
+    array frozen in place still writes to it; see ``_readonly``); row i
+    holds the demand and supply index of the i-th pair. A pickled or copied
+    result is rebuilt by ``from_pairs``, its total standing for the
     distances, and frozen again.
     """
 

@@ -11,10 +11,9 @@ and the exact mean rank area over all interleavings. The earlier forms of
 the two input rules and of ``baseline_estimate``'s sum pin the answers of
 the library's faster ones. The earlier unblocked certificate of a
 ``solve_dense`` start, whole-matrix passes over the matched columns, pins
-the blocked one bit for bit. None of them is on a sweep's path.
-``solve_dense``'s from-scratch solve has no earlier form here:
-``test_assignment.py`` checks it against an independent solver, brute
-force and its own certificate.
+the blocked one bit for bit. An earlier numpy shortest-augmenting-path
+solver, which shares no code with the compiled kernel, is the assignment
+tests' independent reference. None of them is on a sweep's path.
 """
 
 from __future__ import annotations
@@ -249,6 +248,61 @@ def cost_matrix_columnwise(net: NetworkModel, inst: NetworkInstance) -> np.ndarr
     at = rows * s_edge.size + cols
     flat[at] = np.minimum(flat[at], np.abs(d_off[rows] - s_off[cols]))
     return cost
+
+
+def solve_dense_reference(costs) -> AssignmentSolution:
+    """Minimum-cost assignment of every row to a distinct column, with its
+    dual potentials: an earlier numpy solver that shares no code with the
+    compiled kernel. From zero potentials, one Dijkstra pass per row that
+    shifts every used potential at every step."""
+    costs = np.asarray(costs, dtype=np.float64)
+    m, n = costs.shape
+    u = np.zeros(m)
+    v = np.zeros(n)
+    row_of_col = np.full(n, -1, dtype=np.int64)
+    for i in range(m):
+        min_reduced = np.full(n, np.inf)
+        predecessor = np.full(n, -2, dtype=np.int64)  # -1 marks the tree root
+        used = np.zeros(n, dtype=bool)
+        current_row = i
+        previous_col = -1
+        while True:
+            reduced = costs[current_row] - u[current_row] - v
+            better = ~used & (reduced < min_reduced)
+            min_reduced[better] = reduced[better]
+            predecessor[better] = previous_col
+            available = np.where(used, np.inf, min_reduced)
+            next_col = int(np.argmin(available))
+            delta = float(available[next_col])
+            # shift potentials so every tree edge becomes tight
+            u[i] += delta
+            used_cols = np.flatnonzero(used)
+            if used_cols.size:
+                u[row_of_col[used_cols]] += delta
+                v[used_cols] -= delta
+            min_reduced[~used] -= delta
+            used[next_col] = True
+            previous_col = next_col
+            if row_of_col[next_col] == -1:
+                break
+            current_row = row_of_col[next_col]
+        # augment: pull each column's row from its predecessor on the path
+        col = previous_col
+        while True:
+            prev = int(predecessor[col])
+            if prev == -1:
+                row_of_col[col] = i
+                break
+            row_of_col[col] = row_of_col[prev]
+            col = prev
+
+    col_of_row = np.full(m, -1, dtype=np.int64)
+    matched = np.flatnonzero(row_of_col >= 0)
+    col_of_row[row_of_col[matched]] = matched
+    total = float(costs[np.arange(m), col_of_row].sum()) if m else 0.0
+    return AssignmentSolution(
+        col_of_row=col_of_row, row_potentials=u, col_potentials=v, total_cost=total
+    )
 
 
 def certify_unblocked(costs: np.ndarray, start: np.ndarray) -> AssignmentSolution | None:

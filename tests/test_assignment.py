@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _references import certify_unblocked
+from _references import certify_unblocked, solve_dense_reference
 
 import rbmatch
 from rbmatch import assignment
@@ -27,59 +27,6 @@ def _brute_force(costs):
     for perm in itertools.permutations(range(n), m):
         best = min(best, float(costs[np.arange(m), list(perm)].sum()))
     return best
-
-
-def _solve_dense_reference(costs) -> AssignmentSolution:
-    """The previous solver, kept as the reference: from zero potentials, one
-    Dijkstra pass per row that shifts every used potential at every step."""
-    costs = np.asarray(costs, dtype=np.float64)
-    m, n = costs.shape
-    u = np.zeros(m)
-    v = np.zeros(n)
-    row_of_col = np.full(n, -1, dtype=np.int64)
-    for i in range(m):
-        min_reduced = np.full(n, np.inf)
-        predecessor = np.full(n, -2, dtype=np.int64)  # -1 marks the tree root
-        used = np.zeros(n, dtype=bool)
-        current_row = i
-        previous_col = -1
-        while True:
-            reduced = costs[current_row] - u[current_row] - v
-            better = ~used & (reduced < min_reduced)
-            min_reduced[better] = reduced[better]
-            predecessor[better] = previous_col
-            available = np.where(used, np.inf, min_reduced)
-            next_col = int(np.argmin(available))
-            delta = float(available[next_col])
-            # shift potentials so every tree edge becomes tight
-            u[i] += delta
-            used_cols = np.flatnonzero(used)
-            if used_cols.size:
-                u[row_of_col[used_cols]] += delta
-                v[used_cols] -= delta
-            min_reduced[~used] -= delta
-            used[next_col] = True
-            previous_col = next_col
-            if row_of_col[next_col] == -1:
-                break
-            current_row = row_of_col[next_col]
-        # augment: pull each column's row from its predecessor on the path
-        col = previous_col
-        while True:
-            prev = int(predecessor[col])
-            if prev == -1:
-                row_of_col[col] = i
-                break
-            row_of_col[col] = row_of_col[prev]
-            col = prev
-
-    col_of_row = np.full(m, -1, dtype=np.int64)
-    matched = np.flatnonzero(row_of_col >= 0)
-    col_of_row[row_of_col[matched]] = matched
-    total = float(costs[np.arange(m), col_of_row].sum()) if m else 0.0
-    return AssignmentSolution(
-        col_of_row=col_of_row, row_potentials=u, col_potentials=v, total_cost=total
-    )
 
 
 def _assert_certificate(costs, sol: AssignmentSolution):
@@ -335,7 +282,7 @@ def test_matches_reference_solver(shape, kind, seed):
     else:  # every assignment of a rank-one matrix is optimal
         costs = rng.uniform(0, 1, m)[:, None] + rng.uniform(0, 1, n)[None, :]
     sol = solve_dense(costs)
-    ref = _solve_dense_reference(costs)
+    ref = solve_dense_reference(costs)
     assert sol.total_cost == pytest.approx(ref.total_cost, rel=1e-12, abs=1e-12)
     assert len(set(sol.col_of_row.tolist())) == m
     assert ((sol.col_of_row >= 0) & (sol.col_of_row < n)).all()
@@ -356,7 +303,8 @@ def test_kernel_totals_match_reference_on_tied_costs(shape, seed):
     m, n = shape
     costs = np.random.default_rng(seed).integers(0, 11, (m, n)) / 10
     res = solve_assignment(CostMatrix(costs))
-    assert res.total_distance == pytest.approx(solve_dense(costs).total_cost, rel=1e-12)
+    expected = solve_dense_reference(costs).total_cost
+    assert res.total_distance == pytest.approx(expected, rel=1e-12)
     assert res.pairs.dtype == np.int64 and res.pairs.shape == (m, 2)
     assert not res.pairs.flags.writeable
     rows, cols = res.pairs[:, 0].tolist(), res.pairs[:, 1].tolist()
@@ -392,12 +340,12 @@ def test_solve_dense_certifies_the_kernels_start_and_no_worse_one(m, extra, kind
         costs = rng.uniform(0, 1, (m, n))
     else:  # integer costs tie often
         costs = rng.integers(0, 4, (m, n)).astype(float)
-    optimum = solve_dense(costs)
+    optimum = solve_dense_reference(costs).total_cost
     start = solve_assignment(CostMatrix(costs.copy())).pairs[:, 1]
     sol = solve_dense(costs, start=start)
-    assert np.array_equal(sol.col_of_row, start)  # certified: not solved again
+    assert np.array_equal(sol.col_of_row, start)
     assert sol.total_cost == float(costs[np.arange(m), start].sum())
-    assert sol.total_cost == pytest.approx(optimum.total_cost, rel=1e-12, abs=0.0)
+    assert sol.total_cost == pytest.approx(optimum, rel=1e-12, abs=0.0)
     _assert_certificate(costs, sol)
     # worse starts: two rows swap their columns, or a row moves to a free one
     free = np.setdiff1d(np.arange(n), start)
@@ -409,12 +357,15 @@ def test_solve_dense_certifies_the_kernels_start_and_no_worse_one(m, extra, kind
         elif free.size:
             worse[rng.integers(m)] = rng.choice(free)
         total = float(costs[np.arange(m), worse].sum())
-        sol = solve_dense(costs, start=worse)
-        if total - optimum.total_cost > _CERTIFY_RTOL * total:
-            _assert_same_solution(sol, optimum)
-        else:  # a tie: certified or solved again, the total is the optimum's
-            assert sol.total_cost == pytest.approx(optimum.total_cost, rel=1e-12, abs=0.0)
-            _assert_certificate(costs, sol)
+        expected = certify_unblocked(costs, worse)
+        if total - optimum > _CERTIFY_RTOL * total:
+            assert expected is None
+        if expected is None:
+            with pytest.raises(ValueError, match="start is not certified"):
+                solve_dense(costs, start=worse)
+        else:  # a tie: the total is the optimum's
+            _assert_same_solution(solve_dense(costs, start=worse), expected)
+            assert expected.total_cost == pytest.approx(optimum, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("size", [1, 31, 32, 33, 64, 65])
@@ -451,9 +402,11 @@ def test_certificate_at_row_block_edges_equals_unblocked_reference(m, kind, monk
         swapped[[0, -1]] = swapped[[-1, 0]]
         for s in (start, swapped, rng.permutation(n)[:m]):
             expected = certify_unblocked(costs, s)
-            if expected is None:  # not certified: solved from scratch
-                expected = solve_dense(costs)
-            _assert_same_solution(solve_dense(costs, start=s), expected)
+            if expected is None:
+                with pytest.raises(ValueError, match="start is not certified"):
+                    solve_dense(costs, start=s)
+            else:
+                _assert_same_solution(solve_dense(costs, start=s), expected)
     # some passes read only the columns that fell, over more than one block
     assert m == 1 or any(0 < size < m for size in passes)
     assert m <= assignment._ROW_BLOCK or max(passes) > assignment._ROW_BLOCK
@@ -464,7 +417,40 @@ def test_solve_dense_refuses_a_start_on_a_negative_cycle():
     # column is far, so the cycle's potentials stay positive at the cap
     costs = np.array([[1.0, 1.001, 3.0], [1.001, 1.0, 3.0]])
     assert solve_dense(costs, start=np.array([0, 1])).col_of_row.tolist() == [0, 1]
-    _assert_same_solution(solve_dense(costs, start=np.array([1, 0])), solve_dense(costs))
+    with pytest.raises(ValueError, match="start is not certified"):
+        solve_dense(costs, start=np.array([1, 0]))
+
+
+def test_solve_dense_holds_only_a_start_to_the_spread_bound():
+    # the optimum, but sum(w) = 1e9 - 1e-6 is far above 1024 times its total
+    costs = [[1e-6, 1e9]]
+    sol = solve_dense(costs)
+    assert sol.col_of_row.tolist() == [0] and sol.total_cost == 1e-6
+    _assert_certificate(np.array(costs), sol)
+    with pytest.raises(ValueError, match="start is not certified"):
+        solve_dense(costs, start=np.array([0]))
+
+
+def test_solve_dense_solves_on_the_callers_array_and_leaves_it_writable():
+    costs = np.random.default_rng(35).uniform(0, 1, (4, 6))
+    before = costs.copy()
+    sol = solve_dense(costs)
+    expected = solve_assignment(CostMatrix(before)).pairs[:, 1]
+    assert np.array_equal(sol.col_of_row, expected)
+    assert costs.flags.writeable and np.array_equal(costs, before)
+
+
+def test_solve_dense_raises_if_the_kernels_assignment_is_not_certified(monkeypatch):
+    lsap = assignment._kernel()
+
+    class Worst:  # returns the most expensive assignment
+        @staticmethod
+        def linear_sum_assignment(costs):
+            return lsap.linear_sum_assignment(costs, maximize=True)
+
+    monkeypatch.setattr(assignment, "_kernel", lambda: Worst)
+    with pytest.raises(RuntimeError, match="kernel's assignment is not certified"):
+        solve_dense(np.random.default_rng(36).uniform(0, 1, (3, 5)))
 
 
 @pytest.mark.parametrize(

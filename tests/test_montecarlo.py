@@ -462,7 +462,7 @@ def test_network_replication_zero_check_names_the_point(monkeypatch):
 
 def test_network_replication_zero_check_catches_a_near_miss(monkeypatch):
     # the kernel's optimum with two rows' columns swapped: solve_dense must
-    # refuse to certify it and solve the matrix again
+    # refuse to certify it, which stops the sweep
     lsap = assignment._kernel()
 
     def swapped(costs):
@@ -479,12 +479,9 @@ def test_network_replication_zero_check_catches_a_near_miss(monkeypatch):
         run_experiment(cfg)
 
 
-def test_fig6_replication_zero_starts_are_all_certified(monkeypatch):
-    # network distances tie often, so rounding makes cycles of length 0
-    # slightly negative: the tolerance must still certify every kernel start.
-    # The sweep solves a matrix from scratch only where _certify fails, and a
-    # from-scratch solve may return the start's own assignment, so _certify
-    # itself is watched, at every replication-0 start of master seeds 0-15
+def _certified_starts(monkeypatch, configs) -> int:
+    """Replication-0 starts that the sweeps of ``configs`` certify: a start
+    that fails the certificate stops its sweep with a RuntimeError."""
     certify = assignment._certify
     results = []
 
@@ -493,10 +490,28 @@ def test_fig6_replication_zero_starts_are_all_certified(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(assignment, "_certify", spy)
-    for seed in range(16):
-        run_experiment(_preset_config("fig6", 1, seed, 1))
-    assert len(results) == 16 * 15  # one start per grid point and seed
+    for cfg in configs:
+        run_experiment(cfg)
     assert not any(result is None for result in results)
+    return len(results)
+
+
+def test_fig6_replication_zero_starts_are_all_certified(monkeypatch):
+    # network distances tie often, so rounding makes cycles of length 0
+    # slightly negative: the tolerance must still certify every kernel
+    # start, at every replication-0 start of master seeds 0-15
+    configs = [_preset_config("fig6", 1, seed, 1) for seed in range(16)]
+    assert _certified_starts(monkeypatch, configs) == 16 * 15  # one per point and seed
+
+
+def test_dense_tie_replication_zero_starts_are_all_certified(monkeypatch):
+    # at 144 edges and lam = mu, demand nearly fills supply: ties are densest
+    grid = tuple(NetworkPoint(degree, 5.0, 5.0, 1.0, 144) for degree in (3, 4, 6))
+    configs = [
+        ExperimentConfig(ExperimentKind.NETWORK, grid, replications=1, master_seed=seed)
+        for seed in range(16)
+    ]
+    assert _certified_starts(monkeypatch, configs) == 16 * 3
 
 
 # two degrees and two lengths, so layouts differ in each part of their key;

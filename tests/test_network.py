@@ -11,8 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _references import _heuristic_reference, cost_matrix_columnwise, point_distance
-from test_assignment import _solve_dense_reference
+from _references import (
+    _heuristic_reference,
+    cost_matrix_columnwise,
+    point_distance,
+    solve_dense_reference,
+)
 
 from rbmatch import assignment
 from rbmatch.assignment import CostMatrix, solve_dense
@@ -425,7 +429,7 @@ def test_cost_matrix_and_match_against_references(degree, ratio):
         costs = _cost_matrix(net, inst)
         assert np.array_equal(costs, _point_distances(net, inst))
         res = exact_network_match(net, inst)
-        ref = _solve_dense_reference(costs)
+        ref = solve_dense_reference(costs)
         assert res.total_distance == pytest.approx(ref.total_cost, rel=1e-12, abs=0.0)
 
 

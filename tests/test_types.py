@@ -11,6 +11,7 @@ import pytest
 
 from _references import check_count_isinstance, check_positive_isinstance
 
+from rbmatch.assignment import CostMatrix
 from rbmatch.combinatorics import expected_zero_returns, harel_area, stars_bars_distribution
 from rbmatch.estimators import (
     balanced_estimate,
@@ -31,6 +32,8 @@ from rbmatch.montecarlo import (
     run_experiment,
 )
 from rbmatch.network import (
+    NetworkInstance,
+    NetworkModel,
     build_regular_network,
     d2_probabilities,
     network_estimate,
@@ -168,6 +171,45 @@ def test_from_pairs_copies_a_view_before_freezing_it():
     base[0, 1] = 2
     assert res.pairs.tolist() == [[0, 1], [1, 0]]
     assert res.pairs.flags.owndata and not res.pairs.flags.writeable
+
+
+def _frozen_cost_matrix(costs):
+    return CostMatrix(costs).costs
+
+
+def _frozen_pairs(pairs):
+    return MatchResult.from_pairs(pairs, np.zeros(len(pairs))).pairs
+
+
+def _frozen_offsets(offsets):
+    edges = np.zeros(offsets.size, dtype=np.int64)
+    return NetworkInstance(edges, offsets, edges, offsets.copy()).demand_offset
+
+
+def _frozen_distances(dist):
+    net = build_regular_network(4, 36, 1.0)
+    return NetworkModel(net.node_count, net.edges, net.length, net.degree, dist).node_distance
+
+
+@pytest.mark.parametrize(
+    "freeze, array",
+    [
+        (_frozen_cost_matrix, np.ones((2, 3))),
+        (_frozen_pairs, np.array([[0, 1], [1, 0]], dtype=np.int64)),
+        (_frozen_offsets, np.array([0.25, 0.5])),
+        (_frozen_distances, build_regular_network(4, 36, 1.0).node_distance.copy()),
+    ],
+    ids=["CostMatrix", "MatchResult", "NetworkInstance", "NetworkModel"],
+)
+def test_an_earlier_view_still_writes_to_an_array_frozen_in_place(freeze, array):
+    # the stated limit of freezing in place, kept so that no construction
+    # copies: a writable view taken before the handover stays writable
+    earlier = array[:]
+    frozen = freeze(array)
+    assert frozen is array and not frozen.flags.writeable
+    assert frozen.flat[0] != 7
+    earlier.flat[0] = 7
+    assert frozen.flat[0] == 7 and earlier.flags.writeable
 
 
 @pytest.mark.parametrize("empty", [[], (), np.empty((0, 2), dtype=np.int64), np.array([], dtype=np.int64)])
