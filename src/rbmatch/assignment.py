@@ -105,19 +105,23 @@ def _lower_reach(
     return reach
 
 
-# tol = _FALL_TOL * total / m; a start keeps sum(w) <= _CERTIFY_SPREAD *
-# total, which bounds its excess over the optimum (see ``solve_dense``)
+# tol = _FALL_TOL * total / m, or max(total, max c) / m; a start keeps
+# sum(w) <= _CERTIFY_SPREAD * total, which bounds its excess (see ``solve_dense``)
 _FALL_TOL = 2.0**-42
 _CERTIFY_SPREAD = 1024.0
 
 
-def _certify(costs: np.ndarray, start: np.ndarray) -> AssignmentSolution | None:
+def _certify(
+    costs: np.ndarray, start: np.ndarray, *, largest: float | None = None
+) -> AssignmentSolution | None:
     """``start`` with the potentials that certify it, or None if the passes
-    show a cycle of negative length or a negative w (see ``solve_dense``)."""
+    show a cycle of negative length or a negative w (see ``solve_dense``);
+    given the ``largest`` cost, tol scales with it too and w may dip to -tol."""
     m, n = costs.shape
     matched = costs[np.arange(m), start]
     total = float(matched.sum())
-    tol = _FALL_TOL * total / m  # a fall of tol or less is rounding
+    scale = total if largest is None else max(total, largest)
+    tol = _FALL_TOL * scale / m  # a fall of tol or less is rounding
     # w[k] = -v[start[k]], reached by edges start[k] -> start[i] of length
     # c[i, start[k]] - c[i, start[i]]. through[k, i] = c[i, start[k]]: the
     # matched columns stored as rows, so that a pass reads them in row blocks
@@ -152,7 +156,7 @@ def _certify(costs: np.ndarray, start: np.ndarray) -> AssignmentSolution | None:
             fell = None
     else:
         return None  # still falling: a cycle of negative length
-    if not w.min() >= 0.0:
+    if not w.min() >= (0.0 if largest is None else -tol):
         return None
     v = np.zeros(n)
     v[start] = -w
@@ -172,21 +176,24 @@ def solve_dense(costs: np.ndarray, *, start=None) -> AssignmentSolution:
     u[i] = c[i, a[i]] + w[a[i]]. A label-correcting search finds w: one
     full pass, in which each row i relaxes its column by min over j of c[i,
     j] + w[j] - c[i, a[i]], then passes over the columns that fell in the
-    previous pass only, then a closing full pass. A fall of at most tol =
-    2**-42 * total / m is not taken, so that rounding around cycles of
-    length 0 cannot lower w forever. a is certified if the closing pass
-    lowers nothing within m + 2 passes (else a cycle of negative length
-    shows it is not optimal) and w >= 0; its total then exceeds the optimum
-    by at most m * tol + 2**-52 * (total + sum(w)). A ``start`` must also
+    previous pass only, then a closing full pass. A fall of at most tol is
+    not taken, so that rounding around cycles of length 0 cannot lower w
+    forever. a is certified if the closing pass lowers nothing within m + 2
+    passes (else a cycle of negative length shows it is not optimal) and w
+    >= 0. For a ``start``, tol = 2**-42 * total / m, and its total exceeds
+    the optimum by at most m * tol + 2**-52 * (total + sum(w)); it must also
     keep sum(w) <= 1024 * total (or have total 0, which no assignment
     undercuts), which bounds that by 2049 * 2**-52 * total < 4.6e-13 *
-    total; a true optimum may not ([[1e-6, 1e9]] has sum(w) near 1e9), so
-    the kernel's is not held to it. Nothing else is solved: an uncertified
-    ``start`` raises a ValueError naming it, an uncertified kernel
-    assignment a RuntimeError. The name is kept from when this function
-    also solved the matrix in numpy: the sweep's replication-0 check and
-    the benchmark's tracer call it by it. Raises ValueError unless
-    ``costs`` is 2D with rows <= cols and finite, nonnegative entries.
+    total. A true optimum may not: [[1e-6, 1e9]] has sum(w) near 1e9, and a
+    pass rounds by an ulp of 1e9. So for the kernel's assignment tol = 2**-42
+    * max(total, max c) / m and w >= -tol, as an optimal dense assignment's
+    w lie in [0, max c]; its excess is at most 2 * m * tol + the rounding.
+    Nothing else is solved: an uncertified ``start`` raises a ValueError
+    naming it, an uncertified kernel assignment a RuntimeError. The name is
+    kept from when this function also solved the matrix in numpy: the
+    sweep's replication-0 check and the benchmark's tracer call it by it.
+    Raises ValueError unless ``costs`` is 2D with rows <= cols and finite,
+    nonnegative entries.
     """
     costs = _check_costs(costs)
     m, n = costs.shape
@@ -205,8 +212,8 @@ def solve_dense(costs: np.ndarray, *, start=None) -> AssignmentSolution:
     if m == 0:
         return AssignmentSolution(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(n), 0.0)
     if start is None:
-        certified = _certify(costs, _kernel().linear_sum_assignment(costs)[1])
-        if certified is None:
+        own = _kernel().linear_sum_assignment(costs)[1]
+        if (certified := _certify(costs, own, largest=float(costs.max()))) is None:
             raise RuntimeError("the kernel's assignment is not certified optimal")
         return certified
     certified = _certify(costs, start)

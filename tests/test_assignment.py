@@ -431,6 +431,28 @@ def test_solve_dense_holds_only_a_start_to_the_spread_bound():
         solve_dense(costs, start=np.array([0]))
 
 
+_G = 2.0**-51  # an ulp of 3.0
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        # a tie cycle of length 0 whose passes round by an ulp of 3, far
+        # above a tolerance scaled to the total of about 1.5 * _G
+        ([0.0, 0.625 * _G], [0.875 * _G, 1.25 * _G, 3.0]),
+        # the kernel's total is 2 ulps of 3 above the least, and one w
+        # falls 2 ulps below 0: within tol, as rounding
+        ([2.25 * _G, 3.0], [0.0, 2.75 * _G, 1.5 * _G]),
+    ],
+)
+def test_solve_dense_certifies_the_kernels_assignment_on_tiny_totals(x, y):
+    costs = np.abs(np.array(x)[:, None] - np.array(y)[None, :])
+    sol = solve_dense(costs)
+    # the excess bound solve_dense states for the kernel's assignment
+    assert 0.0 <= sol.total_cost - _brute_force(costs) <= 2.0**-40 * costs.max()
+    assert np.array_equal(sol.col_of_row, solve_assignment(CostMatrix(costs)).pairs[:, 1])
+
+
 def test_solve_dense_solves_on_the_callers_array_and_leaves_it_writable():
     costs = np.random.default_rng(35).uniform(0, 1, (4, 6))
     before = costs.copy()
