@@ -1,6 +1,9 @@
 """Regular networks with Poisson points on edges: construction, sampling,
 shortest-path point distances, exact and heuristic matching, and the
-local/global decomposition estimator on a given within-edge estimate."""
+local/global decomposition estimator on a given within-edge estimate.
+
+A network is its degree, edge count and edge length; ``NetworkModel``
+derives its edges and node distances from those three."""
 
 from __future__ import annotations
 
@@ -46,35 +49,33 @@ SEARCH_LAYERS = 10
 
 @dataclass(frozen=True, eq=False)
 class NetworkModel(_RebuiltWhenCopied):
-    """A connected D-regular graph whose edges all have the same length.
+    """The connected D-regular layout ``regular_edges(degree, edge_count)``
+    whose edges all have the same length, checked and derived when built.
 
-    ``edges[k] = (a, b)`` joins node ids a and b; ``node_distance[a, b]`` is
-    the shortest-path distance in du between nodes, frozen in place as
-    ``CostMatrix`` freezes its matrix, with the same limit: a view of the
-    array taken before it was handed over still writes to it. ``ends``,
-    derived from ``edges`` when the model is built, holds them as a read-only
-    (E, 2) int64 array, so the matchers index it without converting the
-    tuple per call. A pickled model is rebuilt through the constructor, so a
-    copy sent to a pool worker is read-only too.
+    ``edges[k] = (a, b)``, a < b, joins node ids a and b, and
+    ``node_distance[a, b]`` is the shortest-path distance in du between
+    nodes, the hop count times the length. Both are read-only arrays, (E, 2)
+    int64 and (V, V) float64, derived from the three fields and never handed
+    in, so no edge list, node count or distance can contradict them. A
+    pickled or copied model is rebuilt from its three fields through the
+    constructor, which derives both again.
     """
 
-    node_count: int
-    edges: tuple[tuple[int, int], ...]
-    length: float
     degree: int
-    node_distance: np.ndarray
-    ends: np.ndarray = field(init=False, repr=False)
+    edge_count: int
+    length: float
+    edges: np.ndarray = field(init=False, repr=False)
+    node_distance: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _store(
-            self,
-            node_distance=_readonly(self.node_distance),
-            ends=_readonly(np.array(self.edges, dtype=np.int64)),
-        )
+        edges = _readonly(regular_edges(self.degree, self.edge_count))
+        length = check_positive("length", self.length)
+        _store(self, degree=int(self.degree), edge_count=len(edges), length=length, edges=edges)
+        _store(self, node_distance=_readonly(_all_pairs_hops(self.node_count, edges) * length))
 
     @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    def node_count(self) -> int:
+        return 2 * self.edge_count // self.degree
 
 
 def _torus_dims(node_count: int) -> tuple[int, int] | None:
@@ -100,11 +101,10 @@ def _grid_edges(rows: int, cols: int, diagonal: bool) -> list[tuple[int, int]]:
     return edges
 
 
-def _all_pairs_hops(node_count: int, edges) -> np.ndarray:
+def _all_pairs_hops(node_count: int, edges: np.ndarray) -> np.ndarray:
     dist = np.full((node_count, node_count), np.inf)
     np.fill_diagonal(dist, 0.0)
-    for a, b in edges:
-        dist[a, b] = dist[b, a] = 1.0
+    dist[edges[:, 0], edges[:, 1]] = dist[edges[:, 1], edges[:, 0]] = 1.0
     for k in range(node_count):
         dist = np.minimum(dist, dist[:, [k]] + dist[[k], :])
     return dist
@@ -115,8 +115,9 @@ def _check_degree(degree) -> None:
         raise ValueError(f"degree must be one of {SUPPORTED_DEGREES}, got {degree!r}")
 
 
-def regular_edges(degree: int, edge_count: int) -> tuple[tuple[int, int], ...]:
-    """Edge list of the D-regular layout with ``edge_count`` edges.
+def regular_edges(degree: int, edge_count: int) -> np.ndarray:
+    """(E, 2) int64 array of the D-regular layout's ``edge_count`` edges, the
+    lesser node id first in each row.
 
     Degree 4 uses a square torus, degree 6 a triangular torus (square torus
     plus one diagonal per cell), and degree 3 a Möbius ladder: a cycle with
@@ -146,26 +147,13 @@ def regular_edges(degree: int, edge_count: int) -> tuple[tuple[int, int], ...]:
             )
         edges = _grid_edges(*dims, diagonal=(degree == 6))
 
-    return tuple(tuple(sorted(e)) for e in edges)
+    return np.sort(np.array(edges, dtype=np.int64), axis=1)
 
 
 def build_regular_network(degree: int, edge_count: int, length: float) -> NetworkModel:
-    """Construct a vertex-transitive D-regular network with equal-length edges.
-
-    The layout is ``regular_edges(degree, edge_count)``; raises for pairs it
-    cannot realize and for a length that is not finite and positive.
-    """
-    length = check_positive("length", length)
-    edges = regular_edges(degree, edge_count)
-    node_count = 2 * edge_count // degree
-    dist = _all_pairs_hops(node_count, edges) * length
-    return NetworkModel(
-        node_count=node_count,
-        edges=edges,
-        length=length,
-        degree=degree,
-        node_distance=dist,
-    )
+    """Construct a vertex-transitive D-regular network with equal-length edges;
+    ``NetworkModel`` raises for a layout or a length it cannot take."""
+    return NetworkModel(degree, edge_count, length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,7 +231,7 @@ def sample_instance(net: NetworkModel, mu: float, lam: float, seed) -> NetworkIn
     poisson, random = rng.poisson, rng.random
     demand_mean, supply_mean = mu * length, lam * length
     demand, supply = [], []  # each edge's sorted slice of its block
-    for _ in net.edges:
+    for _ in range(net.edge_count):
         m_e = poisson(demand_mean)
         n_e = poisson(supply_mean)
         block = random(m_e + n_e)
@@ -289,19 +277,19 @@ def _cost_matrix(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:
     d_edge, d_off = inst.demand_edge, inst.demand_offset
     s_edge, s_off = inst.supply_edge, inst.supply_offset
     length = net.length
-    ends = net.ends
+    edges = net.edges
     nd = net.node_distance
 
     to_node = np.minimum(
-        d_off[:, None] + nd[ends[d_edge, 0]],
-        (length - d_off)[:, None] + nd[ends[d_edge, 1]],
+        d_off[:, None] + nd[edges[d_edge, 0]],
+        (length - d_off)[:, None] + nd[edges[d_edge, 1]],
     )
     s_count = np.bincount(s_edge, minlength=net.edge_count)
-    cost = np.repeat(to_node[:, ends[:, 0]], s_count, axis=1)  # a new C-order array
+    cost = np.repeat(to_node[:, edges[:, 0]], s_count, axis=1)  # a new C-order array
     cost += s_off
     # the far-end routes _ROW_BLOCK rows at a time: the result is the only
     # demand-by-supply array held
-    far_node, far_off = to_node[:, ends[:, 1]], length - s_off
+    far_node, far_off = to_node[:, edges[:, 1]], length - s_off
     for lo in range(0, d_edge.size, _ROW_BLOCK):
         block = slice(lo, lo + _ROW_BLOCK)
         other = np.repeat(far_node[block], s_count, axis=1)
@@ -384,14 +372,14 @@ def heuristic_network_match(net: NetworkModel, inst: NetworkInstance) -> MatchRe
         dist[d0 + rows] = np.abs(dem[rows] - sup[cols])
         free[s0 + cols] = False
 
-    ends = net.ends
+    edges = net.edges
     nd = net.node_distance
     # search layer of every edge seen from every node: nearer-endpoint hops
-    layer = np.rint(np.minimum(nd[:, ends[:, 0]], nd[:, ends[:, 1]]) / length)
+    layer = np.rint(np.minimum(nd[:, edges[:, 0]], nd[:, edges[:, 1]]) / length)
     leftover = np.flatnonzero(match < 0)
     d_edge, d_off = inst.demand_edge[leftover], inst.demand_offset[leftover]
     cost = _cost_matrix(net, NetworkInstance(d_edge, d_off, inst.supply_edge, inst.supply_offset))
-    origin = np.where(d_off <= length - d_off, ends[d_edge, 0], ends[d_edge, 1])
+    origin = np.where(d_off <= length - d_off, edges[d_edge, 0], edges[d_edge, 1])
     for k, (i, node) in enumerate(zip(leftover, origin)):
         supply_layer = layer[node, inst.supply_edge]
         first = free & (supply_layer == supply_layer[free].min())

@@ -26,8 +26,10 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     a copy of it, as a write to a view's base would reach the frozen view.
     An earlier view of ``arr`` keeps its own writeable flag and still writes
     to it: only a copy per call, which no sweep needs, would close that.
-    Callers pass arrays they have just created, or arrays handed to a
-    constructor documented to freeze them in place."""
+    Callers pass arrays they have just created (as ``NetworkModel`` does
+    with the edges and distances it derives, which no caller can view), or
+    arrays handed to a constructor documented to freeze them in place
+    (``CostMatrix``, ``NetworkInstance``, ``MatchResult.from_pairs``)."""
     if not arr.flags.owndata:
         arr = arr.copy()
     arr.flags.writeable = False
@@ -183,10 +185,14 @@ class MatchResult:
     @classmethod
     def from_pairs(cls, pairs, distances) -> "MatchResult":
         """Result from a k x 2 integer array or an iterable of (demand,
-        supply) pairs, and the matched distances. An int64 array it is
-        handed that owns its data is frozen in place: marked read-only, not
-        copied; a view is copied first."""
-        p = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+        supply) pairs, and the matched distances. Nonempty pairs must be of
+        an integer dtype (not bool): a float index is not truncated. An
+        int64 array it is handed that owns its data is frozen in place:
+        marked read-only, not copied; a view is copied first."""
+        p = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
+        if p.size and p.dtype.kind not in "iu":
+            raise ValueError(f"pairs must hold integer indices, got dtype {p.dtype}")
+        p = p.astype(np.int64, copy=False)
         if p.shape == (0,):
             p = p.reshape(0, 2)
         if p.ndim != 2 or p.shape[1] != 2:

@@ -180,7 +180,7 @@ def _heuristic_reference(net, inst):
             leftover_demand.extend((e, float(dem[i]), int(d_base[e] + i)) for i in skipped)
 
     if leftover_demand:
-        ends = np.array(net.edges, dtype=np.int64)
+        ends = net.edges
         nd = net.node_distance
         edge_near = np.minimum(nd[:, ends[:, 0]], nd[:, ends[:, 1]])
         for e, off, gd in leftover_demand:
@@ -224,7 +224,7 @@ def cost_matrix_columnwise(net: NetworkModel, inst: NetworkInstance) -> np.ndarr
     d_edge, d_off = inst.demand_edge, inst.demand_offset
     s_edge, s_off = inst.supply_edge, inst.supply_offset
     length = net.length
-    ends = np.array(net.edges, dtype=np.int64)
+    ends = net.edges
     nd = net.node_distance
 
     to_node = np.minimum(

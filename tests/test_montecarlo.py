@@ -689,6 +689,31 @@ def test_network_records_are_pinned_byte_for_byte(workers):
     assert hashlib.sha256(text.encode()).hexdigest() == _FIG6_CSV_DIGEST
 
 
+def _length_scaled_grid(kind, c):
+    """fig6-shaped network or fig5-shaped edge points, the length times c and
+    the densities over c."""
+    if kind is ExperimentKind.NETWORK:
+        lams = (5.0, 10.0, 25.0)
+        return [NetworkPoint(d, 5.0 / c, lam / c, c, 36) for d in (3, 4, 6) for lam in lams]
+    lams, lengths = (10.0, 11.0, 15.0, 30.0), (1.0, 3.0, 5.0)
+    return [EdgePoint(10.0 / c, lam / c, c * length) for lam in lams for length in lengths]
+
+
+@pytest.mark.parametrize("kind", [ExperimentKind.EDGE, ExperimentKind.NETWORK])
+def test_scaling_the_length_scales_every_record_exactly(kind):
+    # every Poisson mean and every stream stay the same and every distance,
+    # the networks' hops times the length among them, scales by c: exactly,
+    # bit for bit, at c = 2**k
+    def run(c):
+        return run_experiment(ExperimentConfig(kind, _length_scaled_grid(kind, c), 2, 3))
+
+    base = run(1.0)
+    for c in (0.5, 2.0, 4.0):
+        for rec, ref in zip(run(c), base, strict=True):
+            assert (rec.sim_mean, rec.sim_std) == (c * ref.sim_mean, c * ref.sim_std)
+            assert rec.estimates == {name: c * value for name, value in ref.estimates.items()}
+
+
 def test_estimator_attachment_by_kind():
     cfg = ExperimentConfig(
         ExperimentKind.SEGMENT, (SegmentPoint(2, 2), SegmentPoint(2, 5)), replications=5,

@@ -27,6 +27,7 @@ from rbmatch.network import (
     SEARCH_LAYERS,
     NetworkInstance,
     NetworkModel,
+    _all_pairs_hops,
     _cost_matrix,
     build_regular_network,
     d2_probabilities,
@@ -69,7 +70,7 @@ def test_build_handshake_regularity_connectivity():
             built += 1
             assert net.edge_count == edge_count
             assert 2 * net.edge_count == degree * net.node_count
-            assert len(set(net.edges)) == net.edge_count  # no repeated edge
+            assert len(set(map(tuple, net.edges.tolist()))) == net.edge_count  # no repeated edge
             assert all(a < b for a, b in net.edges)  # and no loop
             deg = np.bincount(np.ravel(net.edges), minlength=net.node_count)
             assert (deg == degree).all()
@@ -204,17 +205,6 @@ def test_network_instance_copies_views_before_freezing_them():
         assert getattr(inst, f"{f}_edge").tolist() == [0, 2, 5]
         assert getattr(inst, f"{f}_offset").tolist() == [0.1, 0.5, 0.2]
         assert not getattr(inst, f"{f}_edge").flags.writeable
-
-
-def test_network_model_copies_a_distance_view_before_freezing_it(square_torus):
-    dist = square_torus.node_distance.copy()
-    net = NetworkModel(
-        square_torus.node_count, square_torus.edges, square_torus.length, square_torus.degree,
-        dist[:, :],
-    )
-    dist[0, 1] = 99.0
-    assert np.array_equal(net.node_distance, square_torus.node_distance)
-    assert net.node_distance.flags.owndata and not net.node_distance.flags.writeable
 
 
 def test_copies_are_rebuilt_through_the_constructor(square_torus):
@@ -561,10 +551,25 @@ def test_model_holds_its_edge_ends_once(layout):
     net = build_regular_network(*layout, 1.0)
     # a pool worker gets the model by pickle: it must arrive as built
     for model in (net, pickle.loads(pickle.dumps(net))):
-        assert model.ends.shape == (net.edge_count, 2) and model.ends.dtype == np.int64
-        assert model.ends.tolist() == [list(edge) for edge in net.edges]
+        assert model.edges.shape == (net.edge_count, 2) and model.edges.dtype == np.int64
+        assert np.array_equal(model.edges, regular_edges(*layout))
         assert np.array_equal(model.node_distance, net.node_distance)
-        assert not (model.ends.flags.writeable or model.node_distance.flags.writeable)
+        assert not (model.edges.flags.writeable or model.node_distance.flags.writeable)
+
+
+def test_model_derives_what_it_holds_from_its_three_fields(square_torus):
+    # a node count, an edge list or a distance matrix cannot be handed in,
+    # so none can contradict the layout: a 7-node model of the 36-edge
+    # square torus with all-zero distances would give a mean below the optimum
+    contradiction = {"node_count": 7, "edges": square_torus.edges, "node_distance": np.zeros((7, 7))}
+    for name, value in contradiction.items():
+        with pytest.raises(TypeError, match=name):
+            NetworkModel(degree=3, edge_count=36, length=1.0, **{name: value})
+    for degree, edge_count in _LAYOUTS:
+        hops = _all_pairs_hops(2 * edge_count // degree, regular_edges(degree, edge_count))
+        for length in (1.0, 0.7, 2.5):
+            model = NetworkModel(degree, edge_count, length)
+            assert model.node_distance.tobytes() == (hops * length).tobytes()
 
 
 def _fig6_instances():
@@ -671,7 +676,7 @@ def test_heuristic_equals_scalar_reference(degree):
 def test_heuristic_search_layer_outranks_distance(square_torus):
     # the demand point at 0.4 on edge (0, 6) searches from node 0: edge (0, 1)
     # touches node 0 (layer 0), edge (6, 12) lies one hop out (layer 1)
-    edge = {pair: e for e, pair in enumerate(square_torus.edges)}
+    edge = {pair: e for e, pair in enumerate(map(tuple, square_torus.edges.tolist()))}
     inst = _manual_instance(
         square_torus,
         {edge[0, 6]: [0.4]},
@@ -687,7 +692,7 @@ def test_heuristic_search_layer_outranks_distance(square_torus):
 
 def test_heuristic_ties_take_lowest_index(square_torus):
     # two layer-0 supply points 0.1 out of node 0 on edges (0, 1) and (0, 5)
-    edge = {pair: e for e, pair in enumerate(square_torus.edges)}
+    edge = {pair: e for e, pair in enumerate(map(tuple, square_torus.edges.tolist()))}
     assert edge[0, 1] < edge[0, 5]
     inst = _manual_instance(
         square_torus,

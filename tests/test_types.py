@@ -33,7 +33,6 @@ from rbmatch.montecarlo import (
 )
 from rbmatch.network import (
     NetworkInstance,
-    NetworkModel,
     build_regular_network,
     d2_probabilities,
     network_estimate,
@@ -186,20 +185,14 @@ def _frozen_offsets(offsets):
     return NetworkInstance(edges, offsets, edges, offsets.copy()).demand_offset
 
 
-def _frozen_distances(dist):
-    net = build_regular_network(4, 36, 1.0)
-    return NetworkModel(net.node_count, net.edges, net.length, net.degree, dist).node_distance
-
-
 @pytest.mark.parametrize(
     "freeze, array",
     [
         (_frozen_cost_matrix, np.ones((2, 3))),
         (_frozen_pairs, np.array([[0, 1], [1, 0]], dtype=np.int64)),
         (_frozen_offsets, np.array([0.25, 0.5])),
-        (_frozen_distances, build_regular_network(4, 36, 1.0).node_distance.copy()),
     ],
-    ids=["CostMatrix", "MatchResult", "NetworkInstance", "NetworkModel"],
+    ids=["CostMatrix", "MatchResult", "NetworkInstance"],
 )
 def test_an_earlier_view_still_writes_to_an_array_frozen_in_place(freeze, array):
     # the stated limit of freezing in place, kept so that no construction
@@ -226,6 +219,16 @@ def test_from_pairs_accepts_empty_input(empty):
 )
 def test_from_pairs_rejects_other_shapes(pairs):
     with pytest.raises(ValueError, match=r"shape \(k, 2\)"):
+        MatchResult.from_pairs(pairs, [0.0])
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[(0.5, 1.0)], np.array([[0.7, 1.9]]), [(True, False)], [(0, 1.0)], np.ones((1, 2), dtype=bool)],
+)
+def test_from_pairs_rejects_indices_that_are_not_integers(pairs):
+    # a float or bool index is not truncated or cast to one
+    with pytest.raises(ValueError, match="pairs must hold integer indices"):
         MatchResult.from_pairs(pairs, [0.0])
 
 
