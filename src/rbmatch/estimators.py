@@ -47,8 +47,11 @@ def step_length_correction(m: int, n: int, length: float = 1.0) -> float:
     """Subtractive correction (n-m) / (2n(m+n)) * length for unbalanced estimates.
 
     Compensates for the mean step size of the post-removal balanced segments
-    being smaller than the raw mean gap; it vanishes when m = n.
+    being smaller than the raw mean gap; it vanishes when m = n. A ValueError
+    names a count or length that ``baseline_estimate`` would reject.
     """
+    _check_counts(m, [n], least_excess=0)
+    check_positive("length", length)
     return length * (n - m) / (2.0 * n * (m + n))
 
 

@@ -167,7 +167,8 @@ class ExperimentConfig:
 class SummaryRecord:
     """One grid point's simulated mean/std and every estimator's value.
 
-    ``rel_errors[name] = (estimates[name] - sim_mean) / sim_mean``.
+    ``rel_errors[name] = (estimates[name] - sim_mean) / sim_mean``, derived when
+    built (``dataclasses.replace`` recomputes it) and empty if sim_mean <= 0.
     """
 
     kind: ExperimentKind
@@ -175,8 +176,13 @@ class SummaryRecord:
     sim_mean: float
     sim_std: float
     estimates: dict
-    rel_errors: dict
+    rel_errors: dict = field(init=False)
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        mean = self.sim_mean
+        rel_errors = {name: (v - mean) / mean for name, v in self.estimates.items() if mean > 0}
+        _store(self, rel_errors=rel_errors)
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): pool size 4
@@ -469,10 +475,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[SummaryRecord]:
     records = []
     for gi, point in enumerate(cfg.grid):
         (values, extra), mean = estimates[gi], sim_means[gi]
-        rel_errors = {name: (v - mean) / mean for name, v in values.items() if mean > 0}
         meta = {"replications": cfg.replications, **extra, **results[gi][1]}
         params = _point_params(kind, point)
-        records.append(SummaryRecord(kind, params, mean, sim_stds[gi], values, rel_errors, meta))
+        records.append(SummaryRecord(kind, params, mean, sim_stds[gi], values, meta))
     return records
 
 

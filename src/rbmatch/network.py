@@ -102,11 +102,16 @@ def _grid_edges(rows: int, cols: int, diagonal: bool) -> list[tuple[int, int]]:
 
 
 def _all_pairs_hops(node_count: int, edges: np.ndarray) -> np.ndarray:
+    """Hop counts of a regular layout as floats: a breadth-first search from all nodes at once."""
+    adjacent = np.zeros((node_count, node_count), dtype=bool)
+    adjacent[edges[:, 0], edges[:, 1]] = adjacent[edges[:, 1], edges[:, 0]] = True
+    neighbours = np.nonzero(adjacent)[1].reshape(node_count, -1)  # row v: v's D neighbours
     dist = np.full((node_count, node_count), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    dist[edges[:, 0], edges[:, 1]] = dist[edges[:, 1], edges[:, 0]] = 1.0
-    for k in range(node_count):
-        dist = np.minimum(dist, dist[:, [k]] + dist[[k], :])
+    frontier, hops = np.eye(node_count, dtype=bool), 0.0  # frontier[s]: nodes `hops` hops from s
+    while np.count_nonzero(frontier):
+        dist[frontier] = hops
+        hops += 1.0
+        frontier = frontier[:, neighbours].any(axis=2) & (dist == np.inf)
     return dist
 
 
@@ -392,15 +397,19 @@ def heuristic_network_match(net: NetworkModel, inst: NetworkInstance) -> MatchRe
 
 @dataclass(frozen=True)
 class NetworkEstimateParts:
-    """Decomposed network estimate: total = (1-alpha)*local + alpha*(d1+d2+d3);
-    d2 sums 10 search layers, exact at every valid point."""
+    """Decomposed network estimate, ``total`` = (1-alpha)*local + alpha*(d1+d2+d3)
+    derived when built; d2 sums 10 search layers, exact at every valid point."""
 
     alpha: float
     local: float
     d1: float
     d2: float
     d3: float
-    total: float
+    total: float = field(init=False)
+
+    def __post_init__(self):
+        cross = self.d1 + self.d2 + self.d3
+        _store(self, total=(1.0 - self.alpha) * self.local + self.alpha * cross)
 
 
 def _conditional_surplus(mean_diff: float, sigma: float) -> float:
@@ -459,5 +468,4 @@ def network_estimate(degree: int, params: EdgeParams, local: float) -> NetworkEs
     probs = d2_probabilities(degree, supply_excess_prob)
     d2 = float(np.arange(SEARCH_LAYERS + 1) @ probs) * length
     d3 = mu / (4.0 * lam * lam) * mean_supply_surplus
-    total = (1.0 - alpha) * local + alpha * (d1 + d2 + d3)
-    return NetworkEstimateParts(alpha=alpha, local=local, d1=d1, d2=d2, d3=d3, total=total)
+    return NetworkEstimateParts(alpha=alpha, local=local, d1=d1, d2=d2, d3=d3)

@@ -29,7 +29,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     Callers pass arrays they have just created (as ``NetworkModel`` does
     with the edges and distances it derives, which no caller can view), or
     arrays handed to a constructor documented to freeze them in place
-    (``CostMatrix``, ``NetworkInstance``, ``MatchResult.from_pairs``)."""
+    (``CostMatrix``, ``NetworkInstance``, ``MatchResult``, ``SupplyCurve``)."""
     if not arr.flags.owndata:
         arr = arr.copy()
     arr.flags.writeable = False
@@ -119,18 +119,24 @@ class Instance1D(_RebuiltWhenCopied):
 
 
 @dataclass(frozen=True, eq=False)
-class SupplyCurve:
+class SupplyCurve(_RebuiltWhenCopied):
     """Merged event sequence of a 1D instance with running net-supply values.
 
-    ``coords[i]`` is the i-th event position, ``values[i]`` is +1 for a supply
-    point and -1 for a demand point, ``prefix[i]`` the running sum of values
-    through event i, and ``gaps[i] = coords[i+1] - coords[i]``.
+    ``coords[i]`` is the i-th event position and ``values[i]`` is +1 for a
+    supply point and -1 for a demand point, both frozen in place (see
+    ``_readonly``). Derived from them, read-only: ``prefix[i]``, the running
+    sum of values through event i, and ``gaps[i] = coords[i+1] - coords[i]``.
     """
 
     coords: np.ndarray
     values: np.ndarray
-    prefix: np.ndarray
-    gaps: np.ndarray
+    prefix: np.ndarray = field(init=False, repr=False)
+    gaps: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        coords, values = _readonly(np.asarray(self.coords)), _readonly(np.asarray(self.values))
+        _store(self, coords=coords, values=values)
+        _store(self, prefix=_readonly(np.cumsum(values)), gaps=_readonly(np.diff(coords)))
 
     def __len__(self) -> int:
         return int(self.coords.size)
@@ -147,6 +153,7 @@ def build_supply_curve(inst: Instance1D) -> SupplyCurve:
     Events are sorted by coordinate; a supply and a demand at the identical
     coordinate are ordered supply-first, which makes the curve deterministic
     (coordinate ties have probability zero under continuous sampling).
+    ``SupplyCurve`` derives the running sums and gaps of the ordered events.
     """
     coords = np.concatenate([inst.supply, inst.demand])
     values = np.concatenate(
@@ -155,41 +162,29 @@ def build_supply_curve(inst: Instance1D) -> SupplyCurve:
     # lexsort is stable: primary key coordinate, secondary key -value puts the
     # +1 supply event ahead of the -1 demand event at equal coordinates.
     order = np.lexsort((-values, coords))
-    coords = coords[order]
-    values = values[order]
-    prefix = np.cumsum(values)
-    gaps = np.diff(coords)
-    return SupplyCurve(
-        coords=_readonly(coords),
-        values=_readonly(values),
-        prefix=_readonly(prefix),
-        gaps=_readonly(gaps),
-    )
+    return SupplyCurve(coords[order], values[order])
 
 
 @dataclass(frozen=True, eq=False)
-class MatchResult:
+class MatchResult(_RebuiltWhenCopied):
     """Matched pairs with total and mean distance.
 
-    ``pairs`` is a read-only (k, 2) int64 array (an earlier view of an
-    array frozen in place still writes to it; see ``_readonly``); row i
-    holds the demand and supply index of the i-th pair. A pickled or copied
-    result is rebuilt by ``from_pairs``, its total standing for the
-    distances, and frozen again.
+    ``pairs``, a k x 2 integer array or an iterable of (demand, supply) pairs, is
+    stored as a read-only (k, 2) int64 array whose row i holds the demand and supply
+    index of the i-th pair. Nonempty pairs must be of an integer dtype (not bool): a
+    float index is not truncated. An int64 array that owns its data is frozen in
+    place: marked read-only, not copied; a view is copied first (an earlier view
+    still writes to it; see ``_readonly``). ``mean_distance`` is derived, the total
+    over k (0.0 for no pairs). A pickled or copied result is rebuilt through the
+    constructor from its pairs and total, checked and frozen again.
     """
 
     pairs: np.ndarray
     total_distance: float
-    mean_distance: float
+    mean_distance: float = field(init=False)
 
-    @classmethod
-    def from_pairs(cls, pairs, distances) -> "MatchResult":
-        """Result from a k x 2 integer array or an iterable of (demand,
-        supply) pairs, and the matched distances. Nonempty pairs must be of
-        an integer dtype (not bool): a float index is not truncated. An
-        int64 array it is handed that owns its data is frozen in place:
-        marked read-only, not copied; a view is copied first."""
-        p = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
+    def __post_init__(self):
+        p = np.asarray(self.pairs if isinstance(self.pairs, np.ndarray) else list(self.pairs))
         if p.size and p.dtype.kind not in "iu":
             raise ValueError(f"pairs must hold integer indices, got dtype {p.dtype}")
         p = p.astype(np.int64, copy=False)
@@ -197,12 +192,21 @@ class MatchResult:
             p = p.reshape(0, 2)
         if p.ndim != 2 or p.shape[1] != 2:
             raise ValueError(f"pairs must have shape (k, 2), got {p.shape}")
-        total = float(np.add.reduce(distances, axis=None))  # np.sum's pairwise sum
+        total = float(self.total_distance)
         mean = total / len(p) if len(p) else 0.0
-        return cls(pairs=_readonly(p), total_distance=total, mean_distance=mean)
+        _store(self, pairs=_readonly(p), total_distance=total, mean_distance=mean)
 
-    def __reduce__(self):
-        return MatchResult.from_pairs, (self.pairs, (self.total_distance,))
+    @classmethod
+    def from_pairs(cls, pairs, distances) -> "MatchResult":
+        """Result from ``pairs``, as the constructor takes them, and the
+        matched distances, one per pair in a 1D array or sequence, whose
+        total is numpy's pairwise sum (``np.sum``'s bits). Distances of
+        another shape raise a ValueError naming them."""
+        distances = np.asarray(distances)
+        result = cls(pairs, float(np.add.reduce(distances, axis=None)))
+        if distances.shape != (len(result.pairs),):
+            raise ValueError(f"distances must be 1D, one per pair, got shape {distances.shape}")
+        return result
 
 
 @dataclass(frozen=True)

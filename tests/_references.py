@@ -1,7 +1,8 @@
 """Brute-force and scalar references that the tests check the library against.
 
 Walk enumeration and its mean area, the scalar stars-and-bars and ballot
-probabilities, the scalar network point distance, a loop-based version of
+probabilities, the earlier Floyd–Warshall form of the network hop counts,
+the scalar network point distance, a loop-based version of
 the local-first network heuristic, the earlier row-by-row forms of the two
 exact segment kernels (``optimal_match_1d`` and ``match_costs_1d``), the
 earlier column-gathering ``_cost_matrix``, the earlier event-by-event scan
@@ -113,6 +114,18 @@ def ballot_segment_prob(m_hat: int, k: int, a: int, excess: int) -> float:
         return 0.0  # C(2a + e, 2 m_hat) in the denominator may be zero
     numerator = math.comb(a, m_hat) * math.comb(a + e, m_hat) * e
     return numerator / (math.comb(2 * a + e, 2 * m_hat) * (2 * a + e - 2 * m_hat))
+
+
+def all_pairs_hops_floyd_warshall(node_count: int, edges: np.ndarray) -> np.ndarray:
+    """Hop counts between all nodes as floats, inf between components, by
+    Floyd–Warshall over the dense matrix: the earlier form of the breadth-first
+    ``network._all_pairs_hops``, which must equal it."""
+    dist = np.full((node_count, node_count), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    dist[edges[:, 0], edges[:, 1]] = dist[edges[:, 1], edges[:, 0]] = 1.0
+    for k in range(node_count):
+        dist = np.minimum(dist, dist[:, [k]] + dist[[k], :])
+    return dist
 
 
 def point_distance(net: NetworkModel, a: tuple[int, float], b: tuple[int, float]) -> float:

@@ -88,6 +88,25 @@ def test_correction_vanishes_when_balanced():
     assert step_length_correction(7, 7, 5.0) == 0.0
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((5, 3), "requires n >= m"),
+        ((True, 3), "m must be an integer"),
+        ((2.5, 4), "m must be an integer"),
+        ((3, 4.5), "n must be an integer"),
+        ((0, 0), "m must be an integer of at least 1"),
+        ((3, 5, math.nan), "length must be finite"),
+        ((3, 5, -1.0), "length must be finite"),
+    ],
+)
+def test_correction_rejects_what_the_baseline_rejects(args, message):
+    # the same count and length rule as baseline_estimate
+    for fn in (step_length_correction, baseline_estimate):
+        with pytest.raises(ValueError, match=message):
+            fn(*args)
+
+
 def test_closed_rejects_balanced():
     with pytest.raises(ValueError):
         closed_unbalanced_estimate(5, 5)

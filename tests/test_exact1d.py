@@ -155,6 +155,25 @@ def test_match_costs_equal_rowwise_dp_bit_for_bit(reps, shape, tied, seed):
     assert np.array_equal(match_costs_1d(demand, supply), match_costs_1d_rowwise(demand, supply))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    reps=st.integers(1, 4),
+    shape=_BAND_SHAPES.filter(lambda s: s[0] >= 1),
+    tied=st.booleans(),
+    length=st.sampled_from([1.0, 0.7, 2.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_match_costs_are_unchanged_by_mirroring(reps, shape, tied, length, seed):
+    # x -> L - x reverses each row and keeps every distance up to rounding
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    demand = np.sort(_coords(rng, tied, (reps, m)) * length, axis=1)
+    supply = np.sort(_coords(rng, tied, (reps, n)) * length, axis=1)
+    totals = match_costs_1d(demand, supply)
+    mirrored = match_costs_1d((length - demand)[:, ::-1], (length - supply)[:, ::-1])
+    np.testing.assert_allclose(mirrored, totals, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 127, 128, 129])  # around the pairwise-sum blocks
 def test_balanced_match_costs_are_the_row_sums_bit_for_bit(m):
     rng = np.random.default_rng(m)

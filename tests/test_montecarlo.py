@@ -768,7 +768,6 @@ def test_relative_error_table_trivial_and_aggregate():
         sim_mean=0.25,
         sim_std=0.0,
         estimates={"balanced": 0.25},
-        rel_errors={"balanced": 0.0},
     )
     assert relative_error_table([rec]) == {"balanced": 0.0}
     rec2 = SummaryRecord(
@@ -777,11 +776,25 @@ def test_relative_error_table_trivial_and_aggregate():
         sim_mean=0.2,
         sim_std=0.0,
         estimates={"balanced": 0.3},
-        rel_errors={"balanced": 0.5},
     )
-    assert relative_error_table([rec, rec2]) == {"balanced": 0.25}
+    # (0.3 - 0.2) / 0.2 is 0.5 only up to rounding
+    assert relative_error_table([rec, rec2]) == {"balanced": pytest.approx(0.25)}
     with pytest.raises(ValueError):
         relative_error_table([])
+
+
+def test_replace_recomputes_relative_errors():
+    cfg = ExperimentConfig(
+        ExperimentKind.SEGMENT, (SegmentPoint(3, 5),), replications=5, master_seed=2
+    )
+    rec = run_experiment(cfg)[0]
+    doubled = dataclasses.replace(rec, sim_mean=2 * rec.sim_mean)
+    assert set(doubled.rel_errors) == set(rec.estimates)
+    for name, value in rec.estimates.items():
+        assert doubled.rel_errors[name] == (value - 2 * rec.sim_mean) / (2 * rec.sim_mean)
+        assert doubled.rel_errors[name] != rec.rel_errors[name]
+    table = relative_error_table([doubled])
+    assert table == {name: abs(err) for name, err in doubled.rel_errors.items()}
 
 
 def test_balanced_estimator_beats_baseline_at_moderate_size():

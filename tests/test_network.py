@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from _references import (
     _heuristic_reference,
+    all_pairs_hops_floyd_warshall,
     cost_matrix_columnwise,
     point_distance,
     solve_dense_reference,
@@ -77,7 +78,20 @@ def test_build_handshake_regularity_connectivity():
             assert np.isfinite(net.node_distance).all()
             assert (net.node_distance == net.node_distance.T).all()
             assert (np.diag(net.node_distance) == 0).all()
+            assert np.array_equal(
+                net.node_distance, all_pairs_hops_floyd_warshall(net.node_count, net.edges)
+            )
     assert built == 249
+
+
+@pytest.mark.parametrize("degree", [3, 4, 6])
+def test_hop_search_equals_floyd_warshall_at_576_edges(degree):
+    # the largest layouts the sweeps are measured on; the degree-3 ladder of
+    # 384 nodes has diameter 96, so the search runs 97 levels
+    edges = regular_edges(degree, 576)
+    node_count = 2 * 576 // degree
+    hops = _all_pairs_hops(node_count, edges)
+    assert np.array_equal(hops, all_pairs_hops_floyd_warshall(node_count, edges))
 
 
 def test_build_rejects_infeasible_pairs():
@@ -480,6 +494,32 @@ def test_cost_matrix_of_public_instances_equals_reference(data, layout, length, 
         edge = np.array([e for e, _ in points], dtype=edge_dtype)
         arrays += [edge, np.array([f * length for _, f in points], dtype=np.float64)]
     _assert_same_cost_matrix(net, NetworkInstance(*arrays))
+
+
+def _grid_points(edge_count, size):
+    """``size`` sorted (edge, quarter of the length) pairs: many ties."""
+    point = st.tuples(st.integers(0, edge_count - 1), st.integers(0, 4))
+    return st.lists(point, min_size=size, max_size=size).map(sorted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    layout=st.sampled_from([layout for layout in _LAYOUTS if layout[1] <= 36]),
+    length=st.sampled_from([1.0, 0.7, 2.5]),
+    size=st.integers(1, 10),
+)
+def test_balanced_total_is_unchanged_when_the_sides_swap(data, layout, length, size):
+    # at M = N the metric is symmetric, so demand and supply can trade places;
+    # the swapped matrix adds its routes in another order, hence the tolerance
+    net = _network(*layout, length)
+    arrays = []
+    for side in ("demand", "supply"):
+        points = data.draw(_grid_points(net.edge_count, size), label=side)
+        arrays += [np.array([e for e, _ in points]), np.array([q * length / 4 for _, q in points])]
+    total = exact_network_match(net, NetworkInstance(*arrays)).total_distance
+    swapped = exact_network_match(net, NetworkInstance(*arrays[2:], *arrays[:2])).total_distance
+    assert swapped == pytest.approx(total, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("layout", [(3, 6), (4, 18), (6, 27)])

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import enum
 import json
 import math
@@ -28,10 +29,12 @@ from rbmatch.montecarlo import (
     ExperimentKind,
     NetworkPoint,
     SegmentPoint,
+    SummaryRecord,
     records_to_json,
     run_experiment,
 )
 from rbmatch.network import (
+    NetworkEstimateParts,
     NetworkInstance,
     build_regular_network,
     d2_probabilities,
@@ -42,6 +45,7 @@ from rbmatch.types import (
     EdgeParams,
     Instance1D,
     MatchResult,
+    SupplyCurve,
     build_supply_curve,
     check_count,
     check_positive,
@@ -266,15 +270,100 @@ _SUM_LENGTHS = (1, 7, 8, 9, 127, 128, 129, 1000)  # around the pairwise-sum bloc
     [
         [0.1, 0.2, 0.3],
         [],
-        np.array(0.7),
-        np.random.default_rng(5).exponential(size=(3, 130)),
         *(np.random.default_rng(k).exponential(size=k) for k in _SUM_LENGTHS),
     ],
-    ids=["list", "empty", "0-d", "2-D", *(f"1-D-{k}" for k in _SUM_LENGTHS)],
+    ids=["list", "empty", *(f"1-D-{k}" for k in _SUM_LENGTHS)],
 )
 def test_from_pairs_total_is_the_np_sum_bit_for_bit(distances):
-    total = MatchResult.from_pairs(np.zeros((1, 2), dtype=np.int64), distances).total_distance
+    k = len(distances)
+    pairs = np.column_stack((np.arange(k), np.arange(k)))
+    total = MatchResult.from_pairs(pairs, distances).total_distance
     assert total.hex() == float(np.sum(distances)).hex()
+
+
+@pytest.mark.parametrize(
+    "pairs, distances",
+    [
+        ([[0, 1]], [0.5, 0.7, 9.0]),
+        ([[0, 1], [1, 2]], [0.5]),
+        ([[0, 1]], np.array(0.7)),
+        ([[0, 1]], [[0.7]]),
+        ([[0, 1], [1, 2]], np.ones((2, 1))),
+        ([], [0.5]),
+    ],
+    ids=["3-for-1", "1-for-2", "0-d", "2-D", "column", "1-for-0"],
+)
+def test_from_pairs_rejects_distances_not_one_per_pair(pairs, distances):
+    # a total over other distances would make a mean of another matching
+    with pytest.raises(ValueError, match="distances must be 1D, one per pair"):
+        MatchResult.from_pairs(pairs, distances)
+
+
+_INIT_FIELDS = {
+    MatchResult: ["pairs", "total_distance"],
+    SummaryRecord: ["kind", "params", "sim_mean", "sim_std", "estimates", "meta"],
+    SupplyCurve: ["coords", "values"],
+    NetworkEstimateParts: ["alpha", "local", "d1", "d2", "d3"],
+}
+
+
+@pytest.mark.parametrize("cls", list(_INIT_FIELDS), ids=lambda cls: cls.__name__)
+def test_record_types_take_only_what_they_cannot_derive(cls):
+    assert [f.name for f in dataclasses.fields(cls) if f.init] == _INIT_FIELDS[cls]
+
+
+def test_record_types_reject_a_derived_field():
+    # each of these contradicts the record's own fields, so none can be handed in
+    with pytest.raises(TypeError, match="mean_distance"):
+        MatchResult(pairs=np.array([[0, 1]]), total_distance=1.0, mean_distance=7.0)
+    record_fields = (ExperimentKind.SEGMENT, {"m": 1, "n": 2}, 0.2, 0.0, {"balanced": 0.3})
+    with pytest.raises(TypeError, match="rel_errors"):
+        SummaryRecord(*record_fields, rel_errors={"balanced": 9.0})
+    with pytest.raises(TypeError, match="prefix"):
+        SupplyCurve(np.array([0.1, 0.4]), np.array([1, -1]), prefix=np.array([150, 0]))
+    with pytest.raises(TypeError, match="gaps"):
+        SupplyCurve(np.array([0.1, 0.4]), np.array([1, -1]), gaps=np.array([1.5]))
+    with pytest.raises(TypeError, match="total"):
+        NetworkEstimateParts(0.5, 1.0, 1.0, 1.0, 1.0, total=-3.0)
+
+
+def test_record_types_derive_the_rest_when_built():
+    res = MatchResult(np.array([[0, 1], [1, 0]]), 1.0)
+    assert res.mean_distance == 0.5 and not res.pairs.flags.writeable
+    assert MatchResult(np.empty((0, 2), dtype=np.int64), 0.0).mean_distance == 0.0
+    with pytest.raises(ValueError, match="pairs must hold integer indices"):
+        MatchResult(pairs=[(0.5, 1.0)], total_distance=1.0)
+    with pytest.raises(ValueError, match=r"shape \(k, 2\)"):
+        MatchResult(pairs=[0, 1], total_distance=1.0)
+    curve = SupplyCurve(np.array([0.1, 0.4]), np.array([1, -1]))
+    assert curve.prefix.tolist() == [1, 0] and curve.gaps.tolist() == [0.4 - 0.1]
+    assert curve.total_area == 0.4 - 0.1
+    for name in ("coords", "values", "prefix", "gaps"):
+        assert not getattr(curve, name).flags.writeable
+    rec = SummaryRecord(ExperimentKind.SEGMENT, {"m": 1, "n": 2}, 0.2, 0.0, {"balanced": 0.3})
+    assert rec.rel_errors == {"balanced": (0.3 - 0.2) / 0.2} and rec.meta == {}
+    # a mean that is not positive gives no relative error
+    assert SummaryRecord(ExperimentKind.SEGMENT, {}, 0.0, 0.0, {"balanced": 0.3}).rel_errors == {}
+    assert NetworkEstimateParts(0.5, 1.0, 1.0, 1.0, 1.0).total == 2.0
+    parts = network_estimate(4, EdgeParams(5.0, 25.0, 1.0), 0.01)
+    expected = (1.0 - parts.alpha) * parts.local + parts.alpha * (parts.d1 + parts.d2 + parts.d3)
+    assert parts.total == expected  # bit for bit
+
+
+def test_a_result_or_curve_built_directly_is_rebuilt_when_copied():
+    assert "__reduce__" not in vars(MatchResult)
+    res = MatchResult(np.array([[0, 1], [2, 0]]), 0.75)
+    curve = SupplyCurve(np.array([0.1, 0.4, 0.9]), np.array([1, -1, 1]))
+    for copy_of in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        for record in (res, curve):
+            duplicate = copy_of(record)
+            assert type(duplicate) is type(record)
+            for f in dataclasses.fields(record):
+                value = getattr(duplicate, f.name)
+                assert np.array_equal(value, getattr(record, f.name))
+                assert type(value) is type(getattr(record, f.name))
+                if isinstance(value, np.ndarray):
+                    assert not value.flags.writeable
 
 
 def test_edge_params_validation():
