@@ -12,8 +12,8 @@ from rbmatch import (
     ExperimentKind,
     Instance1D,
     SegmentPoint,
+    SupplyCurve,
     balanced_area,
-    build_supply_curve,
     optimal_match_1d,
     run_experiment,
 )
@@ -22,7 +22,7 @@ rng = np.random.default_rng(2024)
 
 # One concrete instance: 5 demand and 5 supply points.
 inst = Instance1D(rng.uniform(0, 1, 5), rng.uniform(0, 1, 5))
-curve = build_supply_curve(inst)
+curve = SupplyCurve(inst)
 match = optimal_match_1d(inst)
 
 print("demand:", np.round(inst.demand, 3))

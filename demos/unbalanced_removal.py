@@ -14,7 +14,7 @@ from rbmatch import (
     ExperimentKind,
     Instance1D,
     SegmentPoint,
-    build_supply_curve,
+    SupplyCurve,
     feasible_removal,
     optimal_match_1d,
     optimal_removal,
@@ -24,7 +24,7 @@ from rbmatch import (
 rng = np.random.default_rng(7)
 
 inst = Instance1D(rng.uniform(0, 1, 6), rng.uniform(0, 1, 10))
-curve = build_supply_curve(inst)
+curve = SupplyCurve(inst)
 opt = optimal_removal(inst)
 scan = feasible_removal(inst, do_swaps=False)
 swapped = feasible_removal(inst, do_swaps=True)

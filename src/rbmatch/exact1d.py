@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .types import Instance1D, MatchResult, build_supply_curve
+from .types import Instance1D, MatchResult, SupplyCurve
 
 __all__ = [
     "RemovalSet",
@@ -36,7 +36,7 @@ def balanced_area(inst: Instance1D) -> float:
     """
     if inst.n != inst.m:
         raise ValueError("balanced_area requires n = m")
-    return build_supply_curve(inst).total_area
+    return SupplyCurve(inst).total_area
 
 
 def optimal_match_1d(inst: Instance1D) -> MatchResult:
@@ -119,15 +119,16 @@ def match_costs_1d(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:
     return best[-1]
 
 
-def _removal_set(inst: Instance1D, is_supply: np.ndarray, removed_events) -> RemovalSet:
-    """The removal of the given supply events of ``inst``'s supply curve,
-    with the area of the curve its remaining points induce."""
-    supply_rank = np.cumsum(is_supply) - 1
-    indices = tuple(int(supply_rank[e]) for e in removed_events)
-    keep = np.ones(inst.n, dtype=bool)
-    keep[list(indices)] = False
-    reduced = Instance1D(inst.demand, inst.supply[keep], inst.length)
-    return RemovalSet(indices, build_supply_curve(reduced).total_area)
+def _removal_set(curve: SupplyCurve, removed_events) -> RemovalSet:
+    """The removal of the given supply events of ``curve``, with the area of
+    the curve its remaining points induce: the kept events in order, each
+    running sum lowered by one per removed event before it."""
+    supply_rank = np.cumsum(curve.values == 1) - 1
+    kept = np.ones(len(curve), dtype=bool)
+    kept[removed_events] = False
+    running = (curve.prefix - np.cumsum(~kept))[kept]
+    area = float(np.dot(np.diff(curve.coords[kept]), np.abs(running[:-1])))
+    return RemovalSet(tuple(int(supply_rank[e]) for e in removed_events), area)
 
 
 def optimal_removal(inst: Instance1D) -> RemovalSet:
@@ -140,7 +141,7 @@ def optimal_removal(inst: Instance1D) -> RemovalSet:
     m, n = inst.m, inst.n
     if n <= m:
         raise ValueError("optimal_removal requires n > m")
-    curve = build_supply_curve(inst)
+    curve = SupplyCurve(inst)
     excess = n - m
     count = len(curve)
     is_supply = curve.values == 1
@@ -169,7 +170,7 @@ def optimal_removal(inst: Instance1D) -> RemovalSet:
         if take_at[i, used]:
             removed_events.append(i)
             used += 1
-    return _removal_set(inst, is_supply, removed_events)
+    return _removal_set(curve, removed_events)
 
 
 def feasible_removal(inst: Instance1D, do_swaps: bool = True) -> RemovalSet:
@@ -188,7 +189,7 @@ def feasible_removal(inst: Instance1D, do_swaps: bool = True) -> RemovalSet:
     m, n = inst.m, inst.n
     if n <= m:
         raise ValueError("feasible_removal requires n > m")
-    curve = build_supply_curve(inst)
+    curve = SupplyCurve(inst)
     excess = n - m
     is_supply = curve.values == 1
     prefix = curve.prefix
@@ -204,4 +205,4 @@ def feasible_removal(inst: Instance1D, do_swaps: bool = True) -> RemovalSet:
             if neighbor < removed_events[k] and is_supply[neighbor]:
                 removed_events[k] = neighbor
 
-    return _removal_set(inst, is_supply, removed_events)
+    return _removal_set(curve, removed_events)

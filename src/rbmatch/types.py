@@ -13,7 +13,6 @@ __all__ = [
     "SupplyCurve",
     "MatchResult",
     "EdgeParams",
-    "build_supply_curve",
 ]
 
 
@@ -26,10 +25,10 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     a copy of it, as a write to a view's base would reach the frozen view.
     An earlier view of ``arr`` keeps its own writeable flag and still writes
     to it: only a copy per call, which no sweep needs, would close that.
-    Callers pass arrays they have just created (as ``NetworkModel`` does
-    with the edges and distances it derives, which no caller can view), or
-    arrays handed to a constructor documented to freeze them in place
-    (``CostMatrix``, ``NetworkInstance``, ``MatchResult``, ``SupplyCurve``)."""
+    Callers pass arrays they have just created (as ``NetworkModel`` and
+    ``SupplyCurve`` do with the arrays they derive, which no caller can
+    view), or arrays handed to a constructor documented to freeze them in
+    place (``CostMatrix``, ``NetworkInstance``, ``MatchResult``)."""
     if not arr.flags.owndata:
         arr = arr.copy()
     arr.flags.writeable = False
@@ -120,23 +119,33 @@ class Instance1D(_RebuiltWhenCopied):
 
 @dataclass(frozen=True, eq=False)
 class SupplyCurve(_RebuiltWhenCopied):
-    """Merged event sequence of a 1D instance with running net-supply values.
-
-    ``coords[i]`` is the i-th event position and ``values[i]`` is +1 for a
-    supply point and -1 for a demand point, both frozen in place (see
-    ``_readonly``). Derived from them, read-only: ``prefix[i]``, the running
-    sum of values through event i, and ``gaps[i] = coords[i+1] - coords[i]``.
+    """The net supply curve of ``inst``, its supply (+1) and demand (-1)
+    points merged in one event sequence: ``coords[i]`` is the i-th event's
+    position, ``values[i]`` its +1 or -1, ``prefix[i]`` the running sum of
+    values through it and ``gaps[i] = coords[i+1] - coords[i]``. A supply and
+    a demand at one coordinate are ordered supply-first, which makes the
+    curve deterministic (ties have probability zero under continuous
+    sampling). The four read-only arrays are derived from ``inst``, never
+    handed in, so no curve can contradict its points; anything but an
+    ``Instance1D`` raises a TypeError naming ``inst``. A pickled or copied
+    curve is rebuilt from its instance, which derives all four again.
     """
 
-    coords: np.ndarray
-    values: np.ndarray
+    inst: Instance1D
+    coords: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
     prefix: np.ndarray = field(init=False, repr=False)
     gaps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        coords, values = _readonly(np.asarray(self.coords)), _readonly(np.asarray(self.values))
-        _store(self, coords=coords, values=values)
-        _store(self, prefix=_readonly(np.cumsum(values)), gaps=_readonly(np.diff(coords)))
+        inst = self.inst
+        if not isinstance(inst, Instance1D):
+            raise TypeError(f"inst must be an Instance1D, got {type(inst).__name__}")
+        coords = np.concatenate([inst.supply, inst.demand])
+        order = np.argsort(coords, kind="stable")  # supplies, put first, stay first at a tie
+        values = np.repeat(np.array([1, -1], dtype=np.int64), [inst.n, inst.m])[order]
+        _store(self, coords=_readonly(coords[order]), values=_readonly(values))
+        _store(self, prefix=_readonly(np.cumsum(values)), gaps=_readonly(np.diff(self.coords)))
 
     def __len__(self) -> int:
         return int(self.coords.size)
@@ -145,24 +154,6 @@ class SupplyCurve(_RebuiltWhenCopied):
     def total_area(self) -> float:
         """Absolute area between the step curve and the axis over all gaps."""
         return float(np.dot(self.gaps, np.abs(self.prefix[:-1])))
-
-
-def build_supply_curve(inst: Instance1D) -> SupplyCurve:
-    """Merge supply (+1) and demand (-1) points into a net supply curve.
-
-    Events are sorted by coordinate; a supply and a demand at the identical
-    coordinate are ordered supply-first, which makes the curve deterministic
-    (coordinate ties have probability zero under continuous sampling).
-    ``SupplyCurve`` derives the running sums and gaps of the ordered events.
-    """
-    coords = np.concatenate([inst.supply, inst.demand])
-    values = np.concatenate(
-        [np.ones(inst.n, dtype=np.int64), -np.ones(inst.m, dtype=np.int64)]
-    )
-    # lexsort is stable: primary key coordinate, secondary key -value puts the
-    # +1 supply event ahead of the -1 demand event at equal coordinates.
-    order = np.lexsort((-values, coords))
-    return SupplyCurve(coords[order], values[order])
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,9 +165,9 @@ class MatchResult(_RebuiltWhenCopied):
     index of the i-th pair. Nonempty pairs must be of an integer dtype (not bool): a
     float index is not truncated. An int64 array that owns its data is frozen in
     place: marked read-only, not copied; a view is copied first (an earlier view
-    still writes to it; see ``_readonly``). ``mean_distance`` is derived, the total
-    over k (0.0 for no pairs). A pickled or copied result is rebuilt through the
-    constructor from its pairs and total, checked and frozen again.
+    still writes to it; see ``_readonly``). ``total_distance`` must be finite and
+    >= 0, and 0.0 for no pairs; ``mean_distance`` is derived, the total over k (0.0
+    for no pairs). A pickled or copied result is rebuilt through the constructor.
     """
 
     pairs: np.ndarray
@@ -184,29 +175,36 @@ class MatchResult(_RebuiltWhenCopied):
     mean_distance: float = field(init=False)
 
     def __post_init__(self):
-        p = np.asarray(self.pairs if isinstance(self.pairs, np.ndarray) else list(self.pairs))
-        if p.size and p.dtype.kind not in "iu":
-            raise ValueError(f"pairs must hold integer indices, got dtype {p.dtype}")
-        p = p.astype(np.int64, copy=False)
-        if p.shape == (0,):
-            p = p.reshape(0, 2)
-        if p.ndim != 2 or p.shape[1] != 2:
-            raise ValueError(f"pairs must have shape (k, 2), got {p.shape}")
+        p = _pair_array(self.pairs)
         total = float(self.total_distance)
+        if not 0.0 <= total < math.inf or (total and not len(p)):
+            raise ValueError(f"total_distance must be finite, >= 0 and 0.0 for no pairs: {total!r}")
         mean = total / len(p) if len(p) else 0.0
-        _store(self, pairs=_readonly(p), total_distance=total, mean_distance=mean)
+        _store(self, pairs=p, total_distance=total, mean_distance=mean)
 
     @classmethod
     def from_pairs(cls, pairs, distances) -> "MatchResult":
         """Result from ``pairs``, as the constructor takes them, and the
         matched distances, one per pair in a 1D array or sequence, whose
         total is numpy's pairwise sum (``np.sum``'s bits). Distances of
-        another shape raise a ValueError naming them."""
-        distances = np.asarray(distances)
-        result = cls(pairs, float(np.add.reduce(distances, axis=None)))
-        if distances.shape != (len(result.pairs),):
+        another shape are rejected first, by a ValueError naming them."""
+        pairs, distances = _pair_array(pairs), np.asarray(distances)
+        if distances.shape != (len(pairs),):
             raise ValueError(f"distances must be 1D, one per pair, got shape {distances.shape}")
-        return result
+        return cls(pairs, float(np.add.reduce(distances, axis=None)))
+
+
+def _pair_array(pairs) -> np.ndarray:
+    """``MatchResult``'s pairs as a read-only (k, 2) int64 array."""
+    p = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
+    if p.size and p.dtype.kind not in "iu":
+        raise ValueError(f"pairs must hold integer indices, got dtype {p.dtype}")
+    p = p.astype(np.int64, copy=False)
+    if p.shape == (0,):
+        p = p.reshape(0, 2)
+    if p.ndim != 2 or p.shape[1] != 2:
+        raise ValueError(f"pairs must have shape (k, 2), got {p.shape}")
+    return _readonly(p)
 
 
 @dataclass(frozen=True)

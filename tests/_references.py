@@ -6,8 +6,9 @@ the scalar network point distance, a loop-based version of
 the local-first network heuristic, the earlier row-by-row forms of the two
 exact segment kernels (``optimal_match_1d`` and ``match_costs_1d``), the
 earlier column-gathering ``_cost_matrix``, the earlier event-by-event scan
-of ``feasible_removal`` and the earlier ``optimal_removal`` that recomputes
-each choice on its forward pass, which the library must equal bit for bit,
+of ``feasible_removal``, the earlier ``optimal_removal`` that recomputes
+each choice on its forward pass and the earlier lexsort merge of a supply
+curve's events, which the library must equal bit for bit,
 and the exact mean rank area over all interleavings. The earlier forms of
 the two input rules and of ``baseline_estimate``'s sum pin the answers of
 the library's faster ones. The earlier unblocked certificate of a
@@ -30,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from rbmatch.assignment import _CERTIFY_SPREAD, _FALL_TOL, AssignmentSolution
 from rbmatch.exact1d import RemovalSet, _removal_set, match_costs_1d, optimal_match_1d
 from rbmatch.network import NetworkInstance, NetworkModel, _check_on_network
-from rbmatch.types import Instance1D, MatchResult, build_supply_curve
+from rbmatch.types import Instance1D, MatchResult, SupplyCurve
 
 _MAX_ORACLE_N = 10
 
@@ -398,12 +399,22 @@ def optimal_match_1d_rowwise(inst: Instance1D) -> MatchResult:
     return MatchResult.from_pairs(np.column_stack((rows, cols)), np.abs(xu - xv[cols]))
 
 
+def merged_events_lexsort(inst: Instance1D) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates and +1/-1 values of ``inst``'s supply curve events as
+    the earlier ``build_supply_curve`` merged them: one lexsort, on the
+    coordinate and then on the negated value, so supply comes first at a tie."""
+    coords = np.concatenate([inst.supply, inst.demand])
+    values = np.concatenate([np.ones(inst.n, dtype=np.int64), -np.ones(inst.m, dtype=np.int64)])
+    order = np.lexsort((-values, coords))
+    return coords[order], values[order]
+
+
 def feasible_removal_scan(inst: Instance1D, do_swaps: bool = True) -> RemovalSet:
     """``feasible_removal`` as a left-to-right scan over the supply curve's
     events: for k = 1..n-m in turn, the k-th selection is the next supply
     event at net supply k with every later event at net supply >= k. The
     swaps are ``feasible_removal``'s. Requires n > m."""
-    curve = build_supply_curve(inst)
+    curve = SupplyCurve(inst)
     excess = inst.n - inst.m
     count = len(curve)
     is_supply = curve.values == 1
@@ -430,7 +441,7 @@ def feasible_removal_scan(inst: Instance1D, do_swaps: bool = True) -> RemovalSet
             if neighbor < removed_events[k] and is_supply[neighbor]:
                 removed_events[k] = neighbor
 
-    return _removal_set(inst, is_supply, removed_events)
+    return _removal_set(curve, removed_events)
 
 
 def optimal_removal_recompute(inst: Instance1D) -> RemovalSet:
@@ -438,7 +449,7 @@ def optimal_removal_recompute(inst: Instance1D) -> RemovalSet:
     costs of every supply event from the stored cost-to-go table instead of
     reading the backward pass's choices. Requires n > m."""
     m, n = inst.m, inst.n
-    curve = build_supply_curve(inst)
+    curve = SupplyCurve(inst)
     excess = n - m
     count = len(curve)
     is_supply = curve.values == 1
@@ -466,7 +477,7 @@ def optimal_removal_recompute(inst: Instance1D) -> RemovalSet:
             if take <= keep:
                 removed_events.append(i)
                 used += 1
-    return _removal_set(inst, is_supply, removed_events)
+    return _removal_set(curve, removed_events)
 
 
 def match_costs_1d_rowwise(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from rbmatch.montecarlo import (
     relative_error_table,
     run_experiment,
 )
-from rbmatch.types import Instance1D, build_supply_curve
+from rbmatch.types import Instance1D, SupplyCurve
 
 import pytest
 
@@ -70,7 +70,7 @@ def test_criterion_02_removal_identity():
         removal = optimal_removal(inst)
         match = optimal_match_1d(inst)
         worst = max(worst, abs(removal.post_removal_area - match.total_distance))
-        curve = build_supply_curve(inst)
+        curve = SupplyCurve(inst)
         supply_events = np.flatnonzero(curve.values == 1)
         levels = [
             int(curve.prefix[supply_events[i]]) for i in removal.removed_supply_indices

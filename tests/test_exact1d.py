@@ -23,7 +23,7 @@ from rbmatch.exact1d import (
     optimal_match_1d,
     optimal_removal,
 )
-from rbmatch.types import Instance1D, build_supply_curve
+from rbmatch.types import Instance1D, SupplyCurve
 
 
 def _random_instance(rng, m, n, length=1.0):
@@ -32,7 +32,7 @@ def _random_instance(rng, m, n, length=1.0):
 
 def _original_prefix_at_removed(inst, removal):
     """Net supply value on the original curve at each removed supply point."""
-    curve = build_supply_curve(inst)
+    curve = SupplyCurve(inst)
     supply_events = np.flatnonzero(curve.values == 1)
     return [int(curve.prefix[supply_events[i]]) for i in removal.removed_supply_indices]
 
@@ -312,24 +312,30 @@ def test_balanced_segments_between_removed_points():
         removal = optimal_removal(inst)
         keep = np.ones(inst.n, dtype=bool)
         keep[list(removal.removed_supply_indices)] = False
-        reduced = build_supply_curve(Instance1D(inst.demand, inst.supply[keep]))
+        reduced = SupplyCurve(Instance1D(inst.demand, inst.supply[keep]))
         removed_coords = inst.supply[list(removal.removed_supply_indices)]
         for x in removed_coords:
             before = reduced.prefix[reduced.coords <= x]
             assert before.size == 0 or before[-1] == 0
 
 
-def test_post_removal_area_matches_recomputed_curve():
+def test_post_removal_area_is_the_reduced_curves_bit_for_bit():
+    # each removal reads its area off the instance's own curve; the curve of
+    # the instance without the removed points must give the same float
     rng = np.random.default_rng(16)
-    for _ in range(50):
-        m = int(rng.integers(1, 10))
-        n = int(rng.integers(m + 1, 18))
-        inst = _random_instance(rng, m, n)
-        removal = optimal_removal(inst)
-        keep = np.ones(inst.n, dtype=bool)
-        keep[list(removal.removed_supply_indices)] = False
-        curve = build_supply_curve(Instance1D(inst.demand, inst.supply[keep]))
-        assert abs(removal.post_removal_area - curve.total_area) <= 1e-9
+    for trial in range(20_000):
+        m = int(rng.integers(0, 7))
+        n = int(rng.integers(m + 1, 12))
+        tied = trial % 2 == 1
+        inst = Instance1D(_coords(rng, tied, m), _coords(rng, tied, n))
+        removals = (optimal_removal(inst), feasible_removal(inst), feasible_removal(inst, False))
+        for removed in {r.removed_supply_indices for r in removals}:
+            keep = np.ones(n, dtype=bool)
+            keep[list(removed)] = False
+            area = SupplyCurve(Instance1D(inst.demand, inst.supply[keep])).total_area
+            for r in removals:
+                if r.removed_supply_indices == removed:
+                    assert r.post_removal_area.hex() == area.hex()
 
 
 def test_feasible_removal_is_feasible_and_marked():
@@ -355,7 +361,7 @@ def test_feasible_removal_curve_nonnegative_right_of_selections():
         feas = feasible_removal(inst, do_swaps=False)
         keep = np.ones(inst.n, dtype=bool)
         keep[list(feas.removed_supply_indices)] = False
-        reduced = build_supply_curve(Instance1D(inst.demand, inst.supply[keep]))
+        reduced = SupplyCurve(Instance1D(inst.demand, inst.supply[keep]))
         first_removed = inst.supply[feas.removed_supply_indices[0]]
         assert (reduced.prefix[reduced.coords > first_removed] >= 0).all()
 

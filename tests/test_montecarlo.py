@@ -666,6 +666,8 @@ def test_one_within_segment_rule_for_every_kind(monkeypatch):
 _SWEEP_ESTIMATE_DIGESTS = {
     "fig4a": "a9877336919076e942a3079ea8eceb3cf442f14eacea102c28387938f76061f5",
     "fig4b": "11f5fee8a1c0225fc683676493c5a238c5acad687ff50ce821c71d079fe53106",
+    "fig4c": "455e1f924b196a1f825252ee9cd33185ee5aabeefdedeb0c5ca2e4eb7dfb553f",
+    "fig4d": "b218ec4928f6f50e0ee6baf95c06b813f0eae9bfb2a9e1afd5759172d4c6342f",
     "fig5": "ded26d138cb41a5d02aa9de8c5266729fa23042ca2f01b0f6495e20ed6047bbb",
     "fig6": "0cea678036ae46ad1d0b26db261ae844bd68250a73696856a5b8598e76e19cfe",
 }
@@ -678,15 +680,24 @@ def test_sweep_estimates_are_pinned_bit_for_bit(preset):
     assert hashlib.sha256(text.encode()).hexdigest() == _SWEEP_ESTIMATE_DIGESTS[preset]
 
 
-# sha256 of the fig6 grid's CSV at 2 reps and seed 3, computed with numpy
-# 2.4.6 and scipy 1.17.1: how replication 0 is checked must not move a byte
-_FIG6_CSV_DIGEST = "cc2bd27af4008fe09ee739a05846dba060030ee272092cb6bec2c50a655f6a99"
+# sha256 of each preset grid's CSV at 2 reps and seed 3, computed with numpy
+# 2.4.6 and scipy 1.17.1: how a sweep is run, checked or split among workers
+# must not move a byte of any record
+_PRESET_CSV_DIGESTS = {
+    "fig4a": "29a892ffaf680bbf1aedbeb831bbc87b7841a6b6a4df9e0d8cd3beee6ee259c9",
+    "fig4b": "be000caab4414801faf8dd402e47ceb661dbb73936a23c2edcb2f0619fb8c05c",
+    "fig4c": "6f291f52effb00dd93dbc0c76eb6e5a9c73f1c45876ed3b1029df342061f44bd",
+    "fig4d": "74e6774e2cc734696b4f22d3ca7fafae090129d074473bd81435ff783b49fcfc",
+    "fig5": "137b5aa84399260f97f14027878de2d5619b8b23bb32a5058053b5c70668db22",
+    "fig6": "cc2bd27af4008fe09ee739a05846dba060030ee272092cb6bec2c50a655f6a99",
+}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_network_records_are_pinned_byte_for_byte(workers):
-    text = records_to_csv(run_experiment(_preset_config("fig6", 2, 3, workers)))
-    assert hashlib.sha256(text.encode()).hexdigest() == _FIG6_CSV_DIGEST
+@pytest.mark.parametrize("preset", sorted(_PRESET_CSV_DIGESTS))
+def test_preset_records_are_pinned_byte_for_byte(preset, workers):
+    text = records_to_csv(run_experiment(_preset_config(preset, 2, 3, workers)))
+    assert hashlib.sha256(text.encode()).hexdigest() == _PRESET_CSV_DIGESTS[preset]
 
 
 def _length_scaled_grid(kind, c):

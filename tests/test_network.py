@@ -30,6 +30,7 @@ from rbmatch.network import (
     NetworkModel,
     _all_pairs_hops,
     _cost_matrix,
+    _torus_dims,
     build_regular_network,
     d2_probabilities,
     exact_network_match,
@@ -520,6 +521,65 @@ def test_balanced_total_is_unchanged_when_the_sides_swap(data, layout, length, s
     total = exact_network_match(net, NetworkInstance(*arrays)).total_distance
     swapped = exact_network_match(net, NetworkInstance(*arrays[2:], *arrays[:2])).total_distance
     assert swapped == pytest.approx(total, rel=1e-12, abs=0.0)
+
+
+def _draw_automorphism(data, degree, node_count):
+    """A node map of the layout onto itself: a rotation of the degree-3
+    ladder's cycle, reflected or not, or a torus translation with, on the
+    square torus, either axis reflected, and on the triangular torus, both
+    (a reflection of one axis alone turns its diagonals the other way)."""
+    nodes = np.arange(node_count)
+    if degree == 3:
+        shift = data.draw(st.integers(0, node_count - 1), label="shift")
+        sign = data.draw(st.sampled_from([1, -1]), label="sign")
+        return (sign * nodes + shift) % node_count
+    rows, cols = _torus_dims(node_count)
+    x, y = divmod(nodes, cols)
+    shift_x = data.draw(st.integers(0, rows - 1), label="shift_x")
+    shift_y = data.draw(st.integers(0, cols - 1), label="shift_y")
+    sign_x = data.draw(st.sampled_from([1, -1]), label="sign_x")
+    sign_y = data.draw(st.sampled_from([1, -1]), label="sign_y") if degree == 4 else sign_x
+    return ((sign_x * x + shift_x) % rows) * cols + (sign_y * y + shift_y) % cols
+
+
+def _mapped_side(net, node_map, edge, offset):
+    """One side's points carried by ``node_map``: each edge to its image,
+    an offset to L - x where the edge's lesser end maps to the greater, and
+    the points sorted by edge and offset again."""
+    image = np.sort(node_map[net.edges], axis=1)
+    index = {tuple(ends): k for k, ends in enumerate(net.edges.tolist())}
+    image_index = np.array([index[tuple(ends)] for ends in image.tolist()])
+    assert sorted(image_index) == list(range(net.edge_count))  # edges onto edges
+    swapped = node_map[net.edges[edge, 0]] != image[edge, 0]
+    new_edge = image_index[edge]
+    new_offset = np.where(swapped, net.length - offset, offset)
+    order = np.lexsort((new_offset, new_edge))
+    return new_edge[order], new_offset[order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    layout=st.sampled_from([layout for layout in _LAYOUTS if layout[1] <= 36]),
+    length=st.sampled_from([1.0, 0.7, 2.5]),
+    sizes=st.integers(1, 10).flatmap(lambda m: st.tuples(st.just(m), st.integers(m, 10))),
+)
+def test_total_is_unchanged_by_a_layout_automorphism(data, layout, length, sizes):
+    # a symmetry of the layout maps every route to one of the same length; an
+    # orientation or indexing error that depends on edge labels breaks this,
+    # though both solvers share it
+    net = _network(*layout, length)
+    node_map = _draw_automorphism(data, net.degree, net.node_count)
+    arrays = []
+    for side, size in zip(("demand", "supply"), sizes):
+        points = data.draw(_grid_points(net.edge_count, size), label=side)
+        arrays += [np.array([e for e, _ in points]), np.array([q * length / 4 for _, q in points])]
+    total = exact_network_match(net, NetworkInstance(*arrays)).total_distance
+    mapped = NetworkInstance(
+        *_mapped_side(net, node_map, *arrays[:2]), *_mapped_side(net, node_map, *arrays[2:])
+    )
+    mapped_total = exact_network_match(net, mapped).total_distance
+    assert mapped_total == pytest.approx(total, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("layout", [(3, 6), (4, 18), (6, 27)])

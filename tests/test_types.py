@@ -9,8 +9,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _references import check_count_isinstance, check_positive_isinstance
+from _references import check_count_isinstance, check_positive_isinstance, merged_events_lexsort
 
 from rbmatch.assignment import CostMatrix
 from rbmatch.combinatorics import expected_zero_returns, harel_area, stars_bars_distribution
@@ -46,14 +48,13 @@ from rbmatch.types import (
     Instance1D,
     MatchResult,
     SupplyCurve,
-    build_supply_curve,
     check_count,
     check_positive,
 )
 
 
 def test_two_point_curve():
-    curve = build_supply_curve(Instance1D(demand=[0.4], supply=[0.1], length=1.0))
+    curve = SupplyCurve(Instance1D(demand=[0.4], supply=[0.1], length=1.0))
     assert curve.coords.tolist() == [0.1, 0.4]
     assert curve.values.tolist() == [1, -1]
     assert curve.prefix.tolist() == [1, 0]
@@ -61,27 +62,55 @@ def test_two_point_curve():
 
 
 def test_single_point_curve():
-    curve = build_supply_curve(Instance1D(demand=[], supply=[0.5], length=1.0))
+    curve = SupplyCurve(Instance1D(demand=[], supply=[0.5], length=1.0))
     assert curve.prefix.tolist() == [1]
     assert curve.gaps.tolist() == []
     assert curve.total_area == 0.0
 
 
 def test_four_event_merge():
-    curve = build_supply_curve(Instance1D(demand=[0.2, 0.8], supply=[0.5, 0.9]))
+    curve = SupplyCurve(Instance1D(demand=[0.2, 0.8], supply=[0.5, 0.9]))
     assert curve.prefix.tolist() == [-1, 0, -1, 0]
 
 
 def test_empty_instance_empty_curve():
-    curve = build_supply_curve(Instance1D(demand=[], supply=[]))
+    curve = SupplyCurve(Instance1D(demand=[], supply=[]))
     assert len(curve) == 0
     assert curve.total_area == 0.0
 
 
 def test_tie_breaks_supply_first():
-    curve = build_supply_curve(Instance1D(demand=[0.3], supply=[0.3]))
+    curve = SupplyCurve(Instance1D(demand=[0.3], supply=[0.3]))
     assert curve.values.tolist() == [1, -1]
     assert curve.prefix.tolist() == [1, 0]
+    curve = SupplyCurve(Instance1D(demand=[0.3, 0.3, 0.0], supply=[0.5, 0.3, 0.3, 0.0]))
+    assert curve.values.tolist() == [1, -1, 1, 1, -1, -1, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(0, 12),
+    surplus=st.integers(0, 12),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_curve_events_equal_the_lexsort_merge(m, surplus, tied, seed):
+    rng = np.random.default_rng(seed)
+    draw = (lambda k: rng.integers(0, 5, k) / 4) if tied else (lambda k: rng.uniform(0, 1, k))
+    inst = Instance1D(draw(m), draw(m + surplus))
+    coords, values = merged_events_lexsort(inst)
+    curve = SupplyCurve(inst)
+    assert curve.coords.tobytes() == coords.tobytes() and curve.coords.dtype == coords.dtype
+    assert curve.values.tobytes() == values.tobytes() and curve.values.dtype == values.dtype
+
+
+def test_a_curve_is_built_only_from_an_instance():
+    # events no instance has cannot make a curve
+    for events in ([0.1, 0.4], np.array([0.1, 0.4]), None, EdgeParams(1.0, 2.0, 1.0)):
+        with pytest.raises(TypeError, match="inst must be an Instance1D"):
+            SupplyCurve(events)
+    with pytest.raises(TypeError):
+        SupplyCurve(np.array([0.1, 0.4]), np.array([1]))
 
 
 def test_coordinates_sorted_on_construction():
@@ -119,7 +148,7 @@ def test_balanced_prefix_ends_at_zero():
     rng = np.random.default_rng(0)
     for _ in range(50):
         n = int(rng.integers(1, 40))
-        curve = build_supply_curve(Instance1D(rng.uniform(0, 1, n), rng.uniform(0, 1, n)))
+        curve = SupplyCurve(Instance1D(rng.uniform(0, 1, n), rng.uniform(0, 1, n)))
         assert curve.prefix[-1] == 0
 
 
@@ -128,7 +157,7 @@ def test_unbalanced_prefix_ends_at_surplus():
     for _ in range(50):
         m = int(rng.integers(0, 20))
         n = int(rng.integers(m, 30))
-        curve = build_supply_curve(Instance1D(rng.uniform(0, 1, m), rng.uniform(0, 1, n)))
+        curve = SupplyCurve(Instance1D(rng.uniform(0, 1, m), rng.uniform(0, 1, n)))
         if len(curve):
             assert curve.prefix[-1] == n - m
 
@@ -139,6 +168,25 @@ def test_match_result_mean():
     assert res.mean_distance == pytest.approx(0.2)
     empty = MatchResult.from_pairs([], [])
     assert empty.mean_distance == 0.0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MatchResult([], 5.0),
+        lambda: MatchResult([[0, 1]], -2.0),
+        lambda: MatchResult([[0, 1]], math.nan),
+        lambda: MatchResult([[0, 1]], math.inf),
+        lambda: MatchResult.from_pairs([[0, 1]], [math.nan]),
+        lambda: MatchResult.from_pairs([[0, 1], [1, 0]], [0.5, -0.75]),
+    ],
+    ids=["no-pairs", "negative", "nan", "inf", "from_pairs-nan", "from_pairs-negative"],
+)
+def test_match_result_rejects_a_total_its_pairs_cannot_have(build):
+    # a mean of 0.0 over no pairs, or of a negative or non-finite total,
+    # would describe no matching
+    with pytest.raises(ValueError, match="total_distance must be finite, >= 0 and 0.0 for no pairs"):
+        build()
 
 
 @pytest.mark.parametrize(
@@ -302,7 +350,7 @@ def test_from_pairs_rejects_distances_not_one_per_pair(pairs, distances):
 _INIT_FIELDS = {
     MatchResult: ["pairs", "total_distance"],
     SummaryRecord: ["kind", "params", "sim_mean", "sim_std", "estimates", "meta"],
-    SupplyCurve: ["coords", "values"],
+    SupplyCurve: ["inst"],
     NetworkEstimateParts: ["alpha", "local", "d1", "d2", "d3"],
 }
 
@@ -319,10 +367,10 @@ def test_record_types_reject_a_derived_field():
     record_fields = (ExperimentKind.SEGMENT, {"m": 1, "n": 2}, 0.2, 0.0, {"balanced": 0.3})
     with pytest.raises(TypeError, match="rel_errors"):
         SummaryRecord(*record_fields, rel_errors={"balanced": 9.0})
-    with pytest.raises(TypeError, match="prefix"):
-        SupplyCurve(np.array([0.1, 0.4]), np.array([1, -1]), prefix=np.array([150, 0]))
-    with pytest.raises(TypeError, match="gaps"):
-        SupplyCurve(np.array([0.1, 0.4]), np.array([1, -1]), gaps=np.array([1.5]))
+    derived = {"coords": [0.1, 0.4], "values": [1, 1], "prefix": [150, 0], "gaps": [1.5]}
+    for name, events in derived.items():
+        with pytest.raises(TypeError, match=name):
+            SupplyCurve(Instance1D([0.4], [0.1]), **{name: np.array(events)})
     with pytest.raises(TypeError, match="total"):
         NetworkEstimateParts(0.5, 1.0, 1.0, 1.0, 1.0, total=-3.0)
 
@@ -335,7 +383,8 @@ def test_record_types_derive_the_rest_when_built():
         MatchResult(pairs=[(0.5, 1.0)], total_distance=1.0)
     with pytest.raises(ValueError, match=r"shape \(k, 2\)"):
         MatchResult(pairs=[0, 1], total_distance=1.0)
-    curve = SupplyCurve(np.array([0.1, 0.4]), np.array([1, -1]))
+    curve = SupplyCurve(Instance1D([0.4], [0.1]))
+    assert curve.coords.tolist() == [0.1, 0.4] and curve.values.tolist() == [1, -1]
     assert curve.prefix.tolist() == [1, 0] and curve.gaps.tolist() == [0.4 - 0.1]
     assert curve.total_area == 0.4 - 0.1
     for name in ("coords", "values", "prefix", "gaps"):
@@ -353,15 +402,22 @@ def test_record_types_derive_the_rest_when_built():
 def test_a_result_or_curve_built_directly_is_rebuilt_when_copied():
     assert "__reduce__" not in vars(MatchResult)
     res = MatchResult(np.array([[0, 1], [2, 0]]), 0.75)
-    curve = SupplyCurve(np.array([0.1, 0.4, 0.9]), np.array([1, -1, 1]))
+    curve = SupplyCurve(Instance1D([0.4], [0.1, 0.9]))
+    assert curve.__reduce__() == (SupplyCurve, (curve.inst,))  # rebuilt from its instance
     for copy_of in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
         for record in (res, curve):
             duplicate = copy_of(record)
             assert type(duplicate) is type(record)
             for f in dataclasses.fields(record):
-                value = getattr(duplicate, f.name)
-                assert np.array_equal(value, getattr(record, f.name))
-                assert type(value) is type(getattr(record, f.name))
+                value, original = getattr(duplicate, f.name), getattr(record, f.name)
+                assert type(value) is type(original)
+                if isinstance(value, Instance1D):  # the curve's instance, rebuilt too
+                    for side in ("demand", "supply"):
+                        assert np.array_equal(getattr(value, side), getattr(original, side))
+                        assert not getattr(value, side).flags.writeable
+                    assert value.length == original.length
+                    continue
+                assert np.array_equal(value, original)
                 if isinstance(value, np.ndarray):
                     assert not value.flags.writeable
 
