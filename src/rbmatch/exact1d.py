@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .types import Instance1D, MatchResult, SupplyCurve
+from .types import Instance1D, MatchResult, SupplyCurve, _curve_area
 
 __all__ = [
     "RemovalSet",
@@ -127,7 +127,7 @@ def _removal_set(curve: SupplyCurve, removed_events) -> RemovalSet:
     kept = np.ones(len(curve), dtype=bool)
     kept[removed_events] = False
     running = (curve.prefix - np.cumsum(~kept))[kept]
-    area = float(np.dot(np.diff(curve.coords[kept]), np.abs(running[:-1])))
+    area = _curve_area(np.diff(curve.coords[kept]), running)
     return RemovalSet(tuple(int(supply_rank[e]) for e in removed_events), area)
 
 

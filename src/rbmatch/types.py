@@ -153,7 +153,12 @@ class SupplyCurve(_RebuiltWhenCopied):
     @property
     def total_area(self) -> float:
         """Absolute area between the step curve and the axis over all gaps."""
-        return float(np.dot(self.gaps, np.abs(self.prefix[:-1])))
+        return _curve_area(self.gaps, self.prefix)
+
+
+def _curve_area(gaps: np.ndarray, prefix: np.ndarray) -> float:
+    """The area rule: each gap times the absolute running sum at its left end."""
+    return float(np.dot(gaps, np.abs(prefix[:-1])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,36 +180,31 @@ class MatchResult(_RebuiltWhenCopied):
     mean_distance: float = field(init=False)
 
     def __post_init__(self):
-        p = _pair_array(self.pairs)
+        p = np.asarray(self.pairs if isinstance(self.pairs, np.ndarray) else list(self.pairs))
+        if p.size and p.dtype.kind not in "iu":
+            raise ValueError(f"pairs must hold integer indices, got dtype {p.dtype}")
+        p = p.astype(np.int64, copy=False)
+        if p.shape == (0,):
+            p = p.reshape(0, 2)
+        if p.ndim != 2 or p.shape[1] != 2:
+            raise ValueError(f"pairs must have shape (k, 2), got {p.shape}")
         total = float(self.total_distance)
         if not 0.0 <= total < math.inf or (total and not len(p)):
             raise ValueError(f"total_distance must be finite, >= 0 and 0.0 for no pairs: {total!r}")
         mean = total / len(p) if len(p) else 0.0
-        _store(self, pairs=p, total_distance=total, mean_distance=mean)
+        _store(self, pairs=_readonly(p), total_distance=total, mean_distance=mean)
 
     @classmethod
     def from_pairs(cls, pairs, distances) -> "MatchResult":
         """Result from ``pairs``, as the constructor takes them, and the
         matched distances, one per pair in a 1D array or sequence, whose
-        total is numpy's pairwise sum (``np.sum``'s bits). Distances of
-        another shape are rejected first, by a ValueError naming them."""
-        pairs, distances = _pair_array(pairs), np.asarray(distances)
+        total is numpy's pairwise sum (``np.sum``'s bits). Distances not one
+        per row of ``pairs`` are rejected first, by a ValueError naming them."""
+        pairs = pairs if isinstance(pairs, np.ndarray) else list(pairs)
+        distances = np.asarray(distances)
         if distances.shape != (len(pairs),):
             raise ValueError(f"distances must be 1D, one per pair, got shape {distances.shape}")
         return cls(pairs, float(np.add.reduce(distances, axis=None)))
-
-
-def _pair_array(pairs) -> np.ndarray:
-    """``MatchResult``'s pairs as a read-only (k, 2) int64 array."""
-    p = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
-    if p.size and p.dtype.kind not in "iu":
-        raise ValueError(f"pairs must hold integer indices, got dtype {p.dtype}")
-    p = p.astype(np.int64, copy=False)
-    if p.shape == (0,):
-        p = p.reshape(0, 2)
-    if p.ndim != 2 or p.shape[1] != 2:
-        raise ValueError(f"pairs must have shape (k, 2), got {p.shape}")
-    return _readonly(p)
 
 
 @dataclass(frozen=True)

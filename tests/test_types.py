@@ -270,8 +270,9 @@ def test_from_pairs_accepts_empty_input(empty):
     [[0, 1], [(0, 1, 2)], np.zeros((2, 3), dtype=np.int64), np.zeros((1, 2, 2), dtype=np.int64), np.arange(4)],
 )
 def test_from_pairs_rejects_other_shapes(pairs):
+    # one distance per row, so that the shape is the only fault
     with pytest.raises(ValueError, match=r"shape \(k, 2\)"):
-        MatchResult.from_pairs(pairs, [0.0])
+        MatchResult.from_pairs(pairs, np.zeros(len(pairs)))
 
 
 @pytest.mark.parametrize(
