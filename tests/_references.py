@@ -400,9 +400,9 @@ def optimal_match_1d_rowwise(inst: Instance1D) -> MatchResult:
 
 
 def merged_events_lexsort(inst: Instance1D) -> tuple[np.ndarray, np.ndarray]:
-    """The coordinates and +1/-1 values of ``inst``'s supply curve events as
-    the earlier ``build_supply_curve`` merged them: one lexsort, on the
-    coordinate and then on the negated value, so supply comes first at a tie."""
+    """The coordinates and +1/-1 values of ``inst``'s supply curve events,
+    merged by one lexsort on the coordinate and then on the negated value, so
+    supply comes first at a tie: the merge ``SupplyCurve`` must equal."""
     coords = np.concatenate([inst.supply, inst.demand])
     values = np.concatenate([np.ones(inst.n, dtype=np.int64), -np.ones(inst.m, dtype=np.int64)])
     order = np.lexsort((-values, coords))
