@@ -35,8 +35,8 @@ while True:
     inst = sample_instance(net, mu, mu, rng)
     if 0 < inst.total_demand <= inst.total_supply:
         break
-exact = exact_network_match(net, inst)
-greedy = heuristic_network_match(net, inst)
+exact = exact_network_match(inst)
+greedy = heuristic_network_match(inst)
 print(f"one realization ({inst.total_demand} demand, {inst.total_supply} supply):")
 print(f"  exact mean distance:     {exact.mean_distance:.4f}")
 print(f"  heuristic mean distance: {greedy.mean_distance:.4f}")

@@ -330,20 +330,20 @@ def _network_means(
             resampled += 1
             inst = sample_instance(net, point.mu, point.lam, rng)
         if rep == 0:
-            means[rep] = _checked_network_mean(point, net, inst)
+            means[rep] = _checked_network_mean(point, inst)
         else:
-            means[rep] = exact_network_match(net, inst).mean_distance
+            means[rep] = exact_network_match(inst).mean_distance
     return means, resampled
 
 
-def _checked_network_mean(point: NetworkPoint, net: NetworkModel, inst: NetworkInstance) -> float:
+def _checked_network_mean(point: NetworkPoint, inst: NetworkInstance) -> float:
     """The kernel's mean matching distance of ``inst``, once ``solve_dense``
     certifies the kernel's assignment optimal on the same cost matrix, built
     once and released on return. A start that fails the certificate stops
     the sweep with a RuntimeError naming the point and ``solve_dense``: no
     second solver is tried."""
-    costs = _cost_matrix(net, inst)
-    match = exact_network_match(net, inst, costs=costs)
+    costs = _cost_matrix(inst)
+    match = exact_network_match(inst, costs=costs)
     try:
         solve_dense(costs, start=match.pairs[:, 1])
     except ValueError as err:

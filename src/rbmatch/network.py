@@ -3,7 +3,9 @@ shortest-path point distances, exact and heuristic matching, and the
 local/global decomposition estimator on a given within-edge estimate.
 
 A network is its degree, edge count and edge length; ``NetworkModel``
-derives its edges and node distances from those three."""
+derives its edges and node distances from those three. A
+``NetworkInstance`` carries the model its points were drawn on, so the
+matchers take the instance alone and measure in that model's metric."""
 
 from __future__ import annotations
 
@@ -163,28 +165,34 @@ def build_regular_network(degree: int, edge_count: int, length: float) -> Networ
 
 @dataclass(frozen=True, eq=False)
 class NetworkInstance(_RebuiltWhenCopied):
-    """Realized points as flat (edge, offset) arrays, ordered by edge index and
-    then by offset; a point's position in them is its index in a matching.
+    """Realized points on the network ``net`` as flat (edge, offset) arrays,
+    ordered by edge index and then by offset; a point's position in them is
+    its index in a matching.
 
-    Each side's two arrays are 1D and of equal length, edge indices are
-    nonnegative integers and offsets finite and nonnegative; the cost matrix
-    and the heuristic read each edge's points as one ordered block, so an
-    instance out of that order is rejected with an error naming the field.
-    The four arrays it stores are frozen in place, as ``CostMatrix`` freezes
-    its matrix: an array handed in the stored dtype that owns its data is
-    marked read-only, not copied, and a view is copied first, so no write
-    through the array or a base it views can reorder a checked instance,
-    though an earlier view of it can (see ``types._readonly``). A
-    pickled or copied instance is rebuilt through the constructor, checked
-    and frozen again.
+    ``net`` must be a ``NetworkModel``, else a TypeError names it. Each
+    side's two arrays are 1D and of equal length, edge indices are integers
+    in [0, E) of ``net``'s E edges and offsets lie in [0, L] of its length
+    L; the cost matrix and the heuristic read each edge's points as one
+    ordered block, so an instance off its network or out of that order is
+    rejected with an error naming the field. The four arrays it stores are
+    frozen in place, as ``CostMatrix`` freezes its matrix: an array handed
+    in the stored dtype that owns its data is marked read-only, not copied,
+    and a view is copied first, so no write through the array or a base it
+    views can reorder a checked instance, though an earlier view of it can
+    (see ``types._readonly``). A pickled or copied instance is rebuilt with
+    its model through the constructor, checked and frozen again.
     """
 
+    net: NetworkModel
     demand_edge: np.ndarray
     demand_offset: np.ndarray
     supply_edge: np.ndarray
     supply_offset: np.ndarray
 
     def __post_init__(self):
+        net = self.net
+        if not isinstance(net, NetworkModel):
+            raise TypeError(f"net must be a NetworkModel, got {type(net).__name__}")
         for side in ("demand", "supply"):
             edge = np.asarray(getattr(self, f"{side}_edge"))
             offset = np.asarray(getattr(self, f"{side}_offset"), dtype=np.float64)
@@ -195,12 +203,13 @@ class NetworkInstance(_RebuiltWhenCopied):
                 )
             if edge.size == 0:
                 edge = edge.astype(np.int64)
-            # the first index is the least once the order check below passes
-            elif edge.dtype.kind not in "iu" or edge[0] < 0:
-                raise ValueError(f"{side}_edge must hold nonnegative integer edge indices")
+            # the first and last index are the least and greatest once the
+            # order check below passes
+            elif edge.dtype.kind not in "iu" or not (edge[0] >= 0 and edge[-1] < net.edge_count):
+                raise ValueError(f"{side}_edge must hold integer indices in [0, {net.edge_count})")
             # min and max are NaN if any offset is
-            if offset.size and not (offset.min() >= 0.0 and offset.max() < np.inf):
-                raise ValueError(f"{side}_offset must be finite and nonnegative")
+            if offset.size and not (offset.min() >= 0.0 and offset.max() <= net.length):
+                raise ValueError(f"{side}_offset must lie in [0, {net.length}]")
             # neighbours compared, not differenced: a difference wraps for unsigned dtypes
             if (edge[1:] < edge[:-1]).any():
                 raise ValueError(f"{side}_edge must be in ascending order")
@@ -228,7 +237,7 @@ def sample_instance(net: NetworkModel, mu: float, lam: float, seed) -> NetworkIn
     ``uniform(0, length, k)`` is ``0.0 + length * random()``, and scaling by
     a positive length keeps the order, so the offsets have the bits of sorted
     per-edge ``uniform`` draws of demand, then supply. The arrays are built
-    in the form ``NetworkInstance`` checks for.
+    in the form ``NetworkInstance`` checks for, on ``net``.
     """
     mu, lam = check_positive("mu", mu), check_positive("lam", lam)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -249,25 +258,14 @@ def sample_instance(net: NetworkModel, mu: float, lam: float, seed) -> NetworkIn
         offset = np.concatenate(side)
         offset *= length
         points += [np.repeat(edges, [part.size for part in side]), offset]
-    return NetworkInstance(*points)
+    return NetworkInstance(net, *points)
 
 
-def _check_on_network(net: NetworkModel, inst: NetworkInstance) -> None:
-    """Reject a point on an edge the network does not have, or past the
-    edge's end, with a ValueError naming its field."""
-    for side in ("demand", "supply"):
-        edge, offset = getattr(inst, f"{side}_edge"), getattr(inst, f"{side}_offset")
-        if edge.size and edge[-1] >= net.edge_count:  # edges ascend
-            raise ValueError(f"{side}_edge must index one of the {net.edge_count} edges")
-        if offset.size and offset.max() > net.length:
-            raise ValueError(f"{side}_offset must not exceed the edge length {net.length}")
-
-
-def _cost_matrix(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:
-    """Demand-by-supply matrix of shortest along-edge distances: the least of
-    the four endpoint routes (out of either end of the demand edge, the node
-    distance, in at either end of the supply edge) and, on one edge, the
-    direct segment |a - b|.
+def _cost_matrix(inst: NetworkInstance) -> np.ndarray:
+    """Demand-by-supply matrix of shortest along-edge distances on
+    ``inst.net``: the least of the four endpoint routes (out of either end
+    of the demand edge, the node distance, in at either end of the supply
+    edge) and, on one edge, the direct segment |a - b|.
 
     Each demand point's distance to either end of every edge is gathered
     once, as two demand-by-edge arrays, and repeated over each edge's block
@@ -275,10 +273,9 @@ def _cost_matrix(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:
     the result, the far end into a block of ``_ROW_BLOCK`` rows at a time.
     In-place adds of the supply offsets and an in-place minimum merge them.
     Rounding is monotone, so min(x, y) + b equals min(x + b, y + b) and each
-    entry equals the four-way minimum of the summed routes bit for bit. A
-    point off the network raises ValueError naming its field.
+    entry equals the four-way minimum of the summed routes bit for bit.
     """
-    _check_on_network(net, inst)
+    net = inst.net
     d_edge, d_off = inst.demand_edge, inst.demand_offset
     s_edge, s_off = inst.supply_edge, inst.supply_offset
     length = net.length
@@ -314,13 +311,11 @@ def _cost_matrix(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:
     return cost
 
 
-def exact_network_match(
-    net: NetworkModel, inst: NetworkInstance, *, costs: np.ndarray | None = None
-) -> MatchResult:
-    """Optimal matching of all demand to supply under the network metric.
+def exact_network_match(inst: NetworkInstance, *, costs: np.ndarray | None = None) -> MatchResult:
+    """Optimal matching of all demand to supply under the metric of ``inst.net``.
 
     Pairs index into the instance's flat point arrays. ``costs``, if given,
-    is taken as ``_cost_matrix(net, inst)`` already built, so a caller that
+    is taken as ``_cost_matrix(inst)`` already built, so a caller that
     needs the matrix for another solver builds it once; it is frozen in
     place as ``CostMatrix`` freezes it, and a shape other than (demand,
     supply) of ``inst`` raises a ValueError naming it.
@@ -328,7 +323,7 @@ def exact_network_match(
     if inst.total_demand > inst.total_supply:
         raise ValueError("more demand than supply; instance is infeasible")
     if costs is None:
-        costs = _cost_matrix(net, inst)
+        costs = _cost_matrix(inst)
     elif np.shape(costs) != (inst.total_demand, inst.total_supply):
         raise ValueError(
             f"costs must have the instance's shape "
@@ -337,8 +332,9 @@ def exact_network_match(
     return solve_assignment(CostMatrix(costs))
 
 
-def heuristic_network_match(net: NetworkModel, inst: NetworkInstance) -> MatchResult:
-    """Local-first matching: per-edge optimal matching, then a layered search.
+def heuristic_network_match(inst: NetworkInstance) -> MatchResult:
+    """Local-first matching on ``inst.net``: per-edge optimal matching, then a
+    layered search.
 
     Edges with surplus demand keep the points nearest the edge middle matched
     locally; each leftover demand point, in index order, then searches
@@ -347,13 +343,13 @@ def heuristic_network_match(net: NetworkModel, inst: NetworkInstance) -> MatchRe
     first layer that has one, the lowest index on ties. A local pair's
     distance is its direct segment, which no detour through the edge's ends
     undercuts, so it equals the ``_cost_matrix`` entry bit for bit; the
-    leftover demand rows, still ordered, form a sub-instance whose
-    ``_cost_matrix`` gives their distances. Diagnostic companion to the exact
+    leftover demand rows, still ordered, form a sub-instance on ``inst.net``
+    whose ``_cost_matrix`` gives their distances. Diagnostic companion to the exact
     solver, never below it in total distance.
     """
     if inst.total_demand > inst.total_supply:
         raise ValueError("more demand than supply; instance is infeasible")
-    _check_on_network(net, inst)
+    net = inst.net
     length = net.length
     bounds = np.arange(net.edge_count + 1)
     d_bounds = np.searchsorted(inst.demand_edge, bounds)
@@ -383,7 +379,7 @@ def heuristic_network_match(net: NetworkModel, inst: NetworkInstance) -> MatchRe
     layer = np.rint(np.minimum(nd[:, edges[:, 0]], nd[:, edges[:, 1]]) / length)
     leftover = np.flatnonzero(match < 0)
     d_edge, d_off = inst.demand_edge[leftover], inst.demand_offset[leftover]
-    cost = _cost_matrix(net, NetworkInstance(d_edge, d_off, inst.supply_edge, inst.supply_offset))
+    cost = _cost_matrix(NetworkInstance(net, d_edge, d_off, inst.supply_edge, inst.supply_offset))
     origin = np.where(d_off <= length - d_off, edges[d_edge, 0], edges[d_edge, 1])
     for k, (i, node) in enumerate(zip(leftover, origin)):
         supply_layer = layer[node, inst.supply_edge]

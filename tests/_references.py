@@ -15,7 +15,9 @@ the library's faster ones. The earlier unblocked certificate of a
 ``solve_dense`` start, whole-matrix passes over the matched columns, pins
 the blocked one bit for bit. An earlier numpy shortest-augmenting-path
 solver, which shares no code with the compiled kernel, is the assignment
-tests' independent reference. None of them is on a sweep's path.
+tests' independent reference, and a min-cost flow on the network
+subdivided at its points, which shares no code with the network distance
+routine, is the exact network optimum's. None of them is on a sweep's path.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import sparse
+from scipy.optimize import linprog
 
 from rbmatch.assignment import _CERTIFY_SPREAD, _FALL_TOL, AssignmentSolution
 from rbmatch.exact1d import RemovalSet, _removal_set, match_costs_1d, optimal_match_1d
-from rbmatch.network import NetworkInstance, NetworkModel, _check_on_network
+from rbmatch.network import NetworkInstance, NetworkModel
 from rbmatch.types import Instance1D, MatchResult, SupplyCurve
 
 _MAX_ORACLE_N = 10
@@ -162,8 +166,9 @@ def _per_edge(edge, offset, edge_count):
     return [offset[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _heuristic_reference(net, inst):
+def _heuristic_reference(inst):
     """Scalar local-first heuristic: per-edge loops and ``point_distance``."""
+    net = inst.net
     length = net.length
     per_edge_demand = _per_edge(inst.demand_edge, inst.demand_offset, net.edge_count)
     per_edge_supply = _per_edge(inst.supply_edge, inst.supply_offset, net.edge_count)
@@ -221,20 +226,19 @@ def _heuristic_reference(net, inst):
     return MatchResult.from_pairs([pairs[i] for i in order], [dists[i] for i in order])
 
 
-def cost_matrix_columnwise(net: NetworkModel, inst: NetworkInstance) -> np.ndarray:
-    """Demand-by-supply matrix of shortest along-edge distances: the least of
-    the four endpoint routes (out of either end of the demand edge, the node
-    distance, in at either end of the supply edge) and, on one edge, the
-    direct segment |a - b|.
+def cost_matrix_columnwise(inst: NetworkInstance) -> np.ndarray:
+    """Demand-by-supply matrix of shortest along-edge distances on
+    ``inst.net``: the least of the four endpoint routes (out of either end
+    of the demand edge, the node distance, in at either end of the supply
+    edge) and, on one edge, the direct segment |a - b|.
 
     Each demand point's distance to every node is gathered at either end of
     every supply edge into one of two buffers, which in-place adds of the
     supply offsets and an in-place minimum merge. Rounding is monotone, so
     min(x, y) + b equals min(x + b, y + b) and each entry equals the four-way
-    minimum of the summed routes bit for bit. A point off the network raises
-    ValueError naming its field.
+    minimum of the summed routes bit for bit.
     """
-    _check_on_network(net, inst)
+    net = inst.net
     d_edge, d_off = inst.demand_edge, inst.demand_offset
     s_edge, s_off = inst.supply_edge, inst.supply_offset
     length = net.length
@@ -262,6 +266,57 @@ def cost_matrix_columnwise(net: NetworkModel, inst: NetworkInstance) -> np.ndarr
     at = rows * s_edge.size + cols
     flat[at] = np.minimum(flat[at], np.abs(d_off[rows] - s_off[cols]))
     return cost
+
+
+def network_flow_cost(inst: NetworkInstance) -> float:
+    """The optimal matching total of ``inst`` as an uncapacitated min-cost
+    flow on its network subdivided at its points, solved by HiGHS: an exact
+    oracle that reads only ``inst.net.edges``, ``inst.net.length`` and the
+    four point arrays, and shares no code with ``_cost_matrix``,
+    ``node_distance`` or ``_all_pairs_hops``.
+
+    Its vertices are the network's nodes, the demand points, the supply
+    points and one sink. Along each edge, its two ends and the points on it
+    are taken in offset order, and each consecutive two are joined both ways
+    at the cost of their gap. Each demand point sends one unit, and each
+    supply point has an arc of capacity 1 to the sink, which takes them all.
+    A flow splits into one path per demand point, each to a distinct supply
+    point and none shorter than that pair's network distance, and the
+    optimal pairs' shortest paths make a flow: so both optima are equal.
+    """
+    ends, length = inst.net.edges, inst.net.length
+    edge_count, node_count = len(ends), int(ends.max()) + 1
+    m, n = inst.demand_edge.size, inst.supply_edge.size
+    sink = node_count + m + n
+    # every position on every edge: both ends, then the points
+    edge = np.concatenate([np.tile(np.arange(edge_count), 2), inst.demand_edge, inst.supply_edge])
+    offset = np.concatenate(
+        [np.zeros(edge_count), np.full(edge_count, length), inst.demand_offset, inst.supply_offset]
+    )
+    vertex = np.concatenate([ends[:, 0], ends[:, 1], node_count + np.arange(m + n)])
+    order = np.lexsort((offset, edge))
+    edge, offset, vertex = edge[order], offset[order], vertex[order]
+    along = edge[1:] == edge[:-1]
+    left, right, gap = vertex[:-1][along], vertex[1:][along], np.diff(offset)[along]
+    supply = node_count + m + np.arange(n)
+    tail = np.concatenate([left, right, supply])
+    head = np.concatenate([right, left, np.full(n, sink)])
+    cost = np.concatenate([gap, gap, np.zeros(n)])
+    arcs = np.arange(cost.size)
+    # node-arc incidence: +1 where an arc leaves, -1 where it enters
+    incidence = sparse.csr_array(
+        (np.repeat([1.0, -1.0], cost.size), (np.concatenate([tail, head]), np.tile(arcs, 2))),
+        shape=(sink + 1, cost.size),
+    )
+    sent = np.zeros(sink + 1)
+    sent[node_count : node_count + m] = 1.0
+    sent[sink] = -m
+    upper = np.concatenate([np.full(2 * gap.size, np.inf), np.ones(n)])
+    bounds = np.column_stack((np.zeros_like(upper), upper))
+    res = linprog(cost, A_eq=incidence, b_eq=sent, bounds=bounds, method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"the min-cost flow failed: {res.message}")
+    return float(res.fun)
 
 
 def solve_dense_reference(costs) -> AssignmentSolution:

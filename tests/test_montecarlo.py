@@ -533,9 +533,9 @@ def test_network_sweep_builds_each_layout_once_and_each_matrix_once(monkeypatch)
         builds.append(key)
         return build(*key)
 
-    def counting_matrix(net, inst):
+    def counting_matrix(inst):
         matrices.append(inst.total_demand)
-        return cost_matrix(net, inst)
+        return cost_matrix(inst)
 
     monkeypatch.setattr(montecarlo, "build_regular_network", counting_build)
     for module in (network, montecarlo):
@@ -562,7 +562,7 @@ def test_network_records_equal_each_point_run_on_its_own_network():
             inst = sample_instance(net, point.mu, point.lam, rng)
             while not 0 < inst.total_demand <= inst.total_supply:
                 inst = sample_instance(net, point.mu, point.lam, rng)
-            means.append(exact_network_match(net, inst).mean_distance)
+            means.append(exact_network_match(inst).mean_distance)
         assert rec.sim_mean == float(np.mean(means))
         assert rec.sim_std == float(np.std(means, ddof=1))
 

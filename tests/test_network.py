@@ -15,6 +15,7 @@ from _references import (
     _heuristic_reference,
     all_pairs_hops_floyd_warshall,
     cost_matrix_columnwise,
+    network_flow_cost,
     point_distance,
     solve_dense_reference,
 )
@@ -188,7 +189,7 @@ def test_sampled_instances_pass_the_public_checks(degree, edge_count, mu, lam):
     empty_sides = 0
     for seed in range(20):
         inst = sample_instance(net, mu, lam, seed)
-        rebuilt = NetworkInstance(*(getattr(inst, f) for f in fields))
+        rebuilt = NetworkInstance(net, *(getattr(inst, f) for f in fields))
         for f in fields:
             a, b = getattr(inst, f), getattr(rebuilt, f)
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -202,7 +203,7 @@ def test_network_instance_arrays_are_frozen(square_torus):
     # checked at construction; no write may reorder it afterwards
     fields = ("demand_edge", "demand_offset", "supply_edge", "supply_offset")
     arrays = (np.array([0, 2]), np.array([0.1, 0.5]), np.array([0, 0, 2]), np.array([0.2, 0.3, 0.4]))
-    hand_built = NetworkInstance(*arrays)
+    hand_built = NetworkInstance(square_torus, *arrays)
     assert all(getattr(hand_built, f) is a for f, a in zip(fields, arrays))  # frozen in place
     for inst in (hand_built, sample_instance(square_torus, 5.0, 25.0, 7)):
         for f in fields:
@@ -210,11 +211,11 @@ def test_network_instance_arrays_are_frozen(square_torus):
                 getattr(inst, f)[0] = 0
 
 
-def test_network_instance_copies_views_before_freezing_them():
+def test_network_instance_copies_views_before_freezing_them(square_torus):
     # a view frozen in place would still change through its writable base:
     # a write to it could reorder a checked instance
     e, o = np.array([0, 2, 5]), np.array([0.1, 0.5, 0.2])
-    inst = NetworkInstance(e[:], o[:], e[:], o[:])
+    inst = NetworkInstance(square_torus, e[:], o[:], e[:], o[:])
     e[0], o[0] = 7, 0.9
     for f in ("demand", "supply"):
         assert getattr(inst, f"{f}_edge").tolist() == [0, 2, 5]
@@ -226,22 +227,31 @@ def test_copies_are_rebuilt_through_the_constructor(square_torus):
     # pickle and deepcopy drop numpy's read-only flag: a copy must pass the
     # checks again and come back frozen
     inst = sample_instance(square_torus, 5.0, 25.0, 7)
-    matrix = CostMatrix(_cost_matrix(square_torus, inst))
+    matrix = CostMatrix(_cost_matrix(inst))
     fields = ("demand_edge", "demand_offset", "supply_edge", "supply_offset")
     for copy_of in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
         inst_copy, matrix_copy = copy_of(inst), copy_of(matrix)
         for f in fields:
             assert np.array_equal(getattr(inst_copy, f), getattr(inst, f))
             assert not getattr(inst_copy, f).flags.writeable
+        # the model comes with it, rebuilt through its own constructor
+        net_copy = inst_copy.net
+        assert (net_copy.degree, net_copy.edge_count, net_copy.length) == (4, 36, 1.0)
+        assert np.array_equal(net_copy.node_distance, square_torus.node_distance)
         assert np.array_equal(matrix_copy.costs, matrix.costs)
         assert not matrix_copy.costs.flags.writeable
     # a tampered reduce tuple is checked as a hand-built instance is
-    cls, args = inst.__reduce__()
+    cls, (net, *args) = inst.__reduce__()
+    assert net is square_torus
     demand_offset = args[1].copy()
     demand_offset[:2] = demand_offset[1::-1]  # demand 0 and 1 share edge 0
     assert args[0][1] == args[0][0] and demand_offset[0] > demand_offset[1]
     with pytest.raises(ValueError, match="demand_offset must be ascending"):
-        cls(args[0], demand_offset, *args[2:])
+        cls(net, args[0], demand_offset, *args[2:])
+    # and so is one whose model has fewer edges than its points lie on
+    assert args[0][-1] >= 6
+    with pytest.raises(ValueError, match=r"demand_edge must hold integer indices in \[0, 6\)"):
+        cls(NetworkModel(3, 6, 1.0), *args)
     cls, (costs,) = matrix.__reduce__()
     costs = costs.copy()
     costs[0, 0] = -1.0
@@ -271,7 +281,7 @@ def test_sampling_rejects_bad_densities(square_torus):
 
 def test_exact_match_single_pair(square_torus):
     inst = _manual_instance(square_torus, {0: [0.2]}, {0: [0.9]})
-    res = exact_network_match(square_torus, inst)
+    res = exact_network_match(inst)
     assert res.total_distance == pytest.approx(0.7)
 
 
@@ -281,18 +291,18 @@ def _manual_instance(net, demand_by_edge, supply_by_edge) -> NetworkInstance:
         per_edge = [np.sort(np.asarray(by_edge.get(e, []), float)) for e in range(net.edge_count)]
         arrays.append(np.repeat(np.arange(net.edge_count), [len(a) for a in per_edge]))
         arrays.append(np.concatenate(per_edge))
-    return NetworkInstance(*arrays)
+    return NetworkInstance(net, *arrays)
 
 
 def test_instance_rejects_points_out_of_edge_order(square_torus):
     # out of order, _cost_matrix would read the point at 0.5 on edge 3 as lying on edge 0
     demand = (np.array([0]), np.array([0.5]))
     with pytest.raises(ValueError, match="supply_edge"):
-        NetworkInstance(*demand, np.array([3, 0]), np.array([0.5, 0.9]))
-    inst = NetworkInstance(*demand, np.array([0, 3]), np.array([0.9, 0.5]))
+        NetworkInstance(square_torus, *demand, np.array([3, 0]), np.array([0.5, 0.9]))
+    inst = NetworkInstance(square_torus, *demand, np.array([0, 3]), np.array([0.9, 0.5]))
     assert inst.supply_offset.tolist() == [0.9, 0.5]
-    assert exact_network_match(square_torus, inst).total_distance == pytest.approx(0.4)
-    assert _cost_matrix(square_torus, inst)[0, 1] == point_distance(square_torus, (0, 0.5), (3, 0.5))
+    assert exact_network_match(inst).total_distance == pytest.approx(0.4)
+    assert _cost_matrix(inst)[0, 1] == point_distance(square_torus, (0, 0.5), (3, 0.5))
 
 
 @pytest.mark.parametrize(
@@ -309,39 +319,39 @@ def test_instance_rejects_points_out_of_edge_order(square_torus):
         ("demand_edge", ([0.0], [0.5], [0], [0.5])),
         ("supply_edge", ([0], [0.5], [0, 1], [0.5])),
         ("supply_edge", ([0], [0.5], [[0]], [[0.5]])),
+        # off the 36 unit edges: a point on an edge the network does not
+        # have, or past an edge's end, where it would read as a point on the
+        # next stretch
+        ("demand_edge", ([40], [0.5], [0], [0.5])),
+        ("demand_edge", ([0, 36], [0.5, 0.5], [0], [0.5])),
+        ("supply_edge", ([0], [0.5], [36], [0.5])),
+        ("demand_offset", ([0], [1.5], [0], [0.2])),
+        ("supply_offset", ([0], [0.2], [0], [1.5])),
+        ("supply_offset", ([0], [0.2], [3, 3], [0.5, np.nextafter(1.0, 2.0)])),
     ],
 )
 @pytest.mark.parametrize("edge_dtype", [np.int64, np.int8, np.int32, np.uint8, np.uint64])
-def test_instance_validation_names_the_field(field, fields, edge_dtype):
+def test_instance_validation_names_the_field(square_torus, field, fields, edge_dtype):
     arrays = [np.asarray(f) for f in fields]
     for i in (0, 2):  # the edge arrays, in edge_dtype wherever it holds their values
         if arrays[i].dtype.kind == "i" and (arrays[i].astype(edge_dtype) == arrays[i]).all():
             arrays[i] = arrays[i].astype(edge_dtype)
     with pytest.raises(ValueError, match=field):
-        NetworkInstance(*arrays)
+        NetworkInstance(square_torus, *arrays)
 
 
-@pytest.mark.parametrize(
-    "field, fields",
-    [
-        # an offset past the edge end would read as a point on the next stretch
-        ("demand_offset", ([0], [1.5], [0], [0.2])),
-        ("supply_offset", ([0], [0.2], [0], [1.5])),
-        ("demand_edge", ([40], [0.5], [0], [0.5])),
-        ("supply_edge", ([0], [0.5], [36], [0.5])),
-    ],
-)
-def test_matchers_reject_points_off_the_network(square_torus, field, fields):
-    inst = NetworkInstance(*(np.asarray(f) for f in fields))
-    for matcher in (exact_network_match, heuristic_network_match):
-        with pytest.raises(ValueError, match=field):
-            matcher(square_torus, inst)
+@pytest.mark.parametrize("net", [None, (4, 36, 1.0), regular_edges(4, 36)])
+def test_instance_takes_its_network_as_a_model(net):
+    # the matchers measure in the instance's own model: a tuple of the
+    # model's fields or its edge list is no network
+    with pytest.raises(TypeError, match="net must be a NetworkModel"):
+        NetworkInstance(net, [0], [0.5], [0], [0.5])
 
 
 def test_instance_accepts_empty_sides(square_torus):
-    inst = NetworkInstance([], [], [4], [0.5])
+    inst = NetworkInstance(square_torus, [], [], [4], [0.5])
     assert inst.total_demand == 0 and inst.demand_edge.dtype == np.int64
-    assert exact_network_match(square_torus, inst).pairs.shape == (0, 2)
+    assert exact_network_match(inst).pairs.shape == (0, 2)
 
 
 def test_exact_match_single_edge_matches_segment_dp(square_torus):
@@ -353,13 +363,14 @@ def test_exact_match_single_edge_matches_segment_dp(square_torus):
         dem = rng.uniform(1 / 3, 2 / 3, m)
         sup = rng.uniform(1 / 3, 2 / 3, n)
         inst = _manual_instance(square_torus, {3: dem}, {3: sup})
-        res = exact_network_match(square_torus, inst)
+        res = exact_network_match(inst)
         seg = optimal_match_1d(Instance1D(dem, sup, 1.0))
         assert res.total_distance == pytest.approx(seg.total_distance, abs=1e-9)
 
 
-def _point_distances(net, inst) -> np.ndarray:
+def _point_distances(inst) -> np.ndarray:
     """The demand-by-supply matrix of scalar ``point_distance`` values."""
+    net = inst.net
     demand = list(zip(inst.demand_edge.tolist(), inst.demand_offset.tolist()))
     supply = list(zip(inst.supply_edge.tolist(), inst.supply_offset.tolist()))
     rows = [[point_distance(net, a, b) for b in supply] for a in demand]
@@ -367,23 +378,22 @@ def _point_distances(net, inst) -> np.ndarray:
 
 
 def _fig6_sized_instance():
-    net = build_regular_network(3, 36, 1.0)
-    return net, sample_instance(net, 5.0, 25.0, 6)
+    return sample_instance(build_regular_network(3, 36, 1.0), 5.0, 25.0, 6)
 
 
 def _sparse_demand_instance():
     net = build_regular_network(4, 36, 1.0)
     inst = sample_instance(net, 0.1, 5.0, 7)
     assert (np.bincount(inst.demand_edge, minlength=36) == 0).mean() > 0.5
-    return net, inst
+    return inst
 
 
 def _demand_without_supply_instance():
-    net = build_regular_network(6, 36, 1.0)
-    inst = _manual_instance(
-        net, {0: [0.1, 0.5, 0.9], 7: [0.3]}, {3: [0.2, 0.8], 7: [0.6], 20: [0.0, 1.0]}
+    return _manual_instance(
+        build_regular_network(6, 36, 1.0),
+        {0: [0.1, 0.5, 0.9], 7: [0.3]},
+        {3: [0.2, 0.8], 7: [0.6], 20: [0.0, 1.0]},
     )
-    return net, inst
 
 
 @pytest.mark.parametrize(
@@ -396,10 +406,10 @@ def _demand_without_supply_instance():
     ids=["fig6_sized", "most_edges_without_demand", "edge_with_demand_but_no_supply"],
 )
 def test_cost_matrix_equals_point_distance(build):
-    net, inst = build()
-    costs = _cost_matrix(net, inst)
+    inst = build()
+    costs = _cost_matrix(inst)
     assert costs.shape == (inst.total_demand, inst.total_supply)
-    assert np.array_equal(costs, _point_distances(net, inst))
+    assert np.array_equal(costs, _point_distances(inst))
 
 
 def test_exact_match_brute_force(square_torus):
@@ -409,8 +419,8 @@ def test_exact_match_brute_force(square_torus):
             inst = sample_instance(square_torus, 0.04, 0.06, rng)
             if 0 < inst.total_demand <= 4 and inst.total_demand <= inst.total_supply <= 6:
                 break
-        res = exact_network_match(square_torus, inst)
-        costs = _point_distances(square_torus, inst)
+        res = exact_network_match(inst)
+        costs = _point_distances(inst)
         rows = np.arange(inst.total_demand)
         best = min(
             costs[rows, list(perm)].sum()
@@ -431,9 +441,9 @@ def test_cost_matrix_and_match_against_references(degree, ratio):
         if not 0 < inst.total_demand <= inst.total_supply:
             continue
         checked += 1
-        costs = _cost_matrix(net, inst)
-        assert np.array_equal(costs, _point_distances(net, inst))
-        res = exact_network_match(net, inst)
+        costs = _cost_matrix(inst)
+        assert np.array_equal(costs, _point_distances(inst))
+        res = exact_network_match(inst)
         ref = solve_dense_reference(costs)
         assert res.total_distance == pytest.approx(ref.total_cost, rel=1e-12, abs=0.0)
 
@@ -447,8 +457,8 @@ def _network(degree, edge_count, length):
     return build_regular_network(degree, edge_count, length)
 
 
-def _assert_same_cost_matrix(net, inst):
-    costs, ref = _cost_matrix(net, inst), cost_matrix_columnwise(net, inst)
+def _assert_same_cost_matrix(inst):
+    costs, ref = _cost_matrix(inst), cost_matrix_columnwise(inst)
     assert costs.flags.c_contiguous  # the same-edge write goes through reshape(-1)
     assert costs.dtype == ref.dtype and costs.shape == ref.shape
     assert costs.tobytes() == ref.tobytes()
@@ -470,7 +480,7 @@ _densities = st.floats(0.01, 30.0)
 @example(layout=(4, 50), length=0.7, mu=30.0, lam=0.05, seed=2)  # most edges without supply
 def test_cost_matrix_of_sampled_instances_equals_reference(layout, length, mu, lam, seed):
     net = _network(*layout, length)
-    _assert_same_cost_matrix(net, sample_instance(net, mu, lam, seed))
+    _assert_same_cost_matrix(sample_instance(net, mu, lam, seed))
 
 
 def _points(edge_count):
@@ -494,7 +504,7 @@ def test_cost_matrix_of_public_instances_equals_reference(data, layout, length, 
         points = data.draw(_points(net.edge_count), label=side)
         edge = np.array([e for e, _ in points], dtype=edge_dtype)
         arrays += [edge, np.array([f * length for _, f in points], dtype=np.float64)]
-    _assert_same_cost_matrix(net, NetworkInstance(*arrays))
+    _assert_same_cost_matrix(NetworkInstance(net, *arrays))
 
 
 def _grid_points(edge_count, size):
@@ -518,9 +528,39 @@ def test_balanced_total_is_unchanged_when_the_sides_swap(data, layout, length, s
     for side in ("demand", "supply"):
         points = data.draw(_grid_points(net.edge_count, size), label=side)
         arrays += [np.array([e for e, _ in points]), np.array([q * length / 4 for _, q in points])]
-    total = exact_network_match(net, NetworkInstance(*arrays)).total_distance
-    swapped = exact_network_match(net, NetworkInstance(*arrays[2:], *arrays[:2])).total_distance
+    total = exact_network_match(NetworkInstance(net, *arrays)).total_distance
+    swapped = exact_network_match(NetworkInstance(net, *arrays[2:], *arrays[:2])).total_distance
     assert swapped == pytest.approx(total, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    layout=st.sampled_from([layout for layout in _LAYOUTS if layout[1] <= 36]),
+    length=st.sampled_from([1.0, 0.7, 2.5]),
+    mu=st.floats(0.1, 3.0),
+    ratio=st.floats(1.0, 5.0),
+    balanced=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(layout=(6, 36), length=1.0, mu=3.0, ratio=1.0, balanced=True, seed=0)
+@example(layout=(3, 6), length=2.5, mu=0.1, ratio=5.0, balanced=False, seed=1)
+def test_total_equals_the_min_cost_flow(layout, length, mu, ratio, balanced, seed):
+    # the flow walks the network subdivided at the points and reads no
+    # distance of the library's, so a route that _cost_matrix gets wrong
+    # shows; offsets on a quarter grid put points on one another and on the
+    # nodes, and a balanced draw keeps the first M of its supply points
+    net = _network(*layout, length)
+    rng = np.random.default_rng(seed)
+    inst = sample_instance(net, mu, ratio * mu, rng)
+    while not 0 < inst.total_demand <= inst.total_supply:
+        inst = sample_instance(net, mu, ratio * mu, rng)
+    keep = inst.total_demand if balanced else inst.total_supply
+    arrays = (inst.demand_edge, inst.demand_offset, inst.supply_edge[:keep], inst.supply_offset[:keep])
+    grid = NetworkInstance(
+        net, *(a if i % 2 == 0 else np.round(a / length * 4.0) * length / 4.0 for i, a in enumerate(arrays))
+    )
+    total = exact_network_match(grid).total_distance
+    assert total == pytest.approx(network_flow_cost(grid), rel=1e-12, abs=0.0)
 
 
 def _draw_automorphism(data, degree, node_count):
@@ -574,11 +614,12 @@ def test_total_is_unchanged_by_a_layout_automorphism(data, layout, length, sizes
     for side, size in zip(("demand", "supply"), sizes):
         points = data.draw(_grid_points(net.edge_count, size), label=side)
         arrays += [np.array([e for e, _ in points]), np.array([q * length / 4 for _, q in points])]
-    total = exact_network_match(net, NetworkInstance(*arrays)).total_distance
+    total = exact_network_match(NetworkInstance(net, *arrays)).total_distance
     mapped = NetworkInstance(
+        net,
         *_mapped_side(net, node_map, *arrays[:2]), *_mapped_side(net, node_map, *arrays[2:])
     )
-    mapped_total = exact_network_match(net, mapped).total_distance
+    mapped_total = exact_network_match(mapped).total_distance
     assert mapped_total == pytest.approx(total, rel=1e-12, abs=0.0)
 
 
@@ -590,7 +631,7 @@ def test_cost_matrix_at_edge_ends_equals_reference(layout, length):
     net = _network(*layout, length)
     offsets = [0.0, 1e-300, length / 2, np.nextafter(length, 0.0), length]
     by_edge = {e: offsets for e in range(3)}
-    _assert_same_cost_matrix(net, _manual_instance(net, by_edge, by_edge))
+    _assert_same_cost_matrix(_manual_instance(net, by_edge, by_edge))
 
 
 @pytest.mark.parametrize("m", [1, 31, 32, 33, 64, 65])
@@ -599,15 +640,15 @@ def test_cost_matrix_at_row_block_edges_equals_reference(square_torus, m):
     inst = sample_instance(square_torus, 5.0, 10.0, m)
     assert inst.total_demand > 65
     head = NetworkInstance(
+        square_torus,
         inst.demand_edge[:m], inst.demand_offset[:m], inst.supply_edge, inst.supply_offset
     )
-    _assert_same_cost_matrix(square_torus, head)
+    _assert_same_cost_matrix(head)
 
 
 @pytest.fixture(scope="module")
 def draw_at_144_edges():
-    net = build_regular_network(4, 144, 1.0)
-    return net, sample_instance(net, 5.0, 25.0, 0)
+    return sample_instance(build_regular_network(4, 144, 1.0), 5.0, 25.0, 0)
 
 
 def _traced_peak(f, *args, **kwargs):
@@ -621,17 +662,17 @@ def _traced_peak(f, *args, **kwargs):
 
 
 def test_cost_matrix_holds_no_second_matrix(draw_at_144_edges):
-    costs, peak = _traced_peak(_cost_matrix, *draw_at_144_edges)
+    costs, peak = _traced_peak(_cost_matrix, draw_at_144_edges)
     # a full-size far-end temporary beside the result would take about 2x
     assert costs.shape[0] > 16 * assignment._ROW_BLOCK  # many blocks
     assert peak < 1.25 * costs.nbytes
 
 
 def test_certificate_holds_one_matched_column_matrix(draw_at_144_edges):
-    net, inst = draw_at_144_edges
-    costs = _cost_matrix(net, inst)
+    inst = draw_at_144_edges
+    costs = _cost_matrix(inst)
     m, n = costs.shape
-    start = exact_network_match(net, inst, costs=costs).pairs[:, 1]
+    start = exact_network_match(inst, costs=costs).pairs[:, 1]
     sol, peak = _traced_peak(solve_dense, costs, start=start)
     assert np.array_equal(sol.col_of_row, start)  # certified: not solved again
     # the m x m matched columns, and at most four row blocks of the matrix
@@ -641,9 +682,9 @@ def test_certificate_holds_one_matched_column_matrix(draw_at_144_edges):
 def test_exact_match_rejects_excess_demand(square_torus):
     inst = _manual_instance(square_torus, {0: [0.1, 0.2]}, {1: [0.5]})
     with pytest.raises(ValueError):
-        exact_network_match(square_torus, inst)
+        exact_network_match(inst)
     with pytest.raises(ValueError):
-        heuristic_network_match(square_torus, inst)
+        heuristic_network_match(inst)
 
 
 @pytest.mark.parametrize("layout", _LAYOUTS)
@@ -682,25 +723,25 @@ def _fig6_instances():
                 inst = sample_instance(net, 5.0, lam, rng)
                 while not 0 < inst.total_demand <= inst.total_supply:
                     inst = sample_instance(net, 5.0, lam, rng)
-                yield net, inst
+                yield inst
 
 
 def test_exact_match_on_a_given_cost_matrix_equals_the_default_call():
-    for net, inst in _fig6_instances():
-        res = exact_network_match(net, inst)
-        given = exact_network_match(net, inst, costs=_cost_matrix(net, inst))
+    for inst in _fig6_instances():
+        res = exact_network_match(inst)
+        given = exact_network_match(inst, costs=_cost_matrix(inst))
         assert np.array_equal(given.pairs, res.pairs)
         assert given.total_distance == res.total_distance  # bit for bit
 
 
 def test_exact_match_rejects_costs_of_another_shape():
-    (net, inst), (_, other) = itertools.islice(_fig6_instances(), 2)
-    costs = _cost_matrix(net, inst)
+    inst, other = itertools.islice(_fig6_instances(), 2)
+    costs = _cost_matrix(inst)
     assert inst.total_demand < inst.total_supply  # so the transpose has another shape
     assert other.total_demand != inst.total_demand
-    for wrong in (costs.T, _cost_matrix(net, other)):
+    for wrong in (costs.T, _cost_matrix(other)):
         with pytest.raises(ValueError, match="costs"):
-            exact_network_match(net, inst, costs=wrong)
+            exact_network_match(inst, costs=wrong)
 
 
 def test_heuristic_all_local_when_every_edge_balanced(square_torus):
@@ -717,7 +758,7 @@ def test_heuristic_all_local_when_every_edge_balanced(square_torus):
         if k:
             expected += optimal_match_1d(Instance1D(dem, sup, 1.0)).total_distance
     inst = _manual_instance(square_torus, demand, supply)
-    res = heuristic_network_match(square_torus, inst)
+    res = heuristic_network_match(inst)
     assert res.total_distance == pytest.approx(expected, abs=1e-9)
 
 
@@ -729,7 +770,7 @@ def test_heuristic_keeps_central_demand_local(square_torus):
         {0: [0.05, 0.45, 0.55, 0.95]},
         {0: [0.4, 0.6], 5: [0.5], 9: [0.5]},
     )
-    res = heuristic_network_match(square_torus, inst)
+    res = heuristic_network_match(inst)
     local = {(i, j) for i, j in res.pairs.tolist() if j in (0, 1)}
     assert local == {(1, 0), (2, 1)}
     assert len(res.pairs) == 4
@@ -742,8 +783,8 @@ def test_heuristic_never_beats_exact(square_torus):
             inst = sample_instance(square_torus, 1.0, 1.2, rng)
             if 0 < inst.total_demand <= inst.total_supply:
                 break
-        h = heuristic_network_match(square_torus, inst)
-        ex = exact_network_match(square_torus, inst)
+        h = heuristic_network_match(inst)
+        ex = exact_network_match(inst)
         assert h.total_distance >= ex.total_distance - 1e-9
         for res in (h, ex):
             assert res.pairs.dtype == np.int64 and not res.pairs.flags.writeable
@@ -768,8 +809,8 @@ def test_heuristic_equals_scalar_reference(degree):
             if inst.total_demand > inst.total_supply:
                 continue
             checked += 1
-            res = heuristic_network_match(net, inst)
-            ref = _heuristic_reference(net, inst)
+            res = heuristic_network_match(inst)
+            ref = _heuristic_reference(inst)
             _assert_same_result(res, ref)
 
 
@@ -783,11 +824,11 @@ def test_heuristic_search_layer_outranks_distance(square_torus):
         {edge[0, 1]: [0.95], edge[6, 12]: [0.05]},
     )
     near_layer = int(np.flatnonzero(inst.supply_edge == edge[0, 1])[0])
-    res = heuristic_network_match(square_torus, inst)
+    res = heuristic_network_match(inst)
     assert res.pairs.tolist() == [[0, near_layer]]
     assert res.total_distance == pytest.approx(1.35, abs=1e-12)
-    assert exact_network_match(square_torus, inst).total_distance == pytest.approx(0.65, abs=1e-12)
-    _assert_same_result(res, _heuristic_reference(square_torus, inst))
+    assert exact_network_match(inst).total_distance == pytest.approx(0.65, abs=1e-12)
+    _assert_same_result(res, _heuristic_reference(inst))
 
 
 def test_heuristic_ties_take_lowest_index(square_torus):
@@ -799,9 +840,9 @@ def test_heuristic_ties_take_lowest_index(square_torus):
         {edge[0, 6]: [0.4]},
         {edge[0, 5]: [0.1], edge[0, 1]: [0.1]},
     )
-    res = heuristic_network_match(square_torus, inst)
+    res = heuristic_network_match(inst)
     assert res.pairs.tolist() == [[0, 0]]
-    _assert_same_result(res, _heuristic_reference(square_torus, inst))
+    _assert_same_result(res, _heuristic_reference(inst))
 
 
 def test_global_fraction_tracks_alpha(square_torus):
@@ -817,7 +858,7 @@ def test_global_fraction_tracks_alpha(square_torus):
             if 0 < inst.total_demand <= inst.total_supply:
                 break
         local_pairs = 0
-        res = heuristic_network_match(square_torus, inst)
+        res = heuristic_network_match(inst)
         for i, j in res.pairs.tolist():
             if inst.demand_edge[i] == inst.supply_edge[j]:
                 local_pairs += 1

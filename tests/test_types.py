@@ -234,7 +234,8 @@ def _frozen_pairs(pairs):
 
 def _frozen_offsets(offsets):
     edges = np.zeros(offsets.size, dtype=np.int64)
-    return NetworkInstance(edges, offsets, edges, offsets.copy()).demand_offset
+    net = build_regular_network(4, 36, 1.0)
+    return NetworkInstance(net, edges, offsets, edges, offsets.copy()).demand_offset
 
 
 @pytest.mark.parametrize(
@@ -352,6 +353,7 @@ _INIT_FIELDS = {
     MatchResult: ["pairs", "total_distance"],
     SummaryRecord: ["kind", "params", "sim_mean", "sim_std", "estimates", "meta"],
     SupplyCurve: ["inst"],
+    NetworkInstance: ["net", "demand_edge", "demand_offset", "supply_edge", "supply_offset"],
     NetworkEstimateParts: ["alpha", "local", "d1", "d2", "d3"],
 }
 
