@@ -2,7 +2,8 @@
 
 With n > m supply points, n - m of them stay unmatched. Removing the right
 ones turns the instance into a balanced one whose curve area equals the
-optimal matching distance. This script shows the exact removal DP, the
+optimal matching distance. This script shows the exact optimal removal,
+read off the matching DP as the supply points it leaves unmatched, the
 scan-based feasible removal with swaps, and the two formula estimates built
 on top of that picture.
 """
@@ -37,7 +38,8 @@ print(f"  optimal matching total: {match.total_distance:.6f}  (identical)")
 print("scan removal:", scan.removed_supply_indices, f"area {scan.post_removal_area:.6f}")
 print("scan + swaps:", swapped.removed_supply_indices, f"area {swapped.post_removal_area:.6f}")
 
-# The k-th optimally removed point always sits at running net supply k.
+# With distinct coordinates, as here, the k-th optimally removed point sits
+# at running net supply k; at tied coordinates an optimal removal may not.
 supply_events = np.flatnonzero(curve.values == 1)
 levels = [int(curve.prefix[supply_events[i]]) for i in opt.removed_supply_indices]
 print("net supply at the removed points:", levels)

@@ -1,6 +1,6 @@
-"""Exact ground truth on segments: the balanced area identity, optimal
-non-crossing matching, the optimal point-removal dynamic program, and the
-level-by-level feasible removal with local swaps."""
+"""Exact ground truth on segments: the balanced area identity, the optimal
+non-crossing matching dynamic program, the optimal point removal read off
+that matching, and the level-by-level feasible removal with local swaps."""
 
 from __future__ import annotations
 
@@ -134,43 +134,19 @@ def _removal_set(curve: SupplyCurve, removed_events) -> RemovalSet:
 def optimal_removal(inst: Instance1D) -> RemovalSet:
     """Remove the n-m supply points that minimize the post-removal curve area.
 
-    Exact dynamic program over (event index, removals used); the area term of
-    each event is gap * |prefix - removals so far|. Among equal-area optima the
-    lexicographically smallest supply-index set is returned.
+    The least post-removal area equals the optimal matching cost, so the
+    supply points ``optimal_match_1d`` leaves unmatched are an optimal
+    removal; the curve keeps the supplies in order, so its k-th supply event
+    is supply k. Ties follow that matching's lowest-supply-index rule,
+    decided in float: the set is optimal, but need not be the
+    lexicographically smallest optimal set.
     """
-    m, n = inst.m, inst.n
-    if n <= m:
+    if inst.n <= inst.m:
         raise ValueError("optimal_removal requires n > m")
     curve = SupplyCurve(inst)
-    excess = n - m
-    count = len(curve)
-    is_supply = curve.values == 1
-    gaps = np.append(curve.gaps, 0.0)  # the last event has no gap cost
-    prefix = curve.prefix
-    removals = np.arange(excess + 1)
-
-    # cost_to_go[r]: optimal remaining area from event i + 1 with r removals
-    # used; take_at[i, r]: removing supply event i at r removals is optimal
-    # (never for a demand event or once all n-m removals are used)
-    cost_to_go = np.full(excess + 1, np.inf)
-    cost_to_go[excess] = 0.0
-    take_at = np.zeros((count, excess + 1), dtype=bool)
-    for i in range(count - 1, -1, -1):
-        keep = gaps[i] * np.abs(prefix[i] - removals) + cost_to_go
-        if is_supply[i]:
-            take = gaps[i] * np.abs(prefix[i] - removals[1:]) + cost_to_go[1:]
-            take_at[i, :-1] = take <= keep[:-1]
-            keep[:-1] = np.minimum(keep[:-1], take)
-        cost_to_go = keep
-
-    # forward pass, removing as early as optimality allows
-    removed_events = []
-    used = 0
-    for i in range(count):
-        if take_at[i, used]:
-            removed_events.append(i)
-            used += 1
-    return _removal_set(curve, removed_events)
+    unmatched = np.ones(inst.n, dtype=bool)
+    unmatched[optimal_match_1d(inst).pairs[:, 1]] = False
+    return _removal_set(curve, np.flatnonzero(curve.values == 1)[unmatched])
 
 
 def feasible_removal(inst: Instance1D, do_swaps: bool = True) -> RemovalSet:

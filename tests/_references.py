@@ -6,11 +6,13 @@ the scalar network point distance, a loop-based version of
 the local-first network heuristic, the earlier row-by-row forms of the two
 exact segment kernels (``optimal_match_1d`` and ``match_costs_1d``), the
 earlier column-gathering ``_cost_matrix``, the earlier event-by-event scan
-of ``feasible_removal``, the earlier ``optimal_removal`` that recomputes
-each choice on its forward pass and the earlier lexsort merge of a supply
-curve's events, which the library must equal bit for bit,
-and the exact mean rank area over all interleavings. The earlier forms of
-the two input rules and of ``baseline_estimate``'s sum pin the answers of
+of ``feasible_removal`` and the earlier lexsort merge of a supply curve's
+events, which the library must equal bit for bit, and the exact mean rank
+area over all interleavings. The (event, removals-used) dynamic program that
+``optimal_removal`` once was is a second route to the least post-removal
+area, which the library now reads off the matching, and a brute force over
+every removal in exact rationals on a k/10 grid decides its ties. The
+earlier forms of the two input rules and of ``baseline_estimate``'s sum pin the answers of
 the library's faster ones. The earlier unblocked certificate of a
 ``solve_dense`` start, whole-matrix passes over the matched columns, pins
 the blocked one bit for bit. An earlier numpy shortest-augmenting-path
@@ -500,9 +502,12 @@ def feasible_removal_scan(inst: Instance1D, do_swaps: bool = True) -> RemovalSet
 
 
 def optimal_removal_recompute(inst: Instance1D) -> RemovalSet:
-    """``optimal_removal`` whose forward pass recomputes the take and keep
-    costs of every supply event from the stored cost-to-go table instead of
-    reading the backward pass's choices. Requires n > m."""
+    """The least-area removal of n-m supply points by a dynamic program over
+    (event index, removals used), sharing no step with the matching DP: each
+    event costs gap * |prefix - removals so far|, a backward pass fills the
+    cost-to-go table, and a forward pass removes each supply event whose take
+    cost is at most its keep cost, as early as optimality allows. Requires
+    n > m."""
     m, n = inst.m, inst.n
     curve = SupplyCurve(inst)
     excess = n - m
@@ -533,6 +538,44 @@ def optimal_removal_recompute(inst: Instance1D) -> RemovalSet:
                 removed_events.append(i)
                 used += 1
     return _removal_set(curve, removed_events)
+
+
+def optimal_removals_exact(
+    demand_tenths, supply_tenths
+) -> tuple[Fraction, list[tuple[int, ...]]]:
+    """The least post-removal area of the instance with coordinates k/10, for
+    the given integers k, and every removal of n-m supply points that reaches
+    it, as sorted indices into the sorted supply, in lexicographic order.
+
+    Brute force over every removal in exact rationals: each kept curve's
+    area is summed in whole tenths. Exact binary floats would split the
+    grid's ties by about 1e-17, so the coordinates are taken from the grid,
+    not from the floats. Requires n > m.
+    """
+    demand, supply = sorted(demand_tenths), sorted(supply_tenths)
+    # supply first at a tie, as in SupplyCurve
+    events = sorted(
+        [(x, 1) for x in supply] + [(x, -1) for x in demand],
+        key=lambda e: (e[0], -e[1]),
+    )
+    best, best_sets = None, []
+    for removed in itertools.combinations(range(len(supply)), len(supply) - len(demand)):
+        gone = [supply[j] for j in removed]
+        area = running = 0
+        previous = None
+        for x, value in events:
+            if value == 1 and x in gone:
+                gone.remove(x)  # one removed point per removed index
+                continue
+            if previous is not None:
+                area += (x - previous) * abs(running)
+            running += value
+            previous = x
+        if best is None or area < best:
+            best, best_sets = area, [removed]
+        elif area == best:
+            best_sets.append(removed)
+    return Fraction(best, 10), best_sets
 
 
 def match_costs_1d_rowwise(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 from _references import (
     ballot_segment_prob,
     enumerate_balanced_walks,
+    optimal_removal_recompute,
     stars_bars_prob,
     walk_area_oracle,
 )
@@ -69,7 +70,14 @@ def test_criterion_02_removal_identity():
         inst = Instance1D(rng.uniform(0, 1, m), rng.uniform(0, 1, n))
         removal = optimal_removal(inst)
         match = optimal_match_1d(inst)
-        worst = max(worst, abs(removal.post_removal_area - match.total_distance))
+        # optimal_removal reads its set off the matching DP; the removal DP
+        # shares no step with it, so its area is the identity's second route
+        reference = optimal_removal_recompute(inst)
+        worst = max(
+            worst,
+            abs(removal.post_removal_area - match.total_distance),
+            abs(reference.post_removal_area - match.total_distance),
+        )
         curve = SupplyCurve(inst)
         supply_events = np.flatnonzero(curve.values == 1)
         levels = [

@@ -36,3 +36,19 @@ def test_readme_quickstart_runs():
     out = _run(["-c", code])
     assert out.returncode == 0, out.stderr
     assert out.stdout
+
+
+def test_unbalanced_removal_demo_states_its_identities():
+    # seed 7, m = 6, n = 10, untied; the removed indices are the ones the
+    # earlier (event, removals-used) removal DP printed
+    out = _run([str(ROOT / "demos" / "unbalanced_removal.py")])
+    assert out.returncode == 0, out.stderr
+    lines = {}
+    for line in out.stdout.splitlines():
+        key, sep, value = line.partition(":")
+        if sep:
+            lines[key.strip()] = value.strip()
+    assert lines["optimal removal (supply indices)"] == "(0, 2, 4, 5)"
+    area = lines["post-removal area"]
+    assert area == lines["optimal matching total"].split()[0]
+    assert lines["net supply at the removed points"] == "[1, 2, 3, 4]"

@@ -13,6 +13,7 @@ from _references import (
     match_costs_1d_rowwise,
     optimal_match_1d_rowwise,
     optimal_removal_recompute,
+    optimal_removals_exact,
 )
 
 from rbmatch.assignment import solve_dense
@@ -163,15 +164,21 @@ def test_match_costs_equal_rowwise_dp_bit_for_bit(reps, shape, tied, seed):
     length=st.sampled_from([1.0, 0.7, 2.5]),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(reps=3, shape=(1, 42), tied=False, length=0.7, seed=54)
 def test_match_costs_are_unchanged_by_mirroring(reps, shape, tied, length, seed):
-    # x -> L - x reverses each row and keeps every distance up to rounding
+    # x -> L - x reverses each row and keeps every distance up to rounding:
+    # each L - x rounds by at most half an ulp of L <= eps * L / 2, so each
+    # matched distance moves by at most eps * L and a total, and so its
+    # minimum, by at most m * eps * L, however much its terms cancel; atol is
+    # twice that, and rtol covers the rounding of the sums themselves
     m, n = shape
     rng = np.random.default_rng(seed)
     demand = np.sort(_coords(rng, tied, (reps, m)) * length, axis=1)
     supply = np.sort(_coords(rng, tied, (reps, n)) * length, axis=1)
     totals = match_costs_1d(demand, supply)
     mirrored = match_costs_1d((length - demand)[:, ::-1], (length - supply)[:, ::-1])
-    np.testing.assert_allclose(mirrored, totals, rtol=1e-12, atol=0.0)
+    atol = 2 * m * np.finfo(float).eps * length
+    np.testing.assert_allclose(mirrored, totals, rtol=1e-12, atol=atol)
 
 
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 127, 128, 129])  # around the pairwise-sum blocks
@@ -401,15 +408,52 @@ def test_feasible_removal_equals_the_scan(shape, tied, do_swaps, seed):
 @example(shape=(0, 7), tied=False, seed=1)
 @example(shape=(5, 6), tied=True, seed=2)
 @example(shape=(20, 40), tied=True, seed=3)
-def test_optimal_removal_equals_the_recompute(shape, tied, seed):
-    # the stored backward-pass choices pick what recomputing each one picked
+def test_optimal_removal_equals_the_removal_dp_up_to_ties(shape, tied, seed):
+    # the removal read off the matching and the (event, removals-used) DP are
+    # two routes to the least area; untied, both find the one optimal set and
+    # its area through _removal_set, bit for bit; tied, each keeps its own
+    # tie rule, so only their areas must agree
     m, n = shape
     rng = np.random.default_rng(seed)
     inst = Instance1D(_coords(rng, tied, m), _coords(rng, tied, n))
     res = optimal_removal(inst)
     ref = optimal_removal_recompute(inst)
-    assert res.removed_supply_indices == ref.removed_supply_indices
-    assert res.post_removal_area == ref.post_removal_area
+    if tied:
+        assert res.post_removal_area == pytest.approx(ref.post_removal_area, rel=1e-12, abs=0.0)
+    else:
+        assert res.removed_supply_indices == ref.removed_supply_indices
+        assert res.post_removal_area == ref.post_removal_area
+
+
+def _assert_among_exact_optima(demand_tenths, supply_tenths):
+    least, optimal_sets = optimal_removals_exact(demand_tenths, supply_tenths)
+    inst = Instance1D(np.asarray(demand_tenths) / 10, np.asarray(supply_tenths) / 10)
+    res = optimal_removal(inst)
+    assert res.removed_supply_indices in optimal_sets
+    # with abs=0, an exact least area of 0 must read 0.0
+    assert res.post_removal_area == pytest.approx(float(least), rel=1e-12, abs=0.0)
+    return res, least, optimal_sets
+
+
+def test_optimal_removal_is_an_exact_optimum_on_a_tied_instance():
+    # 24 removals reach the least area 1/5; the float DP that optimal_removal
+    # once was returned (2, 6, 7, 9, 10, 11, 13), not the least (0, 6, ...)
+    res, least, optimal_sets = _assert_among_exact_optima(
+        [1, 3, 4, 5, 5, 6, 9], [2, 2, 4, 4, 5, 5, 6, 6, 6, 7, 8, 9, 9, 10]
+    )
+    assert least == Fraction(1, 5) and len(optimal_sets) == 24
+    assert optimal_sets[0] == (0, 6, 7, 9, 10, 11, 13)
+    assert res.removed_supply_indices == (3, 7, 8, 9, 10, 12, 13)
+
+
+def test_optimal_removal_is_an_exact_optimum_on_tied_draws():
+    # 600 draws on the k/10 grid, where many removals tie in exact rationals;
+    # the set returned must be one of them whatever tie rule picked it
+    rng = np.random.default_rng(20)
+    for _ in range(600):
+        m = int(rng.integers(0, 6))
+        n = int(rng.integers(m + 1, 11))
+        _assert_among_exact_optima(rng.integers(0, 11, m).tolist(), rng.integers(0, 11, n).tolist())
 
 
 def test_swaps_single_surplus_is_noop():
