@@ -50,11 +50,19 @@ def optimal_match_1d(inst: Instance1D) -> MatchResult:
     it is empty.
 
     The m x (n-m+1) band of distances is built in one broadcast; right to
-    left, each row gets the next row's suffix minima added in place, and a
-    cell is flagged where the row equals its own suffix minimum. The
-    backtrack takes, from the previous offset on, the first flagged cell of
-    each row: the first cell equal to the suffix minimum at that offset is
-    also the first flagged one, so this is the lowest supply index.
+    left, each row gets the next row's suffix minima added in place, and its
+    own suffix minima fill its row of one (m+1) x (n-m+1) array, whose last
+    row is zero. One comparison then flags every cell that equals its row's
+    suffix minimum. The backtrack takes, from the previous offset on, the
+    first flagged cell of each row: the first cell equal to the suffix
+    minimum at that offset is also the first flagged one, so this is the
+    lowest supply index.
+
+    Every band value is a sum of ``abs`` distances from +0.0, so it is never
+    -0.0 or NaN; on such doubles the float order is the unsigned order of
+    their bits, and a minimum never rounds. So each suffix minimum is taken
+    on the ``uint64`` view of the band, with the bits the float minimum gives
+    and without its NaN handling.
     """
     xu, xv = inst.demand, inst.supply
     m, n = inst.m, inst.n
@@ -64,17 +72,20 @@ def optimal_match_1d(inst: Instance1D) -> MatchResult:
         return MatchResult.from_pairs(rows[:, None].repeat(2, axis=1), np.abs(xu - xv[:m]))
     width = n - m + 1
 
-    # band[i, d]: |xu[i] - xv[i+d]| plus the best continuation; its suffix
-    # minimum at d is the optimal cost when demand i may use offsets >= d
+    # band[i, d]: |xu[i] - xv[i+d]| plus the best continuation; suffix[i, d]
+    # is its suffix minimum at d, the optimal cost when demand i may use
+    # offsets >= d
     band = np.subtract(xu[:, None], sliding_window_view(xv, width))
     np.abs(band, out=band)
-    flagged = np.empty(band.shape, dtype=bool)
-    suffix = np.zeros(width)
-    for i in range(m - 1, -1, -1):
-        row = band[i]
-        row += suffix
-        np.minimum.accumulate(row[::-1], out=suffix[::-1])
-        np.equal(row, suffix, out=flagged[i])
+    suffix = np.zeros((m + 1, width))
+    # rows m-1 down to 0 of the band, the suffix row below each, and both
+    # rows' bits with their offsets reversed
+    band_bits = band.view(np.uint64)[::-1, ::-1]
+    suffix_bits = suffix.view(np.uint64)[m - 1 :: -1, ::-1]
+    for row, below, row_bits, out in zip(band[::-1], suffix[:0:-1], band_bits, suffix_bits):
+        row += below
+        np.minimum.accumulate(row_bits, out=out)
+    flagged = band == suffix[:m]
 
     cols = np.empty(m, dtype=np.int64)
     offset = 0
@@ -82,6 +93,10 @@ def optimal_match_1d(inst: Instance1D) -> MatchResult:
         offset += int(flagged[i, offset:].argmax())
         cols[i] = i + offset
     return MatchResult.from_pairs(np.column_stack((rows, cols)), np.abs(xu - xv[cols]))
+
+
+# cells of one block of gaps: 8192 doubles, 64 KiB
+_GAP_BLOCK_CELLS = 8192
 
 
 def match_costs_1d(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:
@@ -93,11 +108,17 @@ def match_costs_1d(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:
     this is the band DP of ``optimal_match_1d`` run on all rows at once,
     keeping only the current band row and no backtrack; it adds the costs
     right to left, so a total can differ from ``optimal_match_1d``'s pairwise
-    sum in the last few bits.
+    sum in the last few bits. The band DP needs every coordinate finite, and
+    a ``ValueError`` names the side that is not.
 
     Replications are innermost: the band row is held as (n-m+1, R) with its
     offsets reversed, so the suffix minimum is a forward in-place
-    ``minimum.accumulate`` along axis 0, and each step reuses one gap buffer.
+    ``minimum.accumulate`` along axis 0. It is taken on the ``uint64`` view
+    of the row, which orders these non-negative, NaN-free sums as the floats
+    do and gives the same bits (see ``optimal_match_1d``). The gaps of as
+    many steps as fit in 8192 cells (64 KiB), at least one, are built by one
+    ``subtract`` and one ``abs`` over a sliding window of the reversed
+    supply, and the steps then add them one at a time.
     """
     reps, m = demand.shape
     n = supply.shape[1]
@@ -105,17 +126,28 @@ def match_costs_1d(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:
         raise ValueError("need (R, m) demand and (R, n) supply rows with 1 <= m <= n")
     if n == m:
         return np.add.reduce(np.abs(demand - supply), axis=1)
+    # a NaN's bits order above +inf, so the integer minimum would drop it unseen
+    for name, side in (("demand", demand), ("supply", supply)):
+        if not np.isfinite(side).all():
+            raise ValueError(f"{name} coordinates must be finite")
     width = n - m + 1
-    demand_t = np.ascontiguousarray(demand.T)  # [i] = demand i of every replication
-    # [j + k] = supply n-1-j-k: demand m-1-j's band at offset width-1-k
+    # [j] = demand m-1-j of every replication
+    demand_t = np.ascontiguousarray(demand[:, ::-1].T)
     supply_t = np.ascontiguousarray(supply[:, ::-1].T)
-    gap = np.empty((width, reps))
+    # [j, k] = supply n-1-j-k: demand m-1-j's band at offset width-1-k
+    windows = sliding_window_view(supply_t, width, axis=0).transpose(0, 2, 1)
+    steps = min(m, max(1, _GAP_BLOCK_CELLS // (width * reps)))
+    gaps = np.empty((steps, width, reps))
     best = np.zeros((width, reps))
-    for j in range(m):
-        np.subtract(supply_t[j : j + width], demand_t[m - 1 - j], out=gap)
-        np.abs(gap, out=gap)
-        best += gap
-        np.minimum.accumulate(best, axis=0, out=best)
+    best_bits = best.view(np.uint64)
+    for start in range(0, m, steps):
+        stop = min(start + steps, m)
+        block = gaps[: stop - start]
+        np.subtract(windows[start:stop], demand_t[start:stop, None], out=block)
+        np.abs(block, out=block)
+        for gap in block:
+            best += gap
+            np.minimum.accumulate(best_bits, axis=0, out=best_bits)
     return best[-1]
 
 

@@ -11,7 +11,8 @@ events, which the library must equal bit for bit, and the exact mean rank
 area over all interleavings. The (event, removals-used) dynamic program that
 ``optimal_removal`` once was is a second route to the least post-removal
 area, which the library now reads off the matching, and a brute force over
-every removal in exact rationals on a k/10 grid decides its ties. The
+every removal in exact rationals on a k/10 grid decides its ties; its
+exact area of one removal also checks ``feasible_removal``'s float area. The
 earlier forms of the two input rules and of ``baseline_estimate``'s sum pin the answers of
 the library's faster ones. The earlier unblocked certificate of a
 ``solve_dense`` start, whole-matrix passes over the matched columns, pins
@@ -540,6 +541,30 @@ def optimal_removal_recompute(inst: Instance1D) -> RemovalSet:
     return _removal_set(curve, removed_events)
 
 
+def removal_area_exact(demand_tenths, supply_tenths, removed) -> Fraction:
+    """The exact area of the curve left when the supply points at the given
+    sorted indices are removed, for coordinates k/10 with the given integers
+    k: each kept curve segment's area is summed in whole tenths."""
+    supply = sorted(supply_tenths)
+    gone = [supply[j] for j in removed]
+    # supply first at a tie, as in SupplyCurve
+    events = sorted(
+        [(x, 1) for x in supply] + [(x, -1) for x in demand_tenths],
+        key=lambda e: (e[0], -e[1]),
+    )
+    area = running = 0
+    previous = None
+    for x, value in events:
+        if value == 1 and x in gone:
+            gone.remove(x)  # one removed point per removed index
+            continue
+        if previous is not None:
+            area += (x - previous) * abs(running)
+        running += value
+        previous = x
+    return Fraction(area, 10)
+
+
 def optimal_removals_exact(
     demand_tenths, supply_tenths
 ) -> tuple[Fraction, list[tuple[int, ...]]]:
@@ -547,35 +572,19 @@ def optimal_removals_exact(
     the given integers k, and every removal of n-m supply points that reaches
     it, as sorted indices into the sorted supply, in lexicographic order.
 
-    Brute force over every removal in exact rationals: each kept curve's
-    area is summed in whole tenths. Exact binary floats would split the
-    grid's ties by about 1e-17, so the coordinates are taken from the grid,
-    not from the floats. Requires n > m.
+    Brute force over every removal with ``removal_area_exact``. Exact binary
+    floats would split the grid's ties by about 1e-17, so the coordinates are
+    taken from the grid, not from the floats. Requires n > m.
     """
-    demand, supply = sorted(demand_tenths), sorted(supply_tenths)
-    # supply first at a tie, as in SupplyCurve
-    events = sorted(
-        [(x, 1) for x in supply] + [(x, -1) for x in demand],
-        key=lambda e: (e[0], -e[1]),
-    )
+    n, m = len(supply_tenths), len(demand_tenths)
     best, best_sets = None, []
-    for removed in itertools.combinations(range(len(supply)), len(supply) - len(demand)):
-        gone = [supply[j] for j in removed]
-        area = running = 0
-        previous = None
-        for x, value in events:
-            if value == 1 and x in gone:
-                gone.remove(x)  # one removed point per removed index
-                continue
-            if previous is not None:
-                area += (x - previous) * abs(running)
-            running += value
-            previous = x
+    for removed in itertools.combinations(range(n), n - m):
+        area = removal_area_exact(demand_tenths, supply_tenths, removed)
         if best is None or area < best:
             best, best_sets = area, [removed]
         elif area == best:
             best_sets.append(removed)
-    return Fraction(best, 10), best_sets
+    return best, best_sets
 
 
 def match_costs_1d_rowwise(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from _references import (
     expected_rank_area,
@@ -14,10 +15,12 @@ from _references import (
     optimal_match_1d_rowwise,
     optimal_removal_recompute,
     optimal_removals_exact,
+    removal_area_exact,
 )
 
 from rbmatch.assignment import solve_dense
 from rbmatch.exact1d import (
+    _GAP_BLOCK_CELLS,
     balanced_area,
     feasible_removal,
     match_costs_1d,
@@ -154,6 +157,68 @@ def test_match_costs_equal_rowwise_dp_bit_for_bit(reps, shape, tied, seed):
     demand = np.sort(_coords(rng, tied, (reps, m)), axis=1)
     supply = np.sort(_coords(rng, tied, (reps, n)), axis=1)
     assert np.array_equal(match_costs_1d(demand, supply), match_costs_1d_rowwise(demand, supply))
+
+
+# (reps, m, width) at the edges of match_costs_1d's gap blocks
+_BLOCK_EDGE_SHAPES = [
+    # reps x width below, at and above one block: one step a block
+    (64, 3, _GAP_BLOCK_CELLS // 64 - 1),
+    (64, 3, _GAP_BLOCK_CELLS // 64),
+    (64, 3, _GAP_BLOCK_CELLS // 64 + 1),
+    # below, at and above half a block: two steps a block, two, then one;
+    # m = 5 ends on a block of one step
+    (32, 5, _GAP_BLOCK_CELLS // 64 - 1),
+    (32, 4, _GAP_BLOCK_CELLS // 64),
+    (32, 5, _GAP_BLOCK_CELLS // 64 + 1),
+    # m not a multiple of the block's steps: 102, 102, then 46 at 8192 cells
+    (8, 250, 10),
+    # m smaller than one block
+    (2, 30, 5),
+    # one replication and the narrowest band: a block of half the cells' steps,
+    # then one step
+    (1, _GAP_BLOCK_CELLS // 2 + 1, 2),
+]
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize(("reps", "m", "width"), _BLOCK_EDGE_SHAPES)
+def test_match_costs_equal_rowwise_dp_bit_for_bit_at_block_edges(reps, m, width, tied):
+    rng = np.random.default_rng(reps * m + width)
+    demand = np.sort(_coords(rng, tied, (reps, m)), axis=1)
+    supply = np.sort(_coords(rng, tied, (reps, m + width - 1)), axis=1)
+    assert np.array_equal(match_costs_1d(demand, supply), match_costs_1d_rowwise(demand, supply))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("side", ["demand", "supply"])
+def test_match_costs_reject_a_non_finite_coordinate(side, bad):
+    # row 0 reaches Instance1D's check on a sweep, row 1 only this one; on the
+    # integer image a NaN would order above +inf and drop out unseen
+    rng = np.random.default_rng(8)
+    rows = {
+        "demand": np.sort(rng.uniform(0, 1, (3, 4)), axis=1),
+        "supply": np.sort(rng.uniform(0, 1, (3, 6)), axis=1),
+    }
+    rows[side][1, -1] = bad
+    with pytest.raises(ValueError, match=side):
+        match_costs_1d(rows["demand"], rows["supply"])
+
+
+_NON_NEGATIVE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=True, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=arrays(np.float64, array_shapes(max_dims=2, max_side=12), elements=_NON_NEGATIVE))
+@example(values=np.array([np.inf, 1.0, 5e-324, 0.0, 2.2250738585072014e-308, 5e-324, np.inf]))
+@example(values=np.array([[3.0, 0.0], [5e-324, np.inf], [1e308, 1e-310]]))
+def test_minimum_accumulate_on_the_uint64_image_keeps_every_bit(values):
+    # both band DPs take their suffix minima on the uint64 view of band
+    # values, which are never -0.0 or NaN
+    assert not np.signbit(values).any()
+    for axis in range(values.ndim):
+        floats = np.minimum.accumulate(values, axis=axis)
+        bits = np.minimum.accumulate(values.view(np.uint64), axis=axis)
+        assert np.array_equal(floats.view(np.uint64), bits)
 
 
 @settings(max_examples=200, deadline=None)
@@ -454,6 +519,28 @@ def test_optimal_removal_is_an_exact_optimum_on_tied_draws():
         m = int(rng.integers(0, 6))
         n = int(rng.integers(m + 1, 11))
         _assert_among_exact_optima(rng.integers(0, 11, m).tolist(), rng.integers(0, 11, n).tolist())
+
+
+def test_feasible_removal_is_valid_and_never_below_the_exact_least_area():
+    # 300 draws on the k/10 grid, with and without swaps: n-m distinct sorted
+    # supply indices, a float area within 1e-12 of that set's exact area, and
+    # an exact area no removal undercuts
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        m = int(rng.integers(0, 6))
+        n = int(rng.integers(m + 1, 11))
+        demand_tenths = rng.integers(0, 11, m).tolist()
+        supply_tenths = rng.integers(0, 11, n).tolist()
+        least, _ = optimal_removals_exact(demand_tenths, supply_tenths)
+        inst = Instance1D(np.asarray(demand_tenths) / 10, np.asarray(supply_tenths) / 10)
+        for do_swaps in (False, True):
+            res = feasible_removal(inst, do_swaps=do_swaps)
+            removed = res.removed_supply_indices
+            assert len(removed) == n - m and list(removed) == sorted(set(removed))
+            assert 0 <= removed[0] and removed[-1] < n
+            area = removal_area_exact(demand_tenths, supply_tenths, removed)
+            assert res.post_removal_area == pytest.approx(float(area), rel=1e-12, abs=0.0)
+            assert area >= least
 
 
 def test_swaps_single_surplus_is_noop():
