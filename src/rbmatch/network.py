@@ -1,11 +1,14 @@
 """Regular networks with Poisson points on edges: construction, sampling,
-shortest-path point distances, exact and heuristic matching, and the
-local/global decomposition estimator on a given within-edge estimate.
+shortest-path point distances, exact matching, and the local/global
+decomposition estimator on a given within-edge estimate.
 
 A network is its degree, edge count and edge length; ``NetworkModel``
 derives its edges and node distances from those three. A
 ``NetworkInstance`` carries the model its points were drawn on, so the
-matchers take the instance alone and measure in that model's metric."""
+exact matcher takes the instance alone and measures in that model's
+metric. Its points are in one canonical order, by edge and then offset:
+``_cost_matrix`` needs only the supply grouped by edge, and the rest fixes
+which of tied optima the solver picks."""
 
 from __future__ import annotations
 
@@ -17,10 +20,8 @@ import numpy as np
 
 from .assignment import _ROW_BLOCK, CostMatrix, solve_assignment
 from .combinatorics import normal_cdf, normal_pdf
-from .exact1d import optimal_match_1d
 from .types import (
     EdgeParams,
-    Instance1D,
     MatchResult,
     _readonly,
     _RebuiltWhenCopied,
@@ -36,7 +37,6 @@ __all__ = [
     "build_regular_network",
     "sample_instance",
     "exact_network_match",
-    "heuristic_network_match",
     "network_estimate",
 ]
 
@@ -172,15 +172,19 @@ class NetworkInstance(_RebuiltWhenCopied):
     ``net`` must be a ``NetworkModel``, else a TypeError names it. Each
     side's two arrays are 1D and of equal length, edge indices are integers
     in [0, E) of ``net``'s E edges and offsets lie in [0, L] of its length
-    L; the cost matrix and the heuristic read each edge's points as one
-    ordered block, so an instance off its network or out of that order is
-    rejected with an error naming the field. The four arrays it stores are
-    frozen in place, as ``CostMatrix`` freezes its matrix: an array handed
-    in the stored dtype that owns its data is marked read-only, not copied,
-    and a view is copied first, so no write through the array or a base it
-    views can reorder a checked instance, though an earlier view of it can
-    (see ``types._readonly``). A pickled or copied instance is rebuilt with
-    its model through the constructor, checked and frozen again.
+    L; an instance off its network or out of that order is rejected with an
+    error naming the field. ``_cost_matrix`` reads only the supply's
+    grouping by ascending edge. The rest of the order is a canonical form:
+    the assignment kernel picks among tied optima (as at lam = mu) by row
+    and column order, which fixes the bits of tied records, and the test
+    references read each edge's points as one block. The four arrays it
+    stores are frozen in place, as ``CostMatrix`` freezes its matrix: an
+    array handed in the stored dtype that owns its data is marked read-only,
+    not copied, and a view is copied first, so no write through the array or
+    a base it views can reorder a checked instance, though an earlier view
+    of it can (see ``types._readonly``). A pickled or copied instance is
+    rebuilt with its model through the constructor, checked and frozen
+    again.
     """
 
     net: NetworkModel
@@ -330,65 +334,6 @@ def exact_network_match(inst: NetworkInstance, *, costs: np.ndarray | None = Non
             f"{(inst.total_demand, inst.total_supply)}, got {np.shape(costs)}"
         )
     return solve_assignment(CostMatrix(costs))
-
-
-def heuristic_network_match(inst: NetworkInstance) -> MatchResult:
-    """Local-first matching on ``inst.net``: per-edge optimal matching, then a
-    layered search.
-
-    Edges with surplus demand keep the points nearest the edge middle matched
-    locally; each leftover demand point, in index order, then searches
-    outward layer by layer (layer k holds the edges whose nearer endpoint is
-    k*L from its origin node) and takes the nearest free supply point of the
-    first layer that has one, the lowest index on ties. A local pair's
-    distance is its direct segment, which no detour through the edge's ends
-    undercuts, so it equals the ``_cost_matrix`` entry bit for bit; the
-    leftover demand rows, still ordered, form a sub-instance on ``inst.net``
-    whose ``_cost_matrix`` gives their distances. Diagnostic companion to the exact
-    solver, never below it in total distance.
-    """
-    if inst.total_demand > inst.total_supply:
-        raise ValueError("more demand than supply; instance is infeasible")
-    net = inst.net
-    length = net.length
-    bounds = np.arange(net.edge_count + 1)
-    d_bounds = np.searchsorted(inst.demand_edge, bounds)
-    s_bounds = np.searchsorted(inst.supply_edge, bounds)
-    match = np.full(inst.total_demand, -1)
-    dist = np.empty(inst.total_demand)
-    free = np.ones(inst.total_supply, dtype=bool)
-
-    for e in range(net.edge_count):
-        d0, s0 = d_bounds[e], s_bounds[e]
-        dem = inst.demand_offset[d0 : d_bounds[e + 1]]
-        sup = inst.supply_offset[s0 : s_bounds[e + 1]]
-        local = np.arange(dem.size)
-        if dem.size > sup.size:
-            # keep the sup.size demand points nearest the edge middle; ties by offset order
-            central = np.argsort(np.abs(dem - length / 2.0), kind="stable")[: sup.size]
-            local = np.sort(central)
-        res = optimal_match_1d(Instance1D(dem[local], sup, length))
-        rows, cols = local[res.pairs[:, 0]], res.pairs[:, 1]
-        match[d0 + rows] = s0 + cols
-        dist[d0 + rows] = np.abs(dem[rows] - sup[cols])
-        free[s0 + cols] = False
-
-    edges = net.edges
-    nd = net.node_distance
-    # search layer of every edge seen from every node: nearer-endpoint hops
-    layer = np.rint(np.minimum(nd[:, edges[:, 0]], nd[:, edges[:, 1]]) / length)
-    leftover = np.flatnonzero(match < 0)
-    d_edge, d_off = inst.demand_edge[leftover], inst.demand_offset[leftover]
-    cost = _cost_matrix(NetworkInstance(net, d_edge, d_off, inst.supply_edge, inst.supply_offset))
-    origin = np.where(d_off <= length - d_off, edges[d_edge, 0], edges[d_edge, 1])
-    for k, (i, node) in enumerate(zip(leftover, origin)):
-        supply_layer = layer[node, inst.supply_edge]
-        first = free & (supply_layer == supply_layer[free].min())
-        j = np.argmin(np.where(first, cost[k], np.inf))
-        match[i], dist[i] = j, cost[k, j]
-        free[j] = False
-
-    return MatchResult.from_pairs(np.column_stack((np.arange(inst.total_demand), match)), dist)
 
 
 @dataclass(frozen=True)

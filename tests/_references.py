@@ -2,8 +2,7 @@
 
 Walk enumeration and its mean area, the scalar stars-and-bars and ballot
 probabilities, the earlier Floyd–Warshall form of the network hop counts,
-the scalar network point distance, a loop-based version of
-the local-first network heuristic, the earlier row-by-row forms of the two
+the scalar network point distance, the earlier row-by-row forms of the two
 exact segment kernels (``optimal_match_1d`` and ``match_costs_1d``), the
 earlier column-gathering ``_cost_matrix``, the earlier event-by-event scan
 of ``feasible_removal`` and the earlier lexsort merge of a supply curve's
@@ -20,7 +19,11 @@ the blocked one bit for bit. An earlier numpy shortest-augmenting-path
 solver, which shares no code with the compiled kernel, is the assignment
 tests' independent reference, and a min-cost flow on the network
 subdivided at its points, which shares no code with the network distance
-routine, is the exact network optimum's. None of them is on a sweep's path.
+routine, is the exact network optimum's; on a ``Ring``, a cycle that the
+library does not build, the cyclic median is a closed form of it. The
+local-first matching that the network estimate models lives here alone,
+as ``local_first_match``: no sweep reads it, and a record column that does
+would bring it back to the library. None of them is on a sweep's path.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -37,8 +41,16 @@ from scipy.optimize import linprog
 
 from rbmatch.assignment import _CERTIFY_SPREAD, _FALL_TOL, AssignmentSolution
 from rbmatch.exact1d import RemovalSet, _removal_set, match_costs_1d, optimal_match_1d
-from rbmatch.network import NetworkInstance, NetworkModel
-from rbmatch.types import Instance1D, MatchResult, SupplyCurve
+from rbmatch.network import NetworkInstance, NetworkModel, _all_pairs_hops
+from rbmatch.types import (
+    Instance1D,
+    MatchResult,
+    SupplyCurve,
+    _readonly,
+    _store,
+    check_count,
+    check_positive,
+)
 
 _MAX_ORACLE_N = 10
 
@@ -169,8 +181,29 @@ def _per_edge(edge, offset, edge_count):
     return [offset[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _heuristic_reference(inst):
-    """Scalar local-first heuristic: per-edge loops and ``point_distance``."""
+def local_first_match(inst: NetworkInstance) -> MatchResult:
+    """The local-first matching that ``network_estimate`` models, by scalar
+    loops: per-edge optimal matching, then a layered search.
+
+    - Each edge matches its own points first, by ``optimal_match_1d``; a
+      local pair's distance is its direct segment. Every demand point of an
+      edge with no more demand than supply stays local, at the within-edge
+      cost that ``local`` estimates.
+    - An edge with surplus demand keeps the points nearest its middle local,
+      ties by offset order. The rest, nearer the ends, go global: alpha is
+      the share of demand that does, and d1 is the mean distance from such
+      a point to its origin, the nearer end of its edge.
+    - Each leftover demand point, in index order, searches outward from its
+      origin layer by layer (layer k holds the edges whose nearer end lies
+      k*L from the origin), which d2 prices at k*L. In the first layer with
+      a free supply point it takes the nearest by ``point_distance``, the
+      lowest index on ties; d3 is the part inside that edge.
+
+    Never below the exact optimum in total distance. An instance with more
+    demand than supply raises a ValueError before any work.
+    """
+    if inst.total_demand > inst.total_supply:
+        raise ValueError("more demand than supply; instance is infeasible")
     net = inst.net
     length = net.length
     per_edge_demand = _per_edge(inst.demand_edge, inst.demand_offset, net.edge_count)
@@ -320,6 +353,66 @@ def network_flow_cost(inst: NetworkInstance) -> float:
     if res.status != 0:
         raise RuntimeError(f"the min-cost flow failed: {res.message}")
     return float(res.fun)
+
+
+@dataclass(frozen=True, eq=False)
+class Ring(NetworkModel):
+    """A cycle of ``edge_count`` >= 3 edges of length ``length``, as
+    ``Ring(edge_count, length)``: a degree-2 network for the tests alone.
+
+    Edge k joins nodes k and k + 1, except the last, which the model's rule
+    of the lesser node first stores as (0, E - 1): its offsets run from node
+    0, so its point at offset x lies E*L - x around the circle. Edges and
+    node distances are derived as ``NetworkModel`` derives them, and a
+    pickled or copied ring is rebuilt through this constructor.
+    """
+
+    degree: int = field(default=2, init=False)
+
+    def __post_init__(self):
+        count = check_count("edge_count", self.edge_count, least=3)
+        nodes = np.arange(count)
+        edges = _readonly(np.sort(np.column_stack((nodes, (nodes + 1) % count)), axis=1))
+        length = check_positive("length", self.length)
+        _store(self, edge_count=count, length=length, edges=edges)
+        _store(self, node_distance=_readonly(_all_pairs_hops(count, edges) * length))
+
+
+def cyclic_median_cost(inst: NetworkInstance) -> float:
+    """The optimal matching total of a balanced instance on a ``Ring``, in
+    closed form: a closed curve shares no code with ``_cost_matrix``.
+
+    The points are laid on a circle of circumference E*L and sorted, and
+    F_k is the supply count minus the demand count up to the k-th of them.
+    A matching with c pairs across the wrap point sends |F_k - c| pairs
+    over the gap after point k, so the optimum is min_c sum gap_k*|F_k - c|,
+    taken at the gap-weighted median of F (Werman, Peleg, Melter & Kong
+    1986, "Bipartite graph matching for points on a line or a circle", J.
+    Algorithms 7).
+    """
+    net = inst.net
+    if not isinstance(net, Ring) or inst.total_demand != inst.total_supply:
+        raise ValueError("the cyclic median needs a balanced instance on a Ring")
+    if not inst.total_demand:
+        return 0.0
+    circle = net.edge_count * net.length
+    places, signs = [], []
+    for edge, offset, sign in (
+        (inst.demand_edge, inst.demand_offset, -1),
+        (inst.supply_edge, inst.supply_offset, 1),
+    ):
+        start, end = net.edges[edge, 0], net.edges[edge, 1]
+        # edge (0, E - 1) runs backwards from node 0 around the circle
+        places.append(np.where(end == start + 1, start * net.length + offset, circle - offset))
+        signs.append(np.full(edge.size, sign))
+    place, sign = np.concatenate(places), np.concatenate(signs)
+    order = np.argsort(place, kind="stable")
+    place, surplus = place[order], np.cumsum(sign[order])
+    gap = np.append(np.diff(place), circle - place[-1] + place[0])
+    by_surplus = np.argsort(surplus, kind="stable")
+    weight = np.cumsum(gap[by_surplus])
+    median = surplus[by_surplus][np.searchsorted(weight, weight[-1] / 2.0)]
+    return float(gap @ np.abs(surplus - median))
 
 
 def solve_dense_reference(costs) -> AssignmentSolution:
