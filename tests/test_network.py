@@ -564,32 +564,38 @@ def test_total_equals_the_min_cost_flow(layout, length, mu, ratio, balanced, see
     assert total == pytest.approx(network_flow_cost(grid), rel=1e-12, abs=0.0)
 
 
-def test_total_on_a_ring_equals_the_cyclic_median():
-    # on a cycle the optimum has a closed form that reads no distance of the
-    # library's: 40 seeded balanced draws, ten at each of 5 and 36 edges and
-    # lengths 1 and 2.5, every other one on a quarter grid, which puts points
-    # on one another and on the nodes
+def test_ring_wrap_edge_runs_from_node_zero():
+    # the last edge is (0, E - 1), so its offsets run backwards from node 0:
+    # a demand point at 0.1 on it lies 0.3 around the circle from a supply
+    # point at 0.2 on edge (0, 1)
     ring = Ring(5, 1.0)
-    # the last edge is (0, E - 1), so its offsets run backwards from node 0
     wrap = NetworkInstance(ring, np.array([4]), np.array([0.1]), np.array([0]), np.array([0.2]))
     assert cyclic_median_cost(wrap) == pytest.approx(0.3, rel=1e-12)
-    rng = np.random.default_rng(16)
-    for edge_count, length in itertools.product((5, 36), (1.0, 2.5)):
-        ring = Ring(edge_count, length)
-        for draw in range(10):
-            size = int(rng.integers(1, 4 * edge_count))
-            arrays = []
-            for _ in range(2):  # demand, then supply
-                edge = rng.integers(0, edge_count, size)
-                if draw % 2:
-                    offset = rng.integers(0, 5, size) * (length / 4.0)
-                else:
-                    offset = rng.uniform(0.0, length, size)
-                order = np.lexsort((offset, edge))
-                arrays += [edge[order], offset[order]]
-            inst = NetworkInstance(ring, *arrays)
-            total = exact_network_match(inst).total_distance
-            assert total == pytest.approx(cyclic_median_cost(inst), rel=1e-12, abs=0.0)
+    assert exact_network_match(wrap).total_distance == pytest.approx(0.3, rel=1e-12)
+
+
+@pytest.mark.parametrize("edge_count, length", list(itertools.product((5, 36), (1.0, 2.5))))
+def test_total_on_a_ring_equals_the_cyclic_median(edge_count, length):
+    # on a cycle the optimum has a closed form that reads no distance of the
+    # library's: ten seeded balanced draws per shape, 40 over the four shapes,
+    # every other one on a quarter grid, which puts points on one another and
+    # on the nodes
+    ring = Ring(edge_count, length)
+    rng = np.random.default_rng([16, edge_count, int(4 * length)])
+    for draw in range(10):
+        size = int(rng.integers(1, 4 * edge_count))
+        arrays = []
+        for _ in range(2):  # demand, then supply
+            edge = rng.integers(0, edge_count, size)
+            if draw % 2:
+                offset = rng.integers(0, 5, size) * (length / 4.0)
+            else:
+                offset = rng.uniform(0.0, length, size)
+            order = np.lexsort((offset, edge))
+            arrays += [edge[order], offset[order]]
+        inst = NetworkInstance(ring, *arrays)
+        total = exact_network_match(inst).total_distance
+        assert total == pytest.approx(cyclic_median_cost(inst), rel=1e-12, abs=0.0)
 
 
 def _draw_automorphism(data, degree, node_count):
