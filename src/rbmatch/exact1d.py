@@ -105,50 +105,91 @@ def match_costs_1d(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:
     ``demand`` is (R, m) and ``supply`` (R, n) with 1 <= m <= n, each row sorted
     ascending; row r of both is one instance. When n = m the total is the
     sorted-pair sum, the same float ``optimal_match_1d`` returns. Otherwise
-    this is the band DP of ``optimal_match_1d`` run on all rows at once,
-    keeping only the current band row and no backtrack; it adds the costs
-    right to left, so a total can differ from ``optimal_match_1d``'s pairwise
-    sum in the last few bits. The band DP needs every coordinate finite, and
-    a ``ValueError`` names the side that is not.
-
-    Replications are innermost: the band row is held as (n-m+1, R) with its
-    offsets reversed, so the suffix minimum is a forward in-place
-    ``minimum.accumulate`` along axis 0. It is taken on the ``uint64`` view
-    of the row, which orders these non-negative, NaN-free sums as the floats
-    do and gives the same bits (see ``optimal_match_1d``). The gaps of as
-    many steps as fit in 8192 cells (64 KiB), at least one, are built by one
-    ``subtract`` and one ``abs`` over a sliding window of the reversed
-    supply, and the steps then add them one at a time.
+    this is the band DP of ``optimal_match_1d`` run on all rows at once in
+    ``_band_costs``, keeping no backtrack; it adds the costs right to left,
+    so a total can differ from ``optimal_match_1d``'s pairwise sum in the
+    last few bits. A side that is not 2D raises a ``ValueError`` naming it
+    and its shape. The band DP needs every coordinate finite, and a
+    ``ValueError`` names the side that is not.
     """
+    if demand.ndim != 2 or supply.ndim != 2:
+        name, side = ("demand", demand) if demand.ndim != 2 else ("supply", supply)
+        raise ValueError(f"{name} must be a 2D (R, k) array, got shape {side.shape}")
     reps, m = demand.shape
     n = supply.shape[1]
     if supply.shape[0] != reps or not 1 <= m <= n:
         raise ValueError("need (R, m) demand and (R, n) supply rows with 1 <= m <= n")
     if n == m:
         return np.add.reduce(np.abs(demand - supply), axis=1)
-    # a NaN's bits order above +inf, so the integer minimum would drop it unseen
+    # _band_costs reads a leading +inf supply as padding and drops it unseen
     for name, side in (("demand", demand), ("supply", supply)):
         if not np.isfinite(side).all():
             raise ValueError(f"{name} coordinates must be finite")
+    return _band_costs(demand, supply)
+
+
+def _band_costs(demand: np.ndarray, supply: np.ndarray) -> np.ndarray:
+    """The band DP totals of C columns: (C, m) demand and (C, n) supply rows,
+    1 <= m < n, each sorted ascending but for a supply row's leading +inf.
+
+    Supply-major: column c's state is ``cost[:, c]``, where ``cost[i]`` is
+    the least cost of matching demands i..m-1 to the supplies right of the
+    current one; ``cost[m]`` is 0 and the rest start at +inf. Right to left
+    over supplies j, each band cell i in [max(0, j-n+m), min(m, j+1)) takes
+    ``min(cost[i], cost[i+1] + |y_j - x_i|)``. That is cell (i, j-i) of
+    ``optimal_match_1d``'s band: its band value, from the same single add,
+    against its suffix minimum at the next offset, and a minimum never
+    rounds. So every total has the bits of the demand-major DP.
+
+    A supply row may begin with +inf padding: those steps leave the column
+    unchanged, and each step's band has the lower edge of the row without
+    them. The cells above that row's own upper edge get values that none of
+    its own cells reads, so its total has the bits of the unpadded row.
+    Instances that share m run as one call, each right-aligned.
+
+    The state is (m+1, C), columns innermost, so each step is one add and
+    one minimum over its band's contiguous cells. The gaps of as many steps
+    as fit in 8192 cells (64 KiB), at least one, are built by one
+    ``subtract`` and one ``abs``, each step over the window of
+    min(m, n-m+1) demand cells that holds its band.
+    """
+    cols, m = demand.shape
+    n = supply.shape[1]
     width = n - m + 1
-    # [j] = demand m-1-j of every replication
-    demand_t = np.ascontiguousarray(demand[:, ::-1].T)
-    supply_t = np.ascontiguousarray(supply[:, ::-1].T)
-    # [j, k] = supply n-1-j-k: demand m-1-j's band at offset width-1-k
-    windows = sliding_window_view(supply_t, width, axis=0).transpose(0, 2, 1)
-    steps = min(m, max(1, _GAP_BLOCK_CELLS // (width * reps)))
-    gaps = np.empty((steps, width, reps))
-    best = np.zeros((width, reps))
-    best_bits = best.view(np.uint64)
-    for start in range(0, m, steps):
-        stop = min(start + steps, m)
-        block = gaps[: stop - start]
-        np.subtract(windows[start:stop], demand_t[start:stop, None], out=block)
+    height = min(m, width)  # the most cells a band holds
+    top = m - height  # the last window's first cell
+    # [s] = demand cells s..s+height-1 of every column
+    windows = sliding_window_view(np.ascontiguousarray(demand.T), height, axis=0)
+    windows = windows.transpose(0, 2, 1)
+    cost = np.full((m + 1, cols), np.inf)
+    cost[m] = 0.0
+    steps = max(1, _GAP_BLOCK_CELLS // (height * cols))
+    gaps = np.empty((steps, height, cols))
+    for stop in range(n, 0, -steps):
+        start = max(0, stop - steps)
+        # step j's window starts at min(max(0, j-width+1), top): one further
+        # a step, or fixed, except in a block that crosses a bend
+        first = min(max(0, start - width + 1), top)
+        last = min(max(0, stop - width), top)
+        if last - first == stop - 1 - start:
+            window = windows[first : last + 1]
+        elif first == last:
+            window = windows[first]
+        else:
+            window = windows[np.clip(np.arange(start - width + 1, stop - width + 1), 0, top)]
+        # the window rows some step of the block reads: the first step's
+        # band starts lowest in its window, the last step's ends highest
+        low, high = max(0, start - width + 1 - top), min(m, stop) - last
+        block = gaps[: stop - start, : high - low]
+        np.subtract(supply[:, start:stop].T[:, None], window[..., low:high, :], out=block)
         np.abs(block, out=block)
-        for gap in block:
-            best += gap
-            np.minimum.accumulate(best_bits, axis=0, out=best_bits)
-    return best[-1]
+        for j in range(stop - 1, start - 1, -1):
+            lo, hi = max(0, j - width + 1), min(m, j + 1)
+            below = min(lo, top) + low
+            gap = block[j - start, lo - below : hi - below]
+            gap += cost[lo + 1 : hi + 1]
+            np.minimum(cost[lo:hi], gap, out=cost[lo:hi])
+    return cost[0]
 
 
 def _removal_set(curve: SupplyCurve, removed_events) -> RemovalSet:

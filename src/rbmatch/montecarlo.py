@@ -22,7 +22,7 @@ from .estimators import (
     recursive_estimates,
     step_length_correction,
 )
-from .exact1d import match_costs_1d, optimal_match_1d
+from .exact1d import _band_costs, match_costs_1d, optimal_match_1d
 from .network import (
     NetworkInstance,
     NetworkModel,
@@ -277,34 +277,70 @@ def _shape(kind: ExperimentKind, point) -> tuple[int, int, float]:
     return point.params.m, point.params.n, point.length
 
 
-def _segment_means(kind: ExperimentKind, point, states: np.ndarray):
-    """Mean matching distance of every replication of a segment or edge point.
-
-    Each replication fills its row of one (R, m + n) block with a single
-    ``random`` call on its own stream, built from its row of ``states``:
-    demand first, then supply. The block is scaled by the length once;
-    numpy's ``uniform(0, length, k)`` is ``0.0 + length * random()``, so
-    every coordinate has the bits of a ``uniform`` draw of demand, then
+def _draw_sorted(draws: np.ndarray, states, m: int, length: float) -> None:
+    """Fill each row of ``draws``, (R, m + n), with a single ``random`` call
+    on its own stream, built from its row of ``states``: demand first, then
+    supply. The rows are scaled by the length and each side is sorted in
+    place. numpy's ``uniform(0, length, k)`` is ``0.0 + length * random()``,
+    so every coordinate has the bits of a ``uniform`` draw of demand, then
     supply. ``random`` lies in [0, 1) and the length is finite and positive,
-    so no coordinate needs a range check. The two sides are sorted in place
-    and solved in one ``match_costs_1d`` call. Replication 0 is solved again by
-    ``optimal_match_1d`` as a check on the batched kernel.
-    """
-    m, n, length = _shape(kind, point)
-    draws = np.empty((len(states), m + n))
+    so no coordinate needs a range check."""
     for rep, words in enumerate(states):
         _rep_stream(words).random(out=draws[rep])
     draws *= length
-    demand, supply = draws[:, :m], draws[:, m:]
-    demand.sort(axis=1)
-    supply.sort(axis=1)
-    means = match_costs_1d(demand, supply) / m
-    reference = optimal_match_1d(Instance1D(demand[0], supply[0], length)).mean_distance
-    if not abs(means[0] - reference) <= _REFERENCE_RTOL * abs(reference):
+    draws[:, :m].sort(axis=1)
+    draws[:, m:].sort(axis=1)
+
+
+def _check_replication_zero(point, demand, supply, length: float, mean) -> None:
+    """Solve replication 0 of ``point`` again by ``optimal_match_1d``, as a
+    check on the batched kernel's ``mean``; a RuntimeError names the point."""
+    reference = optimal_match_1d(Instance1D(demand, supply, length)).mean_distance
+    if not abs(mean - reference) <= _REFERENCE_RTOL * abs(reference):
         raise RuntimeError(
-            f"grid point {point!r}: mean {means[0]!r} of replication 0 "
+            f"grid point {point!r}: mean {mean!r} of replication 0 "
             f"differs from optimal_match_1d's {reference!r}"
         )
+
+
+def _segment_means(kind: ExperimentKind, point, states: np.ndarray) -> np.ndarray:
+    """Mean matching distance of every replication of a segment or edge point.
+
+    Its replications fill one (R, m + n) block (``_draw_sorted``), solved in
+    one ``match_costs_1d`` call; replication 0 is checked.
+    """
+    m, n, length = _shape(kind, point)
+    draws = np.empty((len(states), m + n))
+    _draw_sorted(draws, states, m, length)
+    means = match_costs_1d(draws[:, :m], draws[:, m:]) / m
+    _check_replication_zero(point, draws[0, :m], draws[0, m:], length, means[0])
+    return means
+
+
+def _group_means(kind: ExperimentKind, points, states) -> np.ndarray:
+    """The (P, R) replication means of band points (n > m) that share m,
+    from each point's (R, 4) seed words in ``states``.
+
+    Each point's replications fill the last m + n cells of its rows of one
+    (P*R, m + N) block, N the largest n (``_draw_sorted``). Its demand then
+    moves to the first m cells and +inf fills the cells between, so its
+    supply is right-aligned behind +inf. The block is solved in one
+    ``_band_costs`` call, which gives each point the bits of its own
+    ``match_costs_1d`` call. Each point's replication 0 is checked.
+    """
+    shapes = [_shape(kind, point) for point in points]
+    m, reps = shapes[0][0], len(states[0])
+    widest = max(n for _, n, _ in shapes)
+    block = np.empty((len(points) * reps, m + widest))
+    for p, ((_, n, length), point_states) in enumerate(zip(shapes, states)):
+        rows, pad = block[p * reps : (p + 1) * reps], widest - n
+        _draw_sorted(rows[:, pad:], point_states, m, length)
+        rows[:, :m] = rows[:, pad : pad + m]
+        rows[:, m : m + pad] = np.inf
+    means = (_band_costs(block[:, :m], block[:, m:]) / m).reshape(len(points), reps)
+    for p, (point, (_, n, length)) in enumerate(zip(points, shapes)):
+        first = block[p * reps]
+        _check_replication_zero(point, first[:m], first[m + widest - n :], length, means[p, 0])
     return means
 
 
@@ -423,15 +459,50 @@ def _point_params(kind: ExperimentKind, point) -> dict:
     }
 
 
-def _simulate(args) -> tuple[np.ndarray, dict]:
-    """One grid point's task: the means of its replications, drawn from its
-    rows of seed words (and, for a network point, on its layout), and the
-    metadata of the draws, ``{"resampled": k}`` for a network point."""
-    kind, point, states, net = args
+# budgets of a group of band points: its DP state, (m + 1) x columns, and
+# its padded supply, N x columns, with a column per replication and N the
+# group's largest n
+_GROUP_STATE_CELLS = 8192
+_GROUP_SUPPLY_CELLS = 32768
+
+
+def _tasks(kind: ExperimentKind, grid, reps: int) -> list[list[int]]:
+    """The grid indices of each task, the tasks in order of their first index.
+
+    A network point and a segment or edge point with n = m are tasks alone.
+    Band points (n > m) that share m form groups: in grid order, a point
+    joins the last group of its m while the group's state and padded supply
+    stay within their budgets, and starts a new one otherwise. The groups
+    depend on the grid and the replication count alone, not on the workers.
+    """
+    shapes = [_shape(kind, point) for point in grid]
+    tasks, last_group = [], {}
+    for gi, (m, n, _) in enumerate(shapes):
+        if kind is ExperimentKind.NETWORK or n == m:
+            tasks.append([gi])
+            continue
+        group = last_group.get(m, [])
+        cols = (len(group) + 1) * reps
+        widest = max(shapes[g][1] for g in [*group, gi])
+        if not group or (m + 1) * cols > _GROUP_STATE_CELLS or widest * cols > _GROUP_SUPPLY_CELLS:
+            group = last_group[m] = []
+            tasks.append(group)
+        group.append(gi)
+    return tasks
+
+
+def _simulate(args) -> list[tuple[np.ndarray, dict]]:
+    """One task's result: for each of its points, in order, the means of its
+    replications, drawn from its rows of seed words (and, for a network
+    point, on its layout), and the metadata of the draws, ``{"resampled": k}``
+    for a network point."""
+    kind, points, states, net = args
     if kind is ExperimentKind.NETWORK:
-        means, resampled = _network_means(point, net, states)
-        return means, {"resampled": resampled}
-    return _segment_means(kind, point, states), {}
+        means, resampled = _network_means(points[0], net, states[0])
+        return [(means, {"resampled": resampled})]
+    if len(points) == 1:
+        return [(_segment_means(kind, points[0], states[0]), {})]
+    return [(means, {}) for means in _group_means(kind, points, states)]
 
 
 def _moments(block: np.ndarray) -> tuple[list[float], list[float]]:
@@ -449,18 +520,23 @@ def run_experiment(cfg: ExperimentConfig) -> list[SummaryRecord]:
 
     The estimates depend on the point alone and are computed first, once per
     sweep, and so are the networks of a network grid, one per distinct
-    layout. Each point's task gets only the point, its seed words, which
-    depend on (master_seed, g, r) alone, and its network if it has one, and
-    returns its replication means;
-    moments, relative errors and records are made here, in grid order, so
-    values are identical for any worker count.
+    layout. A task is one point, or a group of band points that share m
+    (``_tasks``); it gets only its points, their seed words, which depend on
+    (master_seed, g, r) alone, and its network if it has one, and returns
+    their replication means. The tasks and each point's means are the same
+    for any worker count, and moments, relative errors and records are made
+    here, in grid order, so values are identical for any worker count.
     """
     kind = cfg.kind
     estimates = _sweep_estimates(kind, cfg.grid)
     layouts = _layouts(kind, cfg.grid)
     grid_indices, rep_indices = np.arange(len(cfg.grid)), np.arange(cfg.replications)
     states = _stream_states(cfg.master_seed, grid_indices, rep_indices)
-    tasks = [(kind, *task) for task in zip(cfg.grid, states, layouts)]
+    groups = _tasks(kind, cfg.grid, cfg.replications)
+    tasks = [
+        (kind, [cfg.grid[gi] for gi in group], [states[gi] for gi in group], layouts[group[0]])
+        for group in groups
+    ]
     if cfg.workers == 1 or len(tasks) == 1:
         results = [_simulate(t) for t in tasks]
     else:
@@ -471,11 +547,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[SummaryRecord]:
         workers = min(cfg.workers, len(tasks))
         with ProcessPoolExecutor(workers) as pool:  # about four chunks per worker
             results = list(pool.map(_simulate, tasks, chunksize=-(-len(tasks) // (4 * workers))))
-    sim_means, sim_stds = _moments(np.stack([means for means, _ in results]))
+    by_point = [None] * len(cfg.grid)
+    for group, result in zip(groups, results):
+        for gi, point_result in zip(group, result):
+            by_point[gi] = point_result
+    sim_means, sim_stds = _moments(np.stack([means for means, _ in by_point]))
     records = []
     for gi, point in enumerate(cfg.grid):
         (values, extra), mean = estimates[gi], sim_means[gi]
-        meta = {"replications": cfg.replications, **extra, **results[gi][1]}
+        meta = {"replications": cfg.replications, **extra, **by_point[gi][1]}
         params = _point_params(kind, point)
         records.append(SummaryRecord(kind, params, mean, sim_stds[gi], values, meta))
     return records

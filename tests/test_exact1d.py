@@ -21,6 +21,7 @@ from _references import (
 from rbmatch.assignment import solve_dense
 from rbmatch.exact1d import (
     _GAP_BLOCK_CELLS,
+    _band_costs,
     balanced_area,
     feasible_removal,
     match_costs_1d,
@@ -113,9 +114,9 @@ def test_match_costs_match_per_instance_dp(reps, m, excess, length, seed):
             assert totals[r] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def _coords(rng, tied, shape):
-    # the k/10 grid makes many equal distances, so the tie rules decide
-    return rng.integers(0, 11, shape) / 10 if tied else rng.uniform(0, 1, shape)
+def _coords(rng, tied, shape, grid=10):
+    # the k/grid grid makes many equal distances, so the tie rules decide
+    return rng.integers(0, grid + 1, shape) / grid if tied else rng.uniform(0, 1, shape)
 
 
 _BAND_SHAPES = st.integers(0, 30).flatmap(lambda m: st.tuples(st.just(m), st.integers(m, 60)))
@@ -159,23 +160,30 @@ def test_match_costs_equal_rowwise_dp_bit_for_bit(reps, shape, tied, seed):
     assert np.array_equal(match_costs_1d(demand, supply), match_costs_1d_rowwise(demand, supply))
 
 
-# (reps, m, width) at the edges of match_costs_1d's gap blocks
+# (reps, m, width) at the edges of the band DP's gap blocks: a step's gaps
+# take a window of min(m, width) demand cells of each replication, and a
+# block holds as many steps as fit in _GAP_BLOCK_CELLS, at least one
 _BLOCK_EDGE_SHAPES = [
-    # reps x width below, at and above one block: one step a block
-    (64, 3, _GAP_BLOCK_CELLS // 64 - 1),
-    (64, 3, _GAP_BLOCK_CELLS // 64),
-    (64, 3, _GAP_BLOCK_CELLS // 64 + 1),
+    # reps x window below, at and above one block: one step a block; the
+    # window is the whole demand (m < width)
+    (64, _GAP_BLOCK_CELLS // 64 - 1, _GAP_BLOCK_CELLS // 64 + 2),
+    (64, _GAP_BLOCK_CELLS // 64, _GAP_BLOCK_CELLS // 64 + 2),
+    (64, _GAP_BLOCK_CELLS // 64 + 1, _GAP_BLOCK_CELLS // 64 + 3),
     # below, at and above half a block: two steps a block, two, then one;
-    # m = 5 ends on a block of one step
-    (32, 5, _GAP_BLOCK_CELLS // 64 - 1),
-    (32, 4, _GAP_BLOCK_CELLS // 64),
-    (32, 5, _GAP_BLOCK_CELLS // 64 + 1),
-    # m not a multiple of the block's steps: 102, 102, then 46 at 8192 cells
+    # the window slides (width < m), one cell further a step
+    (32, 200, _GAP_BLOCK_CELLS // 64 - 1),
+    (32, 200, _GAP_BLOCK_CELLS // 64),
+    (32, 200, _GAP_BLOCK_CELLS // 64 + 1),
+    # n not a multiple of the block's steps: 102, 102, then 55 at 8192
+    # cells; the first and last blocks each cross a bend of the window
     (8, 250, 10),
-    # m smaller than one block
+    # the whole DP in one block, across both bends
     (2, 30, 5),
-    # one replication and the narrowest band: a block of half the cells' steps,
-    # then one step
+    # one replication and a one-cell band: a block of all the cells' steps,
+    # then the rest
+    (1, 1, _GAP_BLOCK_CELLS + 9),
+    # one replication and the narrowest band: a block of half the cells'
+    # steps, then two steps
     (1, _GAP_BLOCK_CELLS // 2 + 1, 2),
 ]
 
@@ -189,11 +197,48 @@ def test_match_costs_equal_rowwise_dp_bit_for_bit_at_block_edges(reps, m, width,
     assert np.array_equal(match_costs_1d(demand, supply), match_costs_1d_rowwise(demand, supply))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    reps=st.integers(1, 8),
+    m=st.integers(1, 30),
+    extras=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(reps=3, m=1, extras=[1, 40, 7], tied=True, seed=1)
+@example(reps=2, m=30, extras=[1, 2, 40, 1], tied=True, seed=2)
+@example(reps=8, m=12, extras=[30, 5], tied=False, seed=3)
+def test_grouped_band_costs_equal_each_points_own_bit_for_bit(reps, m, extras, tied, seed):
+    # points that share m, each right-aligned behind +inf in one supply block
+    rng = np.random.default_rng(seed)
+    widest = m + max(extras)
+    demand = np.sort(_coords(rng, tied, (len(extras) * reps, m), grid=8), axis=1)
+    supply = np.full((len(extras) * reps, widest), np.inf)
+    for p, extra in enumerate(extras):
+        rows = slice(p * reps, (p + 1) * reps)
+        supply[rows, widest - m - extra :] = np.sort(_coords(rng, tied, (reps, m + extra), grid=8), axis=1)
+    totals = _band_costs(demand, supply)
+    for p, extra in enumerate(extras):
+        rows = slice(p * reps, (p + 1) * reps)
+        own_demand, own_supply = demand[rows], supply[rows, widest - m - extra :]
+        assert np.array_equal(totals[rows], match_costs_1d(own_demand, own_supply))
+        assert np.array_equal(totals[rows], match_costs_1d_rowwise(own_demand, own_supply))
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+@pytest.mark.parametrize("side", ["demand", "supply"])
+def test_match_costs_name_a_side_that_is_not_2d(side, shape):
+    rows = {"demand": np.zeros((2, 3)), "supply": np.zeros((2, 4))}
+    rows[side] = np.zeros(shape)
+    with pytest.raises(ValueError, match=rf"{side} .*shape \({', '.join(map(str, shape))},?\)"):
+        match_costs_1d(rows["demand"], rows["supply"])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("side", ["demand", "supply"])
 def test_match_costs_reject_a_non_finite_coordinate(side, bad):
-    # row 0 reaches Instance1D's check on a sweep, row 1 only this one; on the
-    # integer image a NaN would order above +inf and drop out unseen
+    # row 0 reaches Instance1D's check on a sweep, row 1 only this one; the
+    # band DP itself takes a supply row's leading +inf for padding
     rng = np.random.default_rng(8)
     rows = {
         "demand": np.sort(rng.uniform(0, 1, (3, 4)), axis=1),
@@ -212,7 +257,7 @@ _NON_NEGATIVE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=True, a
 @example(values=np.array([np.inf, 1.0, 5e-324, 0.0, 2.2250738585072014e-308, 5e-324, np.inf]))
 @example(values=np.array([[3.0, 0.0], [5e-324, np.inf], [1e308, 1e-310]]))
 def test_minimum_accumulate_on_the_uint64_image_keeps_every_bit(values):
-    # both band DPs take their suffix minima on the uint64 view of band
+    # optimal_match_1d takes its suffix minima on the uint64 view of band
     # values, which are never -0.0 or NaN
     assert not np.signbit(values).any()
     for axis in range(values.ndim):

@@ -327,27 +327,69 @@ def _uniform_draw_means(m, n, length, states):
     return match_costs_1d(demand, supply) / m
 
 
+def test_grouped_band_points_keep_every_record_bit_for_bit():
+    # two grids whose groups each budget splits once: 50 reps of m = 40 fill
+    # the (m + 1) x columns state after three points, and 50 reps of m = 6
+    # at n up to 200 fill the N x columns padded supply after three
+    reps, seed = 50, 11
+    segment_grid = tuple(
+        SegmentPoint(m, n) for m, n in [(40, 45), (7, 12), (40, 60), (7, 7), (40, 41), (7, 30), (40, 90)]
+    )
+    edge_grid = (
+        EdgePoint(mu=6.0, lam=120.0, length=1.0),
+        EdgePoint(mu=3.0, lam=100.0, length=2.0),
+        EdgePoint(mu=2.0, lam=50.0, length=3.0),
+        EdgePoint(mu=1.5, lam=22.5, length=4.0),
+    )
+    assert (40 + 1) * 4 * reps > montecarlo._GROUP_STATE_CELLS >= (40 + 1) * 3 * reps
+    assert 200 * 4 * reps > montecarlo._GROUP_SUPPLY_CELLS >= 200 * 3 * reps
+    assert (6 + 1) * 4 * reps <= montecarlo._GROUP_STATE_CELLS
+    for kind, grid, tasks in (
+        (ExperimentKind.SEGMENT, segment_grid, [[0, 2, 4], [1, 5], [3], [6]]),
+        (ExperimentKind.EDGE, edge_grid, [[0, 1, 2], [3]]),
+    ):
+        assert montecarlo._tasks(kind, grid, reps) == tasks
+        records = run_experiment(ExperimentConfig(kind, grid, reps, seed))
+        pooled = run_experiment(ExperimentConfig(kind, grid, reps, seed, workers=2))
+        assert records_to_csv(pooled) == records_to_csv(records)
+        states = montecarlo._stream_states(seed, np.arange(len(grid)), np.arange(reps))
+        for point, rec, point_states in zip(grid, records, states):
+            m, n, length = montecarlo._shape(kind, point)
+            means = _uniform_draw_means(m, n, length, point_states)
+            assert rec.sim_mean == float(means.mean())
+            assert rec.sim_std == float(means.std(ddof=1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     m=st.integers(1, 12),
     extra=st.integers(0, 8),
-    length=st.sampled_from([1.0, 0.5, 0.7, 2.5, 3.0]),
+    wider=st.integers(1, 8),
+    lengths=st.lists(st.sampled_from([1.0, 0.5, 0.7, 2.5, 3.0]), min_size=2, max_size=2),
     edge=st.booleans(),
     reps=st.integers(1, 20),
     master_seed=st.integers(0, 2**64),
     grid_index=st.integers(0, 50),
 )
-def test_segment_means_equal_per_side_uniform_draws(m, extra, length, edge, reps, master_seed, grid_index):
-    # one random block per replication, scaled once, has the bits of two uniform calls
-    n = m + extra
+def test_segment_means_equal_per_side_uniform_draws(
+    m, extra, wider, lengths, edge, reps, master_seed, grid_index
+):
+    # one random block per replication, scaled once, has the bits of two
+    # uniform calls; so has a band point's block right-aligned behind +inf,
+    # next to a wider point of the same m at its own length
+    shapes = [(m, m + extra), (m, m + extra + wider)]
     if edge:
-        point = EdgePoint(mu=m / length, lam=n / length, length=length)
+        points = [EdgePoint(mu=m / ln, lam=n / ln, length=ln) for (m, n), ln in zip(shapes, lengths)]
         kind = ExperimentKind.EDGE
     else:
-        point, kind, length = SegmentPoint(m, n), ExperimentKind.SEGMENT, 1.0
-    states = montecarlo._stream_states(master_seed, [grid_index], np.arange(reps))[0]
-    got = montecarlo._segment_means(kind, point, states)
-    assert np.array_equal(got, _uniform_draw_means(m, n, length, states))
+        points, kind, lengths = [SegmentPoint(*shape) for shape in shapes], ExperimentKind.SEGMENT, [1.0, 1.0]
+    states = montecarlo._stream_states(master_seed, [grid_index, grid_index + 1], np.arange(reps))
+    got = montecarlo._segment_means(kind, points[0], states[0])
+    assert np.array_equal(got, _uniform_draw_means(m, m + extra, lengths[0], states[0]))
+    if extra:
+        got = montecarlo._group_means(kind, points[::-1], states[::-1])
+        for p, ((_, n), length) in enumerate(zip(shapes[::-1], lengths[::-1])):
+            assert np.array_equal(got[p], _uniform_draw_means(m, n, length, states[::-1][p]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -422,9 +464,15 @@ def test_pool_has_at_most_one_worker_per_grid_point(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     small = (SegmentPoint(2, 3), SegmentPoint(3, 3), SegmentPoint(1, 4))
-    large = tuple(SegmentPoint(1, n) for n in range(1, 21))
+    balanced = tuple(SegmentPoint(n, n) for n in range(1, 21))
+    # (1, 1) alone, then one group of the 19 band points that share m = 1
+    shared = tuple(SegmentPoint(1, n) for n in range(1, 21))
     # chunks of ceil(tasks / (4 * workers)): 20 tasks go 3 at a time to 2 workers
-    cases = {small: ((64, 3, 1), (2, 2, 1)), large: ((2, 2, 3), (3, 3, 2), (5, 5, 1))}
+    cases = {
+        small: ((64, 3, 1), (2, 2, 1)),
+        balanced: ((2, 2, 3), (3, 3, 2), (5, 5, 1)),
+        shared: ((2, 2, 1), (5, 2, 1)),
+    }
     for grid, expected in cases.items():
         kwargs = dict(kind=ExperimentKind.SEGMENT, grid=grid, replications=3, master_seed=4)
         serial = records_to_csv(run_experiment(ExperimentConfig(**kwargs)))
@@ -435,9 +483,14 @@ def test_pool_has_at_most_one_worker_per_grid_point(monkeypatch):
 
 
 def test_replication_zero_check_names_the_point(monkeypatch):
-    kernel = montecarlo.match_costs_1d
-    monkeypatch.setattr(montecarlo, "match_costs_1d", lambda d, s: kernel(d, s) * 1.01)
-    cfg = ExperimentConfig(ExperimentKind.SEGMENT, (SegmentPoint(3, 5),), replications=4)
+    # band points that share m go through one _band_costs call, and n = m
+    # points through match_costs_1d's sorted-pair sum: skew both
+    for name in ("_band_costs", "match_costs_1d"):
+        kernel = getattr(montecarlo, name)
+        monkeypatch.setattr(montecarlo, name, lambda d, s, kernel=kernel: kernel(d, s) * 1.01)
+    grid = (SegmentPoint(3, 5), SegmentPoint(3, 7))
+    assert montecarlo._tasks(ExperimentKind.SEGMENT, grid, 4) == [[0, 1]]
+    cfg = ExperimentConfig(ExperimentKind.SEGMENT, grid, replications=4)
     with pytest.raises(RuntimeError, match=r"SegmentPoint\(m=3, n=5\).*optimal_match_1d"):
         run_experiment(cfg)
     cfg = ExperimentConfig(
